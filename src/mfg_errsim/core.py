@@ -17,9 +17,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import rk4_affine
 from .params import SystemParams
-from .riccati import RiccatiBundle, solve_tracking_offset
+from .riccati import RiccatiBundle, control, mean_field_path, solve_tracking_offset
 
 
 @dataclass
@@ -45,29 +44,22 @@ class FeedbackLaw:
     def feedback(self, x, t):
         if t < self.t_from - 1e-9 or t > self.g.grid.t_end + 1e-9:
             raise ValueError(f"t={t} outside law domain [{self.t_from}, {self.g.grid.t_end}]")
-        x = np.asarray(x, dtype=float)
-        return -self.params.RinvBt @ (self.P1.at(t) @ x + self.g.at(t))
+        return control(self.params, self.P1.at(t), np.asarray(x, dtype=float), self.g.at(t))
 
     def at_node(self, x, k):
         """Vectorized evaluation at grid node k for a batch of states (N, n)."""
-        x = np.asarray(x, dtype=float)
-        return -(x @ self.P1[k].T + self.g[k]) @ self.params.RinvBt.T
+        return control(self.params, self.P1[k], np.asarray(x, dtype=float), self.g[k])
 
 
-def feedback(law: FeedbackLaw, x, t):
-    return law.feedback(x, t)
+def equilibrium_mf(bundle: RiccatiBundle, z0, k0: int = 0) -> MeanField:
+    """Solve the equilibrium mean-field forward ODE from z(t_k0) = z0.
 
-
-def equilibrium_mf(bundle: RiccatiBundle, z0) -> MeanField:
-    """Solve the equilibrium mean-field forward ODE from z(0) = z0."""
-    params, grid = bundle.params, bundle.grid
-    BFRB = params.BFRB
-    P0v, Gv = bundle.P0.values, bundle.G.values
-    H = (params.A + params.C)[None, :, :] - np.einsum("ij,kjl->kil", BFRB, P0v)
-    f = -np.einsum("ij,kj->ki", BFRB, Gv)
-    zv = rk4_affine(H, f, np.asarray(z0, dtype=float), grid, forward=True)
-    ub = -np.einsum("ij,kj->ki", params.RinvBt, np.einsum("kij,kj->ki", P0v, zv) + Gv)
-    return MeanField(z=VectorPath(grid, zv), ubar=VectorPath(grid, ub))
+    The paths live on the grid nodes k0..K (the whole grid for k0 = 0).
+    """
+    P0, G = bundle.P0.slice(k0), bundle.G.slice(k0)
+    zv = mean_field_path(bundle.params, P0.values, G.values, z0, P0.grid)
+    ub = control(bundle.params, P0.values, zv, G.values)
+    return MeanField(z=VectorPath(P0.grid, zv), ubar=VectorPath(P0.grid, ub))
 
 
 def perturbed_mf(bundle: RiccatiBundle, z0, E_i) -> MeanField:

@@ -22,14 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeedbackLaw
+from .core import FeedbackLaw, equilibrium_mf
 from .deviations import DeviationMaps
 from .errors import IdentifiabilityError
 from .grid import MatrixPath, VectorPath
 from .ode import rk4_affine
 from .params import SystemParams
 from .population import AgentTrace
-from .riccati import RiccatiBundle, _coupling_weight, solve_tracking_offset
+from .riccati import (
+    RiccatiBundle,
+    coupling_weight,
+    offset_generator,
+    solve_tracking_offset,
+)
 
 DEFAULT_SV_TOL = 1e-8
 DEFAULT_SAMPLES = 8
@@ -70,7 +75,7 @@ def observable_path(trace, params: SystemParams, grid=None, mode="finite-differe
 def residual_path(Ob: VectorPath, z_i: VectorPath, g_i: VectorPath,
                   params: SystemParams, P1: MatrixPath) -> VectorPath:
     """Ob1(t) = Ob(t) - (C - F R^-1 B' P1) z_i(t) + F R^-1 B' g_i(t)."""
-    FRB = params.F @ params.RinvBt
+    FRB = params.FRB
     pred = (
         z_i.values @ params.C.T
         - np.einsum("ij,kjl,kl->ki", FRB, P1.values, z_i.values)
@@ -81,10 +86,9 @@ def residual_path(Ob: VectorPath, z_i: VectorPath, g_i: VectorPath,
 
 def k_matrices(maps: DeviationMaps) -> tuple[MatrixPath, MatrixPath]:
     """The coefficient paths of Ob1 = K1 Ebar + K2 E_i."""
-    params = maps.params
-    FRB = params.F @ params.RinvBt
+    FRB = maps.params.FRB
     P1v = maps.bundle.P1.values
-    CFP = params.C[None, :, :] - np.einsum("ij,kjl->kil", FRB, P1v)
+    CFP = maps.params.C[None, :, :] - np.einsum("ij,kjl->kil", FRB, P1v)
     K1 = (
         np.einsum("kij,kjl->kil", CFP, maps.Mz.values)
         - np.einsum("ij,kjl->kil", FRB, maps.Mg.values)
@@ -201,23 +205,12 @@ def modified_game(params: SystemParams, bundle: RiccatiBundle, z_A_t0, t0):
     Returns the corrected mean field z_new, average control, the tracking
     offset g_new, and the feedback law valid on [t0, T].
     """
-    grid = bundle.grid
-    k0 = grid.index_of(t0)
-    sub = grid.subgrid(k0)
-    P0 = bundle.P0.slice(k0)
+    k0 = bundle.grid.index_of(t0)
+    mf = equilibrium_mf(bundle, z_A_t0, k0)
     P1 = bundle.P1.slice(k0)
-    G = bundle.G.slice(k0)
-    BFRB = params.BFRB
-    H = (params.A + params.C)[None, :, :] - np.einsum("ij,kjl->kil", BFRB, P0.values)
-    f = -np.einsum("ij,kj->ki", BFRB, G.values)
-    zv = rk4_affine(H, f, np.asarray(z_A_t0, dtype=float), sub, forward=True)
-    z_new = VectorPath(sub, zv)
-    ub = -np.einsum("ij,kj->ki", params.RinvBt,
-                    np.einsum("kij,kj->ki", P0.values, zv) + G.values)
-    ubar_new = VectorPath(sub, ub)
-    g_new = solve_tracking_offset(params, P1, z_new, ubar_new, sub)
+    g_new = solve_tracking_offset(params, P1, mf.z, mf.ubar, P1.grid)
     law = FeedbackLaw(params=params, P1=P1, g=g_new, t_from=float(t0))
-    return {"z_new": z_new, "ubar_new": ubar_new, "g_new": g_new, "law": law}
+    return {"z_new": mf.z, "ubar_new": mf.ubar, "g_new": g_new, "law": law}
 
 
 def corrected_mf_deviation(maps: DeviationMaps, t0, E_bar) -> VectorPath:
@@ -251,9 +244,8 @@ def modified_offset_map(maps: DeviationMaps, t0) -> MatrixPath:
     sub = grid.subgrid(k0)
     seed = np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])
     dPhi = np.einsum("kij,jl->kil", maps.Phi1.values[k0:], seed)
-    P1v = bundle.P1.values[k0:]
-    S = _coupling_weight(params, bundle.P1)[k0:]
-    Hg = -(params.A.T[None, :, :] - np.einsum("kij,jl->kil", P1v, params.BFRB))
+    S = coupling_weight(params, bundle.P1)[k0:]
+    Hg = offset_generator(params, bundle.P1.values[k0:], params.BFRB)
     f = -np.einsum("kij,kjl->kil", S, dPhi)
     MT = -params.Qbar @ params.Gammabar @ dPhi[-1]
     vals = rk4_affine(Hg, f, MT, sub, forward=False)

@@ -20,7 +20,14 @@ import numpy as np
 
 from .grid import MatrixPath, VectorPath
 from .ode import fundamental_solution, rk4_affine
-from .riccati import RiccatiBundle, _coupling_weight
+from .riccati import (
+    RiccatiBundle,
+    agent_generator,
+    control,
+    coupling_weight,
+    mf_generator,
+    offset_generator,
+)
 
 
 @dataclass
@@ -54,24 +61,21 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     """Construct all deviation maps for a solved parameter set."""
     params, grid = bundle.params, bundle.grid
     n = params.n
-    P0v, P1v = bundle.P0.values, bundle.P1.values
-    BFRB, BRB = params.BFRB, params.BRB
-    FRB = params.F @ params.RinvBt
-    AC = (params.A + params.C)[None, :, :]
-    At = params.A.T[None, :, :]
+    P1v = bundle.P1.values
+    BFRB, BRB, FRB = params.BFRB, params.BRB, params.FRB
 
-    H0 = AC - np.einsum("ij,kjl->kil", BFRB, P0v)
+    H0 = mf_generator(params, bundle.P0.values)
     # the offset deviation runs backward: d(dg)/dt = -(Hg dg + S dz)
-    Hg = -(At - np.einsum("kij,jl->kil", P1v, BFRB))
-    Hz = AC - np.einsum("ij,kjl->kil", BFRB, P1v)
-    Hx = params.A[None, :, :] - np.einsum("ij,kjl->kil", BRB, P1v)
+    Hg = offset_generator(params, P1v, BFRB)
+    Hz = mf_generator(params, P1v)
+    Hx = agent_generator(params, P1v)
 
     Phi1 = fundamental_solution(MatrixPath(grid, H0), grid.t_start)
     PhiG = fundamental_solution(MatrixPath(grid, Hg), grid.t_end)
     PhiZ = fundamental_solution(MatrixPath(grid, Hz), grid.t_start)
     PhiX = fundamental_solution(MatrixPath(grid, Hx), grid.t_start)
 
-    S = _coupling_weight(params, bundle.P1)  # P1 C - P1 F R^-1 B' P1 - Q*Gamma
+    S = coupling_weight(params, bundle.P1)  # P1 C - P1 F R^-1 B' P1 - Q*Gamma
 
     # offset deviation: backward affine matrix ODE driven by S Phi1
     MgT = -params.Qbar @ params.Gammabar @ Phi1.terminal
@@ -106,9 +110,7 @@ def _apply(M: MatrixPath, v) -> VectorPath:
 def predicted_mf_deviation(maps: DeviationMaps, E_i):
     """Deviation of an agent's predicted mean field and control from errors E_i."""
     dz = _apply(maps.Phi1, E_i)
-    P0v = maps.bundle.P0.values
-    du = -np.einsum("ij,kj->ki", maps.params.RinvBt,
-                    np.einsum("kij,kj->ki", P0v, dz.values))
+    du = control(maps.params, maps.bundle.P0.values, dz.values)
     return {"dz": dz, "du": VectorPath(maps.grid, du)}
 
 
@@ -120,10 +122,8 @@ def control_offset_deviation(maps: DeviationMaps, E_i) -> VectorPath:
 def actual_mf_deviation(maps: DeviationMaps, E_bar):
     """Deviation of the realized (actual) mean field from the average error."""
     dz = _apply(maps.Mz, E_bar)
-    P1v = maps.bundle.P1.values
     dg = _apply(maps.Mg, E_bar)
-    du = -np.einsum("ij,kj->ki", maps.params.RinvBt,
-                    np.einsum("kij,kj->ki", P1v, dz.values) + dg.values)
+    du = control(maps.params, maps.bundle.P1.values, dz.values, dg.values)
     return {"dz": dz, "du": VectorPath(maps.grid, du)}
 
 

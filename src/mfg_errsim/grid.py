@@ -50,11 +50,14 @@ class TimeGrid:
         return k
 
     def subgrid(self, k0: int, k1: int | None = None) -> "TimeGrid":
-        """Grid spanning nodes k0..k1 of this grid (same spacing)."""
+        """Grid spanning nodes k0..k1 of this grid (same spacing); the full
+        range is this grid itself."""
         if k1 is None:
             k1 = self.steps
         if not 0 <= k0 < k1 <= self.steps:
             raise ValueError(f"invalid node range [{k0}, {k1}]")
+        if k0 == 0 and k1 == self.steps:
+            return self
         t = self.times
         return TimeGrid(float(t[k0]), float(t[k1]), k1 - k0)
 
@@ -105,11 +108,14 @@ class _Path:
         return self.values[-1]
 
     def slice(self, k0: int, k1: int | None = None):
-        """Restriction to nodes k0..k1, as a path on the matching subgrid."""
+        """Restriction to nodes k0..k1, as a path on the matching subgrid.
+
+        The values are a view into this path's array.
+        """
         if k1 is None:
             k1 = self.grid.steps
         sub = self.grid.subgrid(k0, k1)
-        return type(self)(sub, self.values[k0 : k1 + 1].copy())
+        return type(self)(sub, self.values[k0 : k1 + 1])
 
 
 @dataclass

@@ -24,7 +24,13 @@ import numpy as np
 from .core import MeanField, equilibrium_mf
 from .grid import VectorPath
 from .ode import rk4_affine
-from .riccati import RiccatiBundle, solve_tracking_offset
+from .riccati import (
+    RiccatiBundle,
+    agent_generator,
+    control,
+    mean_field_path,
+    solve_tracking_offset,
+)
 
 
 @dataclass
@@ -63,29 +69,22 @@ def realized_mean_field(bundle: RiccatiBundle, g_bar: VectorPath, z0) -> VectorP
     Solves dz = [(A + C - (B+F) R^-1 B' P1) z - (B+F) R^-1 B' g_bar] dt
     forward from the true initial average z0.
     """
-    params, grid = bundle.params, bundle.grid
-    BFRB = params.BFRB
-    H = (params.A + params.C)[None, :, :] - np.einsum("ij,kjl->kil", BFRB, bundle.P1.values)
-    f = -np.einsum("ij,kj->ki", BFRB, g_bar.values)
-    vals = rk4_affine(H, f, np.asarray(z0, dtype=float), grid, forward=True)
-    return VectorPath(grid, vals)
+    vals = mean_field_path(bundle.params, bundle.P1.values, g_bar.values, z0, bundle.grid)
+    return VectorPath(bundle.grid, vals)
 
 
 def agent_trajectory(bundle: RiccatiBundle, g_i: VectorPath, z_A: VectorPath,
                      ubar_A: VectorPath, x0) -> tuple[VectorPath, VectorPath]:
     """Expected trajectory of one agent playing offset g_i inside (z_A, ubar_A)."""
     params, grid = bundle.params, bundle.grid
-    H = params.A[None, :, :] - np.einsum("ij,kjl->kil", params.BRB, bundle.P1.values)
     f = (
         -np.einsum("ij,kj->ki", params.BRB, g_i.values)
         + z_A.values @ params.C.T
         + ubar_A.values @ params.F.T
     )
-    xv = rk4_affine(H, f, np.asarray(x0, dtype=float), grid, forward=True)
-    uv = -np.einsum(
-        "ij,kj->ki", params.RinvBt,
-        np.einsum("kij,kj->ki", bundle.P1.values, xv) + g_i.values,
-    )
+    xv = rk4_affine(agent_generator(params, bundle.P1.values), f,
+                    np.asarray(x0, dtype=float), grid, forward=True)
+    uv = control(params, bundle.P1.values, xv, g_i.values)
     return VectorPath(grid, xv), VectorPath(grid, uv)
 
 
@@ -115,10 +114,7 @@ def solve_limiting(bundle: RiccatiBundle, z0, E_i, E_bar, x0=None) -> LimitingRu
     g_bar = planned_offset(bundle, zbar)
 
     z_A = realized_mean_field(bundle, g_bar, z0)
-    ubar_A = VectorPath(bundle.grid, -np.einsum(
-        "ij,kj->ki", params.RinvBt,
-        np.einsum("kij,kj->ki", bundle.P1.values, z_A.values) + g_bar.values,
-    ))
+    ubar_A = VectorPath(bundle.grid, control(params, bundle.P1.values, z_A.values, g_bar.values))
     x_i, u_i = agent_trajectory(bundle, g_i, z_A, ubar_A, x0)
     return LimitingRun(
         bundle=bundle, E_i=E_i, E_bar=E_bar,

@@ -1,10 +1,11 @@
 """Fixed-step integration of time-varying linear/matrix ODEs.
 
-The workhorse is classical 4th-order Runge-Kutta on a uniform grid.  Stage
-values of time-varying coefficients at half-steps come from linear
-interpolation of node values, so every coefficient can live on the same
-grid as the solution.  Backward problems are integrated in reversed time
-with negated right-hand side; returned paths are always forward-indexed.
+The workhorse is classical 4th-order Runge-Kutta on a uniform grid, with
+one step loop (rk4_steps) behind every solver.  Stage values of
+time-varying coefficients at half-steps come from linear interpolation of
+node values (half_nodes), so every coefficient can live on the same grid as
+the solution.  Backward problems are integrated in reversed time with a
+negative step; returned paths are always forward-indexed.
 """
 
 from __future__ import annotations
@@ -37,15 +38,53 @@ def _coef_nodes(obj, grid, like=None):
     return np.broadcast_to(arr, (grid.steps + 1,) + arr.shape).copy()
 
 
-def _apply(H, v):
-    return H @ v if H is not None else np.zeros_like(v)
-
-
 def _check_finite(v, k, t):
     if not np.all(np.isfinite(v)):
         raise IntegrationBlowupError(
             f"integration blew up at node {k} (t={t:.6g})", node=k, time=t
         )
+
+
+def half_nodes(a):
+    """Node values a[k] interleaved with half-step values, shape (2K+1, ...).
+
+    Entry 2k is node k and entry 2k+1 the midpoint of the step from node k
+    to k+1, taken as the average of the two nodes.  A step between nodes k
+    and k+1 reads entries 2k, 2k+1 and 2k+2, in that order forward and in
+    reverse backward.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.empty((2 * a.shape[0] - 1,) + a.shape[1:])
+    out[0::2] = a
+    out[1::2] = 0.5 * (a[:-1] + a[1:])
+    return out
+
+
+def rk4_steps(rhs, v0, grid, forward=True):
+    """The classical RK4 step loop on a uniform grid.
+
+    rhs(i, v) is the derivative at half-node i (see half_nodes).  v0 is the
+    value at t_start (forward) or t_end (backward); backward problems step
+    with negative dt.  Returns the forward-indexed array of node values and
+    raises IntegrationBlowupError at the first non-finite node.
+    """
+    K = grid.steps
+    times = grid.times
+    h = grid.dt if forward else -grid.dt
+    s = 1 if forward else -1
+    v = np.array(v0, dtype=float)
+    out = np.empty((K + 1,) + v.shape)
+    out[0 if forward else K] = v
+    for k in range(K) if forward else range(K, 0, -1):
+        i = 2 * k
+        k1 = rhs(i, v)
+        k2 = rhs(i + s, v + 0.5 * h * k1)
+        k3 = rhs(i + s, v + 0.5 * h * k2)
+        k4 = rhs(i + 2 * s, v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _check_finite(v, k + s, times[k + s])
+        out[k + s] = v
+    return out
 
 
 def rk4_affine(H, f, v0, grid, forward=True):
@@ -54,73 +93,20 @@ def rk4_affine(H, f, v0, grid, forward=True):
     v0 is the value at t_start (forward) or t_end (backward).  Returns the
     full forward-indexed array of node values.
     """
-    K = grid.steps
-    dt = grid.dt
-    times = grid.times
-    v = np.asarray(v0, dtype=float).copy()
-    out = np.empty((K + 1,) + v.shape)
-    Hm = None if H is None else 0.5 * (H[:-1] + H[1:])
-    fm = None if f is None else 0.5 * (f[:-1] + f[1:])
+    Hh = None if H is None else half_nodes(H)
+    fh = None if f is None else half_nodes(f)
 
-    def stage(Hk, fk, vk):
-        r = _apply(Hk, vk)
-        if fk is not None:
-            r = r + fk
-        return r
+    def rhs(i, v):
+        r = np.zeros_like(v) if Hh is None else Hh[i] @ v
+        return r if fh is None else r + fh[i]
 
-    if forward:
-        out[0] = v
-        for k in range(K):
-            Ha, Hb, Hc = (None, None, None) if H is None else (H[k], Hm[k], H[k + 1])
-            fa, fb, fc = (None, None, None) if f is None else (f[k], fm[k], f[k + 1])
-            k1 = stage(Ha, fa, v)
-            k2 = stage(Hb, fb, v + 0.5 * dt * k1)
-            k3 = stage(Hb, fb, v + 0.5 * dt * k2)
-            k4 = stage(Hc, fc, v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_finite(v, k + 1, times[k + 1])
-            out[k + 1] = v
-    else:
-        out[K] = v
-        for k in range(K, 0, -1):
-            Ha, Hb, Hc = (None, None, None) if H is None else (H[k], Hm[k - 1], H[k - 1])
-            fa, fb, fc = (None, None, None) if f is None else (f[k], fm[k - 1], f[k - 1])
-            k1 = stage(Ha, fa, v)
-            k2 = stage(Hb, fb, v - 0.5 * dt * k1)
-            k3 = stage(Hb, fb, v - 0.5 * dt * k2)
-            k4 = stage(Hc, fc, v - dt * k3)
-            v = v - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_finite(v, k - 1, times[k - 1])
-            out[k - 1] = v
-    return out
+    return rk4_steps(rhs, v0, grid, forward)
 
 
 def rk4_nonlinear(rhs, v0, grid, forward=True):
     """RK4 for dv/dt = rhs(t, v) with a general (possibly nonlinear) rhs."""
-    K = grid.steps
-    dt = grid.dt
-    times = grid.times
-    v = np.asarray(v0, dtype=float).copy()
-    out = np.empty((K + 1,) + v.shape)
-    if forward:
-        out[0] = v
-        rng = range(K)
-    else:
-        out[K] = v
-        rng = range(K, 0, -1)
-    for k in rng:
-        if forward:
-            t, h, knext = times[k], dt, k + 1
-        else:
-            t, h, knext = times[k], -dt, k - 1
-        k1 = rhs(t, v)
-        k2 = rhs(t + 0.5 * h, v + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, v + 0.5 * h * k2)
-        k4 = rhs(t + h, v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(v, knext, times[knext])
-        out[knext] = v
-    return out
+    th = half_nodes(grid.times)
+    return rk4_steps(lambda i, v: rhs(th[i], v), v0, grid, forward)
 
 
 def integrate_linear_ode(H, f, boundary, grid, direction="forward"):

@@ -63,10 +63,11 @@ class SystemParams:
     def __post_init__(self):
         n = np.atleast_2d(np.asarray(self.A)).shape[0]
         d = np.atleast_2d(np.asarray(self.R)).shape[0]
-        for name in ("A", "C", "F", "D", "Q_I", "Q", "Qbar_I", "Qbar", "Gamma", "Gammabar"):
-            m = n
-            object.__setattr__(self, name, _mat(getattr(self, name), n, m, name))
-        object.__setattr__(self, "B", _mat(self.B, n, d, "B"))
+        for name in ("A", "C", "D", "Q_I", "Q", "Qbar_I", "Qbar", "Gamma", "Gammabar"):
+            object.__setattr__(self, name, _mat(getattr(self, name), n, n, name))
+        # F multiplies the d-vector ubar, as B multiplies u
+        for name in ("B", "F"):
+            object.__setattr__(self, name, _mat(getattr(self, name), n, d, name))
         object.__setattr__(self, "R", _mat(self.R, d, d, "R"))
         for name in ("eta", "etabar", "s", "sbar"):
             object.__setattr__(self, name, _vec(getattr(self, name), n, name))
@@ -75,6 +76,20 @@ class SystemParams:
         if not self.relaxed:
             for name in ("Q_I", "Q", "Qbar_I", "Qbar", "R"):
                 _check_spd(getattr(self, name), name)
+        # the compounds below are read at every node of the solvers and the
+        # simulation, so they are computed once here; every caller shares
+        # them, so they are read-only
+        Rinv = np.linalg.inv(self.R)
+        RinvBt = Rinv @ self.B.T
+        for name, value in (
+            ("_Rinv", Rinv),
+            ("_RinvBt", RinvBt),
+            ("_BRB", self.B @ RinvBt),
+            ("_BFRB", (self.B + self.F) @ RinvBt),
+            ("_FRB", self.F @ RinvBt),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -84,24 +99,30 @@ class SystemParams:
     def d(self) -> int:
         return self.R.shape[0]
 
-    # frequently used compounds
+    # frequently used compounds, computed in __post_init__
     @property
     def Rinv(self) -> np.ndarray:
-        return np.linalg.inv(self.R)
+        return self._Rinv
 
     @property
     def RinvBt(self) -> np.ndarray:
-        return self.Rinv @ self.B.T
+        """R^{-1} B^T."""
+        return self._RinvBt
 
     @property
     def BRB(self) -> np.ndarray:
         """B R^{-1} B^T."""
-        return self.B @ self.RinvBt
+        return self._BRB
 
     @property
     def BFRB(self) -> np.ndarray:
         """(B + F) R^{-1} B^T."""
-        return (self.B + self.F) @ self.RinvBt
+        return self._BFRB
+
+    @property
+    def FRB(self) -> np.ndarray:
+        """F R^{-1} B^T."""
+        return self._FRB
 
     @property
     def Qcal(self) -> np.ndarray:

@@ -8,6 +8,7 @@ trajectory be replayed bit-for-bit against different mean-field inputs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import IntegrationBlowupError
 from .grid import TimeGrid, VectorPath, require_same_grid
 from .params import SystemParams
+from .riccati import control
 
 _SAMPLING = 0
 _DYNAMICS = 1
@@ -54,9 +56,44 @@ class AgentTrace:
 
 @dataclass
 class PopulationResult:
-    traces: list
+    """Realized paths of N agents; entry [k, i] of xs, us and drifts is
+    agent i at node k."""
+
+    grid: TimeGrid
+    xs: np.ndarray       # (K+1, N, n)
+    us: np.ndarray       # (K+1, N, d)
+    drifts: np.ndarray   # (K+1, N, n)
+    errors: np.ndarray   # (N, n) initial-information errors
     x_N: VectorPath
     u_N: VectorPath
+
+    def trace(self, i: int) -> AgentTrace:
+        """Agent i's paths, as views into the result arrays."""
+        return AgentTrace(
+            agent_id=i,
+            E_i=self.errors[i],
+            x=VectorPath(self.grid, self.xs[:, i, :]),
+            u=VectorPath(self.grid, self.us[:, i, :]),
+            drift=VectorPath(self.grid, self.drifts[:, i, :]),
+        )
+
+    @property
+    def traces(self) -> Sequence:
+        """Every agent's trace, in agent order."""
+        return _Traces(self)
+
+
+class _Traces(Sequence):
+    """The traces of a PopulationResult, each built when it is indexed."""
+
+    def __init__(self, result):
+        self._result = result
+
+    def __len__(self):
+        return self._result.xs.shape[1]
+
+    def __getitem__(self, i):
+        return self._result.trace(range(len(self))[i])
 
 
 def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
@@ -95,8 +132,7 @@ class OffsetFamilyLaw:
         return self.g_base[k] + self.errors @ self.Mg[k].T
 
     def at_node_batch(self, x, k):
-        g_k = self.offsets_at(k)
-        return -(x @ self.P1[k].T + g_k) @ self.params.RinvBt.T
+        return control(self.params, self.P1[k], x, self.offsets_at(k))
 
 
 def _normalize_laws(law_assignment, N):
@@ -113,6 +149,14 @@ def _normalize_laws(law_assignment, N):
     for i, law in enumerate(laws):
         groups.setdefault(id(law), (law, []))[1].append(i)
     return [(law, np.asarray(idx)) for law, idx in groups.values()]
+
+
+def noise_matrix(params: SystemParams, D=None) -> np.ndarray:
+    """Noise matrix of the dynamics: params.D unless D overrides it, a
+    scalar D standing for D times the identity."""
+    if D is None:
+        D = params.D
+    return np.eye(params.n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
 
 
 def _draw_noise(N, steps, n, seed):
@@ -145,9 +189,7 @@ def simulate(
     n = params.n
     K, dt = grid.steps, grid.dt
     sqdt = np.sqrt(dt)
-    if D is None:
-        D = params.D
-    D = np.eye(n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+    D = noise_matrix(params, D)
     prescribed = None
     if mf_coupling != "empirical":
         z_path, ubar_path = mf_coupling
@@ -186,19 +228,11 @@ def simulate(
                     f"agent {bad} state non-finite at node {k + 1}", node=k + 1,
                     time=grid.times[k + 1],
                 )
-    traces = [
-        AgentTrace(
-            agent_id=i,
-            E_i=np.asarray(population[i][1], dtype=float),
-            x=VectorPath(grid, xs[:, i, :].copy()),
-            u=VectorPath(grid, us[:, i, :].copy()),
-            drift=VectorPath(grid, drifts[:, i, :].copy()),
-        )
-        for i in range(N)
-    ]
+    errors = np.array([p[1] for p in population], dtype=float)
     x_N = VectorPath(grid, np.mean(xs, axis=1))
     u_N = VectorPath(grid, np.mean(us, axis=1))
-    return PopulationResult(traces=traces, x_N=x_N, u_N=u_N)
+    return PopulationResult(grid=grid, xs=xs, us=us, drifts=drifts, errors=errors,
+                            x_N=x_N, u_N=u_N)
 
 
 def replay_agent(params, trace: AgentTrace, law, z_path, ubar_path, grid, seed, D=None):
@@ -207,9 +241,7 @@ def replay_agent(params, trace: AgentTrace, law, z_path, ubar_path, grid, seed, 
     require_same_grid(z_path, ubar_path)
     K, dt = grid.steps, grid.dt
     sqdt = np.sqrt(dt)
-    if D is None:
-        D = params.D
-    D = np.eye(params.n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+    D = noise_matrix(params, D)
     noisy = not np.allclose(D, 0.0)
     incr = _agent_rng(seed, trace.agent_id, _DYNAMICS).standard_normal((K, params.n)) if noisy else None
     x = trace.x.initial.copy()

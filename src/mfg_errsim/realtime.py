@@ -24,12 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeedbackLaw, MeanField, equilibrium_mf
+from .core import FeedbackLaw, equilibrium_mf
 from .deviations import DeviationMaps
 from .grid import MatrixPath, TimeGrid, VectorPath
 from .ode import invert_path, rk4_affine
 from .params import SystemParams
-from .riccati import RiccatiBundle, _coupling_weight, solve_tracking_offset
+from .riccati import (
+    RiccatiBundle,
+    control,
+    coupling_weight,
+    mean_field_path,
+    offset_generator,
+    solve_tracking_offset,
+)
 
 
 @dataclass
@@ -91,8 +98,8 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps) -> RealtimeKernels
     seg = 0.5 * grid.dt * (integrand[:-1] + integrand[1:])
     J = np.concatenate([np.zeros((1,) + seg.shape[1:]), np.cumsum(seg, axis=0)])
 
-    S = _coupling_weight(params, bundle.P1)
-    Hback = -(params.A.T[None, :, :] - np.einsum("kij,jl->kil", P1v, BRB))
+    S = coupling_weight(params, bundle.P1)
+    Hback = offset_generator(params, P1v, BRB)
 
     # V: backward, driven by S PhiZ, terminal -Qbar Gammabar PhiZ(T)
     fV = -np.einsum("kij,kjl->kil", S, PhiZ.values)
@@ -101,10 +108,9 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps) -> RealtimeKernels
 
     # U: backward, driven by -S PhiZ J - P1 F R^-1 B' P2 Phi1,
     #    terminal +Qbar Gammabar PhiZ(T) J(T)
-    FRB = params.F @ params.RinvBt
     fU = (
         np.einsum("kij,kjl->kil", -fV, J)  # = +S PhiZ J
-        + np.einsum("kij,jl,klm,kmp->kip", P1v, FRB, P2v, Phi1.values)
+        + np.einsum("kij,jl,klm,kmp->kip", P1v, params.FRB, P2v, Phi1.values)
     )
     UT = params.Qbar @ params.Gammabar @ PhiZ.terminal @ J[K]
     U = rk4_affine(Hback, fU, UT, grid, forward=False)
@@ -150,40 +156,26 @@ def restricted_prediction(bundle: RiccatiBundle, est: EstimatorState, route="p2"
     average state zbar, average offset gbar, own mean-field estimate z_hat,
     tracking offset g_i, and the feedback law on [t0, T].
     """
-    params, grid = bundle.params, bundle.grid
-    k0 = grid.index_of(est.t0)
-    sub = grid.subgrid(k0) if k0 > 0 else grid
-    P1 = bundle.P1.slice(k0) if k0 > 0 else bundle.P1
-    BFRB = params.BFRB
+    params = bundle.params
+    k0 = bundle.grid.index_of(est.t0)
+    P1 = bundle.P1.slice(k0)
+    sub = P1.grid
     if route == "p2":
-        P12 = P1.values + (bundle.P2.slice(k0) if k0 > 0 else bundle.P2).values
-        Gv = (bundle.G1.slice(k0) if k0 > 0 else bundle.G1).values
-        H = (params.A + params.C)[None, :, :] - np.einsum("ij,kjl->kil", BFRB, P12)
-        f = -np.einsum("ij,kj->ki", BFRB, Gv)
-        zbar_v = rk4_affine(H, f, np.asarray(est.zbar_hat, dtype=float), sub, forward=True)
-        gbar_v = np.einsum("kij,kj->ki", P12 - P1.values, zbar_v) + Gv
+        Pbar = P1.values + bundle.P2.slice(k0).values
+        Gbar = bundle.G1.slice(k0).values
     elif route == "p0":
-        P0 = (bundle.P0.slice(k0) if k0 > 0 else bundle.P0).values
-        Gv = (bundle.G.slice(k0) if k0 > 0 else bundle.G).values
-        H = (params.A + params.C)[None, :, :] - np.einsum("ij,kjl->kil", BFRB, P0)
-        f = -np.einsum("ij,kj->ki", BFRB, Gv)
-        zbar_v = rk4_affine(H, f, np.asarray(est.zbar_hat, dtype=float), sub, forward=True)
-        gbar_v = np.einsum("kij,kj->ki", P0 - P1.values, zbar_v) + Gv
+        Pbar = bundle.P0.slice(k0).values
+        Gbar = bundle.G.slice(k0).values
     else:
         raise ValueError(f"unknown route {route!r}")
+    zbar_v = mean_field_path(params, Pbar, Gbar, est.zbar_hat, sub)
+    gbar_v = np.einsum("kij,kj->ki", Pbar - P1.values, zbar_v) + Gbar
     zbar = VectorPath(sub, zbar_v)
     gbar = VectorPath(sub, gbar_v)
 
     # own mean-field estimate, driven by the predicted average offset
-    Hz = (params.A + params.C)[None, :, :] - np.einsum("ij,kjl->kil", BFRB, P1.values)
-    fz = -np.einsum("ij,kj->ki", BFRB, gbar_v)
-    zhat_v = rk4_affine(Hz, fz, np.asarray(est.z_hat, dtype=float), sub, forward=True)
-    z_hat = VectorPath(sub, zhat_v)
-    ubar_v = -np.einsum(
-        "ij,kj->ki", params.RinvBt,
-        np.einsum("kij,kj->ki", P1.values, zhat_v) + gbar_v,
-    )
-    ubar = VectorPath(sub, ubar_v)
+    z_hat = VectorPath(sub, mean_field_path(params, P1.values, gbar_v, est.z_hat, sub))
+    ubar = VectorPath(sub, control(params, P1.values, z_hat.values, gbar_v))
     g_i = solve_tracking_offset(params, P1, z_hat, ubar, sub)
     law = FeedbackLaw(params=params, P1=P1, g=g_i, t_from=float(est.t0))
     return {"zbar": zbar, "gbar": gbar, "z_hat": z_hat, "ubar": ubar,
@@ -280,7 +272,7 @@ def realtime_simulate(
     deviation with the linear-theory quadrature.
     """
     from .deviations import build_maps
-    from .population import _draw_noise
+    from .population import _draw_noise, noise_matrix
 
     if grid is None:
         grid = bundle.grid
@@ -298,9 +290,7 @@ def realtime_simulate(
         np.einsum("kij,kj->ki", bundle.P0.values - bundle.P1.values, mf_c.z.values)
         + bundle.G.values
     )
-    if D is None:
-        D = params.D
-    D = np.eye(n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+    D = noise_matrix(params, D)
     noisy = not np.allclose(D, 0.0)
     noise = _draw_noise(N, K, n, seed) if noisy else None
 
@@ -309,7 +299,6 @@ def realtime_simulate(
     z_A = np.empty((K + 1, n))
     Ebar_real = np.empty((K + 1, n))
     Ebar1_real = np.empty((K + 1, n))
-    RB = params.RinvBt
     for k in range(K + 1):
         errs = np.array([estimator_policy(i, k, times[k]) for i in range(N)], dtype=float)
         if errs.ndim == 2:  # scalar (0.0, 0.0) pairs broadcast to vectors
@@ -318,7 +307,7 @@ def realtime_simulate(
         Ebar_real[k] = np.mean(E_own, axis=0)
         Ebar1_real[k] = np.mean(E_avg, axis=0)
         g_ik = g_c[k] + E_own @ kernels.Mig_diag[k].T + E_avg @ kernels.M0g_diag[k].T
-        u = -(x @ bundle.P1[k].T + g_ik) @ RB.T
+        u = control(params, bundle.P1[k], x, g_ik)
         z_A[k] = np.mean(x, axis=0)
         if k < K:
             mf_x = z_A[k]

@@ -13,6 +13,9 @@ plus the tracking offset g driven by given mean-field paths.
 Sign conventions are derived from first principles by substituting the
 affine representations into the coupled forward-backward system; the
 identities P2 = P0 - P1 and G1 = G are the consistency arbiters.
+
+The closed-loop generators, the feedback control and the forward
+mean-field solve that every downstream module runs are defined here once.
 """
 
 from __future__ import annotations
@@ -23,8 +26,53 @@ import numpy as np
 
 from .errors import FiniteEscapeError, IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import rk4_affine, rk4_nonlinear
+from .ode import half_nodes, rk4_affine, rk4_nonlinear, rk4_steps
 from .params import SystemParams
+
+
+# ---------------------------------------------------------------------------
+# closed-loop generators and the feedback control, on node arrays
+
+
+def mf_generator(params: SystemParams, P) -> np.ndarray:
+    """Forward mean-field generator (A + C) - (B+F) R^-1 B' P at every node."""
+    return (params.A + params.C)[None, :, :] - np.einsum("ij,kjl->kil", params.BFRB, P)
+
+
+def agent_generator(params: SystemParams, P1) -> np.ndarray:
+    """Single-agent closed-loop generator A - B R^-1 B' P1 at every node."""
+    return params.A[None, :, :] - np.einsum("ij,kjl->kil", params.BRB, P1)
+
+
+def offset_generator(params: SystemParams, P, M) -> np.ndarray:
+    """Backward offset generator -(A' - P M) at every node, M = BRB or BFRB."""
+    return -(params.A.T[None, :, :] - np.einsum("kij,jl->kil", P, M))
+
+
+def control(params: SystemParams, P, x, g=None) -> np.ndarray:
+    """Feedback control u = -R^-1 B' (P x + g).
+
+    Either P is a node array (K+1, n, n) with paths x, g of shape (K+1, n),
+    or P is the matrix of one node with states x of shape (N, n) or (n,).
+    g = None drops the offset.
+    """
+    if P.ndim == 3:
+        Px = np.einsum("kij,kj->ki", P, x)
+        return -np.einsum("ij,kj->ki", params.RinvBt, Px if g is None else Px + g)
+    Px = x @ P.T
+    return -(Px if g is None else Px + g) @ params.RinvBt.T
+
+
+def mean_field_path(params: SystemParams, P, G, z0, grid: TimeGrid) -> np.ndarray:
+    """Forward mean-field solve dz = [mf_generator(P) z - (B+F) R^-1 B' G] dt
+    from z(t_start) = z0, on node arrays P, G of the grid."""
+    f = -np.einsum("ij,kj->ki", params.BFRB, G)
+    return rk4_affine(mf_generator(params, P), f, np.asarray(z0, dtype=float),
+                      grid, forward=True)
+
+
+# ---------------------------------------------------------------------------
+# Riccati and offset solves
 
 
 def _escape_guard(fn, what):
@@ -68,55 +116,31 @@ def solve_P0(params: SystemParams, grid: TimeGrid) -> MatrixPath:
 
 
 def solve_P2(params: SystemParams, P1: MatrixPath, grid: TimeGrid) -> MatrixPath:
-    """Riccati of the average-prediction system, P2(T) = -Qbar*Gammabar."""
+    """Riccati of the average-prediction system, P2(T) = -Qbar*Gammabar:
+    -dP2 = [P2 H1 + H2 P2 + S - P2 (B+F) R^-1 B' P2] dt with
+    H1 = A+C - (B+F) R^-1 B' P1, H2 = A' - P1 (B+F) R^-1 B' and S the
+    coupling weight, all taken at nodes and half-steps of P1."""
     require_same_grid(P1)
-    AC = params.A + params.C
-    At = params.A.T
     BFRB = params.BFRB
-    S = _coupling_weight(params, P1)  # (K+1, n, n)
-    K = grid.steps
-    Sm = 0.5 * (S[:-1] + S[1:])
-    P1m = 0.5 * (P1.values[:-1] + P1.values[1:])
+    P1h = half_nodes(P1.values)
+    H1 = (params.A + params.C) - BFRB @ P1h
+    H2 = params.A.T - P1h @ BFRB
+    Sh = half_nodes(coupling_weight(params, P1))
 
-    # stage coefficients by linear interpolation of node values
-    def rhs_at(P1k, Sk):
-        H1 = AC - BFRB @ P1k
-        H2 = At - P1k @ BFRB
+    def rhs(i, P):
+        return -(P @ H1[i] + H2[i] @ P + Sh[i] - P @ BFRB @ P)
 
-        def rhs(P):
-            return -(P @ H1 + H2 @ P + Sk - P @ BFRB @ P)
-
-        return rhs
-
-    dt = grid.dt
-    P = -params.Qbar @ params.Gammabar
-    values = np.empty((K + 1,) + P.shape)
-    values[K] = P
-    for k in range(K, 0, -1):
-        ra = rhs_at(P1.values[k], S[k])
-        rb = rhs_at(P1m[k - 1], Sm[k - 1])
-        rc = rhs_at(P1.values[k - 1], S[k - 1])
-        k1 = ra(P)
-        k2 = rb(P - 0.5 * dt * k1)
-        k3 = rb(P - 0.5 * dt * k2)
-        k4 = rc(P - dt * k3)
-        P = P - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(P)):
-            raise FiniteEscapeError(
-                f"P2 escaped to infinity near t={grid.times[k - 1]:.6g}",
-                node=k - 1, time=grid.times[k - 1],
-            )
-        values[k - 1] = P
+    PT = -params.Qbar @ params.Gammabar
+    values = _escape_guard(lambda: rk4_steps(rhs, PT, grid, forward=False), "P2")
     return MatrixPath(grid, values)
 
 
-def _coupling_weight(params: SystemParams, P1: MatrixPath) -> np.ndarray:
+def coupling_weight(params: SystemParams, P1: MatrixPath) -> np.ndarray:
     """S(t) = P1 C - P1 F R^-1 B' P1 - Q*Gamma at every node."""
     P1v = P1.values
-    FRB = params.F @ params.RinvBt
     return (
         np.einsum("kij,jl->kil", P1v, params.C)
-        - np.einsum("kij,jl,klm->kim", P1v, FRB, P1v)
+        - np.einsum("kij,jl,klm->kim", P1v, params.FRB, P1v)
         - (params.Q @ params.Gamma)
     )
 
@@ -124,9 +148,8 @@ def _coupling_weight(params: SystemParams, P1: MatrixPath) -> np.ndarray:
 def solve_G(params: SystemParams, P0: MatrixPath, grid: TimeGrid) -> VectorPath:
     """Offset of the coupled system: dG = [-(A' - P0 (B+F) R^-1 B') G + nu] dt,
     G(T) = -Qbar_I sbar - Qbar etabar."""
-    At, BFRB, nu = params.A.T, params.BFRB, params.nu
-    H = -(At[None, :, :] - np.einsum("kij,jl->kil", P0.values, BFRB))
-    f = np.broadcast_to(nu, (grid.steps + 1, params.n)).copy()
+    H = offset_generator(params, P0.values, params.BFRB)
+    f = np.broadcast_to(params.nu, (grid.steps + 1, params.n))
     GT = -params.Qbar_I @ params.sbar - params.Qbar @ params.etabar
     values = _escape_guard(lambda: rk4_affine(H, f, GT, grid, forward=False), "G")
     return VectorPath(grid, values)
@@ -135,14 +158,11 @@ def solve_G(params: SystemParams, P0: MatrixPath, grid: TimeGrid) -> VectorPath:
 def solve_G1(params: SystemParams, P1: MatrixPath, P2: MatrixPath, grid: TimeGrid) -> VectorPath:
     """Offset paired with (P1, P2):
     dG1 = [-(A' - (P1+P2)(B+F) R^-1 B') G1 + nu] dt, same terminal as G."""
-    At, BFRB, nu = params.A.T, params.BFRB, params.nu
-    P12 = P1.values + P2.values
-    H = -(At[None, :, :] - np.einsum("kij,jl->kil", P12, BFRB))
-    f = np.broadcast_to(nu, (grid.steps + 1, params.n)).copy()
+    H = offset_generator(params, P1.values + P2.values, params.BFRB)
+    f = np.broadcast_to(params.nu, (grid.steps + 1, params.n))
     GT = -params.Qbar_I @ params.sbar - params.Qbar @ params.etabar
     values = _escape_guard(lambda: rk4_affine(H, f, GT, grid, forward=False), "G1")
     return VectorPath(grid, values)
-
 
 def solve_tracking_offset(
     params: SystemParams,
@@ -158,9 +178,8 @@ def solve_tracking_offset(
     g(T) = -Qbar_I sbar - Qbar (Gammabar z(T) + etabar).
     """
     require_same_grid(P1, z_path, ubar_path)
-    At, BRB = params.A.T, params.BRB
     P1v = P1.values
-    H = -(At[None, :, :] - np.einsum("kij,jl->kil", P1v, BRB))
+    H = offset_generator(params, P1v, params.BRB)
     drive = (
         np.einsum("kij,jl,kl->ki", P1v, params.C, z_path.values)
         - np.einsum("ij,kj->ki", params.Q @ params.Gamma, z_path.values)
@@ -194,15 +213,3 @@ class RiccatiBundle:
         G = solve_G(params, P0, grid)
         G1 = solve_G1(params, P1, P2, grid)
         return cls(params=params, grid=grid, P0=P0, P1=P1, P2=P2, G=G, G1=G1)
-
-    @property
-    def Qcal(self) -> np.ndarray:
-        return self.params.Qcal
-
-    @property
-    def nu(self) -> np.ndarray:
-        return self.params.nu
-
-
-def solve_bundle(params: SystemParams, grid: TimeGrid) -> RiccatiBundle:
-    return RiccatiBundle.solve(params, grid)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +64,6 @@ class ScenarioConfig:
     z0: np.ndarray = field(default_factory=lambda: P6_Z0.copy())
     E_bar: np.ndarray = field(default_factory=lambda: P6_EBAR_BASE.copy())
     E_i: np.ndarray | None = None
-    E_cov: np.ndarray | None = None
     t0: float = 0.5
     k_sweep: list = field(default_factory=lambda: [1.0, 2.0, 3.0, 4.0])
     D: float | None = None
@@ -85,7 +83,7 @@ class ScenarioConfig:
         d = {
             "mode": self.mode, "grid_steps": self.grid_steps, "N": self.N,
             "seed": self.seed, "z0": conv(self.z0), "E_bar": conv(self.E_bar),
-            "E_i": conv(self.E_i), "E_cov": conv(self.E_cov), "t0": self.t0,
+            "E_i": conv(self.E_i), "t0": self.t0,
             "k_sweep": list(self.k_sweep), "D": self.D,
         }
         d["params"] = {
@@ -118,7 +116,7 @@ class RunManifest:
 
 
 _KNOWN_KEYS = {"params", "mode", "grid_steps", "N", "seed", "z0", "E_bar",
-               "E_i", "E_cov", "t0", "k_sweep", "D", "output_dir"}
+               "E_i", "t0", "k_sweep", "D", "output_dir"}
 
 
 def validate_config(raw) -> ScenarioConfig:
@@ -205,17 +203,6 @@ def validate_config(raw) -> ScenarioConfig:
                 problems.append((key, f"must have length {n}"))
             else:
                 cfg_kwargs[key] = v
-    if "E_cov" in raw and raw["E_cov"] is not None:
-        try:
-            v = np.asarray(raw["E_cov"], dtype=float)
-        except (TypeError, ValueError):
-            problems.append(("E_cov", "must be a numeric matrix"))
-            v = None
-        if v is not None:
-            if n is not None and v.shape != (n, n):
-                problems.append(("E_cov", f"must be {n}x{n}"))
-            else:
-                cfg_kwargs["E_cov"] = v
 
     if problems:
         raise ConfigError(problems)
@@ -251,17 +238,6 @@ def _write_csv(path, header, columns):
         for row in arr:
             fh.write(",".join(_FMT % v for v in row) + "\n")
     return {"columns": list(header), "rows": int(arr.shape[0])}
-
-
-def _thread_count():
-    env = os.environ.get("MFG_ERRSIM_THREADS", "")
-    try:
-        c = int(env)
-        if c >= 1:
-            return c
-    except ValueError:
-        pass
-    return os.cpu_count() or 1
 
 
 def _decimate(times, arrays, keep=201):
@@ -346,11 +322,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
         )
 
     elif config.mode == "evolve":
-        def one_k(k):
-            return solve_limiting(bundle, config.z0, k * config.E_bar, k * config.E_bar)
-
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            runs = list(pool.map(one_k, config.k_sweep))
+        runs = [solve_limiting(bundle, config.z0, k * config.E_bar, k * config.E_bar)
+                for k in config.k_sweep]
         # baseline realized field with zero errors, in the same representation
         # as z_A, so the regression intercept is free of route mismatch
         ref = solve_limiting(bundle, config.z0, 0.0 * config.E_bar,

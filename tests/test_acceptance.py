@@ -321,9 +321,8 @@ def test_acceptance_8_finite_population_convergence(z0):
           f"200/800 = {r2:.2f} (ideal 4)")
 
 
-def test_acceptance_9_byte_identical_outputs(tmp_path, monkeypatch):
-    def run_into(out, threads, doc):
-        monkeypatch.setenv("MFG_ERRSIM_THREADS", str(threads))
+def test_acceptance_9_byte_identical_outputs(tmp_path):
+    def run_into(out, doc):
         cfg = validate_config(dict(doc, output_dir=str(out)))
         run_scenario(cfg)
         return {
@@ -332,21 +331,31 @@ def test_acceptance_9_byte_identical_outputs(tmp_path, monkeypatch):
         }
 
     evolve = {"mode": "evolve", "grid_steps": 400, "seed": 42}
-    a = run_into(tmp_path / "e1", 1, evolve)
-    b = run_into(tmp_path / "e2", 1, evolve)
-    c = run_into(tmp_path / "e4", 4, evolve)
+    a = run_into(tmp_path / "e1", evolve)
+    b = run_into(tmp_path / "e2", evolve)
+    c = run_into(tmp_path / "e3", evolve)
     assert a == b == c and len(a) >= 2
 
     realtime = {"mode": "realtime", "grid_steps": 200, "N": 50, "seed": 42,
                 "E_bar": [0.1, -0.1]}
-    d = run_into(tmp_path / "r1", 1, realtime)
-    e = run_into(tmp_path / "r2", 4, realtime)
+    d = run_into(tmp_path / "r1", realtime)
+    e = run_into(tmp_path / "r2", realtime)
     assert d == e
+
+    predict = {"mode": "predict", "grid_steps": 400, "E_i": [0.2, 0.1]}
+    f = run_into(tmp_path / "p1", predict)
+    g = run_into(tmp_path / "p2", predict)
+    assert f == g and len(f) == 3
+
+    correct = {"mode": "correct", "grid_steps": 400, "t0": 0.5}
+    h = run_into(tmp_path / "c1", correct)
+    i = run_into(tmp_path / "c2", correct)
+    assert h == i and len(h) == 3
 
     with open(tmp_path / "e1" / "manifest.json") as fh:
         h1 = json.load(fh)["config_hash"]
     with open(tmp_path / "e2" / "manifest.json") as fh:
         h2 = json.load(fh)["config_hash"]
     assert h1 == h2
-    print(f"PASS acceptance 9: {len(a)} evolve + {len(d)} realtime CSVs "
-          "byte-identical across reruns and thread counts 1/4")
+    print(f"PASS acceptance 9: {len(f)} predict + {len(a)} evolve + {len(h)} correct "
+          f"+ {len(d)} realtime CSVs byte-identical across reruns")

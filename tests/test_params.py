@@ -38,6 +38,15 @@ def test_shape_mismatch_rejected():
         p.with_(T=-1.0)
 
 
+def test_F_is_n_by_d():
+    # F multiplies the d-vector ubar, so with one control input it is n x 1
+    p = p6_params().with_(B=[[0.6], [-0.2]], F=[[0.2], [0.1]], R=[[1.0]])
+    assert p.F.shape == (2, 1)
+    assert p.BFRB.shape == (2, 2) and p.FRB.shape == (2, 2)
+    with pytest.raises(ValueError, match="F must be 2x1"):
+        p6_params().with_(B=[[0.6], [-0.2]], R=[[1.0]])
+
+
 def test_cost_weights_must_be_positive_definite():
     p = p6_params()
     with pytest.raises(ValueError, match="positive definite"):

@@ -73,6 +73,14 @@ def test_vector_dimension_checks():
     assert {"z0", "E_cov"} <= fields
 
 
+def test_F_must_match_the_control_dimension():
+    # P6's 2x2 F with a single control input
+    with pytest.raises(ConfigError) as ei:
+        validate_config({"mode": "predict",
+                         "params": {"B": [[0.6], [-0.2]], "R": [[1.0]]}})
+    assert any(f == "params" and "F must be 2x1" in r for f, r in ei.value.problems)
+
+
 def test_t0_must_be_a_grid_node_for_correction_modes():
     with pytest.raises(ConfigError) as ei:
         validate_config({"mode": "correct", "grid_steps": 200, "t0": 0.5013})
@@ -143,6 +151,20 @@ def test_realtime_mode_writes_prediction_comparison(tmp_path):
     realized = data[:, 1:3]
     predicted = data[:, 3:5]
     assert np.max(np.abs(realized - predicted)) < 1e-2
+
+
+@pytest.mark.parametrize("mode", ["predict", "evolve", "correct", "realtime"])
+def test_every_mode_runs_with_fewer_controls_than_states(tmp_path, mode, capsys):
+    # n = 2, d = 1, non-commuting A and C
+    doc = {
+        "mode": mode, "grid_steps": 200, "N": 20,
+        "params": {"A": [[-1.0, 0.3], [-0.2, -0.8]], "C": [[0.3, -0.1], [0.25, 0.2]],
+                   "B": [[0.6], [-0.2]], "F": [[0.2], [0.1]], "R": [[1.0]]},
+    }
+    manifest = run_scenario(validate_config(dict(doc, output_dir=str(tmp_path / "a"))))
+    assert "mf_actual.csv" in manifest.files
+    path = _write(tmp_path, doc)
+    assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
 
 
 def test_manifest_lists_exactly_the_outputs(tmp_path):
