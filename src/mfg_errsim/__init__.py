@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
+    EstimatorPolicyError,
     FiniteEscapeError,
     GridMismatchError,
     IdentifiabilityError,
@@ -20,6 +21,7 @@ from .params import SystemParams, p6_params, s1_params
 __all__ = [
     "__version__",
     "ConfigError",
+    "EstimatorPolicyError",
     "FiniteEscapeError",
     "GridMismatchError",
     "IdentifiabilityError",

@@ -1,8 +1,9 @@
 """Wall-clock benchmarks of the main pipelines.
 
-Measures the Riccati bundle solve, deviation-map construction, and N-agent
-stepping for a list of (N, steps) sizes.  Reports medians and p95 over
-repeated runs (first warm-up run discarded) plus agent-step throughput.
+Measures the Riccati bundle solve, deviation-map construction, N-agent
+stepping and realtime re-estimation for a list of (N, steps) sizes.
+Reports medians and p95 over repeated runs (first warm-up run discarded)
+plus agent-step throughput.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .core import equilibrium_law, equilibrium_mf
 from .deviations import build_maps
 from .params import P6_Z0, p6_params
 from .population import sample_population, simulate
+from .realtime import build_kernels, hold_initial_error_policy, realtime_simulate
 from .riccati import RiccatiBundle
 
 DEFAULT_SIZES = [(200, 1000), (200, 2000), (400, 2000), (800, 2000)]
@@ -75,6 +77,18 @@ def bench_suite(sizes=None, seed=0, reps=5):
         med, p95 = _time_repeated(run_sim, reps)
         thr = N * steps / med if med > 0 else float("inf")
         reports.append(BenchReport("population_sim", N, steps, med, p95, thr))
+
+        kernels = build_kernels(bundle)
+        errors = np.array([e for _, e in pop])
+        policy = hold_initial_error_policy(errors, errors.mean(axis=0))
+
+        def run_realtime():
+            realtime_simulate(params, bundle, pop, policy, grid=grid, seed=seed,
+                              kernels=kernels)
+
+        med, p95 = _time_repeated(run_realtime, reps)
+        thr = N * steps / med if med > 0 else float("inf")
+        reports.append(BenchReport("realtime_sim", N, steps, med, p95, thr))
     return reports
 
 

@@ -64,15 +64,13 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     P1v = bundle.P1.values
     BFRB, BRB, FRB = params.BFRB, params.BRB, params.FRB
 
-    H0 = mf_generator(params, bundle.P0.values)
     # the offset deviation runs backward: d(dg)/dt = -(Hg dg + S dz)
     Hg = offset_generator(params, P1v, BFRB)
     Hz = mf_generator(params, P1v)
     Hx = agent_generator(params, P1v)
 
-    Phi1 = fundamental_solution(MatrixPath(grid, H0), grid.t_start)
+    Phi1, PhiZ = bundle.Phi1, bundle.PhiZ
     PhiG = fundamental_solution(MatrixPath(grid, Hg), grid.t_end)
-    PhiZ = fundamental_solution(MatrixPath(grid, Hz), grid.t_start)
     PhiX = fundamental_solution(MatrixPath(grid, Hx), grid.t_start)
 
     S = coupling_weight(params, bundle.P1)  # P1 C - P1 F R^-1 B' P1 - Q*Gamma

@@ -30,6 +30,14 @@ class GridMismatchError(ValueError, MfgError):
     """Paths passed to an operation do not share a grid."""
 
 
+class EstimatorPolicyError(ValueError, MfgError):
+    """An estimator policy returned errors that do not fit the population."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
+
+
 class ConfigError(ValueError, MfgError):
     """A scenario configuration document failed validation."""
 

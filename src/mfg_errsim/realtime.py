@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import FeedbackLaw, equilibrium_mf
 from .deviations import DeviationMaps
+from .errors import EstimatorPolicyError, GridMismatchError
 from .grid import MatrixPath, TimeGrid, VectorPath
 from .ode import invert_path, rk4_affine
 from .params import SystemParams
@@ -64,7 +65,7 @@ class RealtimeKernels:
     """Anchor-independent kernels from which all realtime maps follow."""
 
     bundle: RiccatiBundle
-    maps: DeviationMaps          # supplies Phi1 and PhiZ
+    PhiZ: MatrixPath             # the bundle's actual-mean-field transition
     PhiZ_inv: np.ndarray         # (K+1, n, n)
     Phi1_inv: np.ndarray
     J: np.ndarray                # cumulative coupling integral
@@ -82,12 +83,19 @@ class RealtimeKernels:
         return self.bundle.params
 
 
-def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps) -> RealtimeKernels:
+def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> RealtimeKernels:
+    """Realtime kernels from the bundle's transitions Phi1 and PhiZ.
+
+    maps is optional; when given it must have been built from this bundle,
+    whose transitions it shares.
+    """
+    if maps is not None and maps.bundle is not bundle:
+        raise GridMismatchError("deviation maps were built from another Riccati bundle")
     params, grid = bundle.params, bundle.grid
     K = grid.steps
     P1v, P2v = bundle.P1.values, bundle.P2.values
     BFRB, BRB = params.BFRB, params.BRB
-    PhiZ, Phi1 = maps.PhiZ, maps.Phi1
+    PhiZ, Phi1 = bundle.PhiZ, bundle.Phi1
     PhiZ_inv = invert_path(PhiZ)
     Phi1_inv = invert_path(Phi1)
 
@@ -120,7 +128,7 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps) -> RealtimeKernels
         "kij,kjl->kil", U + np.einsum("kij,kjl->kil", V, J), Phi1_inv
     )
     return RealtimeKernels(
-        bundle=bundle, maps=maps, PhiZ_inv=PhiZ_inv, Phi1_inv=Phi1_inv,
+        bundle=bundle, PhiZ=PhiZ, PhiZ_inv=PhiZ_inv, Phi1_inv=Phi1_inv,
         J=J, V=V, U=U, Mig_diag=Mig_diag, M0g_diag=M0g_diag,
     )
 
@@ -129,7 +137,7 @@ def build_realtime_maps(kernels: RealtimeKernels, t0) -> RealtimeDeviationMaps:
     """Deviation maps for a fixed anchor t0, on the full grid."""
     grid = kernels.grid
     k0 = grid.index_of(t0)
-    PhiZ = kernels.maps.PhiZ.values
+    PhiZ = kernels.PhiZ.values
     PhiZ_inv0 = kernels.PhiZ_inv[k0]
     Phi1_inv0 = kernels.Phi1_inv[k0]
     J0 = kernels.J[k0]
@@ -200,19 +208,25 @@ def deviation_quadrature(kernels: RealtimeKernels, Ebar_path, Ebar1_path) -> Vec
     w = -np.einsum("kij,jl,kl->ki", kernels.PhiZ_inv, params.BFRB, dg)
     seg = 0.5 * grid.dt * (w[:-1] + w[1:])
     cum = np.concatenate([np.zeros((1, params.n)), np.cumsum(seg, axis=0)])
-    vals = np.einsum("kij,kj->ki", kernels.maps.PhiZ.values, cum)
+    vals = np.einsum("kij,kj->ki", kernels.PhiZ.values, cum)
     return VectorPath(grid, vals)
 
 
 # ---------------------------------------------------------------------------
-# estimator policies: policy(agent_id, k, t) -> (own-estimate error E_i(t),
-#                                                average-estimate error Ebar_i(t))
+# estimator policies: policy(ids, k, t) -> (E_own, E_avg)
+#
+# A policy is called once per grid node k (time t) for the whole population.
+# ids is the agent index array np.arange(N); E_own holds the own-estimate
+# errors E_i(t) and E_avg the average-estimate errors Ebar_i(t), one row per
+# agent.  Each must broadcast to (N, n): a scalar or an (n,) vector gives
+# every agent the same error.  A policy with per-agent state indexes it with
+# the array (errors[ids]); it must not branch on a single agent id.
 
 
 def truth_policy():
     """All estimates correct at every node."""
 
-    def policy(agent_id, k, t):
+    def policy(ids, k, t):
         return 0.0, 0.0
 
     return policy
@@ -223,8 +237,8 @@ def hold_initial_error_policy(errors, Ebar):
     errors = np.asarray(errors, dtype=float)
     Ebar = np.asarray(Ebar, dtype=float)
 
-    def policy(agent_id, k, t):
-        return errors[agent_id], Ebar
+    def policy(ids, k, t):
+        return errors[ids], Ebar
 
     return policy
 
@@ -234,9 +248,9 @@ def decay_to_truth_policy(errors, Ebar, rate=1.0):
     errors = np.asarray(errors, dtype=float)
     Ebar = np.asarray(Ebar, dtype=float)
 
-    def policy(agent_id, k, t):
+    def policy(ids, k, t):
         damp = np.exp(-rate * t)
-        return errors[agent_id] * damp, Ebar * damp
+        return errors[ids] * damp, Ebar * damp
 
     return policy
 
@@ -245,10 +259,24 @@ def constant_error_policy(e0):
     """Every agent holds the same fixed estimate error (both estimates)."""
     e0 = np.asarray(e0, dtype=float)
 
-    def policy(agent_id, k, t):
+    def policy(ids, k, t):
         return e0, e0
 
     return policy
+
+
+def _node_errors(policy, ids, k, t, shape):
+    """Call the policy at node k and broadcast its two outputs to shape."""
+    out = policy(ids, k, t)
+    try:
+        E_own, E_avg = out
+        return (np.broadcast_to(np.asarray(E_own, dtype=float), shape),
+                np.broadcast_to(np.asarray(E_avg, dtype=float), shape))
+    except (TypeError, ValueError) as e:
+        got = [np.shape(v) for v in out] if isinstance(out, (tuple, list)) else np.shape(out)
+        raise EstimatorPolicyError(
+            f"estimator policy at node {k} (t={t:.6g}) returned shapes {got}; "
+            f"expected a pair that broadcasts to {shape}", node=k) from e
 
 
 def realtime_simulate(
@@ -266,18 +294,19 @@ def realtime_simulate(
 
     Each node, agent i's control is the anchored feedback evaluated at the
     anchor itself: u_i(t_k) = -R^-1 B'(P1 x_i + g_c + Mig(t_k;t_k) E_i(t_k)
-    + M0g(t_k;t_k) Ebar_i(t_k)), with the estimate errors supplied by the
-    policy.  Returns the realized mean field, the correct-information
-    reference, realized error paths, and a report comparing the realized
-    deviation with the linear-theory quadrature.
+    + M0g(t_k;t_k) Ebar_i(t_k)), with the estimate errors of all agents
+    supplied by one policy call per node (see the protocol above); output
+    that does not broadcast to (N, n) raises EstimatorPolicyError.  Returns
+    the realized mean field, the correct-information reference, realized
+    error paths, and a report comparing the realized deviation with the
+    linear-theory quadrature.
     """
-    from .deviations import build_maps
     from .population import _draw_noise, noise_matrix
 
     if grid is None:
         grid = bundle.grid
     if kernels is None:
-        kernels = build_kernels(bundle, build_maps(bundle))
+        kernels = build_kernels(bundle)
     n = params.n
     N = len(population)
     K, dt = grid.steps, grid.dt
@@ -295,15 +324,13 @@ def realtime_simulate(
     noise = _draw_noise(N, K, n, seed) if noisy else None
 
     x = np.array([p[0] for p in population], dtype=float)
+    ids = np.arange(N)
     times = grid.times
     z_A = np.empty((K + 1, n))
     Ebar_real = np.empty((K + 1, n))
     Ebar1_real = np.empty((K + 1, n))
     for k in range(K + 1):
-        errs = np.array([estimator_policy(i, k, times[k]) for i in range(N)], dtype=float)
-        if errs.ndim == 2:  # scalar (0.0, 0.0) pairs broadcast to vectors
-            errs = errs[:, :, None] * np.ones(n)
-        E_own, E_avg = errs[:, 0, :], errs[:, 1, :]
+        E_own, E_avg = _node_errors(estimator_policy, ids, k, times[k], (N, n))
         Ebar_real[k] = np.mean(E_own, axis=0)
         Ebar1_real[k] = np.mean(E_avg, axis=0)
         g_ik = g_c[k] + E_own @ kernels.Mig_diag[k].T + E_avg @ kernels.M0g_diag[k].T

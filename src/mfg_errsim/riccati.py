@@ -15,18 +15,21 @@ affine representations into the coupled forward-backward system; the
 identities P2 = P0 - P1 and G1 = G are the consistency arbiters.
 
 The closed-loop generators, the feedback control and the forward
-mean-field solve that every downstream module runs are defined here once.
+mean-field solve that every downstream module runs are defined here once;
+the bundle caches the two forward transitions (Phi1, PhiZ) that the
+deviation maps and the realtime kernels share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FiniteEscapeError, IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import half_nodes, rk4_affine, rk4_nonlinear, rk4_steps
+from .ode import fundamental_solution, half_nodes, rk4_affine, rk4_nonlinear, rk4_steps
 from .params import SystemParams
 
 
@@ -213,3 +216,17 @@ class RiccatiBundle:
         G = solve_G(params, P0, grid)
         G1 = solve_G1(params, P1, P2, grid)
         return cls(params=params, grid=grid, P0=P0, P1=P1, P2=P2, G=G, G1=G1)
+
+    @cached_property
+    def Phi1(self) -> MatrixPath:
+        """Predicted-equilibrium transition: generator mf_generator(P0), I at t_start."""
+        return self._mf_transition(self.P0)
+
+    @cached_property
+    def PhiZ(self) -> MatrixPath:
+        """Actual-mean-field transition: generator mf_generator(P1), I at t_start."""
+        return self._mf_transition(self.P1)
+
+    def _mf_transition(self, P: MatrixPath) -> MatrixPath:
+        H = MatrixPath(self.grid, mf_generator(self.params, P.values))
+        return fundamental_solution(H, self.grid.t_start)

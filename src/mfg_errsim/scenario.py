@@ -203,6 +203,11 @@ def validate_config(raw) -> ScenarioConfig:
                 problems.append((key, f"must have length {n}"))
             else:
                 cfg_kwargs[key] = v
+    # the defaults belong to the built-in 2-d fixture
+    for key, default in (("z0", P6_Z0), ("E_bar", P6_EBAR_BASE)):
+        if n is not None and raw.get(key) is None and default.shape != (n,):
+            problems.append((key, f"required when params have n = {n}: "
+                                  f"give a vector of length {n}"))
 
     if problems:
         raise ConfigError(problems)
@@ -425,7 +430,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
     elif config.mode == "realtime":
         from .population import sample_population
 
-        kernels = build_kernels(bundle, build_maps(bundle))
+        kernels = build_kernels(bundle)
         pop = sample_population(
             config.N, init_mean=config.z0, init_cov=np.zeros((n, n)),
             error_mean=np.zeros(n), error_cov=np.zeros((n, n)), seed=config.seed)

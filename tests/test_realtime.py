@@ -1,14 +1,20 @@
 """Per-node re-estimation: kernels, anchored maps, and simulation."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mfg_errsim import deviations, scenario
 from mfg_errsim.core import equilibrium_mf
+from mfg_errsim.deviations import build_maps
+from mfg_errsim.errors import EstimatorPolicyError, GridMismatchError
 from mfg_errsim.limiting import planned_offset
 from mfg_errsim.params import P6_Z0
 from mfg_errsim.realtime import (
     EstimatorState,
+    build_kernels,
     build_realtime_maps,
     constant_error_policy,
     decay_to_truth_policy,
@@ -18,6 +24,7 @@ from mfg_errsim.realtime import (
     restricted_prediction,
     truth_policy,
 )
+from mfg_errsim.riccati import RiccatiBundle
 
 T0 = 0.5
 E_OWN = np.array([0.15, -0.05])
@@ -95,6 +102,107 @@ def test_policies(kernels):
     const = constant_error_policy(E_AVG)
     npt.assert_array_equal(const(9, 1, 0.1)[0], E_AVG)
     npt.assert_array_equal(const(9, 1, 0.1)[1], E_AVG)
+
+    # called with the index array, each factory gives the stacked per-agent rows
+    ids = np.arange(len(errors))
+    for policy in (truth_policy(), hold, decay, const):
+        for k, t in ((0, 0.0), (5, 0.7)):
+            batch = [np.broadcast_to(e, errors.shape) for e in policy(ids, k, t)]
+            rows = [np.broadcast_to(policy(i, k, t)[j], (2,)) for i in ids
+                    for j in (0, 1)]
+            npt.assert_array_equal(np.stack(batch, axis=1).reshape(-1, 2), rows)
+
+
+def _pop(n_agents, seed=0):
+    rng = np.random.default_rng(seed)
+    return [(np.asarray(P6_Z0) + 0.05 * rng.standard_normal(2), np.zeros(2))
+            for _ in range(n_agents)]
+
+
+def test_policy_is_called_once_per_node_with_the_index_array(params, bundle,
+                                                             grid, kernels):
+    calls = []
+
+    def recording(ids, k, t):
+        calls.append((ids.copy(), k, t))
+        return 0.0, 0.0
+
+    realtime_simulate(params, bundle, _pop(7), recording, grid=grid, seed=0,
+                      D=0.0, kernels=kernels)
+    assert len(calls) == grid.steps + 1
+    for k, (ids, kk, t) in enumerate(calls):
+        npt.assert_array_equal(ids, np.arange(7))
+        assert kk == k and t == grid.times[k]
+
+
+def test_vector_and_per_agent_policy_outputs_agree_bitwise(params, bundle,
+                                                           grid, kernels):
+    pop = _pop(9, seed=1)
+
+    def as_vectors(ids, k, t):
+        return E_OWN * np.exp(-t), E_AVG
+
+    def as_rows(ids, k, t):
+        own, avg = as_vectors(ids, k, t)
+        return np.tile(own, (len(ids), 1)), np.tile(avg, (len(ids), 1))
+
+    a, b = (realtime_simulate(params, bundle, pop, policy, grid=grid, seed=4,
+                              kernels=kernels)
+            for policy in (as_vectors, as_rows))
+    for key in ("z_A", "Ebar", "Ebar1", "predicted_deviation"):
+        npt.assert_array_equal(a[key].values, b[key].values)
+
+
+@pytest.mark.parametrize("output, shape", [
+    ((np.zeros(3), 0.0), "(3,)"),
+    ((np.zeros((4, 2)), 0.0), "(4, 2)"),
+    ((0.0, 0.0, 0.0), "[(), (), ()]"),
+])
+def test_policy_output_that_does_not_broadcast_is_a_package_error(
+        params, bundle, grid, kernels, output, shape):
+    def bad(ids, k, t):
+        return output if k == 3 else (0.0, 0.0)
+
+    with pytest.raises(EstimatorPolicyError, match="node 3") as ei:
+        realtime_simulate(params, bundle, _pop(5), bad, grid=grid, seed=0,
+                          D=0.0, kernels=kernels)
+    assert shape in str(ei.value) and ei.value.node == 3
+
+
+# ------------------------------------------------------- two-path kernels
+
+
+def test_kernels_from_the_bundle_equal_kernels_from_maps(bundle, maps, kernels):
+    assert maps.PhiZ is bundle.PhiZ and maps.Phi1 is bundle.Phi1
+    own = build_kernels(bundle)
+    for f in dataclasses.fields(own):
+        a, b = getattr(own, f.name), getattr(kernels, f.name)
+        if f.name == "bundle":
+            assert a is b
+        else:
+            npt.assert_array_equal(np.asarray(getattr(a, "values", a)),
+                                   np.asarray(getattr(b, "values", b)))
+
+
+def test_kernels_reject_maps_of_another_bundle(params, bundle, maps):
+    other = RiccatiBundle.solve(params, params.default_grid(50))
+    with pytest.raises(GridMismatchError):
+        build_kernels(bundle, build_maps(other))
+    with pytest.raises(GridMismatchError):
+        build_kernels(other, maps)
+
+
+def test_realtime_scenario_does_not_build_deviation_maps(tmp_path, monkeypatch):
+    def refuse(bundle):
+        raise AssertionError("build_maps called in realtime mode")
+
+    monkeypatch.setattr(scenario, "build_maps", refuse)
+    monkeypatch.setattr(deviations, "build_maps", refuse)
+    cfg = scenario.validate_config({
+        "mode": "realtime", "grid_steps": 100, "N": 5, "D": 0.0,
+        "output_dir": str(tmp_path)})
+    manifest = scenario.run_scenario(cfg)
+    assert "deviations.csv" in manifest.files
 
 
 def test_truth_policy_simulation_tracks_equilibrium(params, bundle, grid,

@@ -81,6 +81,38 @@ def test_F_must_match_the_control_dimension():
     assert any(f == "params" and "F must be 2x1" in r for f, r in ei.value.problems)
 
 
+def _identity_scaled_params(n):
+    """P6's identity-scaled matrices and vectors, at state dimension n."""
+    eye = np.eye(n)
+    mats = {"A": -eye, "B": 0.5 * eye, "C": 0.5 * eye, "F": 0.5 * eye,
+            "D": 0.05 * eye, "Q_I": eye, "Q": eye, "Qbar_I": eye, "Qbar": eye,
+            "R": eye, "Gamma": eye, "Gammabar": eye}
+    vecs = {"eta": np.zeros(n), "etabar": np.zeros(n),
+            "s": np.full(n, 0.4), "sbar": np.full(n, 0.4)}
+    return {k: v.tolist() for k, v in {**mats, **vecs}.items()}
+
+
+def test_vectors_without_defaults_are_required_when_n_is_not_2():
+    with pytest.raises(ConfigError) as ei:
+        validate_config({"mode": "predict", "params": _identity_scaled_params(3)})
+    problems = dict(ei.value.problems)
+    assert set(problems) == {"z0", "E_bar"}
+    assert all("length 3" in r for r in problems.values())
+    # E_i falls back to E_bar, so the two vectors are all an n = 3 config needs
+    cfg = validate_config({"mode": "predict", "params": _identity_scaled_params(3),
+                           "z0": [0.3, 0.5, 0.1], "E_bar": [0.1, -0.1, 0.05]})
+    assert cfg.z0.shape == (3,) and cfg.E_i is None
+
+
+def test_cli_run_reports_missing_vectors_for_n_3(tmp_path, capsys):
+    path = _write(tmp_path, {"mode": "predict", "grid_steps": 100,
+                             "params": _identity_scaled_params(3)})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: z0:" in err and "config error: E_bar:" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_t0_must_be_a_grid_node_for_correction_modes():
     with pytest.raises(ConfigError) as ei:
         validate_config({"mode": "correct", "grid_steps": 200, "t0": 0.5013})
