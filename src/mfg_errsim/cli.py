@@ -58,18 +58,14 @@ def main(argv=None) -> int:
             print("config ok")
             return 0
         if args.command == "run":
-            import dataclasses
+            from .scenario import load_document, run_scenario, validate_config
 
-            from .scenario import load_config, run_scenario
-
-            config = load_config(args.config)
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.steps is not None:
-                overrides["grid_steps"] = args.steps
-            if overrides:
-                config = dataclasses.replace(config, **overrides)
+            raw = load_document(args.config)
+            if isinstance(raw, dict):
+                for key, value in (("seed", args.seed), ("grid_steps", args.steps)):
+                    if value is not None:
+                        raw[key] = value
+            config = validate_config(raw)
             manifest = run_scenario(config, output_dir=args.out)
             print(f"wrote {len(manifest.files)} outputs "
                   f"(config {manifest.config_hash[:12]})")

@@ -31,23 +31,18 @@ class MeanField:
 
 @dataclass
 class FeedbackLaw:
-    """Affine state feedback u = -R^-1 B' (P1 x + g), valid on [t_from, T]."""
+    """Affine state feedback u = -R^-1 B' (P1 x + g) on the grid of its paths."""
 
     params: SystemParams
     P1: MatrixPath
     g: VectorPath
-    t_from: float = 0.0
 
-    def __call__(self, x, t):
-        return self.feedback(x, t)
-
-    def feedback(self, x, t):
-        if t < self.t_from - 1e-9 or t > self.g.grid.t_end + 1e-9:
-            raise ValueError(f"t={t} outside law domain [{self.t_from}, {self.g.grid.t_end}]")
-        return control(self.params, self.P1.at(t), np.asarray(x, dtype=float), self.g.at(t))
+    @property
+    def grid(self) -> TimeGrid:
+        return self.g.grid
 
     def at_node(self, x, k):
-        """Vectorized evaluation at grid node k for a batch of states (N, n)."""
+        """Controls (N, d) of the states x (N, n) at grid node k."""
         return control(self.params, self.P1[k], np.asarray(x, dtype=float), self.g[k])
 
 
@@ -60,11 +55,6 @@ def equilibrium_mf(bundle: RiccatiBundle, z0, k0: int = 0) -> MeanField:
     zv = mean_field_path(bundle.params, P0.values, G.values, z0, P0.grid)
     ub = control(bundle.params, P0.values, zv, G.values)
     return MeanField(z=VectorPath(P0.grid, zv), ubar=VectorPath(P0.grid, ub))
-
-
-def perturbed_mf(bundle: RiccatiBundle, z0, E_i) -> MeanField:
-    """Mean-field prediction of an agent whose initial estimate is z0 + E_i."""
-    return equilibrium_mf(bundle, np.asarray(z0, dtype=float) + np.asarray(E_i, dtype=float))
 
 
 def equilibrium_law(bundle: RiccatiBundle, mf: MeanField) -> FeedbackLaw:

@@ -209,7 +209,7 @@ def modified_game(params: SystemParams, bundle: RiccatiBundle, z_A_t0, t0):
     mf = equilibrium_mf(bundle, z_A_t0, k0)
     P1 = bundle.P1.slice(k0)
     g_new = solve_tracking_offset(params, P1, mf.z, mf.ubar, P1.grid)
-    law = FeedbackLaw(params=params, P1=P1, g=g_new, t_from=float(t0))
+    law = FeedbackLaw(params=params, P1=P1, g=g_new)
     return {"z_new": mf.z, "ubar_new": mf.ubar, "g_new": g_new, "law": law}
 
 

@@ -36,7 +36,6 @@ class DeviationMaps:
 
     bundle: RiccatiBundle
     Phi1: MatrixPath   # transition of the predicted-equilibrium system
-    PhiG: MatrixPath   # transition of the offset backward system (anchor T)
     PhiZ: MatrixPath   # transition of the actual-mean-field system
     PhiX: MatrixPath   # transition of the single-agent closed loop
     Mg: MatrixPath
@@ -70,7 +69,6 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     Hx = agent_generator(params, P1v)
 
     Phi1, PhiZ = bundle.Phi1, bundle.PhiZ
-    PhiG = fundamental_solution(MatrixPath(grid, Hg), grid.t_end)
     PhiX = fundamental_solution(MatrixPath(grid, Hx), grid.t_start)
 
     S = coupling_weight(params, bundle.P1)  # P1 C - P1 F R^-1 B' P1 - Q*Gamma
@@ -95,7 +93,7 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     Mx2 = MatrixPath(grid, rk4_affine(Hx, L2, np.zeros((n, n)), grid, forward=True))
 
     return DeviationMaps(
-        bundle=bundle, Phi1=Phi1, PhiG=PhiG, PhiZ=PhiZ, PhiX=PhiX,
+        bundle=bundle, Phi1=Phi1, PhiZ=PhiZ, PhiX=PhiX,
         Mg=Mg, Mz=Mz, Mx1=Mx1, Mx2=Mx2,
     )
 

@@ -149,10 +149,12 @@ class VectorPath(_Path):
 
 
 def require_same_grid(*paths):
-    """Raise GridMismatchError unless all paths share one grid."""
-    g0 = paths[0].grid
-    for p in paths[1:]:
-        g = p.grid
+    """Raise GridMismatchError unless all paths share one grid; returns it.
+
+    Each argument is a grid or anything carrying one as ``.grid``.
+    """
+    g0, *rest = (getattr(p, "grid", p) for p in paths)
+    for g in rest:
         if (g.steps != g0.steps
                 or abs(g.t_start - g0.t_start) > _NODE_TOL
                 or abs(g.t_end - g0.t_end) > _NODE_TOL):

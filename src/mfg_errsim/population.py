@@ -4,6 +4,10 @@ Each agent owns two dedicated RNG streams derived from (seed, agent_id): one
 for initial sampling and one for dynamics noise.  This makes every result
 independent of iteration order and thread count, and lets a single agent's
 trajectory be replayed bit-for-bit against different mean-field inputs.
+
+Every simulator in the package steps through ``euler_maruyama``.  A law is
+anything with a ``grid`` and ``at_node(x, k)``, the controls of the states
+x (N, n) at node k of that grid.
 """
 
 from __future__ import annotations
@@ -128,106 +132,90 @@ class OffsetFamilyLaw:
         self.Mg = Mg
         self.errors = np.asarray(errors, dtype=float)
 
-    def offsets_at(self, k):
-        return self.g_base[k] + self.errors @ self.Mg[k].T
+    @property
+    def grid(self) -> TimeGrid:
+        return self.g_base.grid
 
-    def at_node_batch(self, x, k):
-        return control(self.params, self.P1[k], x, self.offsets_at(k))
-
-
-def _normalize_laws(law_assignment, N):
-    """Group agents by the law they play; returns list of (law, agent index array)."""
-    if callable(law_assignment) and not hasattr(law_assignment, "at_node"):
-        laws = [law_assignment(i) for i in range(N)]
-    elif isinstance(law_assignment, (list, tuple)):
-        if len(law_assignment) != N:
-            raise ValueError(f"need one law per agent: {N} expected, got {len(law_assignment)}")
-        laws = list(law_assignment)
-    else:
-        laws = [law_assignment] * N
-    groups = {}
-    for i, law in enumerate(laws):
-        groups.setdefault(id(law), (law, []))[1].append(i)
-    return [(law, np.asarray(idx)) for law, idx in groups.values()]
+    def at_node(self, x, k):
+        """Controls (N, d) of the agents' states x (N, n) at grid node k."""
+        return control(self.params, self.P1[k], x,
+                       self.g_base[k] + self.errors @ self.Mg[k].T)
 
 
-def noise_matrix(params: SystemParams, D=None) -> np.ndarray:
-    """Noise matrix of the dynamics: params.D unless D overrides it, a
-    scalar D standing for D times the identity."""
-    if D is None:
-        D = params.D
-    return np.eye(params.n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
+                   coupling=None, seed: int = 0, D=None, ids=None):
+    """Euler-Maruyama integration of agents started at the rows of x0.
 
-
-def _draw_noise(N, steps, n, seed):
-    noise = np.empty((N, steps, n))
-    for i in range(N):
-        noise[i] = _agent_rng(seed, i, _DYNAMICS).standard_normal((steps, n))
-    return noise
-
-
-def simulate(
-    params: SystemParams,
-    population,
-    law_assignment,
-    mf_coupling="empirical",
-    grid: TimeGrid | None = None,
-    seed: int = 0,
-    D=None,
-    noise=None,
-) -> PopulationResult:
-    """Euler-Maruyama integration of the N-agent system.
-
-    mf_coupling is "empirical" (start-of-step population averages) or a
-    (z_path, ubar_path) pair of prescribed mean-field paths.  D overrides the
-    noise matrix (scalar = multiple of identity); noise, if given, must be a
-    (N, steps, n) array of standard normal increments.
+    Yields (k, x, u, drift, mf_x) at every node k = 0..K, where u =
+    control_at(x, k) are the agents' controls, drift = A x + B u + C mf_x +
+    F mf_u, and (mf_x, mf_u) are the start-of-step population averages when
+    coupling is None, else node k of the pair of prescribed node arrays
+    coupling = (z, ubar).  Row i of x0 is agent ids[i] (default i), whose
+    own dynamics noise stream drives it.  D overrides the noise matrix
+    params.D, a scalar D standing for D times the identity.  Raises
+    IntegrationBlowupError at the first non-finite state.
     """
-    if grid is None:
-        grid = params.default_grid()
-    N = len(population)
-    n = params.n
+    x = np.array(x0, dtype=float)
+    N, n = x.shape
     K, dt = grid.steps, grid.dt
     sqdt = np.sqrt(dt)
-    D = noise_matrix(params, D)
-    prescribed = None
-    if mf_coupling != "empirical":
-        z_path, ubar_path = mf_coupling
-        require_same_grid(z_path, ubar_path)
-        prescribed = (z_path.values, ubar_path.values)
-    batch_law = law_assignment if hasattr(law_assignment, "at_node_batch") else None
-    groups = None if batch_law else _normalize_laws(law_assignment, N)
-    if noise is None and not np.allclose(D, 0.0):
-        noise = _draw_noise(N, K, n, seed)
-
-    x = np.array([p[0] for p in population], dtype=float)
-    xs = np.empty((K + 1, N, n))
-    us = np.empty((K + 1, N, params.d))
-    drifts = np.empty((K + 1, N, n))
+    ids = range(N) if ids is None else ids
+    D = params.D if D is None else D
+    D = np.eye(n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+    noise = None
+    if not np.allclose(D, 0.0):
+        noise = np.empty((N, K, n))
+        for row, i in enumerate(ids):
+            noise[row] = _agent_rng(seed, int(i), _DYNAMICS).standard_normal((K, n))
     for k in range(K + 1):
-        if batch_law is not None:
-            u = batch_law.at_node_batch(x, k)
+        u = control_at(x, k)
+        if coupling is None:
+            mf_x, mf_u = np.mean(x, axis=0), np.mean(u, axis=0)
         else:
-            u = np.empty((N, params.d))
-            for law, idx in groups:
-                u[idx] = law.at_node(x[idx], k)
-        if prescribed is None:
-            mf_x = np.mean(x, axis=0)
-            mf_u = np.mean(u, axis=0)
-        else:
-            mf_x, mf_u = prescribed[0][k], prescribed[1][k]
+            mf_x, mf_u = coupling[0][k], coupling[1][k]
         drift = x @ params.A.T + u @ params.B.T + mf_x @ params.C.T + mf_u @ params.F.T
-        xs[k], us[k], drifts[k] = x, u, drift
+        yield k, x, u, drift, mf_x
         if k < K:
             x = x + drift * dt
             if noise is not None:
                 x = x + (noise[:, k, :] @ D.T) * sqdt
             if not np.all(np.isfinite(x)):
-                bad = int(np.argwhere(~np.all(np.isfinite(x), axis=1))[0, 0])
+                bad = ids[np.argwhere(~np.all(np.isfinite(x), axis=1))[0, 0]]
                 raise IntegrationBlowupError(
                     f"agent {bad} state non-finite at node {k + 1}", node=k + 1,
                     time=grid.times[k + 1],
                 )
+
+
+def simulate(
+    params: SystemParams,
+    population,
+    law,
+    mf_coupling="empirical",
+    grid: TimeGrid | None = None,
+    seed: int = 0,
+    D=None,
+) -> PopulationResult:
+    """Euler-Maruyama integration of N agents who all play law.
+
+    law answers at_node(x, k) for the states (N, n) of every agent and
+    carries its grid, on which the run takes place (grid, if given, must
+    be the same).  mf_coupling is "empirical" (start-of-step population
+    averages) or a (z_path, ubar_path) pair of prescribed mean-field paths
+    on that grid.  D overrides the noise matrix (see euler_maruyama).
+    """
+    paths = () if mf_coupling == "empirical" else tuple(mf_coupling)
+    grid = require_same_grid(law if grid is None else grid, law, *paths)
+    N = len(population)
+    K = grid.steps
+    x0 = [p[0] for p in population]
+    xs = np.empty((K + 1, N, params.n))
+    us = np.empty((K + 1, N, params.d))
+    drifts = np.empty((K + 1, N, params.n))
+    coupling = tuple(p.values for p in paths) or None
+    for k, x, u, drift, _ in euler_maruyama(params, x0, grid, law.at_node, coupling,
+                                           seed, D):
+        xs[k], us[k], drifts[k] = x, u, drift
     errors = np.array([p[1] for p in population], dtype=float)
     x_N = VectorPath(grid, np.mean(xs, axis=1))
     u_N = VectorPath(grid, np.mean(us, axis=1))
@@ -238,31 +226,12 @@ def simulate(
 def replay_agent(params, trace: AgentTrace, law, z_path, ubar_path, grid, seed, D=None):
     """Re-run one agent with a different law against prescribed mean-field
     paths, reusing the agent's own dynamics noise stream."""
-    require_same_grid(z_path, ubar_path)
-    K, dt = grid.steps, grid.dt
-    sqdt = np.sqrt(dt)
-    D = noise_matrix(params, D)
-    noisy = not np.allclose(D, 0.0)
-    incr = _agent_rng(seed, trace.agent_id, _DYNAMICS).standard_normal((K, params.n)) if noisy else None
-    x = trace.x.initial.copy()
-    xs = np.empty((K + 1, params.n))
-    us = np.empty((K + 1, params.d))
-    for k in range(K + 1):
-        u = law.at_node(x[None, :], k)[0]
-        xs[k], us[k] = x, u
-        if k < K:
-            drift = params.A @ x + params.B @ u + params.C @ z_path[k] + params.F @ ubar_path[k]
-            x = x + drift * dt
-            if noisy:
-                x = x + (D @ incr[k]) * sqdt
+    grid = require_same_grid(grid, law, z_path, ubar_path)
+    xs = np.empty((grid.steps + 1, params.n))
+    us = np.empty((grid.steps + 1, params.d))
+    steps = euler_maruyama(params, trace.x.initial[None, :], grid, law.at_node,
+                           (z_path.values, ubar_path.values), seed, D,
+                           ids=[trace.agent_id])
+    for k, x, u, _, _ in steps:
+        xs[k], us[k] = x[0], u[0]
     return VectorPath(grid, xs), VectorPath(grid, us)
-
-
-def empirical_mf(traces):
-    """Exact arithmetic means of the agents' state and control paths."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    grid = require_same_grid(*[t.x for t in traces])
-    x_N = np.mean(np.stack([t.x.values for t in traces]), axis=0)
-    u_N = np.mean(np.stack([t.u.values for t in traces]), axis=0)
-    return {"x_N": VectorPath(grid, x_N), "u_N": VectorPath(grid, u_N)}

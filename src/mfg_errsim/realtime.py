@@ -27,9 +27,10 @@ import numpy as np
 from .core import FeedbackLaw, equilibrium_mf
 from .deviations import DeviationMaps
 from .errors import EstimatorPolicyError, GridMismatchError
-from .grid import MatrixPath, TimeGrid, VectorPath
+from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from .ode import invert_path, rk4_affine
 from .params import SystemParams
+from .population import euler_maruyama
 from .riccati import (
     RiccatiBundle,
     control,
@@ -185,7 +186,7 @@ def restricted_prediction(bundle: RiccatiBundle, est: EstimatorState, route="p2"
     z_hat = VectorPath(sub, mean_field_path(params, P1.values, gbar_v, est.z_hat, sub))
     ubar = VectorPath(sub, control(params, P1.values, z_hat.values, gbar_v))
     g_i = solve_tracking_offset(params, P1, z_hat, ubar, sub)
-    law = FeedbackLaw(params=params, P1=P1, g=g_i, t_from=float(est.t0))
+    law = FeedbackLaw(params=params, P1=P1, g=g_i)
     return {"zbar": zbar, "gbar": gbar, "z_hat": z_hat, "ubar": ubar,
             "g_i": g_i, "law": law}
 
@@ -296,53 +297,42 @@ def realtime_simulate(
     anchor itself: u_i(t_k) = -R^-1 B'(P1 x_i + g_c + Mig(t_k;t_k) E_i(t_k)
     + M0g(t_k;t_k) Ebar_i(t_k)), with the estimate errors of all agents
     supplied by one policy call per node (see the protocol above); output
-    that does not broadcast to (N, n) raises EstimatorPolicyError.  Returns
-    the realized mean field, the correct-information reference, realized
-    error paths, and a report comparing the realized deviation with the
-    linear-theory quadrature.
+    that does not broadcast to (N, n) raises EstimatorPolicyError.  The run
+    takes place on the bundle's grid; a grid or kernels on another grid
+    raise GridMismatchError, a non-finite state IntegrationBlowupError.
+    Returns the realized mean field, the correct-information reference,
+    realized error paths, and a report comparing the realized deviation
+    with the linear-theory quadrature.
     """
-    from .population import _draw_noise, noise_matrix
-
-    if grid is None:
-        grid = bundle.grid
     if kernels is None:
         kernels = build_kernels(bundle)
+    grid = require_same_grid(bundle if grid is None else grid, bundle, kernels)
     n = params.n
     N = len(population)
-    K, dt = grid.steps, grid.dt
-    sqdt = np.sqrt(dt)
+    x0 = [p[0] for p in population]
     if z0 is None:
-        z0 = np.mean([p[0] for p in population], axis=0)
+        z0 = np.mean(x0, axis=0)
     mf_c = equilibrium_mf(bundle, z0)
     # correct-information offset: g_c = (P0 - P1) z_c + G
     g_c = (
         np.einsum("kij,kj->ki", bundle.P0.values - bundle.P1.values, mf_c.z.values)
         + bundle.G.values
     )
-    D = noise_matrix(params, D)
-    noisy = not np.allclose(D, 0.0)
-    noise = _draw_noise(N, K, n, seed) if noisy else None
-
-    x = np.array([p[0] for p in population], dtype=float)
     ids = np.arange(N)
     times = grid.times
-    z_A = np.empty((K + 1, n))
-    Ebar_real = np.empty((K + 1, n))
-    Ebar1_real = np.empty((K + 1, n))
-    for k in range(K + 1):
+    z_A = np.empty((grid.steps + 1, n))
+    Ebar_real = np.empty((grid.steps + 1, n))
+    Ebar1_real = np.empty((grid.steps + 1, n))
+
+    def control_at(x, k):
         E_own, E_avg = _node_errors(estimator_policy, ids, k, times[k], (N, n))
         Ebar_real[k] = np.mean(E_own, axis=0)
         Ebar1_real[k] = np.mean(E_avg, axis=0)
         g_ik = g_c[k] + E_own @ kernels.Mig_diag[k].T + E_avg @ kernels.M0g_diag[k].T
-        u = control(params, bundle.P1[k], x, g_ik)
-        z_A[k] = np.mean(x, axis=0)
-        if k < K:
-            mf_x = z_A[k]
-            mf_u = np.mean(u, axis=0)
-            drift = x @ params.A.T + u @ params.B.T + mf_x @ params.C.T + mf_u @ params.F.T
-            x = x + drift * dt
-            if noisy:
-                x = x + (noise[:, k, :] @ D.T) * sqdt
+        return control(params, bundle.P1[k], x, g_ik)
+
+    for k, _, _, _, mf_x in euler_maruyama(params, x0, grid, control_at, seed=seed, D=D):
+        z_A[k] = mf_x
     z_A_path = VectorPath(grid, z_A)
     Ebar_path = VectorPath(grid, Ebar_real)
     Ebar1_path = VectorPath(grid, Ebar1_real)

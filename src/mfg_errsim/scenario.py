@@ -48,6 +48,8 @@ from .riccati import RiccatiBundle
 
 _MODES = ("predict", "evolve", "correct", "realtime")
 _FMT = "%.17g"
+# evolve mode regresses the deviations at these times (those before T)
+_EVOLVE_PROBES = (0.25, 1.0, 1.75)
 
 _PARAM_MATRICES = ("A", "B", "C", "F", "D", "Q_I", "Q", "Qbar_I", "Qbar",
                    "R", "Gamma", "Gammabar")
@@ -213,21 +215,32 @@ def validate_config(raw) -> ScenarioConfig:
         raise ConfigError(problems)
     cfg = ScenarioConfig(params=params, mode=mode, **cfg_kwargs)
     grid = cfg.grid()
-    if cfg.mode in ("correct", "realtime"):
+    # (field, time) of every time the mode reads at a grid node
+    at_nodes = {"correct": [("t0", cfg.t0)], "realtime": [("t0", cfg.t0)],
+                "evolve": [("grid_steps", t) for t in _probe_times(cfg.params)]}
+    for key, t in at_nodes.get(mode, []):
         try:
-            grid.index_of(cfg.t0)
+            grid.index_of(t)
         except ValueError:
-            raise ConfigError([("t0", "must coincide with a grid node")]) from None
+            raise ConfigError([(key, f"must put t = {t:g} on a grid node")]) from None
     return cfg
 
 
-def load_config(path) -> ScenarioConfig:
+def _probe_times(params: SystemParams) -> list:
+    return [t for t in _EVOLVE_PROBES if t < params.T]
+
+
+def load_document(path):
+    """The parsed JSON document at path, not yet validated."""
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError([("<document>", f"not valid JSON: {e}")]) from None
-    return validate_config(raw)
+
+
+def load_config(path) -> ScenarioConfig:
+    return validate_config(load_document(path))
 
 
 def _config_hash(config: ScenarioConfig) -> str:
@@ -334,7 +347,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
         ref = solve_limiting(bundle, config.z0, 0.0 * config.E_bar,
                              0.0 * config.E_bar)
         # deviations per k at probe times, then per-component regressions
-        probe_times = [x for x in (0.25, 1.0, 1.75) if x < config.params.T]
+        probe_times = _probe_times(config.params)
         rows = {"kind": [], "t": [], "component": [], "slope": [],
                 "intercept": [], "r_squared": []}
         for kind, extract in (

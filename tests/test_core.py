@@ -5,12 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from mfg_errsim.core import (
-    FeedbackLaw,
     cost,
     epsilon_nash_gap,
     equilibrium_mf,
     existence_check,
-    perturbed_mf,
 )
 from mfg_errsim.grid import TimeGrid, VectorPath
 from mfg_errsim.params import P6_Z0, p6_params, s1_params
@@ -43,25 +41,14 @@ def test_equilibrium_control_is_consistent_with_representation(bundle, mf_c, law
 
 
 def test_perturbed_mf_with_zero_error_is_equilibrium(bundle, mf_c, z0):
-    mf = perturbed_mf(bundle, z0, np.zeros(2))
+    mf = equilibrium_mf(bundle, z0 + np.zeros(2))
     npt.assert_array_equal(mf.z.values, mf_c.z.values)
 
 
 def test_perturbed_mf_shifts_initial_state(bundle, z0):
     E = np.array([0.2, -0.1])
-    mf = perturbed_mf(bundle, z0, E)
+    mf = equilibrium_mf(bundle, z0 + E)
     npt.assert_array_equal(mf.z.initial, z0 + E)
-
-
-def test_feedback_law_domain_and_vectorization(law_c, params):
-    x = np.array([0.4, 0.1])
-    u_scalar = law_c.feedback(x, 0.5)
-    u_batch = law_c.at_node(x[None, :], law_c.g.grid.index_of(0.5))
-    npt.assert_allclose(u_batch[0], u_scalar, atol=1e-12)
-    with pytest.raises(ValueError):
-        law_c.feedback(x, -0.1)
-    with pytest.raises(ValueError):
-        FeedbackLaw(params=params, P1=law_c.P1, g=law_c.g, t_from=1.0).feedback(x, 0.5)
 
 
 def test_cost_on_constant_paths_matches_hand_computation():

@@ -113,7 +113,7 @@ def test_modified_game_restarts_from_reconstructed_state(
     mod = modified_game(params, bundle, z_A_t0, T0)
     npt.assert_array_equal(mod["z_new"].initial, z_A_t0)
     assert mod["z_new"].grid.t_start == pytest.approx(T0)
-    assert mod["law"].t_from == pytest.approx(T0)
+    assert mod["law"].grid.t_start == pytest.approx(T0)
     # correction shrinks the residual mean-field deviation everywhere
     k0 = grid.index_of(T0)
     dev_new = np.abs(mod["z_new"].values - run.z_c.z.values[k0:]).max()

@@ -20,7 +20,6 @@ def test_fundamental_solutions_are_anchored(maps, grid):
     npt.assert_array_equal(maps.Phi1.initial, np.eye(2))
     npt.assert_array_equal(maps.PhiZ.initial, np.eye(2))
     npt.assert_array_equal(maps.PhiX.initial, np.eye(2))
-    npt.assert_array_equal(maps.PhiG.terminal, np.eye(2))
 
 
 def test_map_boundary_values(maps, params):

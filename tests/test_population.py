@@ -5,12 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from mfg_errsim.core import FeedbackLaw
-from mfg_errsim.errors import IntegrationBlowupError
+from mfg_errsim.core import equilibrium_law, equilibrium_mf
+from mfg_errsim.errors import GridMismatchError, IntegrationBlowupError
 from mfg_errsim.grid import MatrixPath, VectorPath
 from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV, P6_Z0, s1_params
+from mfg_errsim.riccati import RiccatiBundle
 from mfg_errsim.population import (
     OffsetFamilyLaw,
-    empirical_mf,
     replay_agent,
     sample_population,
     simulate,
@@ -104,26 +105,29 @@ def test_offset_family_law_shifts_controls_with_errors(params, grid, law_c, maps
     k = grid.index_of(0.5)
     expected = -(x @ law_c.P1[k].T + law_c.g[k] + maps.Mg[k] @ errors[0]) \
         @ params.RinvBt.T
-    npt.assert_allclose(fam.at_node_batch(x, k), expected, atol=1e-14)
+    npt.assert_allclose(fam.at_node(x, k), expected, atol=1e-14)
 
 
-def test_per_agent_law_assignment(params, grid, law_c):
+def test_simulation_runs_on_the_grid_of_its_law(params, grid, law_c):
     pop = _pop(4)
-    res_list = simulate(params, pop, [law_c] * 4, grid=grid, seed=5)
-    res_one = simulate(params, pop, law_c, grid=grid, seed=5)
-    npt.assert_array_equal(res_list.x_N.values, res_one.x_N.values)
-    with pytest.raises(ValueError, match="one law per agent"):
-        simulate(params, pop, [law_c] * 3, grid=grid, seed=5)
+    res = simulate(params, pop, law_c, seed=1)
+    assert res.grid is law_c.grid and res.xs.shape[0] == grid.steps + 1
+    npt.assert_array_equal(res.xs, simulate(params, pop, law_c, grid=grid, seed=1).xs)
 
 
-def test_empirical_mf_matches_simulation_averages(params, grid, law_c):
-    pop = _pop(6)
-    res = simulate(params, pop, law_c, grid=grid, seed=9)
-    mf = empirical_mf(res.traces)
-    npt.assert_allclose(mf["x_N"].values, res.x_N.values, atol=1e-14)
-    npt.assert_allclose(mf["u_N"].values, res.u_N.values, atol=1e-14)
-    with pytest.raises(ValueError):
-        empirical_mf([])
+def test_simulation_rejects_a_grid_that_does_not_match(params, grid, law_c, mf_c):
+    pop = _pop(3)
+    coarse = params.default_grid(100)
+    with pytest.raises(GridMismatchError):
+        simulate(params, pop, law_c, grid=coarse, seed=0)
+    coarse_bundle = RiccatiBundle.solve(params, coarse)
+    coarse_mf = equilibrium_mf(coarse_bundle, P6_Z0)
+    with pytest.raises(GridMismatchError):
+        simulate(params, pop, equilibrium_law(coarse_bundle, coarse_mf),
+                 mf_coupling=(mf_c.z, mf_c.ubar), seed=0)
+    with pytest.raises(GridMismatchError):
+        simulate(params, pop, law_c, mf_coupling=(coarse_mf.z, coarse_mf.ubar),
+                 seed=0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -9,7 +9,11 @@ import pytest
 from mfg_errsim import deviations, scenario
 from mfg_errsim.core import equilibrium_mf
 from mfg_errsim.deviations import build_maps
-from mfg_errsim.errors import EstimatorPolicyError, GridMismatchError
+from mfg_errsim.errors import (
+    EstimatorPolicyError,
+    GridMismatchError,
+    IntegrationBlowupError,
+)
 from mfg_errsim.limiting import planned_offset
 from mfg_errsim.params import P6_Z0
 from mfg_errsim.realtime import (
@@ -167,6 +171,26 @@ def test_policy_output_that_does_not_broadcast_is_a_package_error(
         realtime_simulate(params, bundle, _pop(5), bad, grid=grid, seed=0,
                           D=0.0, kernels=kernels)
     assert shape in str(ei.value) and ei.value.node == 3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_non_finite_state_is_a_blowup_error(params, bundle, grid, kernels):
+    def inf_at_3(ids, k, t):
+        return (np.inf if k == 3 else 0.0), 0.0
+
+    with pytest.raises(IntegrationBlowupError) as ei:
+        realtime_simulate(params, bundle, _pop(5), inf_at_3, grid=grid, seed=0,
+                          D=0.0, kernels=kernels)
+    assert ei.value.node == 4 and ei.value.time == grid.times[4]
+
+
+def test_simulation_rejects_a_grid_other_than_the_bundles(params, bundle,
+                                                          kernels):
+    for steps in (100, 4000):
+        with pytest.raises(GridMismatchError):
+            realtime_simulate(params, bundle, _pop(3), truth_policy(),
+                              grid=params.default_grid(steps), seed=0, D=0.0,
+                              kernels=kernels)
 
 
 # ------------------------------------------------------- two-path kernels

@@ -269,6 +269,28 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     assert doc["grid_steps"] == 200 and doc["seed"] == 7
 
 
+@pytest.mark.parametrize("doc, overrides, field", [
+    ({"mode": "correct"}, ["--steps", "7"], "t0"),
+    ({"mode": "predict"}, ["--steps", "0"], "grid_steps"),
+    ({"mode": "evolve", "grid_steps": 100}, [], "grid_steps"),
+])
+def test_cli_run_validates_the_grid_with_its_overrides(tmp_path, capsys, doc,
+                                                       overrides, field):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)] + overrides) == 1
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_probe_times_must_be_grid_nodes():
+    with pytest.raises(ConfigError) as ei:
+        validate_config({"mode": "evolve", "grid_steps": 100})
+    assert [f for f, _ in ei.value.problems] == ["grid_steps"]
+    assert "t = 0.25" in ei.value.problems[0][1]
+    # probe times at or beyond T are not used, so need not be nodes
+    validate_config({"mode": "evolve", "grid_steps": 2, "params": {"T": 0.5}})
+
+
 def test_cli_bench_size_parsing(capsys):
     assert main(["bench", "--sizes", "10xbad"]) == 1
     assert "--sizes" in capsys.readouterr().err
