@@ -1,11 +1,14 @@
 """Fixed-step integration of time-varying linear/matrix ODEs.
 
 The workhorse is classical 4th-order Runge-Kutta on a uniform grid, with
-one step loop (rk4_steps) behind every solver.  Stage values of
+one RK4 step (_rk4_step) behind every solver.  Stage values of
 time-varying coefficients at half-steps come from linear interpolation of
 node values (half_nodes), so every coefficient can live on the same grid as
-the solution.  Backward problems are integrated in reversed time with a
-negative step; returned paths are always forward-indexed.
+the solution.  Nonlinear problems step in a Python loop (rk4_steps).  Affine
+problems do not: rk4_affine takes the step once, on an index array of all
+steps, to build each step's propagator, and composes the propagators with
+a log-depth prefix scan.  Backward problems are integrated in reversed time
+with a negative step; returned paths are always forward-indexed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def _coef_nodes(obj, grid, like=None):
 
 
 def _check_finite(v, k, t):
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise IntegrationBlowupError(
             f"integration blew up at node {k} (t={t:.6g})", node=k, time=t
         )
@@ -60,13 +63,24 @@ def half_nodes(a):
     return out
 
 
+def _rk4_step(rhs, i, v, h, s):
+    """One classical RK4 step of size h from half-node i (an int, or an index
+    array for a batch of steps), reading half-nodes i, i + s and i + 2s."""
+    k1 = rhs(i, v)
+    k2 = rhs(i + s, v + 0.5 * h * k1)
+    k3 = rhs(i + s, v + 0.5 * h * k2)
+    k4 = rhs(i + 2 * s, v + h * k3)
+    return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_steps(rhs, v0, grid, forward=True):
     """The classical RK4 step loop on a uniform grid.
 
     rhs(i, v) is the derivative at half-node i (see half_nodes).  v0 is the
     value at t_start (forward) or t_end (backward); backward problems step
     with negative dt.  Returns the forward-indexed array of node values and
-    raises IntegrationBlowupError at the first non-finite node.
+    raises IntegrationBlowupError at the first non-finite node; overflow on
+    the way there is that error, not a floating-point warning.
     """
     K = grid.steps
     times = grid.times
@@ -75,32 +89,69 @@ def rk4_steps(rhs, v0, grid, forward=True):
     v = np.array(v0, dtype=float)
     out = np.empty((K + 1,) + v.shape)
     out[0 if forward else K] = v
-    for k in range(K) if forward else range(K, 0, -1):
-        i = 2 * k
-        k1 = rhs(i, v)
-        k2 = rhs(i + s, v + 0.5 * h * k1)
-        k3 = rhs(i + s, v + 0.5 * h * k2)
-        k4 = rhs(i + 2 * s, v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(v, k + s, times[k + s])
-        out[k + s] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K) if forward else range(K, 0, -1):
+            v = _rk4_step(rhs, 2 * k, v, h, s)
+            _check_finite(v, k + s, times[k + s])
+            out[k + s] = v
     return out
+
+
+def _prefix_compose(TC, n):
+    """Inclusive prefix composition of the affine maps v -> T_j v + c_j.
+
+    TC[j] = [T_j | c_j] with T_j of shape (n, n).  Returns [P_j | C_j], where
+    v -> P_j v + C_j applies maps 0..j in order.  Hillis-Steele doubling:
+    ceil(log2 len(TC)) batched passes, pass d composing each entry j >= d
+    with entry j - d.
+    """
+    d = 1
+    while d < len(TC):
+        nxt = TC.copy()
+        nxt[d:] = TC[d:, :, :n] @ TC[:-d]
+        nxt[d:, :, n:] += TC[d:, :, n:]
+        TC = nxt
+        d *= 2
+    return TC
 
 
 def rk4_affine(H, f, v0, grid, forward=True):
     """RK4 for dv/dt = H(t) v + f(t) with H, f given as node arrays (or None).
 
-    v0 is the value at t_start (forward) or t_end (backward).  Returns the
-    full forward-indexed array of node values.
+    v0 is the value at t_start (forward) or t_end (backward), a vector (n,)
+    or a matrix (n, m).  Returns the full forward-indexed array of node
+    values and raises IntegrationBlowupError at the first non-finite node.
+
+    One RK4 step is affine in v, v_{k+1} = T_k v_k + c_k, so no step loop
+    runs: _rk4_step, called once with the index array of all K steps on the
+    state [I | 0] under the forcing [0 | f], gives every [T_k | c_k]; a
+    log-depth prefix scan composes them, and node values are P_k v0 + C_k.
     """
-    Hh = None if H is None else half_nodes(H)
-    fh = None if f is None else half_nodes(f)
-
-    def rhs(i, v):
-        r = np.zeros_like(v) if Hh is None else Hh[i] @ v
-        return r if fh is None else r + fh[i]
-
-    return rk4_steps(rhs, v0, grid, forward)
+    v0 = np.asarray(v0, dtype=float)
+    V0 = v0[:, None] if v0.ndim == 1 else v0
+    n, m = V0.shape
+    K = grid.steps
+    Hh = np.zeros((2 * K + 1, n, n)) if H is None else half_nodes(H)
+    fh = np.zeros((2 * K + 1, n, n + m))
+    if f is not None:
+        fh[:, :, n:] = half_nodes(f).reshape(2 * K + 1, n, m)
+    s = 1 if forward else -1
+    steps = np.arange(K) if forward else np.arange(K, 0, -1)
+    nodes = steps + s
+    U0 = np.broadcast_to(np.eye(n, n + m), (K, n, n + m))
+    out = np.empty((K + 1, n, m))
+    out[0 if forward else K] = V0
+    with np.errstate(over="ignore", invalid="ignore"):
+        TC = _rk4_step(lambda i, v: Hh[i] @ v + fh[i], 2 * steps, U0, s * grid.dt, s)
+        PC = _prefix_compose(TC, n)
+        out[nodes] = PC[:, :, :n] @ V0 + PC[:, :, n:]
+    # a non-finite step poisons every later prefix, so the first non-finite
+    # node in step order is the one the step loop would stop at
+    bad = ~np.isfinite(out[nodes]).all(axis=(1, 2))
+    if bad.any():
+        k = nodes[np.argmax(bad)]
+        _check_finite(out[k], k, grid.times[k])
+    return out.reshape((K + 1,) + v0.shape)
 
 
 def rk4_nonlinear(rhs, v0, grid, forward=True):

@@ -170,7 +170,7 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
     for k in range(K + 1):
         u = control_at(x, k)
         if coupling is None:
-            mf_x, mf_u = np.mean(x, axis=0), np.mean(u, axis=0)
+            mf_x, mf_u = x.sum(axis=0) / N, u.sum(axis=0) / N
         else:
             mf_x, mf_u = coupling[0][k], coupling[1][k]
         drift = x @ params.A.T + u @ params.B.T + mf_x @ params.C.T + mf_u @ params.F.T

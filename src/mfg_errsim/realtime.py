@@ -326,8 +326,8 @@ def realtime_simulate(
 
     def control_at(x, k):
         E_own, E_avg = _node_errors(estimator_policy, ids, k, times[k], (N, n))
-        Ebar_real[k] = np.mean(E_own, axis=0)
-        Ebar1_real[k] = np.mean(E_avg, axis=0)
+        Ebar_real[k] = E_own.sum(axis=0) / N
+        Ebar1_real[k] = E_avg.sum(axis=0) / N
         g_ik = g_c[k] + E_own @ kernels.Mig_diag[k].T + E_avg @ kernels.M0g_diag[k].T
         return control(params, bundle.P1[k], x, g_ik)
 

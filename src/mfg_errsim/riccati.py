@@ -87,35 +87,40 @@ def _escape_guard(fn, what):
         ) from e
 
 
+def _solve_riccati(params: SystemParams, grid: TimeGrid, which, what):
+    """P1 and/or P0 (which: indices into [P1, P0]) from one backward RK4 loop
+    on a state stacked over `which`.
+
+    Both solve -dP = [P X + A'P + Q - P M P] dt backward from P(T):
+    P1 with X = A, Q = Q_I + Q, M = B R^-1 B', P(T) = Qbar_I + Qbar;
+    P0 with X = A + C, Q = Q_I + Q - Q*Gamma, M = (B+F) R^-1 B',
+    P(T) = Qbar_I + Qbar - Qbar*Gammabar.
+    """
+    p = params
+    X = np.stack([p.A, p.A + p.C])[which]
+    Q = np.stack([p.Q_I + p.Q, -p.Qcal])[which]
+    M = np.stack([p.BRB, p.BFRB])[which]
+    PT = np.stack([p.Qbar_I + p.Qbar, p.Qbar_I + p.Qbar - p.Qbar @ p.Gammabar])[which]
+    At = p.A.T
+
+    def rhs(t, P):
+        return -(P @ X + At @ P + Q - P @ M @ P)
+
+    values = _escape_guard(lambda: rk4_nonlinear(rhs, PT, grid, forward=False), what)
+    return [MatrixPath(grid, np.ascontiguousarray(values[:, j])) for j in range(len(which))]
+
+
 def solve_P1(params: SystemParams, grid: TimeGrid) -> MatrixPath:
     """Symmetric Riccati: -dP1 = [P1 A + A'P1 + (Q_I+Q) - P1 B R^-1 B' P1] dt,
     P1(T) = Qbar_I + Qbar."""
-    A, BRB = params.A, params.BRB
-    Qsum = params.Q_I + params.Q
-
-    def rhs(t, P):
-        return -(P @ A + A.T @ P + Qsum - P @ BRB @ P)
-
-    PT = params.Qbar_I + params.Qbar
-    values = _escape_guard(lambda: rk4_nonlinear(rhs, PT, grid, forward=False), "P1")
-    return MatrixPath(grid, values)
+    return _solve_riccati(params, grid, [0], "P1")[0]
 
 
 def solve_P0(params: SystemParams, grid: TimeGrid) -> MatrixPath:
     """Non-symmetric Riccati of the coupled system:
     -dP0 = [P0(A+C) + A'P0 + (Q_I+Q-Q*Gamma) - P0 (B+F) R^-1 B' P0] dt,
     P0(T) = Qbar_I + Qbar - Qbar*Gammabar."""
-    AC = params.A + params.C
-    At = params.A.T
-    BFRB = params.BFRB
-    Qeff = -params.Qcal  # Q_I + Q - Q*Gamma
-
-    def rhs(t, P):
-        return -(P @ AC + At @ P + Qeff - P @ BFRB @ P)
-
-    PT = params.Qbar_I + params.Qbar - params.Qbar @ params.Gammabar
-    values = _escape_guard(lambda: rk4_nonlinear(rhs, PT, grid, forward=False), "P0")
-    return MatrixPath(grid, values)
+    return _solve_riccati(params, grid, [1], "P0")[0]
 
 
 def solve_P2(params: SystemParams, P1: MatrixPath, grid: TimeGrid) -> MatrixPath:
@@ -210,8 +215,10 @@ class RiccatiBundle:
 
     @classmethod
     def solve(cls, params: SystemParams, grid: TimeGrid) -> "RiccatiBundle":
-        P1 = solve_P1(params, grid)
-        P0 = solve_P0(params, grid)
+        """Solve every path on the grid.  P1 and P0 share one backward RK4
+        loop on a stacked (2, n, n) state; the linear G and G1 solves are
+        scans of step propagators (see ode.rk4_affine)."""
+        P1, P0 = _solve_riccati(params, grid, [0, 1], "P1 or P0")
         P2 = solve_P2(params, P1, grid)
         G = solve_G(params, P0, grid)
         G1 = solve_G1(params, P1, P2, grid)

@@ -1,5 +1,7 @@
 """Time grids, path interpolation, and the fixed-step RK4 kernels."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,10 +14,12 @@ from mfg_errsim.errors import (
 from mfg_errsim.grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from mfg_errsim.ode import (
     fundamental_solution,
+    half_nodes,
     integrate_linear_ode,
     invert_path,
     rk4_affine,
     rk4_nonlinear,
+    rk4_steps,
     variation_of_constants,
 )
 from scipy.linalg import expm
@@ -145,13 +149,77 @@ def test_rk4_nonlinear_matches_logistic():
     npt.assert_allclose(vals[:, 0], exact, atol=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_rk4_nonlinear_reports_finite_escape():
     g = TimeGrid(0.0, 2.0, 2000)
-    with pytest.raises(IntegrationBlowupError) as ei:
+    with warnings.catch_warnings(), pytest.raises(IntegrationBlowupError) as ei:
+        warnings.simplefilter("error")
         rk4_nonlinear(lambda t, v: v * v, np.array([1.0]), g, forward=True)
     # dv = v^2, v(0) = 1 escapes at t = 1
     assert 0.9 < ei.value.time < 1.1
+
+
+def _affine_step_loop(H, f, v0, grid, forward):
+    """The sequential reference: rk4_steps on the affine rhs H v + f."""
+    Hh = None if H is None else half_nodes(H)
+    fh = half_nodes(f)
+
+    def rhs(i, v):
+        return fh[i] if Hh is None else Hh[i] @ v + fh[i]
+
+    return rk4_steps(rhs, v0, grid, forward)
+
+
+def _varying_generator(times):
+    """Time-varying n = 3 generator whose values at different times do not
+    commute."""
+    t = times[:, None, None]
+    return (np.array([[-1.0, 0.4, 0.0], [-0.3, -0.6, 0.5], [0.2, 0.0, -0.8]])
+            + np.sin(3.0 * t) * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+            + t * np.array([[0.3, 0.0, 0.0], [0.0, 0.0, -0.4], [0.0, 0.6, 0.0]]))
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("matrix", [False, True])
+@pytest.mark.parametrize("span", ["full", "sub", "one-step"])
+@pytest.mark.parametrize("with_H", [True, False])
+def test_rk4_affine_scan_matches_step_loop(forward, matrix, span, with_H):
+    grid = TimeGrid(0.0, 2.0, 500)
+    k0, k1 = {"full": (0, 500), "sub": (120, 371), "one-step": (77, 78)}[span]
+    sub = grid.subgrid(k0, k1)
+    H = _varying_generator(grid.times)
+    assert np.linalg.norm(H[10] @ H[400] - H[400] @ H[10]) > 0.1
+    rng = np.random.default_rng(3)
+    shape = (3, 2) if matrix else (3,)
+    f = np.cos(grid.times)[(slice(None),) + (None,) * len(shape)] * rng.standard_normal(shape)
+    v0 = rng.standard_normal(shape)
+    Hs = H[k0:k1 + 1] if with_H else None
+    got = rk4_affine(Hs, f[k0:k1 + 1], v0, sub, forward)
+    ref = _affine_step_loop(Hs, f[k0:k1 + 1], v0, sub, forward)
+    assert got.shape == ref.shape == (k1 - k0 + 1,) + shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("j", [0, 7, 20])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_rk4_affine_blowup_node_matches_step_loop(forward, j, bad):
+    # a non-finite forcing at node j reaches the steps on either side of it,
+    # so the loop stops at node j, or at the first node it steps to from an
+    # end of the grid; the scan names the same node, without a warning
+    g = TimeGrid(0.0, 1.0, 20)
+    H = _varying_generator(g.times)
+    f = np.ones((21, 3))
+    f[j, 1] = bad
+    nodes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (rk4_affine, _affine_step_loop):
+            with pytest.raises(IntegrationBlowupError) as ei:
+                solve(H, f, np.zeros(3), g, forward)
+            nodes.append(ei.value.node)
+            assert ei.value.time == g.times[ei.value.node]
+    expected = {0: 1, 7: 7, 20: 20} if forward else {0: 0, 7: 7, 20: 19}
+    assert nodes == [expected[j]] * 2
 
 
 def test_integrate_linear_ode_boundary_checks():

@@ -7,9 +7,15 @@ non-scalar B, F, R and Gamma.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mfg_errsim.correction import (
+    build_correction_problem,
+    identifiability,
+    recover_errors,
+    residual_path,
+)
 from mfg_errsim.deviations import (
     actual_mf_deviation,
     build_maps,
@@ -21,6 +27,12 @@ from mfg_errsim.riccati import RiccatiBundle
 
 STEPS = 400
 TOL = 1e-5
+# The maps and the direct solves agree only to second order in dt (the
+# midpoint rule of ode.half_nodes), and the least-squares recovery amplifies
+# that gap by the conditioning of the stacked system (up to 5e3 here): at
+# 400 steps the recovered errors are off by up to 5e-4 relative, at the
+# default 2000 steps these draws are within 7.7e-6.
+ROUND_TRIP_STEPS = 2000
 
 
 def _random_params(n, d, rng):
@@ -66,3 +78,22 @@ def test_identities_hold_for_general_parameters(n, d, seed):
     assert np.max(np.abs(dz - (run.z_A.values - ref.z_A.values))) <= TOL
     dx = expected_trajectory_deviation(maps, E_i, E_bar).values
     assert np.max(np.abs(dx - (run.x_i.values - ref.x_i.values))) <= TOL
+
+
+@settings(derandomize=True, deadline=None, max_examples=8, database=None)
+@given(n=st.integers(1, 3), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_correction_round_trip_recovers_the_errors(n, d, seed):
+    rng = np.random.default_rng(seed)
+    params = _random_params(n, d, rng)
+    bundle = RiccatiBundle.solve(params, params.default_grid(ROUND_TRIP_STEPS))
+    z0 = rng.standard_normal(n)
+    E_i = 0.2 * rng.standard_normal(n)
+    E_bar = 0.2 * rng.standard_normal(n)
+    run = solve_limiting(bundle, z0, E_i, E_bar)
+    ob1 = residual_path(run.observable(), run.mf_i.z, run.g_i, params, bundle.P1)
+    problem = build_correction_problem(build_maps(bundle), ob1, 0.5)
+    assume(identifiability(problem)["identifiable"])
+    result = recover_errors(problem)
+    truth = np.concatenate([E_bar, E_i])
+    got = np.concatenate([result.E_bar, result.E_i])
+    assert np.linalg.norm(got - truth) <= TOL * np.linalg.norm(truth)

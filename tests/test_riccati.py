@@ -1,5 +1,7 @@
 """Backward Riccati solves, offsets, and their cross-representation identities."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -97,7 +99,6 @@ def test_riccati_convergence_under_grid_refinement():
         np.max(np.abs(fine - P1_AT_0 * np.eye(2)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_finite_escape_is_reported_with_location():
     # negative running weight turns the backward flow into dP/dt = 1 + P^2
     # from P(T) = 0, which escapes at t = T - pi/2
@@ -105,9 +106,19 @@ def test_finite_escape_is_reported_with_location():
     p = s1_params().with_(
         Q_I=-1.0 * one, Q=0 * one, Qbar_I=0 * one, Qbar=0 * one, relaxed=True,
     )
-    with pytest.raises(FiniteEscapeError) as ei:
+    with warnings.catch_warnings(), pytest.raises(FiniteEscapeError) as ei:
+        warnings.simplefilter("error")
         solve_P1(p, p.default_grid(4000))
     assert abs(ei.value.time - (p.T - np.pi / 2.0)) < 0.05
+
+
+def test_bundle_P1_P0_equal_the_standalone_solves(bundle, params, grid):
+    # the bundle solves P1 and P0 in one stacked loop
+    mixed = params.with_(A=np.array([[-1.0, 0.3], [-0.2, -0.8]]),
+                         C=np.array([[0.3, -0.1], [0.25, 0.2]]))
+    for p, b in ((params, bundle), (mixed, RiccatiBundle.solve(mixed, grid))):
+        npt.assert_array_equal(b.P1.values, solve_P1(p, grid).values)
+        npt.assert_array_equal(b.P0.values, solve_P0(p, grid).values)
 
 
 def test_bundle_solve_collects_consistent_paths(bundle, grid):

@@ -1,34 +1,44 @@
 """Print the sha256 of every CSV the four scenario modes write, and of the
-arrays the simulators return when called directly.
+arrays of direct library calls; or compare those outputs between two trees.
 
 Usage:
 
     python3 tools/csv_digest.py [SRC_DIR]
+    python3 tools/csv_digest.py [SRC_DIR] --against OLD_SRC
 
 SRC_DIR is the directory the ``mfg_errsim`` package is imported from
 (default: ``src`` next to this script's parent).  Running the script once
 against an old checkout's ``src`` and once against the new one, then
 diffing the two outputs, checks that a refactor left every output byte
-unchanged.
+unchanged.  With ``--against OLD_SRC`` it imports both trees in turn and
+prints, for every CSV and every direct-call array, the max abs difference
+and the max relative difference (max abs difference over the largest
+magnitude in the old output), then the same two figures per group
+(fixture and mode or call) and overall.  That is the check for a change
+that moves round-off bits on purpose, which sha256 equality cannot make.
 
 Each of predict, evolve, correct and realtime runs at a small grid on two
 parameter sets: the identity-scaled fixture P6, and a fixed n = d = 2 set
 with non-commuting A and C and non-scalar B, F and R, so a transposed or
 reordered product changes its bytes.  On the same two sets, at the same
-grid, it also digests the arrays of direct calls: ``simulate`` with the
-shared and the per-agent offset law, empirical and prescribed coupling,
-default and zero noise; ``replay_agent``; ``epsilon_nash_gap``; and
-``realtime_simulate`` with each of the four estimator policies at default
-and zero noise.  These calls keep one signature across refactors, so the
-script runs unchanged against an older checkout.
+grid, it also takes the arrays of direct calls: the Riccati bundle, the
+deviation maps, one limiting run, the post-correction offset map and the
+realtime kernels; ``simulate`` with the shared and the per-agent offset
+law, empirical and prescribed coupling, default and zero noise;
+``replay_agent``; ``epsilon_nash_gap``; and ``realtime_simulate`` with
+each of the four estimator policies at default and zero noise.  These
+calls keep one signature across refactors, so the script runs unchanged
+against an older checkout.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
 import tempfile
+from collections import defaultdict
 
 import numpy as np
 
@@ -66,11 +76,13 @@ def _sha(*arrays):
     return h.hexdigest()
 
 
-def array_digests(fixture, fdoc):
-    """Digest lines of the direct simulator calls on one parameter set."""
+def array_outputs(fixture, fdoc):
+    """(name, arrays) of the direct library calls on one parameter set."""
     from mfg_errsim import realtime
     from mfg_errsim.core import epsilon_nash_gap, equilibrium_law, equilibrium_mf
+    from mfg_errsim.correction import modified_offset_map
     from mfg_errsim.deviations import build_maps
+    from mfg_errsim.limiting import solve_limiting
     from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV
     from mfg_errsim.population import (
         OffsetFamilyLaw,
@@ -95,7 +107,16 @@ def array_digests(fixture, fdoc):
     couplings = {"empirical": "empirical", "prescribed": (mf.z, mf.ubar)}
     noises = {"Dnone": None, "D0": 0.0}
 
-    out = []
+    out = [(f"{fixture}/bundle/{name}", [getattr(bundle, name).values])
+           for name in ("P0", "P1", "P2", "G", "G1")]
+    out += [(f"{fixture}/maps/{name}", [getattr(maps, name).values])
+            for name in ("Phi1", "PhiZ", "PhiX", "Mg", "Mz", "Mx1", "Mx2")]
+    E_i = cfg.E_bar if cfg.E_i is None else cfg.E_i
+    run = solve_limiting(bundle, cfg.z0, E_i, cfg.E_bar)
+    out += [(f"{fixture}/limiting/{name}", [getattr(run, name).values])
+            for name in ("g_i", "g_bar", "z_A", "ubar_A", "x_i", "u_i")]
+    out.append((f"{fixture}/correction/modified_offset_map",
+                [modified_offset_map(maps, 0.5).values]))
     for lname, law in laws.items():
         for cname, coupling in couplings.items():
             for dname, D in noises.items():
@@ -103,17 +124,19 @@ def array_digests(fixture, fdoc):
                                seed=SEED, D=D)
                 key = f"{fixture}/simulate/{lname}-{cname}-{dname}"
                 for name in ("xs", "us", "drifts"):
-                    out.append(f"{key}/{name} {_sha(getattr(res, name))}")
-                out.append(f"{key}/x_N,u_N {_sha(res.x_N.values, res.u_N.values)}")
+                    out.append((f"{key}/{name}", [getattr(res, name)]))
+                out.append((f"{key}/x_N,u_N", [res.x_N.values, res.u_N.values]))
                 if lname == "shared" and cname == "prescribed":
                     x, u = replay_agent(params, res.traces[3], law, mf.z, mf.ubar,
                                         grid, seed=SEED, D=D)
-                    out.append(f"{key}/replay_agent {_sha(x.values, u.values)}")
+                    out.append((f"{key}/replay_agent", [x.values, u.values]))
     for dname, D in noises.items():
         gap = epsilon_nash_gap(params, N_AGENTS, SEED, grid=grid, z0=cfg.z0, D=D)
-        out.append(f"{fixture}/epsilon_nash_gap-{dname} {_sha([gap])}")
+        out.append((f"{fixture}/epsilon_nash_gap-{dname}", [[gap]]))
 
     kernels = realtime.build_kernels(bundle)
+    out += [(f"{fixture}/kernels/{name}", [np.asarray(getattr(kernels, name))])
+            for name in ("PhiZ_inv", "Phi1_inv", "J", "V", "U", "Mig_diag", "M0g_diag")]
     policies = {
         "hold": realtime.hold_initial_error_policy(errors, cfg.E_bar),
         "decay": realtime.decay_to_truth_policy(errors, cfg.E_bar, rate=1.5),
@@ -126,14 +149,25 @@ def array_digests(fixture, fdoc):
                                              seed=SEED, D=D, kernels=kernels)
             key = f"{fixture}/realtime_simulate/{pname}-{dname}"
             for name in ("z_A", "z_c", "Ebar", "Ebar1", "predicted_deviation"):
-                out.append(f"{key}/{name} {_sha(res[name].values)}")
+                out.append((f"{key}/{name}", [res[name].values]))
             report = res["deviation_report"]
-            out.append(f"{key}/deviation_report {_sha([report[k] for k in sorted(report)])}")
+            out.append((f"{key}/deviation_report", [[report[k] for k in sorted(report)]]))
     return out
 
 
-def digests(src):
+def outputs(src):
+    """Every output of the package imported from src, as (name, payload)
+    pairs: the bytes of each CSV, the list of arrays of each direct call."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "mfg_errsim"]:
+        del sys.modules[name]
     sys.path.insert(0, os.path.abspath(src))
+    try:
+        return _outputs()
+    finally:
+        sys.path.remove(os.path.abspath(src))
+
+
+def _outputs():
     from mfg_errsim.scenario import run_scenario, validate_config
 
     out = []
@@ -147,17 +181,64 @@ def digests(src):
                 for name in sorted(os.listdir(outdir)):
                     if name.endswith(".csv"):
                         with open(os.path.join(outdir, name), "rb") as fh:
-                            digest = hashlib.sha256(fh.read()).hexdigest()
-                        out.append(f"{fixture}/{mode}/{name} {digest}")
+                            out.append((f"{fixture}/{mode}/{name}", fh.read()))
     for fixture, fdoc in FIXTURES.items():
-        out += array_digests(fixture, fdoc)
+        out += array_outputs(fixture, fdoc)
     return out
+
+
+def digest(payload):
+    if isinstance(payload, bytes):
+        return hashlib.sha256(payload).hexdigest()
+    return _sha(*payload)
+
+
+def _values(payload):
+    """Flat float values of one output (a CSV's numbers below its header)."""
+    if isinstance(payload, bytes):
+        lines = payload.decode().splitlines()[1:]
+        return np.array([float(v) for line in lines for v in line.split(",")])
+    return np.concatenate([np.ravel(np.asarray(a, dtype=float)) for a in payload])
+
+
+def compare(new, old):
+    """Lines of max abs / max relative differences of the outputs new vs old."""
+    old = dict(old)
+    lines, groups = ["# output max_abs max_rel"], defaultdict(lambda: [0.0, 0.0])
+    for name, payload in new:
+        if name not in old:
+            lines.append(f"{name} only in the new tree")
+            continue
+        a, b = _values(payload), _values(old.pop(name))
+        if a.shape != b.shape:
+            lines.append(f"{name} has {a.size} values, {b.size} in the old tree")
+            continue
+        diff = float(np.max(np.abs(a - b), initial=0.0))
+        scale = float(np.max(np.abs(b), initial=0.0))
+        rel = diff / scale if scale > 0 else (0.0 if diff == 0 else np.inf)
+        lines.append(f"{name} {diff:.3g} {rel:.3g}")
+        group = groups["/".join(name.split("/")[:2])]
+        group[:] = max(group[0], diff), max(group[1], rel)
+    lines += [f"{name} only in the old tree" for name in old]
+    groups["overall"] = np.max(np.reshape(list(groups.values()), (-1, 2)), axis=0, initial=0.0)
+    lines.append("# group max_abs max_rel")
+    lines += [f"{key} {d:.3g} {r:.3g}" for key, (d, r) in groups.items()]
+    return lines
 
 
 def main(argv):
     here = os.path.dirname(os.path.abspath(__file__))
-    src = argv[1] if len(argv) > 1 else os.path.join(os.path.dirname(here), "src")
-    for line in digests(src):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", nargs="?", default=os.path.join(os.path.dirname(here), "src"))
+    ap.add_argument("--against", metavar="OLD_SRC",
+                    help="print differences to the outputs of this tree instead of digests")
+    args = ap.parse_args(argv[1:])
+    new = outputs(args.src)
+    if args.against is None:
+        lines = [f"{name} {digest(payload)}" for name, payload in new]
+    else:
+        lines = compare(new, outputs(args.against))
+    for line in lines:
         print(line)
     return 0
 
