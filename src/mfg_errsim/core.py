@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
+from .ode import expm, matrix_powers
 from .params import SystemParams
 from .riccati import RiccatiBundle, control, mean_field_path, solve_tracking_offset
 
@@ -142,14 +142,10 @@ def existence_check(
     Ccal = params.BFRB
     K = grid.steps
     dt = grid.dt
-    # phi(s, t) = exp(A (s - t)) depends only on the lag; precompute per lag
-    E1 = expm(params.A * dt)
-    powers = np.empty((K + 1,) + params.A.shape)
-    powers[0] = np.eye(params.n)
-    for k in range(1, K + 1):
-        powers[k] = E1 @ powers[k - 1]
-    m_int = np.array([_opnorm(powers[k].T @ Qb_half) ** 2 for k in range(K + 1)])
-    m_term = np.array([_opnorm(powers[k].T @ Qb_nhalf) ** 2 for k in range(K + 1)])
+    # phi(s, t) = exp(A (s - t)) depends only on the lag; powers per lag
+    powers = matrix_powers(expm(params.A * dt), K).transpose(0, 2, 1)
+    m_int = np.linalg.norm(powers @ Qb_half, 2, axis=(1, 2)) ** 2
+    m_term = np.linalg.norm(powers @ Qb_nhalf, 2, axis=(1, 2)) ** 2
     # cumulative trapezoid of m_int over the lag variable
     cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (m_int[:-1] + m_int[1:]))])
     # node t_j has lag range [0, T - t_j], i.e. lags 0..K-j

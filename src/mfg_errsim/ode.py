@@ -1,4 +1,5 @@
-"""Fixed-step integration of time-varying linear/matrix ODEs.
+"""Fixed-step integration of time-varying linear/matrix ODEs, and exact
+step maps of constant ones.
 
 The workhorse is classical 4th-order Runge-Kutta on a uniform grid, with
 one RK4 step (_rk4_step) behind every solver.  Stage values of
@@ -9,6 +10,10 @@ problems do not: rk4_affine takes the step once, on an index array of all
 steps, to build each step's propagator, and composes the propagators with
 a log-depth prefix scan.  Backward problems are integrated in reversed time
 with a negative step; returned paths are always forward-indexed.
+
+A constant linear ODE needs no RK4: its exact step map is the matrix
+exponential (expm, Pade scaling and squaring), and matrix_powers gives all
+the map's powers up to a step count with log-depth batched doubling.
 """
 
 from __future__ import annotations
@@ -19,6 +24,75 @@ from .errors import IntegrationBlowupError, SingularMatrixError
 from .grid import MatrixPath, TimeGrid, VectorPath
 
 _RCOND_MIN = 1e-12
+
+
+# Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005):
+# the numerator coefficients b of the degree-m approximants, and the largest
+# 1-norm theta_m at which degree m meets double-precision backward error
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+
+
+def expm(A):
+    """Matrix exponential of one square matrix by Pade scaling and squaring.
+
+    The lowest Pade degree m in (3, 5, 7, 9) whose theta_m bounds the 1-norm
+    is used unscaled; otherwise A is scaled by 2^-s into degree 13's range
+    and the result squared s times.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    eye = np.eye(n)
+    norm = np.linalg.norm(A, 1)
+    A2 = A @ A
+    for m in (3, 5, 7, 9):
+        if norm <= _THETA[m]:
+            b = _PADE[m]
+            Ak, U, V = eye, b[1] * eye, b[0] * eye
+            for j in range(2, m + 1, 2):
+                Ak = Ak @ A2
+                U, V = U + b[j + 1] * Ak, V + b[j] * Ak
+            U = A @ U
+            return np.linalg.solve(V - U, V + U)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA[13]))))
+    A, A2 = A / 2.0**s, A2 / 4.0**s
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    b = _PADE[13]
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def matrix_powers(M, K):
+    """The powers M^0 .. M^K of a square matrix, shape (K+1, n, n).
+
+    Doubling: with M^0 .. M^(m-1) known, one batched matmul by M^m gives
+    M^m .. M^(2m-1), so ceil(log2(K+1)) passes in all.
+    """
+    M = np.asarray(M, dtype=float)
+    out = np.empty((K + 1,) + M.shape)
+    out[0] = np.eye(M.shape[0])
+    m, Mm = 1, M
+    while m <= K:
+        j = min(m, K + 1 - m)
+        out[m:m + j] = out[:j] @ Mm
+        m, Mm = 2 * m, Mm @ Mm
+    return out
 
 
 def _coef_nodes(obj, grid, like=None):

@@ -14,6 +14,14 @@ Sign conventions are derived from first principles by substituting the
 affine representations into the coupled forward-backward system; the
 identities P2 = P0 - P1 and G1 = G are the consistency arbiters.
 
+No Riccati solve steps in Python.  Each is the linear Hamiltonian system
+d/dt [X; Y] = Ham [X; Y] from [I; P(T)] with P = Y X^-1.  P1 and P0 have
+constant Hamiltonians, so their nodes come from the powers of the exact
+backward step map expm(-dt Ham) and carry no truncation error; P2's
+Hamiltonian varies with P1, so it is one rk4_affine scan.  The nodes are
+taken in blocks re-anchored at [I; P] so that X never grows past 1e8, and
+a finite escape shows as a singular X.
+
 The closed-loop generators, the feedback control and the forward
 mean-field solve that every downstream module runs are defined here once;
 the bundle caches the two forward transitions (Phi1, PhiZ) that the
@@ -29,7 +37,7 @@ import numpy as np
 
 from .errors import FiniteEscapeError, IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import fundamental_solution, half_nodes, rk4_affine, rk4_nonlinear, rk4_steps
+from .ode import _RCOND_MIN, expm, fundamental_solution, matrix_powers, rk4_affine
 from .params import SystemParams
 
 
@@ -87,60 +95,151 @@ def _escape_guard(fn, what):
         ) from e
 
 
-def _solve_riccati(params: SystemParams, grid: TimeGrid, which, what):
-    """P1 and/or P0 (which: indices into [P1, P0]) from one backward RK4 loop
-    on a state stacked over `which`.
+# Riccati solves through the linear Hamiltonian system: P = Y X^-1 with
+# d/dt [X; Y] = Ham [X; Y] backward from [I; P(T)] (Radon's lemma;
+# Davison & Maki, IEEE TAC 18(1), 1973).  X grows like the dominant mode of
+# Ham, so the nodes are taken in blocks whose step-map product stays below
+# _GROWTH_MAX, restarting from [I; P] at the end of each block (Kenney &
+# Leipnik, IEEE TAC 30(10), 1985).
+_GROWTH_MAX = 1e8
 
-    Both solve -dP = [P X + A'P + Q - P M P] dt backward from P(T):
+
+def _block_steps(step_norm, K):
+    """Steps per block: the most steps L with step_norm^L <= _GROWTH_MAX,
+    step_norm bounding the 2-norm of one step's map."""
+    if step_norm <= 1.0:
+        return K
+    return int(min(K, max(1.0, np.log(_GROWTH_MAX) // np.log(step_norm))))
+
+
+def _riccati_ratio(XY, nodes, grid, what):
+    """P = Y X^-1 of the stacked [X; Y] (j, 2n, n) at `nodes`, listed in
+    integration order from an anchor where X = I.
+
+    A finite escape is a singular X.  FiniteEscapeError is raised at the
+    first node where det X <= 0, where the reciprocal 1-norm condition
+    number of X falls below _RCOND_MIN, or where the step factor
+    X_j X_(j-1)^-1 has an eigenvalue with real part <= 0, which an
+    eigenvalue of X passing through zero inside the step leaves behind
+    (an even number of them, as for X = x I, keeps det X > 0).
+    """
+    n = XY.shape[2]
+    X, Y = XY[:, :n], XY[:, n:]
+    bad = ~(np.linalg.det(X) > 0.0)
+    m = int(np.argmax(bad)) if bad.any() else len(X)
+    Xinv = np.linalg.inv(X[:m])
+    bad = 1.0 / (_norm1(X[:m]) * _norm1(Xinv)) < _RCOND_MIN
+    F = X[:m].copy()
+    F[1:] = X[1:m] @ Xinv[:-1]
+    # ||F - I||_1 < 1 keeps every eigenvalue of F in the right half-plane
+    far = np.flatnonzero(_norm1(F - np.eye(n)) >= 1.0)
+    bad[far] |= (np.linalg.eigvals(F[far]).real <= 0.0).any(axis=1)
+    if bad.any():
+        m = int(np.argmax(bad))
+    if m < len(X):
+        k = int(nodes[m])
+        t = grid.times[k]
+        raise FiniteEscapeError(f"{what} escaped to infinity near t={t:.6g}", node=k, time=t)
+    return Y @ Xinv
+
+
+def _norm1(M):
+    return np.linalg.norm(M, 1, axis=(1, 2))
+
+
+def _riccati_blocks(span, PT, L, grid, what):
+    """Node values of P = Y X^-1 backward from P(T) = PT, in blocks of at
+    most L steps, each started from [I; P] at its first node.
+    span(k, j, V) gives [X; Y] at nodes k-1, ..., k-j from [X; Y](k) = V."""
+    n = PT.shape[0]
+    out = np.empty((grid.steps + 1, n, n))
+    out[-1] = PT
+    k = grid.steps
+    while k > 0:
+        j = min(L, k)
+        nodes = np.arange(k - 1, k - j - 1, -1)
+        out[nodes] = _riccati_ratio(span(k, j, np.vstack([np.eye(n), out[k]])),
+                                    nodes, grid, what)
+        k -= j
+    return out
+
+
+def _hamiltonian_riccati(Ham, PT, grid, what):
+    """Node values of P = Y X^-1 for a constant Hamiltonian Ham (2n, 2n).
+
+    The exact backward step map Psi = expm(-dt Ham) has no truncation error:
+    a block from node k is [X; Y](k - j) = Psi^j [X; Y](k), one batched
+    matmul with the powers from ode.matrix_powers.
+    """
+    Psi = expm(-grid.dt * Ham)
+    powers = matrix_powers(Psi, _block_steps(np.linalg.norm(Psi, 2), grid.steps))
+    return _riccati_blocks(lambda k, j, V: powers[1:j + 1] @ V, PT, len(powers) - 1,
+                           grid, what)
+
+
+def _solve_riccati(params: SystemParams, grid: TimeGrid, which):
+    """P1 and/or P0 (which: indices into [P1, P0]), each from the exact step
+    map of its constant Hamiltonian.
+
+    Both solve -dP = [P X + A'P + Q - P M P] dt backward from P(T), with
+    Hamiltonian [[X, -M], [-Q, -A']]:
     P1 with X = A, Q = Q_I + Q, M = B R^-1 B', P(T) = Qbar_I + Qbar;
     P0 with X = A + C, Q = Q_I + Q - Q*Gamma, M = (B+F) R^-1 B',
     P(T) = Qbar_I + Qbar - Qbar*Gammabar.
+    The entries are solved independently, so the bundle's pair equals the
+    standalone solves bit for bit.
     """
     p = params
-    X = np.stack([p.A, p.A + p.C])[which]
-    Q = np.stack([p.Q_I + p.Q, -p.Qcal])[which]
-    M = np.stack([p.BRB, p.BFRB])[which]
-    PT = np.stack([p.Qbar_I + p.Qbar, p.Qbar_I + p.Qbar - p.Qbar @ p.Gammabar])[which]
-    At = p.A.T
-
-    def rhs(t, P):
-        return -(P @ X + At @ P + Q - P @ M @ P)
-
-    values = _escape_guard(lambda: rk4_nonlinear(rhs, PT, grid, forward=False), what)
-    return [MatrixPath(grid, np.ascontiguousarray(values[:, j])) for j in range(len(which))]
+    X = np.stack([p.A, p.A + p.C])
+    Q = np.stack([p.Q_I + p.Q, -p.Qcal])
+    M = np.stack([p.BRB, p.BFRB])
+    Ham = np.block([[X, -M], [-Q, -np.broadcast_to(p.A.T, X.shape)]])
+    PT = np.stack([p.Qbar_I + p.Qbar, p.Qbar_I + p.Qbar - p.Qbar @ p.Gammabar])
+    names = ("P1", "P0")
+    return [MatrixPath(grid, _hamiltonian_riccati(Ham[j], PT[j], grid, names[j]))
+            for j in which]
 
 
 def solve_P1(params: SystemParams, grid: TimeGrid) -> MatrixPath:
     """Symmetric Riccati: -dP1 = [P1 A + A'P1 + (Q_I+Q) - P1 B R^-1 B' P1] dt,
     P1(T) = Qbar_I + Qbar."""
-    return _solve_riccati(params, grid, [0], "P1")[0]
+    return _solve_riccati(params, grid, [0])[0]
 
 
 def solve_P0(params: SystemParams, grid: TimeGrid) -> MatrixPath:
     """Non-symmetric Riccati of the coupled system:
     -dP0 = [P0(A+C) + A'P0 + (Q_I+Q-Q*Gamma) - P0 (B+F) R^-1 B' P0] dt,
     P0(T) = Qbar_I + Qbar - Qbar*Gammabar."""
-    return _solve_riccati(params, grid, [1], "P0")[0]
+    return _solve_riccati(params, grid, [1])[0]
 
 
 def solve_P2(params: SystemParams, P1: MatrixPath, grid: TimeGrid) -> MatrixPath:
     """Riccati of the average-prediction system, P2(T) = -Qbar*Gammabar:
     -dP2 = [P2 H1 + H2 P2 + S - P2 (B+F) R^-1 B' P2] dt with
     H1 = A+C - (B+F) R^-1 B' P1, H2 = A' - P1 (B+F) R^-1 B' and S the
-    coupling weight, all taken at nodes and half-steps of P1."""
+    coupling weight.
+
+    The Hamiltonian [[H1, -(B+F) R^-1 B'], [-S, -H2]] varies with P1, so
+    [X; Y] is an rk4_affine scan (half-step coefficients from half_nodes),
+    in blocks re-anchored at [I; P2] as in the P1/P0 solve.
+    """
     require_same_grid(P1)
     BFRB = params.BFRB
-    P1h = half_nodes(P1.values)
-    H1 = (params.A + params.C) - BFRB @ P1h
-    H2 = params.A.T - P1h @ BFRB
-    Sh = half_nodes(coupling_weight(params, P1))
+    n, K = params.n, grid.steps
+    P1v = P1.values
+    Ham = np.empty((K + 1, 2 * n, 2 * n))
+    Ham[:, :n, :n] = (params.A + params.C) - BFRB @ P1v
+    Ham[:, :n, n:] = -BFRB
+    Ham[:, n:, :n] = -coupling_weight(params, P1)
+    Ham[:, n:, n:] = -(params.A.T - P1v @ BFRB)
+    # exp(dt ||Ham||_F) bounds the 2-norm of one step's map
+    L = _block_steps(np.exp(grid.dt * np.linalg.norm(Ham, axis=(1, 2)).max()), K)
 
-    def rhs(i, P):
-        return -(P @ H1[i] + H2[i] @ P + Sh[i] - P @ BFRB @ P)
+    def span(k, j, V):
+        XY = rk4_affine(Ham[k - j:k + 1], None, V, grid.subgrid(k - j, k), forward=False)
+        return XY[j - 1::-1]
 
-    PT = -params.Qbar @ params.Gammabar
-    values = _escape_guard(lambda: rk4_steps(rhs, PT, grid, forward=False), "P2")
-    return MatrixPath(grid, values)
+    return MatrixPath(grid, _riccati_blocks(span, -params.Qbar @ params.Gammabar, L, grid, "P2"))
 
 
 def coupling_weight(params: SystemParams, P1: MatrixPath) -> np.ndarray:
@@ -215,10 +314,14 @@ class RiccatiBundle:
 
     @classmethod
     def solve(cls, params: SystemParams, grid: TimeGrid) -> "RiccatiBundle":
-        """Solve every path on the grid.  P1 and P0 share one backward RK4
-        loop on a stacked (2, n, n) state; the linear G and G1 solves are
-        scans of step propagators (see ode.rk4_affine)."""
-        P1, P0 = _solve_riccati(params, grid, [0, 1], "P1 or P0")
+        """Solve every path on the grid.  P1 and P0 are powers of the exact
+        step maps of their constant Hamiltonians, stacked (2, 2n, 2n), and
+        P2 is a scan of its time-varying Hamiltonian's RK4 step propagators;
+        each gives P = Y X^-1 in blocks re-anchored at [I; P] and raises
+        FiniteEscapeError, naming the path, where X turns singular.  The
+        linear G and G1 solves are scans of step propagators (see
+        ode.rk4_affine)."""
+        P1, P0 = _solve_riccati(params, grid, [0, 1])
         P2 = solve_P2(params, P1, grid)
         G = solve_G(params, P0, grid)
         G1 = solve_G1(params, P1, P2, grid)

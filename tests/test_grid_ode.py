@@ -1,5 +1,6 @@
 """Time grids, path interpolation, and the fixed-step RK4 kernels."""
 
+import math
 import warnings
 
 import numpy as np
@@ -13,10 +14,12 @@ from mfg_errsim.errors import (
 )
 from mfg_errsim.grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from mfg_errsim.ode import (
+    expm as ode_expm,
     fundamental_solution,
     half_nodes,
     integrate_linear_ode,
     invert_path,
+    matrix_powers,
     rk4_affine,
     rk4_nonlinear,
     rk4_steps,
@@ -274,3 +277,51 @@ def test_variation_of_constants_matches_direct_solve():
     Phi = fundamental_solution(MatrixPath(g, Hv), 0.0)
     voc = variation_of_constants(Phi, fv, (0.0, v0))
     npt.assert_allclose(voc.values, direct, atol=5e-6)
+
+
+def _random_matrices(seed, norms):
+    """(A, 1-norm) pairs: a standard normal n x n matrix for n = 1..6,
+    rescaled to each 1-norm."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 7):
+        for norm in norms:
+            A = rng.standard_normal((n, n))
+            yield A * (norm / np.linalg.norm(A, 1)), norm
+
+
+def test_expm_matches_scipy():
+    # up to 1-norm 2 every Pade degree runs unscaled; there scipy's own
+    # error is below 1e-15
+    for A, _ in _random_matrices(4, np.logspace(-4, np.log10(2.0), 40)):
+        ref = expm(A)
+        assert np.linalg.norm(ode_expm(A) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_expm_scaling_and_squaring_is_exact_to_conditioning():
+    # 1-norms up to 50 go through scaling and squaring.  The references are
+    # exact to round-off: Q diag(e^lam) Q' for a symmetric matrix, and the
+    # finite exponential series of a shifted nilpotent (Jordan) block.  The
+    # bound is the exponential's condition, about the 1-norm, times 1e-15.
+    rng = np.random.default_rng(5)
+    for A, norm in _random_matrices(6, np.logspace(-4, np.log10(50.0), 30)):
+        tol = 1e-15 * max(10.0, norm)
+        S = A + A.T
+        S *= norm / max(np.linalg.norm(S, 1), 1e-300)
+        lam, Q = np.linalg.eigh(S)
+        ref = (Q * np.exp(lam)) @ Q.T
+        assert np.linalg.norm(ode_expm(S) - ref) <= tol * np.linalg.norm(ref)
+        n = A.shape[0]
+        shift = rng.uniform(-0.5, 0.5) * norm
+        N = np.diag(np.full(n - 1, rng.uniform(-0.5, 0.5) * norm), 1)
+        ref = np.exp(shift) * sum(np.linalg.matrix_power(N, j) / math.factorial(j)
+                                  for j in range(n))
+        assert np.linalg.norm(ode_expm(shift * np.eye(n) + N) - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 7, 8, 37])
+def test_matrix_powers_match_repeated_products(K):
+    M = np.random.default_rng(7).standard_normal((3, 3)) * 0.6
+    got = matrix_powers(M, K)
+    assert got.shape == (K + 1, 3, 3)
+    for j in range(K + 1):
+        npt.assert_allclose(got[j], np.linalg.matrix_power(M, j), rtol=0, atol=1e-13)

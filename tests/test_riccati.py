@@ -6,10 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mfg_errsim.errors import FiniteEscapeError
+from mfg_errsim.errors import FiniteEscapeError, IntegrationBlowupError
+from mfg_errsim.grid import MatrixPath
+from mfg_errsim.ode import half_nodes, rk4_nonlinear, rk4_steps
 from mfg_errsim.params import p6_params, s1_params
 from mfg_errsim.riccati import (
     RiccatiBundle,
+    coupling_weight,
     solve_P0,
     solve_P1,
     solve_tracking_offset,
@@ -21,6 +24,30 @@ from mfg_errsim.riccati import (
 # solutions are scalar multiples of the identity on this fixture.
 P1_AT_0 = 0.9063631609122198
 P0_AT_0 = 0.5679806304460897
+
+
+def _rk4_P1_P0(p, grid):
+    """Reference P1 and P0 from the classical RK4 step loop on the Riccati
+    right-hand sides, stacked (2, n, n)."""
+    X = np.stack([p.A, p.A + p.C])
+    Q = np.stack([p.Q_I + p.Q, -p.Qcal])
+    M = np.stack([p.BRB, p.BFRB])
+    PT = np.stack([p.Qbar_I + p.Qbar, p.Qbar_I + p.Qbar - p.Qbar @ p.Gammabar])
+    vals = rk4_nonlinear(lambda t, P: -(P @ X + p.A.T @ P + Q - P @ M @ P), PT, grid,
+                         forward=False)
+    return vals[:, 0], vals[:, 1]
+
+
+def _rk4_P2(p, P1, grid):
+    """Reference P2 from the RK4 step loop, with the coefficients H1, H2, S
+    read at nodes and half-steps of P1 (half_nodes)."""
+    BFRB = p.BFRB
+    P1h = half_nodes(P1)
+    H1 = (p.A + p.C) - BFRB @ P1h
+    H2 = p.A.T - P1h @ BFRB
+    Sh = half_nodes(coupling_weight(p, MatrixPath(grid, P1)))
+    return rk4_steps(lambda i, P: -(P @ H1[i] + H2[i] @ P + Sh[i] - P @ BFRB @ P),
+                     -p.Qbar @ p.Gammabar, grid, forward=False)
 
 
 def _tanh_fixture():
@@ -91,12 +118,17 @@ def test_tracking_offset_terminal_value(bundle, params, mf_c):
     npt.assert_allclose(g.terminal, gT, atol=1e-14)
 
 
-def test_riccati_convergence_under_grid_refinement():
+def test_riccati_is_exact_under_grid_refinement():
+    # the Hamiltonian step map has no truncation error: P1 and P0 sit at the
+    # round-off level of the references on a coarse grid as on a fine one
     p = p6_params()
-    coarse = solve_P1(p, p.default_grid(250)).initial
-    fine = solve_P1(p, p.default_grid(500)).initial
-    assert np.max(np.abs(coarse - P1_AT_0 * np.eye(2))) > \
-        np.max(np.abs(fine - P1_AT_0 * np.eye(2)))
+    ref = p.default_grid(64000)
+    _, P0_ref = _rk4_P1_P0(p, ref)
+    for steps in (250, 500):
+        grid = p.default_grid(steps)
+        assert np.max(np.abs(solve_P1(p, grid).initial - P1_AT_0 * np.eye(2))) < 1e-13
+        P0 = solve_P0(p, grid).values
+        assert np.max(np.abs(P0 - P0_ref[:: ref.steps // steps])) < 1e-13
 
 
 def test_finite_escape_is_reported_with_location():
@@ -110,6 +142,50 @@ def test_finite_escape_is_reported_with_location():
         warnings.simplefilter("error")
         solve_P1(p, p.default_grid(4000))
     assert abs(ei.value.time - (p.T - np.pi / 2.0)) < 0.05
+
+
+def test_bundle_reports_the_path_that_escapes():
+    # a large Q*Gamma makes Q_I + Q - Q*Gamma = -8 I, so P0 escapes while P1
+    # exists; on this identity-scaled set X = x I and det X never changes sign
+    p = p6_params().with_(Gamma=10.0 * np.eye(2))
+    grid = p.default_grid()
+    fine = p.default_grid(32000)
+    X, Q, M = p.A + p.C, -p.Qcal, p.BFRB
+    with pytest.raises(IntegrationBlowupError) as ref:
+        rk4_nonlinear(lambda t, P: -(P @ X + p.A.T @ P + Q - P @ M @ P),
+                      p.Qbar_I + p.Qbar - p.Qbar @ p.Gammabar, fine, forward=False)
+    solve_P1(p, grid)
+    with warnings.catch_warnings(), pytest.raises(FiniteEscapeError, match="P0") as ei:
+        warnings.simplefilter("error")
+        RiccatiBundle.solve(p, grid)
+    assert abs(ei.value.time - ref.value.time) <= 2 * grid.dt
+    assert grid.times[ei.value.node] == ei.value.time
+
+
+def test_long_horizon_matches_the_step_loop():
+    # T = 50 takes the Hamiltonian solves through several re-anchored blocks
+    p = p6_params().with_(T=50.0)
+    grid = p.default_grid(50000)
+    b = RiccatiBundle.solve(p, grid)
+    P1_ref, P0_ref = _rk4_P1_P0(p, grid)
+    P2_ref = _rk4_P2(p, b.P1.values, grid)
+    for path, ref in ((b.P1, P1_ref), (b.P0, P0_ref), (b.P2, P2_ref)):
+        assert np.max(np.abs(path.values - ref)) < 1e-11
+
+
+def test_very_long_horizon_reanchors_to_the_algebraic_solution():
+    # at T = 800 one step map's power over all 8000 steps would overflow
+    # (the Hamiltonian's growth rate is sqrt(3/2), and 800 sqrt(3/2) > 709)
+    p = p6_params().with_(T=800.0)
+    grid = p.default_grid(8000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P1, P0 = solve_P1(p, grid).values, solve_P0(p, grid).values
+    # stabilizing roots of the algebraic equations on P6 (every matrix a
+    # multiple of I): P1^2 + 8 P1 - 8 = 0 and P0^2 + 3 P0 - 2 = 0
+    interior = grid.times <= p.T - 20.0
+    assert np.max(np.abs(P1[interior] - (np.sqrt(24.0) - 4.0) * np.eye(2))) < 1e-12
+    assert np.max(np.abs(P0[interior] - (np.sqrt(17.0) - 3.0) / 2.0 * np.eye(2))) < 1e-12
 
 
 def test_bundle_P1_P0_equal_the_standalone_solves(bundle, params, grid):
