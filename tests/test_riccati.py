@@ -149,11 +149,8 @@ def test_bundle_reports_the_path_that_escapes():
     # exists; on this identity-scaled set X = x I and det X never changes sign
     p = p6_params().with_(Gamma=10.0 * np.eye(2))
     grid = p.default_grid()
-    fine = p.default_grid(32000)
-    X, Q, M = p.A + p.C, -p.Qcal, p.BFRB
     with pytest.raises(IntegrationBlowupError) as ref:
-        rk4_nonlinear(lambda t, P: -(P @ X + p.A.T @ P + Q - P @ M @ P),
-                      p.Qbar_I + p.Qbar - p.Qbar @ p.Gammabar, fine, forward=False)
+        _rk4_P1_P0(p, p.default_grid(32000))
     solve_P1(p, grid)
     with warnings.catch_warnings(), pytest.raises(FiniteEscapeError, match="P0") as ei:
         warnings.simplefilter("error")
@@ -189,7 +186,7 @@ def test_very_long_horizon_reanchors_to_the_algebraic_solution():
 
 
 def test_bundle_P1_P0_equal_the_standalone_solves(bundle, params, grid):
-    # the bundle solves P1 and P0 in one stacked loop
+    # the bundle solves P1 and P0 from one stacked Hamiltonian
     mixed = params.with_(A=np.array([[-1.0, 0.3], [-0.2, -0.8]]),
                          C=np.array([[0.3, -0.1], [0.25, 0.2]]))
     for p, b in ((params, bundle), (mixed, RiccatiBundle.solve(mixed, grid))):
