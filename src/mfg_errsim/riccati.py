@@ -113,15 +113,18 @@ def _block_steps(step_norm, K):
 
 
 def _riccati_ratio(XY, nodes, grid, what):
-    """P = Y X^-1 of the stacked [X; Y] (j, 2n, n) at `nodes`, listed in
-    integration order from an anchor where X = I.
+    """P = Y X^-1 of [X; Y] (j, 2n, n) at `nodes`, listed in integration
+    order from an anchor where X = I.
 
     A finite escape is a singular X.  FiniteEscapeError is raised at the
     first node where det X <= 0, where the reciprocal 1-norm condition
     number of X falls below _RCOND_MIN, or where the step factor
-    X_j X_(j-1)^-1 has an eigenvalue with real part <= 0, which an
+    F = X_j X_(j-1)^-1 has a real eigenvalue <= 0.  The last is what an
     eigenvalue of X passing through zero inside the step leaves behind
-    (an even number of them, as for X = x I, keeps det X > 0).
+    when det X keeps its sign (an even number of them, as for X = x I).
+    A closed loop that turns by more than a quarter revolution in one step
+    gives F complex eigenvalue pairs in the left half-plane, which are not
+    an escape.
     """
     n = XY.shape[2]
     X, Y = XY[:, :n], XY[:, n:]
@@ -133,7 +136,8 @@ def _riccati_ratio(XY, nodes, grid, what):
     F[1:] = X[1:m] @ Xinv[:-1]
     # ||F - I||_1 < 1 keeps every eigenvalue of F in the right half-plane
     far = np.flatnonzero(_norm1(F - np.eye(n)) >= 1.0)
-    bad[far] |= (np.linalg.eigvals(F[far]).real <= 0.0).any(axis=1)
+    ev = np.linalg.eigvals(F[far])
+    bad[far] |= ((ev.imag == 0.0) & (ev.real <= 0.0)).any(axis=1)
     if bad.any():
         m = int(np.argmax(bad))
     if m < len(X):
@@ -177,40 +181,36 @@ def _hamiltonian_riccati(Ham, PT, grid, what):
                            grid, what)
 
 
-def _solve_riccati(params: SystemParams, grid: TimeGrid, which):
-    """P1 and/or P0 (which: indices into [P1, P0]), each from the exact step
-    map of its constant Hamiltonian.
+def _solve_riccati(params: SystemParams, grid: TimeGrid, what):
+    """P1 or P0 (what = "P1" or "P0") from the exact step map of its
+    constant Hamiltonian.
 
     Both solve -dP = [P X + A'P + Q - P M P] dt backward from P(T), with
     Hamiltonian [[X, -M], [-Q, -A']]:
     P1 with X = A, Q = Q_I + Q, M = B R^-1 B', P(T) = Qbar_I + Qbar;
     P0 with X = A + C, Q = Q_I + Q - Q*Gamma, M = (B+F) R^-1 B',
     P(T) = Qbar_I + Qbar - Qbar*Gammabar.
-    The entries are solved independently, so the bundle's pair equals the
-    standalone solves bit for bit.
     """
     p = params
-    X = np.stack([p.A, p.A + p.C])
-    Q = np.stack([p.Q_I + p.Q, -p.Qcal])
-    M = np.stack([p.BRB, p.BFRB])
-    Ham = np.block([[X, -M], [-Q, -np.broadcast_to(p.A.T, X.shape)]])
-    PT = np.stack([p.Qbar_I + p.Qbar, p.Qbar_I + p.Qbar - p.Qbar @ p.Gammabar])
-    names = ("P1", "P0")
-    return [MatrixPath(grid, _hamiltonian_riccati(Ham[j], PT[j], grid, names[j]))
-            for j in which]
+    if what == "P1":
+        X, Q, M, PT = p.A, p.Q_I + p.Q, p.BRB, p.Qbar_I + p.Qbar
+    else:
+        X, Q, M, PT = p.A + p.C, -p.Qcal, p.BFRB, p.Qbar_I + p.Qbar - p.Qbar @ p.Gammabar
+    Ham = np.block([[X, -M], [-Q, -p.A.T]])
+    return MatrixPath(grid, _hamiltonian_riccati(Ham, PT, grid, what))
 
 
 def solve_P1(params: SystemParams, grid: TimeGrid) -> MatrixPath:
     """Symmetric Riccati: -dP1 = [P1 A + A'P1 + (Q_I+Q) - P1 B R^-1 B' P1] dt,
     P1(T) = Qbar_I + Qbar."""
-    return _solve_riccati(params, grid, [0])[0]
+    return _solve_riccati(params, grid, "P1")
 
 
 def solve_P0(params: SystemParams, grid: TimeGrid) -> MatrixPath:
     """Non-symmetric Riccati of the coupled system:
     -dP0 = [P0(A+C) + A'P0 + (Q_I+Q-Q*Gamma) - P0 (B+F) R^-1 B' P0] dt,
     P0(T) = Qbar_I + Qbar - Qbar*Gammabar."""
-    return _solve_riccati(params, grid, [1])[0]
+    return _solve_riccati(params, grid, "P0")
 
 
 def solve_P2(params: SystemParams, P1: MatrixPath, grid: TimeGrid) -> MatrixPath:
@@ -315,13 +315,12 @@ class RiccatiBundle:
     @classmethod
     def solve(cls, params: SystemParams, grid: TimeGrid) -> "RiccatiBundle":
         """Solve every path on the grid.  P1 and P0 are powers of the exact
-        step maps of their constant Hamiltonians, stacked (2, 2n, 2n), and
-        P2 is a scan of its time-varying Hamiltonian's RK4 step propagators;
-        each gives P = Y X^-1 in blocks re-anchored at [I; P] and raises
+        step maps of their constant Hamiltonians, and P2 is a scan of its
+        time-varying Hamiltonian's RK4 step propagators; each gives P = Y X^-1 in blocks re-anchored at [I; P] and raises
         FiniteEscapeError, naming the path, where X turns singular.  The
         linear G and G1 solves are scans of step propagators (see
         ode.rk4_affine)."""
-        P1, P0 = _solve_riccati(params, grid, [0, 1])
+        P1, P0 = solve_P1(params, grid), solve_P0(params, grid)
         P2 = solve_P2(params, P1, grid)
         G = solve_G(params, P0, grid)
         G1 = solve_G1(params, P1, P2, grid)

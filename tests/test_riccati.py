@@ -159,6 +159,22 @@ def test_bundle_reports_the_path_that_escapes():
     assert grid.times[ei.value.node] == ei.value.time
 
 
+def test_fast_rotation_on_a_coarse_grid_is_not_an_escape():
+    # A turns by 2 rad per step, so the one-step factors of X have complex
+    # eigenvalue pairs in the left half-plane while P stays finite
+    p = p6_params().with_(A=np.array([[0.0, 20.0], [-20.0, 0.0]]))
+    grid = p.default_grid(20)
+    ref = p.default_grid(16000)
+    P1_ref, P0_ref = (v[:: ref.steps // grid.steps] for v in _rk4_P1_P0(p, ref))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = RiccatiBundle.solve(p, grid)
+    assert np.max(np.abs(b.P1.values - P1_ref)) < 1e-12
+    assert np.max(np.abs(b.P0.values - P0_ref)) < 1e-12
+    # P2 keeps the RK4 truncation of 2 rad steps (0.038 measured)
+    assert np.max(np.abs(b.P2.values - (P0_ref - P1_ref))) < 0.05
+
+
 def test_long_horizon_matches_the_step_loop():
     # T = 50 takes the Hamiltonian solves through several re-anchored blocks
     p = p6_params().with_(T=50.0)

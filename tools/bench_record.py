@@ -2,12 +2,12 @@
 
 Usage, from anywhere:
 
-    python3 tools/bench_record.py BENCH_7.json [--root CHECKOUT] [--seed 7] [--seconds 30]
+    python3 tools/bench_record.py BENCH_7.json [--root CHECKOUT]
 
 For each workload of ``perfbench/run.py`` (deterministic, montecarlo,
 realtime), in that order, it runs
 
-    python3 perfbench/run.py --workload W --seed SEED --seconds SECONDS --trace 0
+    python3 perfbench/run.py --workload W --seed 7 --seconds 30 --trace 0
 
 in the checkout ROOT (default: the checkout this script lives in) and keeps
 the run's final JSON line.  The output file holds those lines per workload,
@@ -29,6 +29,8 @@ import sys
 import numpy as np
 
 WORKLOADS = ("deterministic", "montecarlo", "realtime")
+SEED = 7
+SECONDS = 30
 
 
 def _git(root, *args):
@@ -36,10 +38,10 @@ def _git(root, *args):
                           text=True, check=True).stdout.strip()
 
 
-def run_workload(root, workload, seed, seconds):
+def run_workload(root, workload):
     """(final JSON object, thread caps) of one timed run of one workload."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     lines = out.strip().splitlines()
     caps = {}
@@ -54,23 +56,20 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="JSON file to write, e.g. BENCH_7.json")
     ap.add_argument("--root", default=here, help="checkout to benchmark")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
 
     results, caps = {}, {}
     for workload in WORKLOADS:
         print(f"running {workload} ...", file=sys.stderr, flush=True)
-        results[workload], caps = run_workload(root, workload, args.seed, args.seconds)
+        results[workload], caps = run_workload(root, workload)
     try:
         commit = _git(root, "rev-parse", "HEAD")
         src_dirty = bool(_git(root, "status", "--porcelain", "--", "src"))
     except (OSError, subprocess.CalledProcessError):
         commit, src_dirty = None, None
     record = {
-        "command": f"perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": f"perfbench/run.py --workload W --seed {SEED} --seconds {SECONDS} --trace 0",
         "commit": commit,
         "src_dirty": src_dirty,
         "machine": {
