@@ -202,7 +202,7 @@ def test_very_long_horizon_reanchors_to_the_algebraic_solution():
 
 
 def test_bundle_P1_P0_equal_the_standalone_solves(bundle, params, grid):
-    # the bundle solves P1 and P0 from one stacked Hamiltonian
+    # the bundle takes P1 and P0 from the standalone solves
     mixed = params.with_(A=np.array([[-1.0, 0.3], [-0.2, -0.8]]),
                          C=np.array([[0.3, -0.1], [0.25, 0.2]]))
     for p, b in ((params, bundle), (mixed, RiccatiBundle.solve(mixed, grid))):
