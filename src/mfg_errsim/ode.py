@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegrationBlowupError, SingularMatrixError
-from .grid import MatrixPath, TimeGrid, VectorPath
+from .grid import MatrixPath, TimeGrid
 
 _RCOND_MIN = 1e-12
 
@@ -94,26 +94,6 @@ def matrix_powers(M, K):
         out[m:m + j] = out[:j] @ Mm
         m, Mm = 2 * m, Mm @ Mm
     return out
-
-
-def _coef_nodes(obj, grid, like=None):
-    """Normalize a coefficient (None / constant / path / callable) to node values.
-
-    Returns an array of shape (steps+1, ...) or None.
-    """
-    if obj is None:
-        return None
-    if callable(obj):
-        return np.array([np.asarray(obj(t), dtype=float) for t in grid.times])
-    if isinstance(obj, (MatrixPath, VectorPath)):
-        if obj.grid.steps != grid.steps or abs(obj.grid.t_start - grid.t_start) > 1e-9:
-            raise ValueError("coefficient path lives on a different grid")
-        return obj.values
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim >= 1 and arr.shape[0] == grid.steps + 1 and (like is None or arr.ndim == like + 1):
-        return arr
-    # constant coefficient, broadcast to all nodes
-    return np.broadcast_to(arr, (grid.steps + 1,) + arr.shape).copy()
 
 
 def _check_finite(v, k, t):
@@ -201,25 +181,37 @@ def rk4_affine(H, f, v0, grid, forward=True):
     runs: _rk4_step, called once with the index array of all K steps on the
     state [I | 0] under the forcing [0 | f], gives every [T_k | c_k]; a
     log-depth prefix scan composes them, and node values are P_k v0 + C_k.
+    With f None every c_k is zero, so the state is I and only the T_k are
+    built and composed.
     """
     v0 = np.asarray(v0, dtype=float)
     V0 = v0[:, None] if v0.ndim == 1 else v0
     n, m = V0.shape
     K = grid.steps
+    w = n if f is None else n + m
     Hh = np.zeros((2 * K + 1, n, n)) if H is None else half_nodes(H)
-    fh = np.zeros((2 * K + 1, n, n + m))
+    fh = None
     if f is not None:
+        fh = np.zeros((2 * K + 1, n, w))
         fh[:, :, n:] = half_nodes(f).reshape(2 * K + 1, n, m)
+
+    def rhs(i, v):
+        dv = Hh[i] @ v
+        return dv if fh is None else dv + fh[i]
+
     s = 1 if forward else -1
     steps = np.arange(K) if forward else np.arange(K, 0, -1)
     nodes = steps + s
-    U0 = np.broadcast_to(np.eye(n, n + m), (K, n, n + m))
+    U0 = np.broadcast_to(np.eye(n, w), (K, n, w))
     out = np.empty((K + 1, n, m))
     out[0 if forward else K] = V0
     with np.errstate(over="ignore", invalid="ignore"):
-        TC = _rk4_step(lambda i, v: Hh[i] @ v + fh[i], 2 * steps, U0, s * grid.dt, s)
+        TC = _rk4_step(rhs, 2 * steps, U0, s * grid.dt, s)
         PC = _prefix_compose(TC, n)
-        out[nodes] = PC[:, :, :n] @ V0 + PC[:, :, n:]
+        vals = PC[:, :, :n] @ V0
+        if fh is not None:
+            vals += PC[:, :, n:]
+        out[nodes] = vals
     # a non-finite step poisons every later prefix, so the first non-finite
     # node in step order is the one the step loop would stop at
     bad = ~np.isfinite(out[nodes]).all(axis=(1, 2))
@@ -235,40 +227,20 @@ def rk4_nonlinear(rhs, v0, grid, forward=True):
     return rk4_steps(lambda i, v: rhs(th[i], v), v0, grid, forward)
 
 
-def integrate_linear_ode(H, f, boundary, grid, direction="forward"):
-    """Solve dv/dt = H(t) v + f(t) on the grid with a boundary value.
-
-    boundary is a (time, value) pair; the time must be the grid start for
-    forward problems and the grid end for backward problems.  Returns a
-    VectorPath for vector-valued problems, MatrixPath for matrix-valued.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    t_b, v_b = boundary
-    v_b = np.asarray(v_b, dtype=float)
-    expect = grid.t_start if direction == "forward" else grid.t_end
-    if abs(t_b - expect) > 1e-9:
-        raise ValueError(
-            f"boundary time {t_b} must be the grid {'start' if direction == 'forward' else 'end'} ({expect})"
-        )
-    Hn = _coef_nodes(H, grid, like=2)
-    fn = _coef_nodes(f, grid, like=v_b.ndim)
-    values = rk4_affine(Hn, fn, v_b, grid, forward=(direction == "forward"))
-    if v_b.ndim == 1:
-        return VectorPath(grid, values)
-    return MatrixPath(grid, values)
-
-
 def fundamental_solution(H, t_ref, grid=None):
     """Fundamental solution Phi with dPhi/dt = H(t) Phi and Phi(t_ref) = I.
 
     Phi(t) Phi(s)^{-1} is then the state-transition matrix from s to t.
     """
     if isinstance(H, MatrixPath):
-        grid = H.grid
+        grid, Hn = H.grid, H.values
     elif grid is None:
         raise ValueError("grid required when H is not a MatrixPath")
-    Hn = _coef_nodes(H, grid, like=2)
+    else:
+        Hn = np.asarray(H, dtype=float)
+        if Hn.ndim != 3 or Hn.shape[0] != grid.steps + 1:
+            raise ValueError(f"H must be a ({grid.steps + 1}, n, n) node array, "
+                             f"got shape {Hn.shape}")
     n, m = Hn.shape[1:]
     if n != m:
         raise ValueError(f"H must be square, got {n}x{m}")
@@ -296,32 +268,3 @@ def invert_path(Phi):
             f"path matrix at node {k} is numerically singular (rcond={rcond[k]:.3g})"
         )
     return np.linalg.inv(vals)
-
-
-def variation_of_constants(Phi, f, boundary, Phi_inv=None):
-    """Solve dv/dt = H(t) v + f(t) from Phi, via variation of constants.
-
-    v(t) = Phi(t) Phi(t_b)^{-1} v_b + Phi(t) * integral_{t_b}^{t} Phi(s)^{-1} f(s) ds,
-    with the integral evaluated by the trapezoid rule on the grid.
-    """
-    grid = Phi.grid
-    fn = _coef_nodes(f, grid)
-    t_b, v_b = boundary
-    v_b = np.asarray(v_b, dtype=float)
-    k_b = grid.index_of(t_b)
-    if Phi_inv is None:
-        Phi_inv = invert_path(Phi)
-    if fn is None:
-        integ = np.zeros((grid.steps + 1,) + v_b.shape)
-    else:
-        w = np.einsum("kij,kj...->ki...", Phi_inv, fn)
-        # cumulative trapezoid anchored at node k_b
-        seg = 0.5 * grid.dt * (w[:-1] + w[1:])
-        cum = np.concatenate([np.zeros((1,) + w.shape[1:]), np.cumsum(seg, axis=0)])
-        integ = cum - cum[k_b]
-    base = np.einsum("kij,j...->ki...", Phi.values, Phi_inv[k_b] @ v_b)
-    corr = np.einsum("kij,kj...->ki...", Phi.values, integ)
-    values = base + corr
-    if v_b.ndim == 1:
-        return VectorPath(grid, values)
-    return MatrixPath(grid, values)

@@ -84,6 +84,7 @@ class SystemParams:
         for name, value in (
             ("_Rinv", Rinv),
             ("_RinvBt", RinvBt),
+            ("_RinvBtT", np.ascontiguousarray(RinvBt.T)),
             ("_BRB", self.B @ RinvBt),
             ("_BFRB", (self.B + self.F) @ RinvBt),
             ("_FRB", self.F @ RinvBt),
@@ -108,6 +109,12 @@ class SystemParams:
     def RinvBt(self) -> np.ndarray:
         """R^{-1} B^T."""
         return self._RinvBt
+
+    @property
+    def RinvBtT(self) -> np.ndarray:
+        """(R^{-1} B^T)^T as a contiguous array, the right operand of the
+        feedback control."""
+        return self._RinvBtT
 
     @property
     def BRB(self) -> np.ndarray:

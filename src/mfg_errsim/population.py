@@ -131,6 +131,8 @@ class OffsetFamilyLaw:
         self.g_base = g_base
         self.Mg = Mg
         self.errors = np.asarray(errors, dtype=float)
+        # Mg[k]' at every node, contiguous (see euler_maruyama)
+        self._MgT = np.ascontiguousarray(np.swapaxes(Mg.values, 1, 2))
 
     @property
     def grid(self) -> TimeGrid:
@@ -138,8 +140,22 @@ class OffsetFamilyLaw:
 
     def at_node(self, x, k):
         """Controls (N, d) of the agents' states x (N, n) at grid node k."""
-        return control(self.params, self.P1[k], x,
-                       self.g_base[k] + self.errors @ self.Mg[k].T)
+        g = self.errors @ self._MgT[k]
+        g += self.g_base[k]
+        return control(self.params, self.P1[k], x, g)
+
+
+def agent_sum(a):
+    """Sum over the agent axis of a (..., N, n) array, bitwise a.sum(axis=-2).
+
+    For n > 1 numpy's sum adds the agents one after the other, and einsum
+    gives the same bits about four times faster (at N = 2000; see
+    euler_maruyama).  For n = 1 the agent axis is contiguous and numpy sums
+    it pairwise, which einsum does not, so that case keeps numpy's sum.
+    """
+    if a.shape[-1] == 1:
+        return a.sum(axis=-2)
+    return np.einsum("...ij->...j", a)
 
 
 def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
@@ -154,6 +170,31 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
     own dynamics noise stream drives it.  D overrides the noise matrix
     params.D, a scalar D standing for D times the identity.  Raises
     IntegrationBlowupError at the first non-finite state.
+
+    Each node costs a handful of small (N, n) numpy calls, so their operand
+    layout decides the speed.  Every choice below gives the same bits as
+    plain transposed views, sums and a per-step scan of the states (timings
+    at N = K = 2000, numpy 2.4, 2-vCPU x86-64):
+
+    - the noise is agent-major, (N, K, n): each agent's stream draws
+      straight into its own block, and node k reads a strided (N, n) slice.
+      A node-major (K, N, n) buffer reads contiguously, but filling it
+      scatters each agent's draws over K rows, which costs more than the
+      reads save (0.30 s against 0.23 s to fill, 0.02 s against 0.05 s to
+      read);
+    - the right operands A', B' and D' of the (N, n) products are
+      contiguous copies, multiplied about 2.5 times faster than transposed
+      views, with the same bits for N > 1.  The two (n,) mean-field
+      products, mf_x C' and mf_u F', keep the views: a one-row product goes
+      through another BLAS kernel, where a contiguous operand changes the
+      bits;
+    - the node sums come from agent_sum, and the drift is accumulated in
+      place in the order A x + B u + C mf_x + F mf_u;
+    - a state is checked through its node sum: a finite sum means every
+      entry is finite, and only a non-finite one (a blow-up, or an
+      overflow of finite states) triggers the per-agent scan that names
+      the first bad agent.  The check runs before control_at sees the
+      state.
     """
     x = np.array(x0, dtype=float)
     N, n = x.shape
@@ -162,29 +203,40 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
     ids = range(N) if ids is None else ids
     D = params.D if D is None else D
     D = np.eye(n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+    At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (params.A, params.B, D))
     noise = None
     if not np.allclose(D, 0.0):
         noise = np.empty((N, K, n))
         for row, i in enumerate(ids):
-            noise[row] = _agent_rng(seed, int(i), _DYNAMICS).standard_normal((K, n))
+            _agent_rng(seed, int(i), _DYNAMICS).standard_normal(out=noise[row])
+    x_sum = agent_sum(x)
     for k in range(K + 1):
         u = control_at(x, k)
         if coupling is None:
-            mf_x, mf_u = x.sum(axis=0) / N, u.sum(axis=0) / N
+            mf_x, mf_u = x_sum / N, agent_sum(u) / N
         else:
             mf_x, mf_u = coupling[0][k], coupling[1][k]
-        drift = x @ params.A.T + u @ params.B.T + mf_x @ params.C.T + mf_u @ params.F.T
+        drift = x @ At
+        drift += u @ Bt
+        drift += mf_x @ params.C.T
+        drift += mf_u @ params.F.T
         yield k, x, u, drift, mf_x
         if k < K:
-            x = x + drift * dt
+            x_next = drift * dt
+            x_next += x
             if noise is not None:
-                x = x + (noise[:, k, :] @ D.T) * sqdt
-            if not np.all(np.isfinite(x)):
-                bad = ids[np.argwhere(~np.all(np.isfinite(x), axis=1))[0, 0]]
-                raise IntegrationBlowupError(
-                    f"agent {bad} state non-finite at node {k + 1}", node=k + 1,
-                    time=grid.times[k + 1],
-                )
+                dW = noise[:, k] @ Dt
+                dW *= sqdt
+                x_next += dW
+            x = x_next
+            x_sum = agent_sum(x)
+            if not np.isfinite(x_sum).all():
+                bad = np.argwhere(~np.all(np.isfinite(x), axis=1))
+                if len(bad):
+                    raise IntegrationBlowupError(
+                        f"agent {ids[bad[0, 0]]} state non-finite at node {k + 1}",
+                        node=k + 1, time=grid.times[k + 1],
+                    )
 
 
 def simulate(
@@ -217,8 +269,8 @@ def simulate(
                                            seed, D):
         xs[k], us[k], drifts[k] = x, u, drift
     errors = np.array([p[1] for p in population], dtype=float)
-    x_N = VectorPath(grid, np.mean(xs, axis=1))
-    u_N = VectorPath(grid, np.mean(us, axis=1))
+    x_N = VectorPath(grid, agent_sum(xs) / N)
+    u_N = VectorPath(grid, agent_sum(us) / N)
     return PopulationResult(grid=grid, xs=xs, us=us, drifts=drifts, errors=errors,
                             x_N=x_N, u_N=u_N)
 

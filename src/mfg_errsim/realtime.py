@@ -30,7 +30,7 @@ from .errors import EstimatorPolicyError, GridMismatchError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from .ode import invert_path, rk4_affine
 from .params import SystemParams
-from .population import euler_maruyama
+from .population import agent_sum, euler_maruyama
 from .riccati import (
     RiccatiBundle,
     control,
@@ -324,11 +324,18 @@ def realtime_simulate(
     Ebar_real = np.empty((grid.steps + 1, n))
     Ebar1_real = np.empty((grid.steps + 1, n))
 
+    # Mig(t_k; t_k)' and M0g(t_k; t_k)' at every node, contiguous (see
+    # euler_maruyama)
+    MigT, M0gT = (np.ascontiguousarray(np.swapaxes(M, 1, 2))
+                  for M in (kernels.Mig_diag, kernels.M0g_diag))
+
     def control_at(x, k):
         E_own, E_avg = _node_errors(estimator_policy, ids, k, times[k], (N, n))
-        Ebar_real[k] = E_own.sum(axis=0) / N
-        Ebar1_real[k] = E_avg.sum(axis=0) / N
-        g_ik = g_c[k] + E_own @ kernels.Mig_diag[k].T + E_avg @ kernels.M0g_diag[k].T
+        Ebar_real[k] = agent_sum(E_own) / N
+        Ebar1_real[k] = agent_sum(E_avg) / N
+        g_ik = E_own @ MigT[k]
+        g_ik += g_c[k]
+        g_ik += E_avg @ M0gT[k]
         return control(params, bundle.P1[k], x, g_ik)
 
     for k, _, _, _, mf_x in euler_maruyama(params, x0, grid, control_at, seed=seed, D=D):

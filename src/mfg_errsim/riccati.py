@@ -70,8 +70,11 @@ def control(params: SystemParams, P, x, g=None) -> np.ndarray:
     if P.ndim == 3:
         Px = np.einsum("kij,kj->ki", P, x)
         return -np.einsum("ij,kj->ki", params.RinvBt, Px if g is None else Px + g)
-    Px = x @ P.T
-    return -(Px if g is None else Px + g) @ params.RinvBt.T
+    # contiguous right operands: faster than transposed views, same bits
+    Px = x @ np.ascontiguousarray(P.T)
+    if g is not None:
+        Px += g
+    return np.negative(Px, out=Px) @ params.RinvBtT
 
 
 def mean_field_path(params: SystemParams, P, G, z0, grid: TimeGrid) -> np.ndarray:

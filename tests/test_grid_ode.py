@@ -17,13 +17,11 @@ from mfg_errsim.ode import (
     expm as ode_expm,
     fundamental_solution,
     half_nodes,
-    integrate_linear_ode,
     invert_path,
     matrix_powers,
     rk4_affine,
     rk4_nonlinear,
     rk4_steps,
-    variation_of_constants,
 )
 from scipy.linalg import expm
 
@@ -225,19 +223,6 @@ def test_rk4_affine_blowup_node_matches_step_loop(forward, j, bad):
     assert nodes == [expected[j]] * 2
 
 
-def test_integrate_linear_ode_boundary_checks():
-    g = TimeGrid(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        integrate_linear_ode(np.zeros((1, 1)), None, (1.0, np.zeros(1)), g,
-                             direction="forward")
-    with pytest.raises(ValueError):
-        integrate_linear_ode(np.zeros((1, 1)), None, (0.0, np.zeros(1)), g,
-                             direction="sideways")
-    out = integrate_linear_ode(np.zeros((1, 1)), None, (0.0, np.ones(1)), g)
-    assert isinstance(out, VectorPath)
-    npt.assert_allclose(out.values, 1.0)
-
-
 def test_fundamental_solution_constant_coefficients():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     g = TimeGrid(0.0, 1.0, 200)
@@ -259,24 +244,24 @@ def test_fundamental_solution_midgrid_anchor_transition_property():
     npt.assert_allclose(Phi_half.values, expected, atol=1e-9)
 
 
+def test_fundamental_solution_takes_a_node_array_with_its_grid():
+    rng = np.random.default_rng(4)
+    g = TimeGrid(0.0, 1.0, 50)
+    Hv = rng.standard_normal((51, 2, 2)) * 0.4
+    Phi = fundamental_solution(Hv, 0.5, g)
+    npt.assert_array_equal(Phi.values, fundamental_solution(MatrixPath(g, Hv), 0.5).values)
+    with pytest.raises(ValueError, match="grid required"):
+        fundamental_solution(Hv, 0.5)
+    with pytest.raises(ValueError, match="node array"):
+        fundamental_solution(Hv[0], 0.5, g)
+
+
 def test_invert_path_guards_singularity():
     g = TimeGrid(0.0, 1.0, 2)
     vals = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
     vals[1] = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularMatrixError):
         invert_path(MatrixPath(g, vals))
-
-
-def test_variation_of_constants_matches_direct_solve():
-    rng = np.random.default_rng(2)
-    g = TimeGrid(0.0, 1.0, 2000)
-    Hv = rng.standard_normal((2001, 2, 2)) * 0.3
-    fv = rng.standard_normal((2001, 2))
-    v0 = rng.standard_normal(2)
-    direct = rk4_affine(Hv, fv, v0, g, forward=True)
-    Phi = fundamental_solution(MatrixPath(g, Hv), 0.0)
-    voc = variation_of_constants(Phi, fv, (0.0, v0))
-    npt.assert_allclose(voc.values, direct, atol=5e-6)
 
 
 def _random_matrices(seed, norms):

@@ -8,10 +8,11 @@ from mfg_errsim.core import FeedbackLaw
 from mfg_errsim.core import equilibrium_law, equilibrium_mf
 from mfg_errsim.errors import GridMismatchError, IntegrationBlowupError
 from mfg_errsim.grid import MatrixPath, VectorPath
-from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV, P6_Z0, s1_params
+from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV, P6_Z0, SystemParams, s1_params
 from mfg_errsim.riccati import RiccatiBundle
 from mfg_errsim.population import (
     OffsetFamilyLaw,
+    euler_maruyama,
     replay_agent,
     sample_population,
     simulate,
@@ -141,3 +142,109 @@ def test_unstable_dynamics_raise_blowup():
     pop = [(np.ones(1), np.zeros(1))]
     with pytest.raises(IntegrationBlowupError):
         simulate(p, pop, law, grid=grid, seed=0, D=0.0)
+
+
+def _general_set(n, d):
+    """A fixed set with non-commuting A and C, non-square B and F and a
+    full noise matrix, with its equilibrium law on a 60-step grid."""
+    rng = np.random.default_rng(10 * n + d)
+    A = -np.eye(n) + 0.4 * rng.standard_normal((n, n))
+    C = 0.3 * rng.standard_normal((n, n))
+    assert n == 1 or np.linalg.norm(A @ C - C @ A) > 1e-2
+    L = rng.standard_normal((d, d))
+    I = np.eye(n)
+    p = SystemParams(
+        A=A, B=rng.standard_normal((n, d)), C=C, F=0.3 * rng.standard_normal((n, d)),
+        D=0.2 * rng.standard_normal((n, n)), Q_I=I, Q=I, Qbar_I=I, Qbar=I,
+        R=np.eye(d) + 0.3 * L @ L.T, Gamma=0.5 * I, Gammabar=0.5 * I,
+        eta=np.zeros(n), etabar=np.zeros(n), s=np.ones(n), sbar=np.ones(n), T=1.0,
+    )
+    bundle = RiccatiBundle.solve(p, p.default_grid(60))
+    law = equilibrium_law(bundle, equilibrium_mf(bundle, np.ones(n)))
+    return p, bundle, law, rng
+
+
+def _family(n, d, N):
+    """_general_set with a per-agent offset law for N agents and their
+    population."""
+    p, bundle, law, rng = _general_set(n, d)
+    Mg = MatrixPath(bundle.grid, rng.standard_normal((61, n, n)))
+    fam = OffsetFamilyLaw(p, bundle.P1, law.g, Mg, rng.standard_normal((N, n)))
+    pop = [(x0, e) for x0, e in zip(rng.standard_normal((N, n)), fam.errors)]
+    return p, law, fam, pop
+
+
+@pytest.mark.parametrize("N", [7, 300])
+@pytest.mark.parametrize("n, d", [(3, 2), (1, 1)])
+def test_simulated_means_are_numpy_means_bit_for_bit(n, d, N):
+    p, law, fam, pop = _family(n, d, N)
+    prescribed = (VectorPath(law.grid, np.ones((61, n))),
+                  VectorPath(law.grid, np.ones((61, d))))
+    for coupling in ("empirical", prescribed):
+        res = simulate(p, pop, fam, mf_coupling=coupling, seed=5)
+        npt.assert_array_equal(res.x_N.values, np.mean(res.xs, axis=1))
+        npt.assert_array_equal(res.u_N.values, np.mean(res.us, axis=1))
+
+
+@pytest.mark.parametrize("N", [7, 300])
+@pytest.mark.parametrize("n, d", [(3, 2), (1, 1)])
+def test_empirical_coupling_is_the_plain_node_mean(n, d, N):
+    p, law, fam, pop = _family(n, d, N)
+    x0 = np.array([x for x, _ in pop])
+    nodes = 0
+    for k, x, u, drift, mf_x in euler_maruyama(p, x0, law.grid, fam.at_node, seed=5):
+        npt.assert_array_equal(mf_x, x.sum(axis=0) / N)
+        mf_u = u.sum(axis=0) / N
+        expected = x @ p.A.T + u @ p.B.T + mf_x @ p.C.T + mf_u @ p.F.T
+        npt.assert_array_equal(drift, expected)
+        nodes += 1
+    assert nodes == law.grid.steps + 1
+
+
+def _zero_law(p, grid):
+    K = grid.steps
+    return FeedbackLaw(params=p, P1=MatrixPath(grid, np.zeros((K + 1, p.n, p.n))),
+                       g=VectorPath(grid, np.zeros((K + 1, p.n))))
+
+
+def test_finite_states_whose_node_sum_overflows_do_not_raise():
+    p, bundle, _, _ = _general_set(3, 2)
+    zero = p.with_(A=np.zeros((3, 3)), B=np.zeros((3, 2)), C=np.zeros((3, 3)),
+                   F=np.zeros((3, 2)))
+    grid = bundle.grid
+    x0 = np.zeros((7, 3))
+    x0[[1, 4], 0] = 1e308
+    coupling = (np.zeros((61, 3)), np.zeros((61, 2)))
+    last = None
+    for k, x, _, _, _ in euler_maruyama(zero, x0, grid, _zero_law(zero, grid).at_node,
+                                        coupling, D=0.0):
+        last = k
+        npt.assert_array_equal(x, x0)
+    assert last == grid.steps
+
+
+class _PoisonedLaw:
+    """A law whose control of one agent at one node is infinite."""
+
+    def __init__(self, law, agent, node):
+        self.law, self.agent, self.node = law, agent, node
+
+    @property
+    def grid(self):
+        return self.law.grid
+
+    def at_node(self, x, k):
+        u = self.law.at_node(x, k)
+        if k == self.node:
+            u[self.agent] = np.inf
+        return u
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_a_non_finite_control_names_the_agent_and_the_next_node():
+    p, law, _, pop = _family(3, 2, 7)
+    coupling = (VectorPath(law.grid, np.zeros((61, 3))),
+                VectorPath(law.grid, np.zeros((61, 2))))
+    with pytest.raises(IntegrationBlowupError, match="agent 3 state non-finite at node 6") as ei:
+        simulate(p, pop, _PoisonedLaw(law, 3, 5), mf_coupling=coupling, seed=5)
+    assert ei.value.node == 6 and ei.value.time == law.grid.times[6]
