@@ -78,7 +78,7 @@ def residual_path(Ob: VectorPath, z_i: VectorPath, g_i: VectorPath,
     FRB = params.FRB
     pred = (
         z_i.values @ params.C.T
-        - np.einsum("ij,kjl,kl->ki", FRB, P1.values, z_i.values)
+        - np.einsum("kij,kj->ki", FRB @ P1.values, z_i.values)
         - g_i.values @ FRB.T
     )
     return VectorPath(Ob.grid, Ob.values - pred)
@@ -88,15 +88,10 @@ def k_matrices(maps: DeviationMaps) -> tuple[MatrixPath, MatrixPath]:
     """The coefficient paths of Ob1 = K1 Ebar + K2 E_i."""
     FRB = maps.params.FRB
     P1v = maps.bundle.P1.values
-    CFP = maps.params.C[None, :, :] - np.einsum("ij,kjl->kil", FRB, P1v)
-    K1 = (
-        np.einsum("kij,kjl->kil", CFP, maps.Mz.values)
-        - np.einsum("ij,kjl->kil", FRB, maps.Mg.values)
-    )
-    K2 = (
-        -np.einsum("kij,kjl->kil", CFP, maps.Phi1.values)
-        + np.einsum("ij,kjl->kil", FRB, maps.Mg.values)
-    )
+    CFP = maps.params.C - FRB @ P1v
+    FMg = FRB @ maps.Mg.values
+    K1 = CFP @ maps.Mz.values - FMg
+    K2 = FMg - CFP @ maps.Phi1.values
     return MatrixPath(maps.grid, K1), MatrixPath(maps.grid, K2)
 
 
@@ -243,10 +238,10 @@ def modified_offset_map(maps: DeviationMaps, t0) -> MatrixPath:
     k0 = grid.index_of(t0)
     sub = grid.subgrid(k0)
     seed = np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])
-    dPhi = np.einsum("kij,jl->kil", maps.Phi1.values[k0:], seed)
+    dPhi = maps.Phi1.values[k0:] @ seed
     S = coupling_weight(params, bundle.P1)[k0:]
     Hg = offset_generator(params, bundle.P1.values[k0:], params.BFRB)
-    f = -np.einsum("kij,kjl->kil", S, dPhi)
+    f = -(S @ dPhi)
     MT = -params.Qbar @ params.Gammabar @ dPhi[-1]
     vals = rk4_affine(Hg, f, MT, sub, forward=False)
     return MatrixPath(sub, vals)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MatrixPath, VectorPath
-from .ode import fundamental_solution, rk4_affine
+from .ode import rk4_affine
 from .riccati import (
     RiccatiBundle,
     agent_generator,
@@ -52,10 +52,6 @@ class DeviationMaps:
         return self.bundle.params
 
 
-def _matmul_nodes(A, B):
-    return np.einsum("kij,kjl->kil", A, B)
-
-
 def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     """Construct all deviation maps for a solved parameter set."""
     params, grid = bundle.params, bundle.grid
@@ -69,28 +65,25 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     Hx = agent_generator(params, P1v)
 
     Phi1, PhiZ = bundle.Phi1, bundle.PhiZ
-    PhiX = fundamental_solution(MatrixPath(grid, Hx), grid.t_start)
-
     S = coupling_weight(params, bundle.P1)  # P1 C - P1 F R^-1 B' P1 - Q*Gamma
 
     # offset deviation: backward affine matrix ODE driven by S Phi1
     MgT = -params.Qbar @ params.Gammabar @ Phi1.terminal
-    Mg_v = rk4_affine(Hg, -_matmul_nodes(S, Phi1.values), MgT, grid, forward=False)
+    Mg_v = rk4_affine(Hg, -(S @ Phi1.values), MgT, grid, forward=False)
     Mg = MatrixPath(grid, Mg_v)
 
     # actual mean-field deviation: forward, zero initial state
-    fz = -np.einsum("ij,kjl->kil", BFRB, Mg_v)
-    Mz = MatrixPath(grid, rk4_affine(Hz, fz, np.zeros((n, n)), grid, forward=True))
+    Mz_v = rk4_affine(Hz, -(BFRB @ Mg_v), np.zeros((n, n)), grid, forward=True)
+    Mz = MatrixPath(grid, Mz_v)
 
-    # expected own-trajectory deviations
-    fx1 = -np.einsum("ij,kjl->kil", BRB, Mg_v)
-    Mx1 = MatrixPath(grid, rk4_affine(Hx, fx1, np.zeros((n, n)), grid, forward=True))
-    L2 = (
-        np.einsum("ij,kjl->kil", params.C, Mz.values)
-        - np.einsum("ij,kjl->kil", FRB, _matmul_nodes(P1v, Mz.values))
-        - np.einsum("ij,kjl->kil", FRB, Mg_v)
-    )
-    Mx2 = MatrixPath(grid, rk4_affine(Hx, L2, np.zeros((n, n)), grid, forward=True))
+    # the single-agent closed loop carries its transition PhiX from I and
+    # the own-trajectory deviations Mx1, Mx2 from 0: one scan of the
+    # columns [PhiX | Mx1 | Mx2] from [I | 0 | 0] under [0 | fx1 | L2]
+    f = np.zeros((grid.steps + 1, n, 3 * n))
+    f[:, :, n:2 * n] = -(BRB @ Mg_v)
+    f[:, :, 2 * n:] = params.C @ Mz_v - FRB @ (P1v @ Mz_v) - FRB @ Mg_v
+    X = rk4_affine(Hx, f, np.eye(n, 3 * n), grid, forward=True)
+    PhiX, Mx1, Mx2 = (MatrixPath(grid, X[:, :, j * n:(j + 1) * n]) for j in range(3))
 
     return DeviationMaps(
         bundle=bundle, Phi1=Phi1, PhiZ=PhiZ, PhiX=PhiX,

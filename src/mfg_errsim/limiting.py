@@ -11,8 +11,10 @@ For noiseless validation and for the correction pipeline we need the exact
 * z_A     -- the mean field actually realized by the population,
 * x_i     -- the tagged agent's expected trajectory inside that population.
 
-Everything is integrated with the same RK4 kernel as the Riccati solves, so
-cross-checks against the linear deviation maps hold to integrator accuracy.
+solve_limiting_batch solves any number of (E_i, Ebar) scenarios together:
+each stage above is one rk4_affine scan with one column per distinct run,
+so the trajectories are direct solves of their ODEs on the Riccati
+bundle's grid, independent of the linear deviation maps they check.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeanField, equilibrium_mf
-from .grid import VectorPath
+from .core import MeanField
+from .grid import MatrixPath, VectorPath
 from .ode import rk4_affine
 from .riccati import (
     RiccatiBundle,
@@ -63,61 +65,93 @@ class LimitingRun:
         return VectorPath(self.grid, vals)
 
 
-def realized_mean_field(bundle: RiccatiBundle, g_bar: VectorPath, z0) -> VectorPath:
-    """Mean field produced by a population playing offsets averaging to g_bar.
-
-    Solves dz = [(A + C - (B+F) R^-1 B' P1) z - (B+F) R^-1 B' g_bar] dt
-    forward from the true initial average z0.
-    """
-    vals = mean_field_path(bundle.params, bundle.P1.values, g_bar.values, z0, bundle.grid)
-    return VectorPath(bundle.grid, vals)
-
-
-def agent_trajectory(bundle: RiccatiBundle, g_i: VectorPath, z_A: VectorPath,
-                     ubar_A: VectorPath, x0) -> tuple[VectorPath, VectorPath]:
-    """Expected trajectory of one agent playing offset g_i inside (z_A, ubar_A)."""
-    params, grid = bundle.params, bundle.grid
-    f = (
-        -np.einsum("ij,kj->ki", params.BRB, g_i.values)
-        + z_A.values @ params.C.T
-        + ubar_A.values @ params.F.T
-    )
-    xv = rk4_affine(agent_generator(params, bundle.P1.values), f,
-                    np.asarray(x0, dtype=float), grid, forward=True)
-    uv = control(params, bundle.P1.values, xv, g_i.values)
-    return VectorPath(grid, xv), VectorPath(grid, uv)
-
-
 def planned_offset(bundle: RiccatiBundle, mf: MeanField) -> VectorPath:
     """Tracking offset an agent derives from its own mean-field prediction."""
     return solve_tracking_offset(bundle.params, bundle.P1, mf.z, mf.ubar, bundle.grid)
 
 
+def _distinct(keys):
+    """Column of each key among the distinct keys, numbered in order of
+    first appearance, and the position of each distinct key's first
+    appearance."""
+    cols, first = {}, []
+    for j, key in enumerate(keys):
+        if key not in cols:
+            cols[key] = len(first)
+            first.append(j)
+    return [cols[key] for key in keys], first
+
+
+def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[LimitingRun]:
+    """The deterministic scenarios of a tagged agent for S error pairs.
+
+    pairs lists (E_i, E_bar): the tagged agent predicts from z0 + E_i while
+    the population average prediction starts at z0 + E_bar; z0 is the true
+    initial mean field, and x0, the agent's true initial state in every
+    run, defaults to z0.
+
+    Four scans, one column per distinct run each: the equilibrium mean
+    fields from z0 and every z0 + E; the tracking offsets of the
+    predictions; the realized mean fields of the distinct average offsets;
+    and the agent trajectories.  The paths of the returned runs are column
+    views of the batch arrays; identical columns are solved once.
+    """
+    params, grid = bundle.params, bundle.grid
+    P0v, P1v, Gv = bundle.P0.values, bundle.P1.values, bundle.G.values
+    z0 = np.asarray(z0, dtype=float)
+    pairs = [(np.asarray(E_i, dtype=float), np.asarray(E_bar, dtype=float))
+             for E_i, E_bar in pairs]
+    x0 = z0 if x0 is None else np.asarray(x0, dtype=float)
+
+    # equilibrium mean fields; the predictions come first, so their
+    # distinct starts are the first p columns
+    starts = [z0 + E for pair in pairs for E in pair] + [z0]
+    col, first = _distinct([v.tobytes() for v in starts])
+    zv = mean_field_path(params, P0v, Gv, np.stack([starts[j] for j in first], axis=1), grid)
+    uv = control(params, P0v, zv, Gv)
+    p = max(col[:-1]) + 1
+    gv = solve_tracking_offset(params, bundle.P1, MatrixPath(grid, zv[:, :, :p]),
+                               MatrixPath(grid, uv[:, :, :p]), grid).values
+    c, ci, cb = col[-1], col[0:-1:2], col[1:-1:2]
+
+    # realized mean field of each distinct average offset
+    ca, first = _distinct(cb)
+    g_bar = gv[:, :, [cb[j] for j in first]]
+    za = mean_field_path(params, P1v, g_bar, np.repeat(z0[:, None], len(first), axis=1), grid)
+    ua = control(params, P1v, za, g_bar)
+
+    # tagged agent's expected trajectory for each distinct (g_i, z_A)
+    cx, first = _distinct(list(zip(ci, ca)))
+    g_i = gv[:, :, [ci[r] for r in first]]
+    z_A = za[:, :, [ca[r] for r in first]]
+    u_A = ua[:, :, [ca[r] for r in first]]
+    f = -(params.BRB @ g_i) + params.C @ z_A + params.F @ u_A
+    xv = rk4_affine(agent_generator(params, P1v), f,
+                    np.repeat(x0[:, None], len(first), axis=1), grid, forward=True)
+    xu = control(params, P1v, xv, g_i)
+
+    def path(a, j):
+        return VectorPath(grid, a[:, :, j])
+
+    z_c = MeanField(z=path(zv, c), ubar=path(uv, c))
+    return [
+        LimitingRun(
+            bundle=bundle, E_i=E_i, E_bar=E_bar, z_c=z_c,
+            mf_i=MeanField(z=path(zv, ci[r]), ubar=path(uv, ci[r])), g_i=path(gv, ci[r]),
+            zbar=MeanField(z=path(zv, cb[r]), ubar=path(uv, cb[r])), g_bar=path(gv, cb[r]),
+            z_A=path(za, ca[r]), ubar_A=path(ua, ca[r]),
+            x_i=path(xv, cx[r]), u_i=path(xu, cx[r]),
+        )
+        for r, (E_i, E_bar) in enumerate(pairs)
+    ]
+
+
 def solve_limiting(bundle: RiccatiBundle, z0, E_i, E_bar, x0=None) -> LimitingRun:
-    """Build the full deterministic scenario for a tagged agent.
+    """The deterministic scenario of one error pair: solve_limiting_batch
+    with S = 1.
 
     z0 is the true initial mean field; the tagged agent predicts from
     z0 + E_i while the population average prediction starts at z0 + E_bar.
     The agent's true initial state defaults to z0.
     """
-    params = bundle.params
-    z0 = np.asarray(z0, dtype=float)
-    E_i = np.asarray(E_i, dtype=float)
-    E_bar = np.asarray(E_bar, dtype=float)
-    if x0 is None:
-        x0 = z0
-
-    z_c = equilibrium_mf(bundle, z0)
-    mf_i = equilibrium_mf(bundle, z0 + E_i)
-    g_i = planned_offset(bundle, mf_i)
-    zbar = equilibrium_mf(bundle, z0 + E_bar)
-    g_bar = planned_offset(bundle, zbar)
-
-    z_A = realized_mean_field(bundle, g_bar, z0)
-    ubar_A = VectorPath(bundle.grid, control(params, bundle.P1.values, z_A.values, g_bar.values))
-    x_i, u_i = agent_trajectory(bundle, g_i, z_A, ubar_A, x0)
-    return LimitingRun(
-        bundle=bundle, E_i=E_i, E_bar=E_bar,
-        z_c=z_c, mf_i=mf_i, g_i=g_i, zbar=zbar, g_bar=g_bar,
-        z_A=z_A, ubar_A=ubar_A, x_i=x_i, u_i=u_i,
-    )
+    return solve_limiting_batch(bundle, z0, [(E_i, E_bar)], x0)[0]

@@ -174,30 +174,31 @@ def rk4_affine(H, f, v0, grid, forward=True):
     """RK4 for dv/dt = H(t) v + f(t) with H, f given as node arrays (or None).
 
     v0 is the value at t_start (forward) or t_end (backward), a vector (n,)
-    or a matrix (n, m).  Returns the full forward-indexed array of node
-    values and raises IntegrationBlowupError at the first non-finite node.
+    or a matrix (n, m).  f has the state's shape at every node, or is a
+    vector path (K+1, n) forcing every column of a matrix state alike.
+    Returns the full forward-indexed array of node values and raises
+    IntegrationBlowupError at the first non-finite node.
 
     One RK4 step is affine in v, v_{k+1} = T_k v_k + c_k, so no step loop
     runs: _rk4_step, called once with the index array of all K steps on the
     state [I | 0] under the forcing [0 | f], gives every [T_k | c_k]; a
     log-depth prefix scan composes them, and node values are P_k v0 + C_k.
-    With f None every c_k is zero, so the state is I and only the T_k are
-    built and composed.
+    A forcing shared by all columns is one column of c_k.  With f None every
+    c_k is zero, so the state is I and only the T_k are built and composed.
     """
     v0 = np.asarray(v0, dtype=float)
     V0 = v0[:, None] if v0.ndim == 1 else v0
     n, m = V0.shape
     K = grid.steps
-    w = n if f is None else n + m
     Hh = np.zeros((2 * K + 1, n, n)) if H is None else half_nodes(H)
-    fh = None
-    if f is not None:
-        fh = np.zeros((2 * K + 1, n, w))
-        fh[:, :, n:] = half_nodes(f).reshape(2 * K + 1, n, m)
+    fh = None if f is None else half_nodes(f).reshape(2 * K + 1, n, -1)
+    w = n if fh is None else n + fh.shape[2]
 
     def rhs(i, v):
         dv = Hh[i] @ v
-        return dv if fh is None else dv + fh[i]
+        if fh is not None:
+            dv[:, :, n:] += fh[i]
+        return dv
 
     s = 1 if forward else -1
     steps = np.arange(K) if forward else np.arange(K, 0, -1)

@@ -43,33 +43,45 @@ from .params import SystemParams
 
 # ---------------------------------------------------------------------------
 # closed-loop generators and the feedback control, on node arrays
+#
+# A node array of states is (K+1, n), or (K+1, n, m) with one column per
+# run on a trailing axis; a (K+1, n) array next to column states is one
+# column shared by all of them.
+
+
+def _cols(a):
+    """A (K+1, n) node array as one column, (K+1, n, 1); columns pass."""
+    return a[..., None] if a.ndim == 2 else a
 
 
 def mf_generator(params: SystemParams, P) -> np.ndarray:
     """Forward mean-field generator (A + C) - (B+F) R^-1 B' P at every node."""
-    return (params.A + params.C)[None, :, :] - np.einsum("ij,kjl->kil", params.BFRB, P)
+    return (params.A + params.C) - params.BFRB @ P
 
 
 def agent_generator(params: SystemParams, P1) -> np.ndarray:
     """Single-agent closed-loop generator A - B R^-1 B' P1 at every node."""
-    return params.A[None, :, :] - np.einsum("ij,kjl->kil", params.BRB, P1)
+    return params.A - params.BRB @ P1
 
 
 def offset_generator(params: SystemParams, P, M) -> np.ndarray:
     """Backward offset generator -(A' - P M) at every node, M = BRB or BFRB."""
-    return -(params.A.T[None, :, :] - np.einsum("kij,jl->kil", P, M))
+    return -(params.A.T - P @ M)
 
 
 def control(params: SystemParams, P, x, g=None) -> np.ndarray:
     """Feedback control u = -R^-1 B' (P x + g).
 
-    Either P is a node array (K+1, n, n) with paths x, g of shape (K+1, n),
-    or P is the matrix of one node with states x of shape (N, n) or (n,).
-    g = None drops the offset.
+    Either P is a node array (K+1, n, n) with node arrays x, g of states
+    (see above), or P is the matrix of one node with states x of shape
+    (N, n) or (n,).  g = None drops the offset.
     """
     if P.ndim == 3:
-        Px = np.einsum("kij,kj->ki", P, x)
-        return -np.einsum("ij,kj->ki", params.RinvBt, Px if g is None else Px + g)
+        Px = P @ _cols(x)
+        if g is not None:
+            Px += _cols(g)
+        u = -(params.RinvBt @ Px)
+        return u if x.ndim == 3 else u[..., 0]
     # contiguous right operands: faster than transposed views, same bits
     Px = x @ np.ascontiguousarray(P.T)
     if g is not None:
@@ -79,8 +91,10 @@ def control(params: SystemParams, P, x, g=None) -> np.ndarray:
 
 def mean_field_path(params: SystemParams, P, G, z0, grid: TimeGrid) -> np.ndarray:
     """Forward mean-field solve dz = [mf_generator(P) z - (B+F) R^-1 B' G] dt
-    from z(t_start) = z0, on node arrays P, G of the grid."""
-    f = -np.einsum("ij,kj->ki", params.BFRB, G)
+    from z(t_start) = z0, on node arrays P and G of the grid.  z0 is (n,)
+    or (n, m), one column per run; G is (K+1, n), shared by every run, or
+    (K+1, n, m)."""
+    f = -(params.BFRB @ G) if G.ndim == 3 else -(G @ params.BFRB.T)
     return rk4_affine(mf_generator(params, P), f, np.asarray(z0, dtype=float),
                       grid, forward=True)
 
@@ -248,11 +262,7 @@ def solve_P2(params: SystemParams, P1: MatrixPath, grid: TimeGrid) -> MatrixPath
 def coupling_weight(params: SystemParams, P1: MatrixPath) -> np.ndarray:
     """S(t) = P1 C - P1 F R^-1 B' P1 - Q*Gamma at every node."""
     P1v = P1.values
-    return (
-        np.einsum("kij,jl->kil", P1v, params.C)
-        - np.einsum("kij,jl,klm->kim", P1v, params.FRB, P1v)
-        - (params.Q @ params.Gamma)
-    )
+    return P1v @ params.C - (P1v @ params.FRB) @ P1v - params.Q @ params.Gamma
 
 
 def solve_G(params: SystemParams, P0: MatrixPath, grid: TimeGrid) -> VectorPath:
@@ -277,30 +287,36 @@ def solve_G1(params: SystemParams, P1: MatrixPath, P2: MatrixPath, grid: TimeGri
 def solve_tracking_offset(
     params: SystemParams,
     P1: MatrixPath,
-    z_path: VectorPath,
-    ubar_path: VectorPath,
+    z_path,
+    ubar_path,
     grid: TimeGrid,
-    terminal_z: np.ndarray | None = None,
-) -> VectorPath:
+):
     """Backward tracking offset g driven by mean-field paths (z, ubar):
 
     dg = -[(A' - P1 B R^-1 B') g + (P1 C - Q*Gamma) z + P1 F ubar - Q_I s - Q eta] dt,
     g(T) = -Qbar_I sbar - Qbar (Gammabar z(T) + etabar).
+
+    z and ubar are VectorPaths, giving a VectorPath, or MatrixPaths with one
+    column per run, giving a MatrixPath of the runs' offsets.
     """
     require_same_grid(P1, z_path, ubar_path)
     P1v = P1.values
+    z, ub = _cols(z_path.values), _cols(ubar_path.values)
     H = offset_generator(params, P1v, params.BRB)
     drive = (
-        np.einsum("kij,jl,kl->ki", P1v, params.C, z_path.values)
-        - np.einsum("ij,kj->ki", params.Q @ params.Gamma, z_path.values)
-        + np.einsum("kij,jl,kl->ki", P1v, params.F, ubar_path.values)
-        - params.nu
+        (P1v @ params.C) @ z
+        - (params.Q @ params.Gamma) @ z
+        + (P1v @ params.F) @ ub
+        - params.nu[:, None]
     )
     f = -drive
-    zT = z_path.terminal if terminal_z is None else np.asarray(terminal_z, dtype=float)
-    gT = -params.Qbar_I @ params.sbar - params.Qbar @ (params.Gammabar @ zT + params.etabar)
+    zT = z[-1]
+    gT = (-params.Qbar_I @ params.sbar)[:, None] - params.Qbar @ (
+        params.Gammabar @ zT + params.etabar[:, None])
     values = _escape_guard(lambda: rk4_affine(H, f, gT, grid, forward=False), "g")
-    return VectorPath(grid, values)
+    if z_path.values.ndim == 2:
+        return VectorPath(grid, values[..., 0])
+    return MatrixPath(grid, values)
 
 
 @dataclass
@@ -317,12 +333,14 @@ class RiccatiBundle:
 
     @classmethod
     def solve(cls, params: SystemParams, grid: TimeGrid) -> "RiccatiBundle":
-        """Solve every path on the grid.  P1 and P0 are powers of the exact
-        step maps of their constant Hamiltonians, and P2 is a scan of its
-        time-varying Hamiltonian's RK4 step propagators; each gives P = Y X^-1 in blocks re-anchored at [I; P] and raises
-        FiniteEscapeError, naming the path, where X turns singular.  The
-        linear G and G1 solves are scans of step propagators (see
-        ode.rk4_affine)."""
+        """Solve every path on the grid.
+
+        P1 and P0 are powers of the exact step maps of their constant
+        Hamiltonians, and P2 is a scan of its time-varying Hamiltonian's
+        RK4 step propagators.  Each gives P = Y X^-1 in blocks re-anchored
+        at [I; P] and raises FiniteEscapeError, naming the path, where X
+        turns singular.  The linear G and G1 solves are scans of step
+        propagators (see ode.rk4_affine)."""
         P1, P0 = solve_P1(params, grid), solve_P0(params, grid)
         P2 = solve_P2(params, P1, grid)
         G = solve_G(params, P0, grid)

@@ -36,7 +36,7 @@ from .deviations import (
     predicted_mf_deviation,
 )
 from .errors import ConfigError
-from .limiting import solve_limiting
+from .limiting import solve_limiting, solve_limiting_batch
 from .params import P6_EBAR_BASE, P6_Z0, SystemParams, p6_params
 from .realtime import (
     build_kernels,
@@ -191,7 +191,14 @@ def validate_config(raw) -> ScenarioConfig:
                 or not all(isinstance(k, (int, float)) for k in ks)):
             problems.append(("k_sweep", "must be a nonempty list of numbers"))
         else:
-            cfg_kwargs["k_sweep"] = [float(k) for k in ks]
+            ks = [float(k) for k in ks]
+            if len(set(ks)) < 2:
+                problems.append(("k_sweep", "must hold at least two distinct values "
+                                            "to fit a line"))
+            elif len(set(ks)) < len(ks):
+                problems.append(("k_sweep", "must not repeat a value"))
+            else:
+                cfg_kwargs["k_sweep"] = ks
 
     n = params.n if params is not None else None
     for key in ("z0", "E_bar", "E_i"):
@@ -340,12 +347,12 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
         )
 
     elif config.mode == "evolve":
-        runs = [solve_limiting(bundle, config.z0, k * config.E_bar, k * config.E_bar)
-                for k in config.k_sweep]
-        # baseline realized field with zero errors, in the same representation
-        # as z_A, so the regression intercept is free of route mismatch
-        ref = solve_limiting(bundle, config.z0, 0.0 * config.E_bar,
-                             0.0 * config.E_bar)
+        # a direct solve per k, plus the baseline realized field with zero
+        # errors in the same representation as z_A, so the regression
+        # intercept is free of route mismatch
+        *runs, ref = solve_limiting_batch(
+            bundle, config.z0,
+            [(k * config.E_bar, k * config.E_bar) for k in config.k_sweep + [0.0]])
         # deviations per k at probe times, then per-component regressions
         probe_times = _probe_times(config.params)
         rows = {"kind": [], "t": [], "component": [], "slope": [],

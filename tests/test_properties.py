@@ -21,7 +21,7 @@ from mfg_errsim.deviations import (
     build_maps,
     expected_trajectory_deviation,
 )
-from mfg_errsim.limiting import solve_limiting
+from mfg_errsim.limiting import solve_limiting, solve_limiting_batch
 from mfg_errsim.params import SystemParams
 from mfg_errsim.riccati import RiccatiBundle
 
@@ -97,3 +97,28 @@ def test_correction_round_trip_recovers_the_errors(n, d, seed):
     truth = np.concatenate([E_bar, E_i])
     got = np.concatenate([result.E_bar, result.E_i])
     assert np.linalg.norm(got - truth) <= TOL * np.linalg.norm(truth)
+
+
+def _limiting_paths(run):
+    return [run.z_c.z, run.z_c.ubar, run.mf_i.z, run.mf_i.ubar, run.g_i,
+            run.zbar.z, run.zbar.ubar, run.g_bar, run.z_A, run.ubar_A, run.x_i, run.u_i]
+
+
+@settings(derandomize=True, deadline=None, max_examples=8, database=None)
+@given(n=st.integers(1, 3), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_batched_limiting_runs_match_single_solves(n, d, seed):
+    rng = np.random.default_rng(seed)
+    params = _random_params(n, d, rng)
+    bundle = RiccatiBundle.solve(params, params.default_grid(STEPS))
+    z0, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    E = 0.2 * rng.standard_normal((2, n))
+    # the second pair shares the first's E_i and has E_i = E_bar; the
+    # third repeats the first
+    pairs = [(E[0], E[1]), (E[0], E[0]), (E[0], E[1])]
+    runs = solve_limiting_batch(bundle, z0, pairs, x0)
+    assert len(runs) == 3
+    for run, (E_i, E_bar) in zip(runs, pairs):
+        single = solve_limiting(bundle, z0, E_i, E_bar, x0)
+        for got, want in zip(_limiting_paths(run), _limiting_paths(single)):
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale

@@ -1,15 +1,21 @@
 """Scenario configs, batch pipelines, output files, and the CLI."""
 
+import importlib.util
 import json
 import os
 
 import numpy as np
 import pytest
 
+from mfg_errsim import scenario
 from mfg_errsim.cli import main
 from mfg_errsim.errors import ConfigError
+from mfg_errsim.limiting import solve_limiting
+from mfg_errsim.riccati import RiccatiBundle
 from mfg_errsim.scenario import (
     ScenarioConfig,
+    _fit_line,
+    _probe_times,
     load_config,
     run_scenario,
     validate_config,
@@ -121,6 +127,27 @@ def test_t0_must_be_a_grid_node_for_correction_modes():
     assert cfg.t0 == 0.5
 
 
+@pytest.mark.parametrize("k_sweep, reason", [
+    ([2.0], "at least two distinct values"),
+    ([1.0, 1.0], "at least two distinct values"),
+    ([1.0, 2.0, 1.0], "must not repeat a value"),
+])
+def test_evolve_k_sweep_needs_two_distinct_values(k_sweep, reason):
+    with pytest.raises(ConfigError) as ei:
+        validate_config({"mode": "evolve", "k_sweep": k_sweep})
+    assert [f for f, _ in ei.value.problems] == ["k_sweep"]
+    assert reason in ei.value.problems[0][1]
+
+
+def test_cli_run_rejects_a_one_value_k_sweep(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = _write(tmp_path, {"mode": "evolve", "grid_steps": 200, "k_sweep": [2.0]})
+    assert main(["run", path, "--out", str(out)]) == 1
+    assert ("config error: k_sweep: must hold at least two distinct values"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_load_config_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -155,6 +182,56 @@ def test_evolve_mode_reports_linear_scaling(tmp_path):
     intercept = data[:, header.index("intercept")]
     assert np.all(r2 >= 0.999)
     assert np.max(np.abs(intercept)) < 1e-8
+
+
+def _mixed_fixture():
+    """The non-commuting n = d = 2 fixture of tools/csv_digest.py."""
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "csv_digest.py")
+    spec = importlib.util.spec_from_file_location("csv_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FIXTURES["mixed"]
+
+
+def test_evolve_outputs_match_a_loop_of_single_limiting_solves(tmp_path):
+    cfg = validate_config(dict(_mixed_fixture(), mode="evolve", grid_steps=200,
+                               output_dir=str(tmp_path)))
+    run_scenario(cfg)
+    bundle = RiccatiBundle.solve(cfg.params, cfg.grid())
+    runs = [solve_limiting(bundle, cfg.z0, k * cfg.E_bar, k * cfg.E_bar)
+            for k in cfg.k_sweep]
+    ref = solve_limiting(bundle, cfg.z0, 0.0 * cfg.E_bar, 0.0 * cfg.E_bar)
+
+    # 201 nodes are written undecimated
+    _, data = _read_csv(tmp_path / "deviations.csv")
+    want = np.hstack([r.z_A.values - r.z_c.z.values for r in runs])
+    assert np.max(np.abs(data[:, 1:] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    header, data = _read_csv(tmp_path / "linearity.csv")
+    want = []
+    for kind, devs in ((0.0, [r.zbar.z.values - r.z_c.z.values for r in runs]),
+                       (1.0, [r.z_A.values - ref.z_A.values for r in runs])):
+        for t in _probe_times(cfg.params):
+            k = cfg.grid().index_of(t)
+            for j in range(cfg.params.n):
+                want.append([kind, t, j + 1.0,
+                             *_fit_line(cfg.k_sweep, [d[k, j] for d in devs])])
+    want = np.array(want)
+    assert header == ["kind_actual", "t", "component", "slope", "intercept", "r_squared"]
+    np.testing.assert_array_equal(data[:, :3], want[:, :3])
+    slope_scale = np.max(np.abs(want[:, 3]))
+    assert np.max(np.abs(data[:, 3:5] - want[:, 3:5])) <= 1e-13 * slope_scale
+    assert np.max(np.abs(data[:, 5] - want[:, 5])) <= 1e-13
+
+
+def test_evolve_mode_does_not_use_the_deviation_maps(tmp_path, monkeypatch):
+    def no_maps(bundle):
+        raise AssertionError("evolve mode must solve every k directly")
+
+    monkeypatch.setattr(scenario, "build_maps", no_maps)
+    manifest = run_scenario(validate_config({
+        "mode": "evolve", "grid_steps": 200, "output_dir": str(tmp_path)}))
+    assert {"linearity.csv", "deviations.csv"} <= set(manifest.files)
 
 
 def test_correct_mode_recovers_injected_errors(tmp_path):
