@@ -6,10 +6,12 @@ one RK4 step (_rk4_step) behind every solver.  Stage values of
 time-varying coefficients at half-steps come from linear interpolation of
 node values (half_nodes), so every coefficient can live on the same grid as
 the solution.  Nonlinear problems step in a Python loop (rk4_steps).  Affine
-problems do not: rk4_affine takes the step once, on an index array of all
-steps, to build each step's propagator, and composes the propagators with
-a log-depth prefix scan.  Backward problems are integrated in reversed time
-with a negative step; returned paths are always forward-indexed.
+problems do not: rk4_affine takes the step once, on strided views of the
+stage coefficients of all steps, to build each step's propagator, and
+composes the propagators with a work-efficient (odd-even) prefix scan of
+about 2K compositions in 2 ceil(log2 K) batched calls.  Backward problems
+are integrated in reversed time with a negative step; returned paths are
+always forward-indexed.
 
 A constant linear ODE needs no RK4: its exact step map is the matrix
 exponential (expm, Pade scaling and squaring), and matrix_powers gives all
@@ -119,8 +121,9 @@ def half_nodes(a):
 
 
 def _rk4_step(rhs, i, v, h, s):
-    """One classical RK4 step of size h from half-node i (an int, or an index
-    array for a batch of steps), reading half-nodes i, i + s and i + 2s."""
+    """One classical RK4 step of size h from half-node i, reading half-nodes
+    i, i + s and i + 2s (rk4_affine's batch of all steps passes i = 0, s = 1
+    and reads its three stage views)."""
     k1 = rhs(i, v)
     k2 = rhs(i + s, v + 0.5 * h * k1)
     k3 = rhs(i + s, v + 0.5 * h * k2)
@@ -152,22 +155,33 @@ def rk4_steps(rhs, v0, grid, forward=True):
     return out
 
 
+def _compose(L, R, n):
+    """Batched composition of affine maps, R first: [T_L T_R | T_L c_R + c_L]
+    from L = [T_L | c_L] and R = [T_R | c_R]."""
+    out = L[:, :, :n] @ R
+    out[:, :, n:] += L[:, :, n:]
+    return out
+
+
 def _prefix_compose(TC, n):
     """Inclusive prefix composition of the affine maps v -> T_j v + c_j.
 
     TC[j] = [T_j | c_j] with T_j of shape (n, n).  Returns [P_j | C_j], where
-    v -> P_j v + C_j applies maps 0..j in order.  Hillis-Steele doubling:
-    ceil(log2 len(TC)) batched passes, pass d composing each entry j >= d
-    with entry j - d.
+    v -> P_j v + C_j applies maps 0..j in order.  Odd-even scan (Ladner and
+    Fischer 1980; Blelloch 1990): compose the pairs (2i, 2i+1), scan the
+    pairs recursively for the odd entries, then compose each even entry
+    2i >= 2 with pair prefix i - 1.  About 2K compositions in all, in
+    2 ceil(log2 K) batched calls, against K log2 K for a doubling scan.
     """
-    d = 1
-    while d < len(TC):
-        nxt = TC.copy()
-        nxt[d:] = TC[d:, :, :n] @ TC[:-d]
-        nxt[d:, :, n:] += TC[d:, :, n:]
-        TC = nxt
-        d *= 2
-    return TC
+    K = len(TC)
+    if K == 1:
+        return TC
+    pairs = _prefix_compose(_compose(TC[1::2], TC[:K - 1:2], n), n)
+    out = np.empty_like(TC)
+    out[0] = TC[0]
+    out[1::2] = pairs
+    out[2::2] = _compose(TC[2::2], pairs[:(K - 1) // 2], n)
+    return out
 
 
 def rk4_affine(H, f, v0, grid, forward=True):
@@ -180,11 +194,15 @@ def rk4_affine(H, f, v0, grid, forward=True):
     IntegrationBlowupError at the first non-finite node.
 
     One RK4 step is affine in v, v_{k+1} = T_k v_k + c_k, so no step loop
-    runs: _rk4_step, called once with the index array of all K steps on the
-    state [I | 0] under the forcing [0 | f], gives every [T_k | c_k]; a
-    log-depth prefix scan composes them, and node values are P_k v0 + C_k.
-    A forcing shared by all columns is one column of c_k.  With f None every
-    c_k is zero, so the state is I and only the T_k are built and composed.
+    runs: _rk4_step, called once for all K steps on the state [I | 0] under
+    the forcing [0 | f], gives every [T_k | c_k]; the odd-even prefix scan
+    composes them (about 2K compositions in 2 ceil(log2 K) batched calls),
+    and node values are P_k v0 + C_k.  The K steps read half-nodes 2k,
+    2k + 1 and 2k + 2 (reversed backward), so the three stage coefficients
+    are strided views of the half-node arrays, taken once: no stage call
+    copies a (K, n, n) block out of them.  A forcing shared by all columns
+    is one column of c_k.  With f None every c_k is zero, so the state is I
+    and only the T_k are built and composed.
     """
     v0 = np.asarray(v0, dtype=float)
     V0 = v0[:, None] if v0.ndim == 1 else v0
@@ -193,21 +211,26 @@ def rk4_affine(H, f, v0, grid, forward=True):
     Hh = np.zeros((2 * K + 1, n, n)) if H is None else half_nodes(H)
     fh = None if f is None else half_nodes(f).reshape(2 * K + 1, n, -1)
     w = n if fh is None else n + fh.shape[2]
+    if forward:
+        h, nodes = grid.dt, np.arange(1, K + 1)
+        stages = (slice(0, 2 * K, 2), slice(1, 2 * K, 2), slice(2, None, 2))
+    else:
+        h, nodes = -grid.dt, np.arange(K - 1, -1, -1)
+        stages = (slice(2 * K, 0, -2), slice(2 * K - 1, None, -2), slice(2 * K - 2, None, -2))
+    Hs = [Hh[j] for j in stages]
+    fs = None if fh is None else [fh[j] for j in stages]
 
     def rhs(i, v):
-        dv = Hh[i] @ v
-        if fh is not None:
-            dv[:, :, n:] += fh[i]
+        dv = Hs[i] @ v
+        if fs is not None:
+            dv[:, :, n:] += fs[i]
         return dv
 
-    s = 1 if forward else -1
-    steps = np.arange(K) if forward else np.arange(K, 0, -1)
-    nodes = steps + s
     U0 = np.broadcast_to(np.eye(n, w), (K, n, w))
     out = np.empty((K + 1, n, m))
     out[0 if forward else K] = V0
     with np.errstate(over="ignore", invalid="ignore"):
-        TC = _rk4_step(rhs, 2 * steps, U0, s * grid.dt, s)
+        TC = _rk4_step(rhs, 0, U0, h, 1)
         PC = _prefix_compose(TC, n)
         vals = PC[:, :, :n] @ V0
         if fh is not None:

@@ -258,11 +258,20 @@ def _config_hash(config: ScenarioConfig) -> str:
 def _write_csv(path, header, columns):
     """Write columns (1-d arrays of equal length) with full precision."""
     arr = np.column_stack(columns)
+    row_fmt = ",".join([_FMT] * arr.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in arr:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        for row in arr.tolist():
+            fh.write(row_fmt % tuple(row))
     return {"columns": list(header), "rows": int(arr.shape[0])}
+
+
+def _k_labels(ks):
+    """Header labels of a k sweep: %g, except that values whose %g labels
+    collide get their shortest round-trip form, so no two labels agree."""
+    short = [f"{k:g}" for k in ks]
+    return [np.format_float_positional(k, trim="-") if short.count(g) > 1 else g
+            for k, g in zip(ks, short)]
 
 
 def _decimate(times, arrays, keep=201):
@@ -392,8 +401,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
         t, cols, _ = _decimate(grid.times, dzs)
         header = ["t"]
         out_cols = [t]
-        for k, d in zip(config.k_sweep, cols):
-            header += [f"dz_actual_k{k:g}_{j + 1}" for j in range(n)]
+        for k, d in zip(_k_labels(config.k_sweep), cols):
+            header += [f"dz_actual_k{k}_{j + 1}" for j in range(n)]
             out_cols += list(d.T)
         files["deviations.csv"] = _write_csv(
             os.path.join(out, "deviations.csv"), header, out_cols)

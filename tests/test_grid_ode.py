@@ -12,8 +12,10 @@ from mfg_errsim.errors import (
     IntegrationBlowupError,
     SingularMatrixError,
 )
+from mfg_errsim import ode
 from mfg_errsim.grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from mfg_errsim.ode import (
+    _prefix_compose,
     expm as ode_expm,
     fundamental_solution,
     half_nodes,
@@ -181,11 +183,14 @@ def _varying_generator(times):
 
 @pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("matrix", [False, True])
-@pytest.mark.parametrize("span", ["full", "sub", "one-step"])
+@pytest.mark.parametrize("span", ["full", "sub", "one-step", "2-step", "3-step",
+                                  "5-step", "33-step"])
 @pytest.mark.parametrize("with_H", [True, False])
 def test_rk4_affine_scan_matches_step_loop(forward, matrix, span, with_H):
     grid = TimeGrid(0.0, 2.0, 500)
-    k0, k1 = {"full": (0, 500), "sub": (120, 371), "one-step": (77, 78)}[span]
+    k0, k1 = {"full": (0, 500), "sub": (120, 371), "one-step": (77, 78),
+              "2-step": (77, 79), "3-step": (200, 203), "5-step": (495, 500),
+              "33-step": (0, 33)}[span]
     sub = grid.subgrid(k0, k1)
     H = _varying_generator(grid.times)
     assert np.linalg.norm(H[10] @ H[400] - H[400] @ H[10]) > 0.1
@@ -201,15 +206,19 @@ def test_rk4_affine_scan_matches_step_loop(forward, matrix, span, with_H):
 
 
 @pytest.mark.parametrize("forward", [True, False])
-@pytest.mark.parametrize("j", [0, 7, 20])
+@pytest.mark.parametrize("steps, j", [
+    pytest.param(20, 0, id="0"), pytest.param(20, 7, id="7"), pytest.param(20, 20, id="20"),
+    pytest.param(21, 0, id="odd-0"), pytest.param(21, 20, id="odd-20"),
+    pytest.param(21, 21, id="odd-21"),
+])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_rk4_affine_blowup_node_matches_step_loop(forward, j, bad):
+def test_rk4_affine_blowup_node_matches_step_loop(forward, steps, j, bad):
     # a non-finite forcing at node j reaches the steps on either side of it,
     # so the loop stops at node j, or at the first node it steps to from an
     # end of the grid; the scan names the same node, without a warning
-    g = TimeGrid(0.0, 1.0, 20)
+    g = TimeGrid(0.0, 1.0, steps)
     H = _varying_generator(g.times)
-    f = np.ones((21, 3))
+    f = np.ones((steps + 1, 3))
     f[j, 1] = bad
     nodes = []
     with warnings.catch_warnings():
@@ -219,8 +228,48 @@ def test_rk4_affine_blowup_node_matches_step_loop(forward, j, bad):
                 solve(H, f, np.zeros(3), g, forward)
             nodes.append(ei.value.node)
             assert ei.value.time == g.times[ei.value.node]
-    expected = {0: 1, 7: 7, 20: 20} if forward else {0: 0, 7: 7, 20: 19}
-    assert nodes == [expected[j]] * 2
+    if forward:
+        expected = 1 if j == 0 else j
+    else:
+        expected = steps - 1 if j == steps else j
+    assert nodes == [expected] * 2
+
+
+@pytest.mark.parametrize("w", [3, 5])
+def test_prefix_compose_matches_a_left_fold(w):
+    n = 3
+    rng = np.random.default_rng(11)
+    for K in range(1, 71):
+        TC = np.eye(n, w) + 0.4 * rng.standard_normal((K, n, w))
+        if K > 1:
+            assert np.linalg.norm(TC[0, :, :n] @ TC[1, :, :n]
+                                  - TC[1, :, :n] @ TC[0, :, :n]) > 0.1
+        got = _prefix_compose(TC.copy(), n)
+        assert got.shape == (K, n, w)
+        # v <- T_k v + c_k, applied to v = [I | 0], folds the maps in order
+        P = np.eye(n, w)
+        for k in range(K):
+            P = TC[k, :, :n] @ P
+            P[:, n:] += TC[k, :, n:]
+            assert np.max(np.abs(got[k] - P)) <= 1e-12 * np.max(np.abs(P)), (K, k)
+
+
+def test_rk4_affine_scan_composes_at_most_2k_rows(monkeypatch):
+    # a doubling scan composes about K log2 K rows; the odd-even scan < 2K
+    calls = []
+    compose = ode._compose
+
+    def counted(L, R, n):
+        calls.append(len(L))
+        return compose(L, R, n)
+
+    monkeypatch.setattr(ode, "_compose", counted)
+    K = 2000
+    grid = TimeGrid(0.0, 2.0, K)
+    f = np.ones((K + 1, 3))
+    rk4_affine(_varying_generator(grid.times), f, np.zeros(3), grid)
+    assert 0 < sum(calls) <= 2 * K
+    assert len(calls) <= 2 * math.ceil(math.log2(K))
 
 
 def test_fundamental_solution_constant_coefficients():

@@ -148,6 +148,34 @@ def test_cli_run_rejects_a_one_value_k_sweep(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evolve_headers_stay_distinct_when_k_values_agree_to_six_digits(tmp_path):
+    # %g labels both 1.0 and 1.0000001 "1"; those two get their shortest
+    # round-trip form, and 2.0 keeps its %g label
+    cfg = validate_config({"mode": "evolve", "grid_steps": 200,
+                           "k_sweep": [1.0, 1.0000001, 2.0], "output_dir": str(tmp_path)})
+    manifest = run_scenario(cfg)
+    header, data = _read_csv(tmp_path / "deviations.csv")
+    assert header == ["t", "dz_actual_k1_1", "dz_actual_k1_2",
+                      "dz_actual_k1.0000001_1", "dz_actual_k1.0000001_2",
+                      "dz_actual_k2_1", "dz_actual_k2_2"]
+    assert manifest.files["deviations.csv"]["columns"] == header
+    assert data.shape[1] == len(header)
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 0.1, -3.0]),
+     np.arange(9), np.linspace(-1.0, 1.0, 9) / 3.0],
+    [np.arange(-4, 5), np.array([0, 1, -1, 2**53 + 1, 7, 10**17, -5, 3, 2])],
+])
+def test_write_csv_matches_value_by_value_formatting(tmp_path, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path / "x.csv"
+    scenario._write_csv(str(path), header, columns)
+    ref = ",".join(header) + "\n" + "".join(
+        ",".join(scenario._FMT % v for v in row) + "\n" for row in np.column_stack(columns))
+    assert path.read_bytes() == ref.encode()
+
+
 def test_load_config_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
