@@ -7,12 +7,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mfg_errsim import ode
 from mfg_errsim.errors import (
     GridMismatchError,
     IntegrationBlowupError,
     SingularMatrixError,
 )
-from mfg_errsim import ode
 from mfg_errsim.grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from mfg_errsim.ode import (
     _prefix_compose,
