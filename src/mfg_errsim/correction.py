@@ -48,15 +48,17 @@ def observable_path(trace, params: SystemParams, grid=None, mode="finite-differe
     a real agent can do.
     """
     if isinstance(trace, AgentTrace):
-        x, u, drift = trace.x, trace.u, trace.drift
+        x, u = trace.x, trace.u
     else:
-        x, u, drift = trace  # (x, u, drift-or-None) triple
+        x, u, _ = trace  # (x, u, drift-or-None) triple
     if grid is None:
         grid = x.grid
     if grid.steps < 2:
         raise ValueError("need at least three nodes to estimate the drift")
     xv, uv = x.values, u.values
     if mode == "exact-drift":
+        # read here only: a trace's drift is derived for its whole population
+        drift = trace.drift if isinstance(trace, AgentTrace) else trace[2]
         if drift is None:
             raise ValueError("exact-drift mode requires a stored drift path")
         xdot = drift.values

@@ -13,7 +13,8 @@ x (N, n) at node k of that grid.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .riccati import control
 
 _SAMPLING = 0
 _DYNAMICS = 1
+# nodes of dynamics noise drawn per refill of euler_maruyama's noise buffer
+_NOISE_BLOCK = 128
 
 
 def _agent_rng(seed: int, agent_id: int, purpose: int) -> np.random.Generator:
@@ -49,27 +52,57 @@ def _cov_factor(cov, name):
 
 @dataclass
 class AgentTrace:
-    """Realized path of one agent, with the drift stored for validation."""
+    """Realized path of one agent, as views into its PopulationResult.
+
+    The drift, kept for validation, is read from the result's drifts, which
+    are derived from the states and controls on first read.
+    """
 
     agent_id: int
     E_i: np.ndarray
     x: VectorPath
     u: VectorPath
-    drift: VectorPath
+    result: PopulationResult = field(repr=False)
+
+    @property
+    def drift(self) -> VectorPath:
+        return VectorPath(self.x.grid, self.result.drifts[:, self.agent_id, :])
 
 
 @dataclass
 class PopulationResult:
     """Realized paths of N agents; entry [k, i] of xs, us and drifts is
-    agent i at node k."""
+    agent i at node k.
 
+    drifts is not stored by the run: its first read derives every node's
+    drift A x + B u + C mf_x + F mf_u from xs[k], us[k] and the run's
+    coupling (the node means under empirical coupling, else node k of the
+    prescribed (z, ubar) arrays, kept by reference), bit for bit the drift
+    euler_maruyama stepped with, and caches it.
+    """
+
+    params: SystemParams
     grid: TimeGrid
     xs: np.ndarray       # (K+1, N, n)
     us: np.ndarray       # (K+1, N, d)
-    drifts: np.ndarray   # (K+1, N, n)
     errors: np.ndarray   # (N, n) initial-information errors
     x_N: VectorPath
     u_N: VectorPath
+    coupling: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def drifts(self) -> np.ndarray:
+        """(K+1, N, n) drift of every agent at every node."""
+        params, N = self.params, self.xs.shape[1]
+        At, Bt = (np.ascontiguousarray(M.T) for M in (params.A, params.B))
+        drifts = np.empty_like(self.xs)
+        for k, (x, u) in enumerate(zip(self.xs, self.us)):
+            if self.coupling is None:
+                mf_x, mf_u = agent_sum(x) / N, agent_sum(u) / N
+            else:
+                mf_x, mf_u = self.coupling[0][k], self.coupling[1][k]
+            drifts[k] = _drift(params, At, Bt, x, u, mf_x, mf_u)
+        return drifts
 
     def trace(self, i: int) -> AgentTrace:
         """Agent i's paths, as views into the result arrays."""
@@ -78,7 +111,7 @@ class PopulationResult:
             E_i=self.errors[i],
             x=VectorPath(self.grid, self.xs[:, i, :]),
             u=VectorPath(self.grid, self.us[:, i, :]),
-            drift=VectorPath(self.grid, self.drifts[:, i, :]),
+            result=self,
         )
 
     @property
@@ -158,6 +191,17 @@ def agent_sum(a):
     return np.einsum("...ij->...j", a)
 
 
+def _drift(params, At, Bt, x, u, mf_x, mf_u):
+    """Drifts A x + B u + C mf_x + F mf_u of the agents' rows of x and u,
+    accumulated in that order; At and Bt are contiguous A' and B' (see
+    euler_maruyama)."""
+    drift = x @ At
+    drift += u @ Bt
+    drift += mf_x @ params.C.T
+    drift += mf_u @ params.F.T
+    return drift
+
+
 def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
                    coupling=None, seed: int = 0, D=None, ids=None):
     """Euler-Maruyama integration of agents started at the rows of x0.
@@ -176,20 +220,26 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
     plain transposed views, sums and a per-step scan of the states (timings
     at N = K = 2000, numpy 2.4, 2-vCPU x86-64):
 
-    - the noise is agent-major, (N, K, n): each agent's stream draws
-      straight into its own block, and node k reads a strided (N, n) slice.
-      A node-major (K, N, n) buffer reads contiguously, but filling it
-      scatters each agent's draws over K rows, which costs more than the
-      reads save (0.30 s against 0.23 s to fill, 0.02 s against 0.05 s to
-      read);
+    - the noise is drawn in blocks of _NOISE_BLOCK = B nodes into one
+      agent-major (N, B, n) buffer, N B n floats whatever K is: every B
+      nodes each agent's stream, kept for the whole run, draws its next
+      B n normals straight into its own row, and node k reads a strided
+      (N, n) slice.  A stream's consecutive draws continue it, so the
+      numbers are those of one (K, n) draw per agent, and the bits are
+      unchanged.  B = 128, 256 and 512 fill and read in the same time
+      within noise (0.21-0.23 s), so B is the smallest, 4 MB at N = 2000
+      and n = 2.  A node-major buffer reads contiguously, but filling it
+      scatters each agent's draws over the rows, which costs more than the
+      reads save;
     - the right operands A', B' and D' of the (N, n) products are
       contiguous copies, multiplied about 2.5 times faster than transposed
       views, with the same bits for N > 1.  The two (n,) mean-field
       products, mf_x C' and mf_u F', keep the views: a one-row product goes
       through another BLAS kernel, where a contiguous operand changes the
       bits;
-    - the node sums come from agent_sum, and the drift is accumulated in
-      place in the order A x + B u + C mf_x + F mf_u;
+    - the node sums come from agent_sum, and _drift, which
+      PopulationResult.drifts also calls, accumulates the drift in place in
+      the order A x + B u + C mf_x + F mf_u;
     - a state is checked through its node sum: a finite sum means every
       entry is finite, and only a non-finite one (a blow-up, or an
       overflow of finite states) triggers the per-agent scan that names
@@ -204,11 +254,10 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
     D = params.D if D is None else D
     D = np.eye(n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
     At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (params.A, params.B, D))
-    noise = None
+    rngs = None
     if not np.allclose(D, 0.0):
-        noise = np.empty((N, K, n))
-        for row, i in enumerate(ids):
-            _agent_rng(seed, int(i), _DYNAMICS).standard_normal(out=noise[row])
+        rngs = [_agent_rng(seed, int(i), _DYNAMICS) for i in ids]
+        noise = np.empty((N, min(_NOISE_BLOCK, K), n))
     x_sum = agent_sum(x)
     for k in range(K + 1):
         u = control_at(x, k)
@@ -216,16 +265,18 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
             mf_x, mf_u = x_sum / N, agent_sum(u) / N
         else:
             mf_x, mf_u = coupling[0][k], coupling[1][k]
-        drift = x @ At
-        drift += u @ Bt
-        drift += mf_x @ params.C.T
-        drift += mf_u @ params.F.T
+        drift = _drift(params, At, Bt, x, u, mf_x, mf_u)
         yield k, x, u, drift, mf_x
         if k < K:
             x_next = drift * dt
             x_next += x
-            if noise is not None:
-                dW = noise[:, k] @ Dt
+            if rngs is not None:
+                j = k % _NOISE_BLOCK
+                if j == 0:
+                    m = min(_NOISE_BLOCK, K - k)
+                    for row, rng in enumerate(rngs):
+                        rng.standard_normal(out=noise[row, :m])
+                dW = noise[:, j] @ Dt
                 dW *= sqdt
                 x_next += dW
             x = x_next
@@ -263,16 +314,15 @@ def simulate(
     x0 = [p[0] for p in population]
     xs = np.empty((K + 1, N, params.n))
     us = np.empty((K + 1, N, params.d))
-    drifts = np.empty((K + 1, N, params.n))
     coupling = tuple(p.values for p in paths) or None
-    for k, x, u, drift, _ in euler_maruyama(params, x0, grid, law.at_node, coupling,
-                                           seed, D):
-        xs[k], us[k], drifts[k] = x, u, drift
+    for k, x, u, _, _ in euler_maruyama(params, x0, grid, law.at_node, coupling,
+                                        seed, D):
+        xs[k], us[k] = x, u
     errors = np.array([p[1] for p in population], dtype=float)
     x_N = VectorPath(grid, agent_sum(xs) / N)
     u_N = VectorPath(grid, agent_sum(us) / N)
-    return PopulationResult(grid=grid, xs=xs, us=us, drifts=drifts, errors=errors,
-                            x_N=x_N, u_N=u_N)
+    return PopulationResult(params=params, grid=grid, xs=xs, us=us, errors=errors,
+                            x_N=x_N, u_N=u_N, coupling=coupling)
 
 
 def replay_agent(params, trace: AgentTrace, law, z_path, ubar_path, grid, seed, D=None):

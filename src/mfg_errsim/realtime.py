@@ -101,33 +101,27 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
     Phi1_inv = invert_path(Phi1)
 
     # J(t) = int_0^t PhiZ^-1 (B+F) R^-1 B' P2 Phi1 ds  (trapezoid)
-    integrand = np.einsum(
-        "kij,jl,klm,kmp->kip", PhiZ_inv, BFRB, P2v, Phi1.values
-    )
+    P2Phi1 = P2v @ Phi1.values
+    integrand = PhiZ_inv @ (BFRB @ P2Phi1)
     seg = 0.5 * grid.dt * (integrand[:-1] + integrand[1:])
     J = np.concatenate([np.zeros((1,) + seg.shape[1:]), np.cumsum(seg, axis=0)])
 
     S = coupling_weight(params, bundle.P1)
     Hback = offset_generator(params, P1v, BRB)
 
-    # V: backward, driven by S PhiZ, terminal -Qbar Gammabar PhiZ(T)
-    fV = -np.einsum("kij,kjl->kil", S, PhiZ.values)
+    # V and U run backward under Hback, as the columns of one scan [V | U]:
+    # V driven by S PhiZ, terminal -Qbar Gammabar PhiZ(T); U driven by
+    # -S PhiZ J - P1 F R^-1 B' P2 Phi1, terminal +Qbar Gammabar PhiZ(T) J(T)
+    n = params.n
+    SPhiZ = S @ PhiZ.values
+    f = np.concatenate([-SPhiZ, SPhiZ @ J + P1v @ (params.FRB @ P2Phi1)], axis=2)
     VT = -params.Qbar @ params.Gammabar @ PhiZ.terminal
-    V = rk4_affine(Hback, fV, VT, grid, forward=False)
+    VU = rk4_affine(Hback, f, np.concatenate([VT, -VT @ J[K]], axis=1), grid,
+                    forward=False)
+    V, U = VU[:, :, :n], VU[:, :, n:]
 
-    # U: backward, driven by -S PhiZ J - P1 F R^-1 B' P2 Phi1,
-    #    terminal +Qbar Gammabar PhiZ(T) J(T)
-    fU = (
-        np.einsum("kij,kjl->kil", -fV, J)  # = +S PhiZ J
-        + np.einsum("kij,jl,klm,kmp->kip", P1v, params.FRB, P2v, Phi1.values)
-    )
-    UT = params.Qbar @ params.Gammabar @ PhiZ.terminal @ J[K]
-    U = rk4_affine(Hback, fU, UT, grid, forward=False)
-
-    Mig_diag = np.einsum("kij,kjl->kil", V, PhiZ_inv)
-    M0g_diag = np.einsum(
-        "kij,kjl->kil", U + np.einsum("kij,kjl->kil", V, J), Phi1_inv
-    )
+    Mig_diag = V @ PhiZ_inv
+    M0g_diag = (U + V @ J) @ Phi1_inv
     return RealtimeKernels(
         bundle=bundle, PhiZ=PhiZ, PhiZ_inv=PhiZ_inv, Phi1_inv=Phi1_inv,
         J=J, V=V, U=U, Mig_diag=Mig_diag, M0g_diag=M0g_diag,

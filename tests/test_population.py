@@ -1,5 +1,7 @@
 """Finite-population sampling, simulation, and replay."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +13,11 @@ from mfg_errsim.grid import MatrixPath, VectorPath
 from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV, P6_Z0, SystemParams, s1_params
 from mfg_errsim.riccati import RiccatiBundle
 from mfg_errsim.population import (
+    _DYNAMICS,
+    _NOISE_BLOCK,
     OffsetFamilyLaw,
+    _agent_rng,
+    agent_sum,
     euler_maruyama,
     replay_agent,
     sample_population,
@@ -144,9 +150,9 @@ def test_unstable_dynamics_raise_blowup():
         simulate(p, pop, law, grid=grid, seed=0, D=0.0)
 
 
-def _general_set(n, d):
+def _general_set(n, d, K=60):
     """A fixed set with non-commuting A and C, non-square B and F and a
-    full noise matrix, with its equilibrium law on a 60-step grid."""
+    full noise matrix, with its equilibrium law on a K-step grid."""
     rng = np.random.default_rng(10 * n + d)
     A = -np.eye(n) + 0.4 * rng.standard_normal((n, n))
     C = 0.3 * rng.standard_normal((n, n))
@@ -159,16 +165,16 @@ def _general_set(n, d):
         R=np.eye(d) + 0.3 * L @ L.T, Gamma=0.5 * I, Gammabar=0.5 * I,
         eta=np.zeros(n), etabar=np.zeros(n), s=np.ones(n), sbar=np.ones(n), T=1.0,
     )
-    bundle = RiccatiBundle.solve(p, p.default_grid(60))
+    bundle = RiccatiBundle.solve(p, p.default_grid(K))
     law = equilibrium_law(bundle, equilibrium_mf(bundle, np.ones(n)))
     return p, bundle, law, rng
 
 
-def _family(n, d, N):
+def _family(n, d, N, K=60):
     """_general_set with a per-agent offset law for N agents and their
     population."""
-    p, bundle, law, rng = _general_set(n, d)
-    Mg = MatrixPath(bundle.grid, rng.standard_normal((61, n, n)))
+    p, bundle, law, rng = _general_set(n, d, K)
+    Mg = MatrixPath(bundle.grid, rng.standard_normal((K + 1, n, n)))
     fam = OffsetFamilyLaw(p, bundle.P1, law.g, Mg, rng.standard_normal((N, n)))
     pop = [(x0, e) for x0, e in zip(rng.standard_normal((N, n)), fam.errors)]
     return p, law, fam, pop
@@ -248,3 +254,105 @@ def test_a_non_finite_control_names_the_agent_and_the_next_node():
     with pytest.raises(IntegrationBlowupError, match="agent 3 state non-finite at node 6") as ei:
         simulate(p, pop, _PoisonedLaw(law, 3, 5), mf_coupling=coupling, seed=5)
     assert ei.value.node == 6 and ei.value.time == law.grid.times[6]
+
+
+def _one_draw_run(p, pop, law, coupling, seed, D=None):
+    """Reference Euler-Maruyama loop: every agent's whole dynamics noise
+    stream drawn at once into an (N, K, n) array, the drift stored at every
+    node.  Returns (xs, us, drifts)."""
+    x = np.array([x0 for x0, _ in pop])
+    N, n = x.shape
+    grid = law.grid
+    K, dt = grid.steps, grid.dt
+    D = p.D if D is None else np.eye(n) * D
+    At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (p.A, p.B, D))
+    noise = np.empty((N, K, n))
+    for i in range(N):
+        _agent_rng(seed, i, _DYNAMICS).standard_normal(out=noise[i])
+    xs, us, drifts = [], [], []
+    for k in range(K + 1):
+        u = law.at_node(x, k)
+        if coupling is None:
+            mf_x, mf_u = agent_sum(x) / N, agent_sum(u) / N
+        else:
+            mf_x, mf_u = coupling[0][k], coupling[1][k]
+        drift = x @ At
+        drift += u @ Bt
+        drift += mf_x @ p.C.T
+        drift += mf_u @ p.F.T
+        xs.append(x)
+        us.append(u)
+        drifts.append(drift)
+        if k < K:
+            x_next = drift * dt
+            x_next += x
+            if not np.allclose(D, 0.0):
+                dW = noise[:, k] @ Dt
+                dW *= np.sqrt(dt)
+                x_next += dW
+            x = x_next
+    return np.array(xs), np.array(us), np.array(drifts)
+
+
+def _couplings(law, n, d):
+    K = law.grid.steps
+    t = law.grid.times[:, None]
+    return {"empirical": None,
+            "prescribed": (np.cos(t) * np.ones((K + 1, n)), np.sin(t) * np.ones((K + 1, d)))}
+
+
+@pytest.mark.parametrize("K", [1, _NOISE_BLOCK - 1, _NOISE_BLOCK, _NOISE_BLOCK + 1,
+                               2 * _NOISE_BLOCK + 3])
+def test_block_noise_run_equals_the_one_draw_loop_bit_for_bit(K):
+    p, law, fam, pop = _family(3, 2, 9, K)
+    for coupling in _couplings(law, 3, 2).values():
+        paths = "empirical" if coupling is None else tuple(
+            VectorPath(law.grid, v) for v in coupling)
+        res = simulate(p, pop, fam, mf_coupling=paths, seed=5)
+        xs, us, drifts = _one_draw_run(p, pop, fam, coupling, seed=5)
+        npt.assert_array_equal(res.xs, xs)
+        npt.assert_array_equal(res.us, us)
+        npt.assert_array_equal(res.drifts, drifts)
+
+
+def test_replay_reproduces_an_agent_of_a_noisy_run_bit_for_bit():
+    p, law, fam, pop = _family(3, 2, 9, 2 * _NOISE_BLOCK + 3)
+    z, ubar = (VectorPath(law.grid, v) for v in _couplings(law, 3, 2)["prescribed"])
+    res = simulate(p, pop, law, mf_coupling=(z, ubar), seed=5)
+    for i in (0, 4, 8):
+        x, u = replay_agent(p, res.trace(i), law, z, ubar, law.grid, seed=5)
+        npt.assert_array_equal(x.values, res.xs[:, i])
+        npt.assert_array_equal(u.values, res.us[:, i])
+
+
+@pytest.mark.parametrize("D", [None, 0.0])
+def test_drifts_on_first_read_are_the_stepped_drifts(D):
+    p, law, fam, pop = _family(3, 2, 9)
+    x0 = np.array([x for x, _ in pop])
+    for lw in (law, fam):
+        for coupling in _couplings(law, 3, 2).values():
+            stepped = np.array([drift.copy() for _, _, _, drift, _ in euler_maruyama(
+                p, x0, law.grid, lw.at_node, coupling, seed=5, D=D)])
+            paths = "empirical" if coupling is None else tuple(
+                VectorPath(law.grid, v) for v in coupling)
+            res = simulate(p, pop, lw, mf_coupling=paths, seed=5, D=D)
+            assert "drifts" not in vars(res)
+            npt.assert_array_equal(res.drifts, stepped)
+            assert res.drifts is res.drifts
+            tr = res.trace(4)
+            assert np.shares_memory(tr.drift.values, res.drifts)
+            npt.assert_array_equal(tr.drift.values, stepped[:, 4])
+
+
+def test_a_noisy_run_holds_little_beyond_its_paths(params):
+    grid = params.default_grid(1000)
+    bundle = RiccatiBundle.solve(params, grid)
+    law = equilibrium_law(bundle, equilibrium_mf(bundle, P6_Z0))
+    pop = _pop(100)
+    tracemalloc.start()
+    try:
+        res = simulate(params, pop, law, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= res.xs.nbytes + res.us.nbytes + 0.5 * res.xs.nbytes
