@@ -295,19 +295,20 @@ def _one_draw_run(p, pop, law, coupling, seed, D=None):
 
 
 def _couplings(law, n, d):
-    K = law.grid.steps
-    t = law.grid.times[:, None]
-    return {"empirical": None,
-            "prescribed": (np.cos(t) * np.ones((K + 1, n)), np.sin(t) * np.ones((K + 1, d)))}
+    """(node arrays or None, simulate's mf_coupling) of the empirical and of
+    a prescribed coupling on the law's grid."""
+    grid = law.grid
+    t = grid.times[:, None]
+    z, ubar = np.cos(t) * np.ones((1, n)), np.sin(t) * np.ones((1, d))
+    return [(None, "empirical"),
+            ((z, ubar), (VectorPath(grid, z), VectorPath(grid, ubar)))]
 
 
 @pytest.mark.parametrize("K", [1, _NOISE_BLOCK - 1, _NOISE_BLOCK, _NOISE_BLOCK + 1,
                                2 * _NOISE_BLOCK + 3])
 def test_block_noise_run_equals_the_one_draw_loop_bit_for_bit(K):
     p, law, fam, pop = _family(3, 2, 9, K)
-    for coupling in _couplings(law, 3, 2).values():
-        paths = "empirical" if coupling is None else tuple(
-            VectorPath(law.grid, v) for v in coupling)
+    for coupling, paths in _couplings(law, 3, 2):
         res = simulate(p, pop, fam, mf_coupling=paths, seed=5)
         xs, us, drifts = _one_draw_run(p, pop, fam, coupling, seed=5)
         npt.assert_array_equal(res.xs, xs)
@@ -317,7 +318,7 @@ def test_block_noise_run_equals_the_one_draw_loop_bit_for_bit(K):
 
 def test_replay_reproduces_an_agent_of_a_noisy_run_bit_for_bit():
     p, law, fam, pop = _family(3, 2, 9, 2 * _NOISE_BLOCK + 3)
-    z, ubar = (VectorPath(law.grid, v) for v in _couplings(law, 3, 2)["prescribed"])
+    _, (z, ubar) = _couplings(law, 3, 2)[1]
     res = simulate(p, pop, law, mf_coupling=(z, ubar), seed=5)
     for i in (0, 4, 8):
         x, u = replay_agent(p, res.trace(i), law, z, ubar, law.grid, seed=5)
@@ -330,11 +331,9 @@ def test_drifts_on_first_read_are_the_stepped_drifts(D):
     p, law, fam, pop = _family(3, 2, 9)
     x0 = np.array([x for x, _ in pop])
     for lw in (law, fam):
-        for coupling in _couplings(law, 3, 2).values():
+        for coupling, paths in _couplings(law, 3, 2):
             stepped = np.array([drift.copy() for _, _, _, drift, _ in euler_maruyama(
                 p, x0, law.grid, lw.at_node, coupling, seed=5, D=D)])
-            paths = "empirical" if coupling is None else tuple(
-                VectorPath(law.grid, v) for v in coupling)
             res = simulate(p, pop, lw, mf_coupling=paths, seed=5, D=D)
             assert "drifts" not in vars(res)
             npt.assert_array_equal(res.drifts, stepped)
