@@ -1,4 +1,4 @@
-"""Command-line entry point: run scenarios, validate configs, benchmark.
+"""Command-line entry point: run scenarios and validate configs.
 
 Exit codes: 0 success, 1 configuration/validation failure, 2 runtime failure.
 """
@@ -27,25 +27,7 @@ def _build_parser():
 
     val = sub.add_parser("validate", help="check a scenario config")
     val.add_argument("config", help="path to a JSON scenario config")
-
-    ben = sub.add_parser("bench", help="run the performance suite")
-    ben.add_argument(
-        "--sizes", nargs="*", metavar="NxSTEPS",
-        help="cases as NxSTEPS pairs, e.g. 200x1000 800x2000")
-    ben.add_argument("--out", default="bench_report.csv", help="report CSV path")
-    ben.add_argument("--reps", type=int, default=5, help="repetitions per case")
     return p
-
-
-def _parse_sizes(tokens):
-    sizes = []
-    for tok in tokens:
-        try:
-            N, steps = tok.lower().split("x")
-            sizes.append((int(N), int(steps)))
-        except ValueError:
-            raise ConfigError([("--sizes", f"bad size {tok!r}, expected NxSTEPS")]) from None
-    return sizes
 
 
 def main(argv=None) -> int:
@@ -69,16 +51,6 @@ def main(argv=None) -> int:
             manifest = run_scenario(config, output_dir=args.out)
             print(f"wrote {len(manifest.files)} outputs "
                   f"(config {manifest.config_hash[:12]})")
-            return 0
-        if args.command == "bench":
-            from .bench import bench_suite, write_report
-
-            sizes = _parse_sizes(args.sizes) if args.sizes else None
-            reports = bench_suite(sizes=sizes, reps=args.reps)
-            write_report(reports, args.out)
-            for r in reports:
-                print(f"{r.case} N={r.N} steps={r.steps} "
-                      f"median={r.median_s:.3f}s p95={r.p95_s:.3f}s")
             return 0
     except ConfigError as e:
         for field, reason in e.problems:

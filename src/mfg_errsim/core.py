@@ -137,7 +137,6 @@ def existence_check(
 
     Qb_half, Qb_nhalf = sqrt_pair(Qp_bar)
     _, Qp_nhalf = sqrt_pair(Qp)
-    Q_nhalf = Qp_nhalf
 
     Ccal = params.BFRB
     K = grid.steps
@@ -152,7 +151,7 @@ def existence_check(
     vals = np.sqrt(m_term[::-1] + cum[::-1])
     phi_norm = float(np.max(vals))
 
-    NS = max(_opnorm(Qb_nhalf @ S_bar @ Qb_nhalf), _opnorm(Q_nhalf @ S @ Q_nhalf))
+    NS = max(_opnorm(Qb_nhalf @ S_bar @ Qb_nhalf), _opnorm(Qp_nhalf @ S @ Qp_nhalf))
     lhs = (1.0 + np.sqrt(params.T) * phi_norm * _opnorm(Ccal @ Qp_nhalf)) * (1.0 + NS)
     return {"satisfied": bool(lhs < 2.0), "lhs": float(lhs)}
 
@@ -207,8 +206,6 @@ def epsilon_nash_gap(
         params, tr1, law_br, x_N, u_N, grid, seed=seed, D=D
     )
     # the deviator moves the empirical average by its own 1/N share
-    from .grid import VectorPath
-
     x_N_dev = VectorPath(grid, x_N.values + (x_br.values - tr1.x.values) / N)
     J_br = cost(params, x_br, u_br, x_N_dev)
     return float(J_eq - J_br)

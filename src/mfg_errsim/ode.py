@@ -50,12 +50,16 @@ def expm(A):
 
     The lowest Pade degree m in (3, 5, 7, 9) whose theta_m bounds the 1-norm
     is used unscaled; otherwise A is scaled by 2^-s into degree 13's range
-    and the result squared s times.
+    and the result squared s times.  IntegrationBlowupError is raised for a
+    non-finite 1-norm, one too large to scale (4^s must stay finite), and a
+    non-finite result.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     eye = np.eye(n)
     norm = np.linalg.norm(A, 1)
+    if not norm <= _THETA[13] * 2.0**511:
+        raise IntegrationBlowupError(f"matrix exponential of a matrix with 1-norm {norm:.6g}")
     A2 = A @ A
     for m in (3, 5, 7, 9):
         if norm <= _THETA[m]:
@@ -78,6 +82,8 @@ def expm(A):
     E = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         E = E @ E
+    if not np.isfinite(E).all():
+        raise IntegrationBlowupError(f"matrix exponential overflows at 1-norm {norm:.6g}")
     return E
 
 

@@ -19,13 +19,19 @@ def _mat(x, n, m, name):
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.shape != (n, m):
         raise ValueError(f"{name} must be {n}x{m}, got {a.shape}")
-    return a
+    return _finite(a, name)
 
 
 def _vec(x, n, name):
     a = np.atleast_1d(np.asarray(x, dtype=float))
     if a.shape != (n,):
         raise ValueError(f"{name} must have length {n}, got {a.shape}")
+    return _finite(a, name)
+
+
+def _finite(a, name):
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must have finite entries")
     return a
 
 
@@ -71,8 +77,8 @@ class SystemParams:
         object.__setattr__(self, "R", _mat(self.R, d, d, "R"))
         for name in ("eta", "etabar", "s", "sbar"):
             object.__setattr__(self, name, _vec(getattr(self, name), n, name))
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if not self.relaxed:
             for name in ("Q_I", "Q", "Qbar_I", "Qbar", "R"):
                 _check_spd(getattr(self, name), name)

@@ -192,7 +192,10 @@ def _hamiltonian_riccati(Ham, PT, grid, what):
     a block from node k is [X; Y](k - j) = Psi^j [X; Y](k), one batched
     matmul with the powers from ode.matrix_powers.
     """
-    Psi = expm(-grid.dt * Ham)
+    try:
+        Psi = expm(-grid.dt * Ham)
+    except IntegrationBlowupError as e:
+        raise IntegrationBlowupError(f"{what}: step map over dt = {grid.dt:.6g}: {e}") from None
     powers = matrix_powers(Psi, _block_steps(np.linalg.norm(Psi, 2), grid.steps))
     return _riccati_blocks(lambda k, j, V: powers[1:j + 1] @ V, PT, len(powers) - 1,
                            grid, what)
@@ -268,21 +271,23 @@ def coupling_weight(params: SystemParams, P1: MatrixPath) -> np.ndarray:
 def solve_G(params: SystemParams, P0: MatrixPath, grid: TimeGrid) -> VectorPath:
     """Offset of the coupled system: dG = [-(A' - P0 (B+F) R^-1 B') G + nu] dt,
     G(T) = -Qbar_I sbar - Qbar etabar."""
-    H = offset_generator(params, P0.values, params.BFRB)
-    f = np.broadcast_to(params.nu, (grid.steps + 1, params.n))
-    GT = -params.Qbar_I @ params.sbar - params.Qbar @ params.etabar
-    values = _escape_guard(lambda: rk4_affine(H, f, GT, grid, forward=False), "G")
-    return VectorPath(grid, values)
+    return _solve_offset(params, P0.values, grid, "G")
 
 
 def solve_G1(params: SystemParams, P1: MatrixPath, P2: MatrixPath, grid: TimeGrid) -> VectorPath:
     """Offset paired with (P1, P2):
     dG1 = [-(A' - (P1+P2)(B+F) R^-1 B') G1 + nu] dt, same terminal as G."""
-    H = offset_generator(params, P1.values + P2.values, params.BFRB)
+    return _solve_offset(params, P1.values + P2.values, grid, "G1")
+
+
+def _solve_offset(params: SystemParams, P, grid: TimeGrid, what) -> VectorPath:
+    """The offset solve of solve_G and solve_G1, on the node array P."""
+    H = offset_generator(params, P, params.BFRB)
     f = np.broadcast_to(params.nu, (grid.steps + 1, params.n))
     GT = -params.Qbar_I @ params.sbar - params.Qbar @ params.etabar
-    values = _escape_guard(lambda: rk4_affine(H, f, GT, grid, forward=False), "G1")
+    values = _escape_guard(lambda: rk4_affine(H, f, GT, grid, forward=False), what)
     return VectorPath(grid, values)
+
 
 def solve_tracking_offset(
     params: SystemParams,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,20 +105,12 @@ class RunManifest:
     files: dict  # filename -> {"columns": [...], "rows": int}
 
     def write(self, path):
-        doc = {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "grid_steps": self.grid_steps,
-            "version": self.version,
-            "files": self.files,
-        }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(vars(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-_KNOWN_KEYS = {"params", "mode", "grid_steps", "N", "seed", "z0", "E_bar",
-               "E_i", "t0", "k_sweep", "D", "output_dir"}
+_KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)}
 
 
 def validate_config(raw) -> ScenarioConfig:
@@ -144,12 +136,15 @@ def validate_config(raw) -> ScenarioConfig:
             kwargs = {}
             for name, value in pr.items():
                 if name == "T":
-                    if not isinstance(value, (int, float)) or value <= 0:
-                        problems.append(("params.T", "must be a positive number"))
+                    if not isinstance(value, (int, float)) or not 0 < value < np.inf:
+                        problems.append(("params.T", "must be a positive finite number"))
                     else:
                         kwargs["T"] = float(value)
                 elif name in _PARAM_MATRICES + _PARAM_VECTORS:
-                    kwargs[name] = np.asarray(value, dtype=float)
+                    try:
+                        kwargs[name] = np.asarray(value, dtype=float)
+                    except (TypeError, ValueError):
+                        problems.append((f"params.{name}", "must be a numeric array"))
                 else:
                     problems.append((f"params.{name}", "unknown parameter"))
             if not problems:
@@ -166,7 +161,7 @@ def validate_config(raw) -> ScenarioConfig:
 
     cfg_kwargs = {}
 
-    def take_scalar(key, typ, check, reason, default=None):
+    def take_scalar(key, typ, check, reason):
         if key not in raw:
             return
         v = raw[key]
@@ -178,8 +173,8 @@ def validate_config(raw) -> ScenarioConfig:
     take_scalar("grid_steps", int, lambda v: v >= 1, "must be a positive integer")
     take_scalar("N", int, lambda v: v >= 1, "must be a positive integer")
     take_scalar("seed", int, lambda v: v >= 0, "must be a nonnegative integer")
-    take_scalar("t0", (int, float), lambda v: v > 0, "must be a positive time")
-    take_scalar("D", (int, float), lambda v: v >= 0, "must be nonnegative")
+    take_scalar("t0", (int, float), lambda v: 0 < v < np.inf, "must be a positive finite time")
+    take_scalar("D", (int, float), lambda v: 0 <= v < np.inf, "must be nonnegative and finite")
     if "output_dir" in raw:
         if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
             problems.append(("output_dir", "must be a nonempty string"))
@@ -188,8 +183,8 @@ def validate_config(raw) -> ScenarioConfig:
     if "k_sweep" in raw:
         ks = raw["k_sweep"]
         if (not isinstance(ks, list) or not ks
-                or not all(isinstance(k, (int, float)) for k in ks)):
-            problems.append(("k_sweep", "must be a nonempty list of numbers"))
+                or not all(isinstance(k, (int, float)) and np.isfinite(k) for k in ks)):
+            problems.append(("k_sweep", "must be a nonempty list of finite numbers"))
         else:
             ks = [float(k) for k in ks]
             if len(set(ks)) < 2:
@@ -210,6 +205,8 @@ def validate_config(raw) -> ScenarioConfig:
                 continue
             if n is not None and v.shape != (n,):
                 problems.append((key, f"must have length {n}"))
+            elif not np.isfinite(v).all():
+                problems.append((key, "must be finite"))
             else:
                 cfg_kwargs[key] = v
     # the defaults belong to the built-in 2-d fixture
@@ -266,26 +263,39 @@ def _write_csv(path, header, columns):
     return {"columns": list(header), "rows": int(arr.shape[0])}
 
 
+def _write_table(out, files, name, columns):
+    """Write the (label, values) columns to out/name and record the file in
+    files.  1-d values are the one column `label`; (rows, n) values are the
+    columns label1 .. label<n>."""
+    header, cols = [], []
+    for label, values in columns:
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 1:
+            header.append(label)
+            cols.append(values)
+        else:
+            header += [f"{label}{j + 1}" for j in range(values.shape[1])]
+            cols += list(values.T)
+    files[name] = _write_csv(os.path.join(out, name), header, cols)
+
+
+def _write_series(out, files, name, grid, columns):
+    """_write_table of node arrays behind a time column t, thinned for file
+    output to every max(1, K // 200)-th node, the last node kept."""
+    K = grid.steps
+    idx = np.arange(0, K + 1, max(1, K // 200))
+    if idx[-1] != K:
+        idx = np.append(idx, K)
+    _write_table(out, files, name,
+                 [("t", grid.times[idx])] + [(label, v[idx]) for label, v in columns])
+
+
 def _k_labels(ks):
     """Header labels of a k sweep: %g, except that values whose %g labels
     collide get their shortest round-trip form, so no two labels agree."""
     short = [f"{k:g}" for k in ks]
     return [np.format_float_positional(k, trim="-") if short.count(g) > 1 else g
             for k, g in zip(ks, short)]
-
-
-def _decimate(times, arrays, keep=201):
-    """Thin dense paths for file output; keeps endpoints."""
-    K = len(times) - 1
-    stride = max(1, K // (keep - 1))
-    idx = np.arange(0, K + 1, stride)
-    if idx[-1] != K:
-        idx = np.append(idx, K)
-    return times[idx], [a[idx] for a in arrays], idx
-
-
-def _component_headers(prefix, n):
-    return [f"{prefix}{j + 1}" for j in range(n)]
 
 
 def _plot_script(path, csv_specs):
@@ -330,30 +340,16 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
     if config.mode == "predict":
         maps = build_maps(bundle)
         run = solve_limiting(bundle, config.z0, E_i, config.E_bar)
-        pred = predicted_mf_deviation(maps, E_i)
-        act = actual_mf_deviation(maps, config.E_bar)
-        exp = expected_trajectory_deviation(maps, E_i, config.E_bar)
-        t, cols, _ = _decimate(grid.times, [
-            run.z_c.z.values, run.mf_i.z.values, run.z_A.values,
-            pred["dz"].values, act["dz"].values, exp.values,
+        zc = run.z_c.z.values
+        _write_series(out, files, "mf_predicted.csv", grid,
+                      [("z_c", zc), ("z_pred", run.mf_i.z.values)])
+        _write_series(out, files, "mf_actual.csv", grid,
+                      [("z_c", zc), ("z_actual", run.z_A.values)])
+        _write_series(out, files, "deviations.csv", grid, [
+            ("dz_pred", predicted_mf_deviation(maps, E_i)["dz"].values),
+            ("dz_actual", actual_mf_deviation(maps, config.E_bar)["dz"].values),
+            ("dx_exp", expected_trajectory_deviation(maps, E_i, config.E_bar).values),
         ])
-        zc, zi, za, dzp, dza, dxe = cols
-        files["mf_predicted.csv"] = _write_csv(
-            os.path.join(out, "mf_predicted.csv"),
-            ["t"] + _component_headers("z_c", n) + _component_headers("z_pred", n),
-            [t] + list(zc.T) + list(zi.T),
-        )
-        files["mf_actual.csv"] = _write_csv(
-            os.path.join(out, "mf_actual.csv"),
-            ["t"] + _component_headers("z_c", n) + _component_headers("z_actual", n),
-            [t] + list(zc.T) + list(za.T),
-        )
-        files["deviations.csv"] = _write_csv(
-            os.path.join(out, "deviations.csv"),
-            ["t"] + _component_headers("dz_pred", n)
-            + _component_headers("dz_actual", n) + _component_headers("dx_exp", n),
-            [t] + list(dzp.T) + list(dza.T) + list(dxe.T),
-        )
 
     elif config.mode == "evolve":
         # a direct solve per k, plus the baseline realized field with zero
@@ -363,49 +359,26 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
             bundle, config.z0,
             [(k * config.E_bar, k * config.E_bar) for k in config.k_sweep + [0.0]])
         # deviations per k at probe times, then per-component regressions
-        probe_times = _probe_times(config.params)
-        rows = {"kind": [], "t": [], "component": [], "slope": [],
-                "intercept": [], "r_squared": []}
+        rows = []
         for kind, extract in (
-            ("predicted", lambda r: r.zbar.z.values - r.z_c.z.values),
-            ("actual", lambda r: r.z_A.values - ref.z_A.values),
+            (0.0, lambda r: r.zbar.z.values - r.z_c.z.values),
+            (1.0, lambda r: r.z_A.values - ref.z_A.values),
         ):
             devs = [extract(r) for r in runs]
-            for tp in probe_times:
+            for tp in _probe_times(config.params):
                 kk = grid.index_of(tp)
                 for j in range(n):
-                    ys = [d[kk, j] for d in devs]
-                    a, b, r2 = _fit_line(config.k_sweep, ys)
-                    rows["kind"].append(0.0 if kind == "predicted" else 1.0)
-                    rows["t"].append(tp)
-                    rows["component"].append(float(j + 1))
-                    rows["slope"].append(a)
-                    rows["intercept"].append(b)
-                    rows["r_squared"].append(r2)
-        files["linearity.csv"] = _write_csv(
-            os.path.join(out, "linearity.csv"),
-            ["kind_actual", "t", "component", "slope", "intercept", "r_squared"],
-            [np.asarray(rows["kind"]), np.asarray(rows["t"]),
-             np.asarray(rows["component"]), np.asarray(rows["slope"]),
-             np.asarray(rows["intercept"]), np.asarray(rows["r_squared"])],
-        )
+                    rows.append((kind, tp, float(j + 1),
+                                 *_fit_line(config.k_sweep, [d[kk, j] for d in devs])))
+        labels = ("kind_actual", "t", "component", "slope", "intercept", "r_squared")
+        _write_table(out, files, "linearity.csv",
+                     zip(labels, np.reshape(rows, (-1, len(labels))).T))
         base = runs[0]
-        t, cols, _ = _decimate(grid.times, [base.z_c.z.values, base.z_A.values])
-        zc, za = cols
-        files["mf_actual.csv"] = _write_csv(
-            os.path.join(out, "mf_actual.csv"),
-            ["t"] + _component_headers("z_c", n) + _component_headers("z_actual", n),
-            [t] + list(zc.T) + list(za.T),
-        )
-        dzs = [r.z_A.values - r.z_c.z.values for r in runs]
-        t, cols, _ = _decimate(grid.times, dzs)
-        header = ["t"]
-        out_cols = [t]
-        for k, d in zip(_k_labels(config.k_sweep), cols):
-            header += [f"dz_actual_k{k}_{j + 1}" for j in range(n)]
-            out_cols += list(d.T)
-        files["deviations.csv"] = _write_csv(
-            os.path.join(out, "deviations.csv"), header, out_cols)
+        _write_series(out, files, "mf_actual.csv", grid,
+                      [("z_c", base.z_c.z.values), ("z_actual", base.z_A.values)])
+        _write_series(out, files, "deviations.csv", grid, [
+            (f"dz_actual_k{k}_", r.z_A.values - r.z_c.z.values)
+            for k, r in zip(_k_labels(config.k_sweep), runs)])
 
     elif config.mode == "correct":
         maps = build_maps(bundle)
@@ -419,42 +392,18 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
         ident = identifiability(problem)
         result = recover_errors(problem)
         mod = modified_game(config.params, bundle, result.z_A_t0, config.t0)
-        files["correction_report.csv"] = _write_csv(
-            os.path.join(out, "correction_report.csv"),
-            ["t", "identifiable", "rank", "residual"]
-            + _component_headers("E_bar_recovered", n)
-            + _component_headers("E_i_recovered", n)
-            + _component_headers("E_bar_true", n)
-            + _component_headers("z_A_t0", n),
-            [np.array([config.t0]), np.array([float(ident["identifiable"])]),
-             np.array([float(ident["rank"])]), np.array([result.residual])]
-            + [np.array([v]) for v in result.E_bar]
-            + [np.array([v]) for v in result.E_i]
-            + [np.array([v]) for v in config.E_bar]
-            + [np.array([v]) for v in result.z_A_t0],
-        )
-        k0 = grid.index_of(config.t0)
-        z_corr = np.vstack([run.z_A.values[:k0], mod["z_new"].values])
-        t, cols, _ = _decimate(grid.times, [
-            run.z_c.z.values, run.z_A.values, z_corr])
-        zc, za, zcorr = cols
-        files["mf_actual.csv"] = _write_csv(
-            os.path.join(out, "mf_actual.csv"),
-            ["t"] + _component_headers("z_c", n)
-            + _component_headers("z_uncorrected", n)
-            + _component_headers("z_corrected", n),
-            [t] + list(zc.T) + list(za.T) + list(zcorr.T),
-        )
-        dev_unc = run.z_A.values - run.z_c.z.values
-        dev_cor = z_corr - run.z_c.z.values
-        t, cols, _ = _decimate(grid.times, [dev_unc, dev_cor])
-        du, dc = cols
-        files["deviations.csv"] = _write_csv(
-            os.path.join(out, "deviations.csv"),
-            ["t"] + _component_headers("dz_uncorrected", n)
-            + _component_headers("dz_corrected", n),
-            [t] + list(du.T) + list(dc.T),
-        )
+        _write_table(out, files, "correction_report.csv", [
+            ("t", [config.t0]), ("identifiable", [float(ident["identifiable"])]),
+            ("rank", [float(ident["rank"])]), ("residual", [result.residual]),
+            ("E_bar_recovered", [result.E_bar]), ("E_i_recovered", [result.E_i]),
+            ("E_bar_true", [config.E_bar]), ("z_A_t0", [result.z_A_t0]),
+        ])
+        zc, za = run.z_c.z.values, run.z_A.values
+        z_corr = np.vstack([za[:grid.index_of(config.t0)], mod["z_new"].values])
+        _write_series(out, files, "mf_actual.csv", grid,
+                      [("z_c", zc), ("z_uncorrected", za), ("z_corrected", z_corr)])
+        _write_series(out, files, "deviations.csv", grid,
+                      [("dz_uncorrected", za - zc), ("dz_corrected", z_corr - zc)])
 
     elif config.mode == "realtime":
         from .population import sample_population
@@ -468,23 +417,12 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
         res = realtime_simulate(
             config.params, bundle, pop, policy, grid=grid, seed=config.seed,
             z0=config.z0, D=config.D, kernels=kernels)
-        t, cols, _ = _decimate(grid.times, [
-            res["z_c"].values, res["z_A"].values,
-            res["z_A"].values - res["z_c"].values,
-            res["predicted_deviation"].values,
-        ])
-        zc, za, dz, pred = cols
-        files["mf_actual.csv"] = _write_csv(
-            os.path.join(out, "mf_actual.csv"),
-            ["t"] + _component_headers("z_c", n) + _component_headers("z_actual", n),
-            [t] + list(zc.T) + list(za.T),
-        )
-        files["deviations.csv"] = _write_csv(
-            os.path.join(out, "deviations.csv"),
-            ["t"] + _component_headers("dz_realized", n)
-            + _component_headers("dz_predicted", n),
-            [t] + list(dz.T) + list(pred.T),
-        )
+        zc, za = res["z_c"].values, res["z_A"].values
+        _write_series(out, files, "mf_actual.csv", grid,
+                      [("z_c", zc), ("z_actual", za)])
+        _write_series(out, files, "deviations.csv", grid, [
+            ("dz_realized", za - zc),
+            ("dz_predicted", res["predicted_deviation"].values)])
     else:  # pragma: no cover - validate_config guards this
         raise ValueError(f"unknown mode {config.mode!r}")
 

@@ -396,9 +396,50 @@ def test_evolve_probe_times_must_be_grid_nodes():
     validate_config({"mode": "evolve", "grid_steps": 2, "params": {"T": 0.5}})
 
 
-def test_cli_bench_size_parsing(capsys):
-    assert main(["bench", "--sizes", "10xbad"]) == 1
-    assert "--sizes" in capsys.readouterr().err
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("doc, code, prefix", [
+    ({"mode": "predict", "params": {"A": [[_NAN, 0.0], [0.0, -1.0]]}}, 1,
+     "config error: params:"),
+    ({"mode": "predict", "params": {"A": [["x", 0.0], [0.0, -1.0]]}}, 1,
+     "config error: params.A:"),
+    ({"mode": "predict", "params": {"T": _INF}}, 1, "config error: params.T:"),
+    ({"mode": "predict", "params": {"B": [[1e200, 0.0], [0.0, 1.0]]}}, 2, "runtime error:"),
+    ({"mode": "predict", "params": {"T": 1e300}}, 2, "runtime error:"),
+    ({"mode": "correct", "t0": _INF}, 1, "config error: t0:"),
+    ({"mode": "predict", "z0": [_NAN, 0.0]}, 1, "config error: z0:"),
+    ({"mode": "predict", "E_bar": [_NAN, 0.0]}, 1, "config error: E_bar:"),
+    ({"mode": "predict", "E_i": [0.0, _NAN]}, 1, "config error: E_i:"),
+    ({"mode": "evolve", "k_sweep": [1.0, _NAN, 2.0]}, 1, "config error: k_sweep:"),
+    ({"mode": "realtime", "N": 5, "D": _INF}, 1, "config error: D:"),
+], ids=["A_nan", "A_text", "T_inf", "B_overflow", "T_overflow", "t0_inf", "z0_nan",
+        "E_bar_nan", "E_i_nan", "k_sweep_nan", "D_inf"])
+def test_cli_run_reports_non_finite_and_overflowing_values(tmp_path, capsys, doc,
+                                                           code, prefix):
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert prefix in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("steps", [150, 450, 2001])
+def test_series_files_hold_the_solve_at_every_stride_node(tmp_path, steps):
+    cfg = validate_config({"mode": "predict", "grid_steps": steps,
+                           "output_dir": str(tmp_path)})
+    manifest = run_scenario(cfg)
+    grid = cfg.grid()
+    run = solve_limiting(RiccatiBundle.solve(cfg.params, grid), cfg.z0, cfg.E_bar,
+                         cfg.E_bar)
+    nodes = list(range(0, steps + 1, max(1, steps // 200)))
+    if nodes[-1] != steps:
+        nodes.append(steps)
+    want = {"mf_predicted.csv": [run.z_c.z.values, run.mf_i.z.values],
+            "mf_actual.csv": [run.z_c.z.values, run.z_A.values]}
+    for name, arrays in want.items():
+        _, data = _read_csv(tmp_path / name)
+        assert data.shape[0] == manifest.files[name]["rows"] == len(nodes)
+        np.testing.assert_array_equal(data[:, 0], grid.times[nodes])
+        np.testing.assert_array_equal(data[:, 1:], np.hstack(arrays)[nodes])
 
 
 def test_scenario_config_grid_roundtrip():

@@ -1,4 +1,4 @@
-"""Print the sha256 of every CSV the four scenario modes write, and of the
+"""Print the sha256 of every file the four scenario modes write, and of the
 arrays of direct library calls; or compare those outputs between two trees.
 
 Usage:
@@ -14,7 +14,8 @@ unchanged.  With ``--against OLD_SRC`` it imports both trees in turn and
 prints, for every CSV and every direct-call array, the max abs difference
 and the max relative difference (max abs difference over the largest
 magnitude in the old output), then the same two figures per group
-(fixture and mode or call) and overall.  That is the check for a change
+(fixture and mode or call) and overall; for each mode's manifest.json and
+plot.gp it prints whether the bytes are the same or differ.  That is the check for a change
 that moves round-off bits on purpose, which sha256 equality cannot make.
 
 Each of predict, evolve, correct and realtime runs at a small grid on two
@@ -157,7 +158,8 @@ def array_outputs(fixture, fdoc):
 
 def outputs(src):
     """Every output of the package imported from src, as (name, payload)
-    pairs: the bytes of each CSV, the list of arrays of each direct call."""
+    pairs: the bytes of each file a mode writes, the list of arrays of each
+    direct call."""
     for name in [m for m in sys.modules if m.split(".")[0] == "mfg_errsim"]:
         del sys.modules[name]
     sys.path.insert(0, os.path.abspath(src))
@@ -179,9 +181,8 @@ def _outputs():
                            output_dir=outdir)
                 run_scenario(validate_config(doc))
                 for name in sorted(os.listdir(outdir)):
-                    if name.endswith(".csv"):
-                        with open(os.path.join(outdir, name), "rb") as fh:
-                            out.append((f"{fixture}/{mode}/{name}", fh.read()))
+                    with open(os.path.join(outdir, name), "rb") as fh:
+                        out.append((f"{fixture}/{mode}/{name}", fh.read()))
     for fixture, fdoc in FIXTURES.items():
         out += array_outputs(fixture, fdoc)
     return out
@@ -208,6 +209,9 @@ def compare(new, old):
     for name, payload in new:
         if name not in old:
             lines.append(f"{name} only in the new tree")
+            continue
+        if isinstance(payload, bytes) and not name.endswith(".csv"):
+            lines.append(f"{name} {'same' if payload == old.pop(name) else 'differs'}")
             continue
         a, b = _values(payload), _values(old.pop(name))
         if a.shape != b.shape:
