@@ -9,12 +9,15 @@ z_i(0) = z0 + E_i, every resulting deviation is linear in the errors:
 * expected own trajectory dx_i(t)   = Mx1(t) E_i + Mx2(t) Ebar.
 
 The maps are built once per parameter set by integrating their defining
-matrix ODEs on the shared grid.
+matrix ODEs on the shared grid.  The single-agent transition PhiX and the
+own-trajectory maps Mx1, Mx2 come from one more scan, run on their first
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,16 +35,15 @@ from .riccati import (
 
 @dataclass
 class DeviationMaps:
-    """Fundamental solutions and error-to-deviation maps on one grid."""
+    """Fundamental solutions and error-to-deviation maps on one grid.
+
+    PhiX, Mx1 and Mx2 are built on first read (see _agent_paths)."""
 
     bundle: RiccatiBundle
     Phi1: MatrixPath   # transition of the predicted-equilibrium system
     PhiZ: MatrixPath   # transition of the actual-mean-field system
-    PhiX: MatrixPath   # transition of the single-agent closed loop
     Mg: MatrixPath
     Mz: MatrixPath
-    Mx1: MatrixPath
-    Mx2: MatrixPath
 
     @property
     def grid(self):
@@ -51,18 +53,48 @@ class DeviationMaps:
     def params(self):
         return self.bundle.params
 
+    @property
+    def PhiX(self) -> MatrixPath:
+        """Transition of the single-agent closed loop."""
+        return self._agent_paths[0]
+
+    @property
+    def Mx1(self) -> MatrixPath:
+        return self._agent_paths[1]
+
+    @property
+    def Mx2(self) -> MatrixPath:
+        return self._agent_paths[2]
+
+    @cached_property
+    def _agent_paths(self):
+        """(PhiX, Mx1, Mx2): the single-agent closed loop carries its
+        transition PhiX from I and the own-trajectory deviations Mx1, Mx2
+        from 0, one scan of the columns [PhiX | Mx1 | Mx2] from [I | 0 | 0]
+        under [0 | fx1 | L2].  Built on first read and shared by every later
+        reader, so the values are read-only."""
+        params, grid = self.params, self.grid
+        n = params.n
+        P1v, Mg_v, Mz_v = self.bundle.P1.values, self.Mg.values, self.Mz.values
+        FRB = params.FRB
+        f = np.zeros((grid.steps + 1, n, 3 * n))
+        f[:, :, n:2 * n] = -(params.BRB @ Mg_v)
+        f[:, :, 2 * n:] = params.C @ Mz_v - FRB @ (P1v @ Mz_v) - FRB @ Mg_v
+        X = rk4_affine(agent_generator(params, P1v), f, np.eye(n, 3 * n), grid,
+                       forward=True)
+        X.flags.writeable = False
+        return tuple(MatrixPath(grid, X[:, :, j * n:(j + 1) * n]) for j in range(3))
+
 
 def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
-    """Construct all deviation maps for a solved parameter set."""
+    """Construct the deviation maps of a solved parameter set."""
     params, grid = bundle.params, bundle.grid
     n = params.n
     P1v = bundle.P1.values
-    BFRB, BRB, FRB = params.BFRB, params.BRB, params.FRB
 
     # the offset deviation runs backward: d(dg)/dt = -(Hg dg + S dz)
-    Hg = offset_generator(params, P1v, BFRB)
+    Hg = offset_generator(params, P1v, params.BFRB)
     Hz = mf_generator(params, P1v)
-    Hx = agent_generator(params, P1v)
 
     Phi1, PhiZ = bundle.Phi1, bundle.PhiZ
     S = coupling_weight(params, bundle.P1)  # P1 C - P1 F R^-1 B' P1 - Q*Gamma
@@ -73,22 +105,10 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     Mg = MatrixPath(grid, Mg_v)
 
     # actual mean-field deviation: forward, zero initial state
-    Mz_v = rk4_affine(Hz, -(BFRB @ Mg_v), np.zeros((n, n)), grid, forward=True)
+    Mz_v = rk4_affine(Hz, -(params.BFRB @ Mg_v), np.zeros((n, n)), grid, forward=True)
     Mz = MatrixPath(grid, Mz_v)
 
-    # the single-agent closed loop carries its transition PhiX from I and
-    # the own-trajectory deviations Mx1, Mx2 from 0: one scan of the
-    # columns [PhiX | Mx1 | Mx2] from [I | 0 | 0] under [0 | fx1 | L2]
-    f = np.zeros((grid.steps + 1, n, 3 * n))
-    f[:, :, n:2 * n] = -(BRB @ Mg_v)
-    f[:, :, 2 * n:] = params.C @ Mz_v - FRB @ (P1v @ Mz_v) - FRB @ Mg_v
-    X = rk4_affine(Hx, f, np.eye(n, 3 * n), grid, forward=True)
-    PhiX, Mx1, Mx2 = (MatrixPath(grid, X[:, :, j * n:(j + 1) * n]) for j in range(3))
-
-    return DeviationMaps(
-        bundle=bundle, Phi1=Phi1, PhiZ=PhiZ, PhiX=PhiX,
-        Mg=Mg, Mz=Mz, Mx1=Mx1, Mx2=Mx2,
-    )
+    return DeviationMaps(bundle=bundle, Phi1=Phi1, PhiZ=PhiZ, Mg=Mg, Mz=Mz)
 
 
 def _apply(M: MatrixPath, v) -> VectorPath:

@@ -45,6 +45,7 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
           7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def expm(A):
     """Matrix exponential of one square matrix by Pade scaling and squaring.
 
@@ -52,7 +53,8 @@ def expm(A):
     is used unscaled; otherwise A is scaled by 2^-s into degree 13's range
     and the result squared s times.  IntegrationBlowupError is raised for a
     non-finite 1-norm, one too large to scale (4^s must stay finite), and a
-    non-finite result.
+    non-finite result; an overflow on the way is not warned about, it shows
+    as that result.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]

@@ -84,17 +84,22 @@ class SystemParams:
                 _check_spd(getattr(self, name), name)
         # the compounds below are read at every node of the solvers and the
         # simulation, so they are computed once here; every caller shares
-        # them, so they are read-only
-        Rinv = np.linalg.inv(self.R)
-        RinvBt = Rinv @ self.B.T
-        for name, value in (
-            ("_Rinv", Rinv),
-            ("_RinvBt", RinvBt),
-            ("_RinvBtT", np.ascontiguousarray(RinvBt.T)),
-            ("_BRB", self.B @ RinvBt),
-            ("_BFRB", (self.B + self.F) @ RinvBt),
-            ("_FRB", self.F @ RinvBt),
-        ):
+        # them, so they are read-only.  Finite entries can still overflow
+        # here, which is reported as a ValueError naming the compound.
+        with np.errstate(over="ignore", invalid="ignore"):
+            Rinv = np.linalg.inv(self.R)
+            RinvBt = Rinv @ self.B.T
+            compounds = (
+                ("_Rinv", Rinv),
+                ("_RinvBt", RinvBt),
+                ("_RinvBtT", np.ascontiguousarray(RinvBt.T)),
+                ("_BRB", self.B @ RinvBt),
+                ("_BFRB", (self.B + self.F) @ RinvBt),
+                ("_FRB", self.F @ RinvBt),
+            )
+        for name, value in compounds:
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name[1:]} overflows")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

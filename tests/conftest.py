@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
+from mfg_errsim import scenario
 from mfg_errsim.core import equilibrium_law, equilibrium_mf
 from mfg_errsim.deviations import build_maps
 from mfg_errsim.params import P6_Z0, p6_params
 from mfg_errsim.realtime import build_kernels
 from mfg_errsim.riccati import RiccatiBundle
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_scenario_solves():
+    """Every test starts with an empty scenario cache, so a run that a test
+    watches solves for itself rather than reading an earlier test's solves."""
+    scenario._solved_cache.clear()
 
 
 @pytest.fixture(scope="session")

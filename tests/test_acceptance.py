@@ -326,7 +326,7 @@ def test_acceptance_9_byte_identical_outputs(tmp_path):
         cfg = validate_config(dict(doc, output_dir=str(out)))
         run_scenario(cfg)
         return {
-            name: open(os.path.join(out, name), "rb").read()
+            name: (out / name).read_bytes()
             for name in sorted(os.listdir(out)) if name.endswith(".csv")
         }
 

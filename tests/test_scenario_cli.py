@@ -3,14 +3,16 @@
 import importlib.util
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from mfg_errsim import scenario
 from mfg_errsim.cli import main
-from mfg_errsim.errors import ConfigError
+from mfg_errsim.errors import ConfigError, FiniteEscapeError
 from mfg_errsim.limiting import solve_limiting
+from mfg_errsim.params import p6_params
 from mfg_errsim.riccati import RiccatiBundle
 from mfg_errsim.scenario import (
     ScenarioConfig,
@@ -335,6 +337,78 @@ def test_reruns_are_byte_identical(tmp_path):
                 assert fa.read() == fb.read(), name
 
 
+# ------------------------------------------------------- solves kept across runs
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("solved again on a rerun")
+
+
+@pytest.mark.parametrize("mode", ["predict", "evolve", "correct", "realtime"])
+def test_a_rerun_reads_the_kept_solves_and_writes_the_same_bytes(tmp_path, monkeypatch,
+                                                                  mode):
+    doc = {"mode": mode, "grid_steps": 200, "N": 20}
+    run_scenario(validate_config(dict(doc, output_dir=str(tmp_path / "a"))))
+    monkeypatch.setattr(RiccatiBundle, "solve", classmethod(_refuse))
+    monkeypatch.setattr(scenario, "build_maps", _refuse)
+    monkeypatch.setattr(scenario, "build_kernels", _refuse)
+    run_scenario(validate_config(dict(doc, output_dir=str(tmp_path / "b"))))
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_changing_one_entry_of_A_is_a_miss():
+    params = p6_params()
+    grid = params.default_grid(50)
+    A = params.A.copy()
+    A[0, 1] = 1e-12
+    kept = scenario._solved(params, grid)
+    assert scenario._solved(params.with_(), grid) is kept
+    other = scenario._solved(params.with_(A=A), grid)
+    assert other is not kept
+    assert np.array_equal(other.bundle.params.A, A)
+    assert scenario._solved(params, params.default_grid(60)) is not kept
+
+
+def test_one_off_sets_do_not_evict_a_set_with_hits():
+    params = p6_params()
+    grid = params.default_grid(50)
+    kept = scenario._solved(params, grid)
+    scenario._solved(params, grid)
+    for eps in (0.01, 0.02, 0.03):
+        last = scenario._solved(params.with_(A=params.A + eps), grid)
+    # each one-off evicted the one before it, the oldest of no hits
+    assert list(scenario._solved_cache.values()) == [kept, last]
+    assert scenario._solved(params, grid) is kept
+
+
+def test_a_failed_solve_is_not_kept(tmp_path):
+    # Q_I + Q - Q*Gamma = -8 I: P0 escapes to infinity
+    cfg = validate_config({"mode": "predict", "grid_steps": 200,
+                           "params": {"Gamma": [[10.0, 0.0], [0.0, 10.0]]},
+                           "output_dir": str(tmp_path)})
+    for _ in range(2):
+        with pytest.raises(FiniteEscapeError, match="P0"):
+            run_scenario(cfg)
+    assert not scenario._solved_cache
+
+
+def test_kept_paths_are_read_only():
+    params = p6_params()
+    entry = scenario._solved(params, params.default_grid(50))
+    bundle, maps, kernels = entry.bundle, entry.maps, entry.kernels
+    arrays = [getattr(bundle, name).values for name in ("P0", "P1", "P2", "G", "G1",
+                                                        "Phi1", "PhiZ")]
+    arrays += [getattr(maps, name).values for name in ("Mg", "Mz", "PhiX", "Mx1", "Mx2")]
+    arrays += [getattr(kernels, name) for name in ("PhiZ_inv", "Phi1_inv", "J", "V", "U",
+                                                   "Mig_diag", "M0g_diag")]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] += 1.0
+
+
 def test_config_hash_tracks_content():
     from mfg_errsim.scenario import _config_hash
 
@@ -397,6 +471,7 @@ def test_evolve_probe_times_must_be_grid_nodes():
 
 
 _NAN, _INF = float("nan"), float("inf")
+_HUGE = 10 ** 400  # a JSON integer past the float range
 
 
 @pytest.mark.parametrize("doc, code, prefix", [
@@ -405,19 +480,29 @@ _NAN, _INF = float("nan"), float("inf")
     ({"mode": "predict", "params": {"A": [["x", 0.0], [0.0, -1.0]]}}, 1,
      "config error: params.A:"),
     ({"mode": "predict", "params": {"T": _INF}}, 1, "config error: params.T:"),
-    ({"mode": "predict", "params": {"B": [[1e200, 0.0], [0.0, 1.0]]}}, 2, "runtime error:"),
+    ({"mode": "predict", "params": {"T": _HUGE}}, 1, "config error: params.T:"),
+    ({"mode": "predict", "params": {"B": [[1e200, 0.0], [0.0, 1.0]]}}, 1,
+     "config error: params: BRB overflows"),
     ({"mode": "predict", "params": {"T": 1e300}}, 2, "runtime error:"),
+    ({"mode": "predict", "params": {"T": 1e7}}, 2, "runtime error: P1:"),
     ({"mode": "correct", "t0": _INF}, 1, "config error: t0:"),
+    ({"mode": "correct", "t0": _HUGE}, 1, "config error: t0:"),
     ({"mode": "predict", "z0": [_NAN, 0.0]}, 1, "config error: z0:"),
     ({"mode": "predict", "E_bar": [_NAN, 0.0]}, 1, "config error: E_bar:"),
     ({"mode": "predict", "E_i": [0.0, _NAN]}, 1, "config error: E_i:"),
     ({"mode": "evolve", "k_sweep": [1.0, _NAN, 2.0]}, 1, "config error: k_sweep:"),
+    ({"mode": "evolve", "k_sweep": [1, _HUGE]}, 1, "config error: k_sweep:"),
     ({"mode": "realtime", "N": 5, "D": _INF}, 1, "config error: D:"),
-], ids=["A_nan", "A_text", "T_inf", "B_overflow", "T_overflow", "t0_inf", "z0_nan",
-        "E_bar_nan", "E_i_nan", "k_sweep_nan", "D_inf"])
+    ({"mode": "realtime", "N": 5, "D": _HUGE}, 1, "config error: D:"),
+], ids=["A_nan", "A_text", "T_inf", "T_huge_int", "B_overflow", "T_overflow",
+        "T_expm_overflow", "t0_inf", "t0_huge_int", "z0_nan", "E_bar_nan", "E_i_nan",
+        "k_sweep_nan", "k_sweep_huge_int", "D_inf", "D_huge_int"])
 def test_cli_run_reports_non_finite_and_overflowing_values(tmp_path, capsys, doc,
                                                            code, prefix):
-    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == code
+    # the clean error comes without a numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert prefix in err and "Traceback" not in err
 

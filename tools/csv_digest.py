@@ -30,6 +30,12 @@ law, empirical and prescribed coupling, default and zero noise;
 each of the four estimator policies at default and zero noise.  These
 calls keep one signature across refactors, so the script runs unchanged
 against an older checkout.
+
+Each mode also runs a second time in the same process, into another
+directory, and a last line per fixture and mode reads ``rerun same`` when
+the second run wrote the same bytes as the first, ``rerun differs``
+otherwise.  A package that keeps solves across runs answers the second run
+from them, so this checks its kept solves against fresh ones.
 """
 
 from __future__ import annotations
@@ -159,7 +165,7 @@ def array_outputs(fixture, fdoc):
 def outputs(src):
     """Every output of the package imported from src, as (name, payload)
     pairs: the bytes of each file a mode writes, the list of arrays of each
-    direct call."""
+    direct call; and the rerun line of each mode."""
     for name in [m for m in sys.modules if m.split(".")[0] == "mfg_errsim"]:
         del sys.modules[name]
     sys.path.insert(0, os.path.abspath(src))
@@ -172,20 +178,26 @@ def outputs(src):
 def _outputs():
     from mfg_errsim.scenario import run_scenario, validate_config
 
-    out = []
+    out, reruns = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for fixture, fdoc in FIXTURES.items():
             for mode, mdoc in MODES.items():
-                outdir = os.path.join(tmp, f"{fixture}-{mode}")
-                doc = dict(fdoc, **mdoc, mode=mode, grid_steps=GRID_STEPS,
-                           output_dir=outdir)
-                run_scenario(validate_config(doc))
-                for name in sorted(os.listdir(outdir)):
-                    with open(os.path.join(outdir, name), "rb") as fh:
-                        out.append((f"{fixture}/{mode}/{name}", fh.read()))
+                files = []
+                for run in ("", "-rerun"):
+                    outdir = os.path.join(tmp, f"{fixture}-{mode}{run}")
+                    doc = dict(fdoc, **mdoc, mode=mode, grid_steps=GRID_STEPS,
+                               output_dir=outdir)
+                    run_scenario(validate_config(doc))
+                    files.append([])
+                    for name in sorted(os.listdir(outdir)):
+                        with open(os.path.join(outdir, name), "rb") as fh:
+                            files[-1].append((f"{fixture}/{mode}/{name}", fh.read()))
+                out += files[0]
+                same = "same" if files[0] == files[1] else "differs"
+                reruns.append(f"{fixture}/{mode} rerun {same}")
     for fixture, fdoc in FIXTURES.items():
         out += array_outputs(fixture, fdoc)
-    return out
+    return out, reruns
 
 
 def digest(payload):
@@ -237,12 +249,12 @@ def main(argv):
     ap.add_argument("--against", metavar="OLD_SRC",
                     help="print differences to the outputs of this tree instead of digests")
     args = ap.parse_args(argv[1:])
-    new = outputs(args.src)
+    new, reruns = outputs(args.src)
     if args.against is None:
         lines = [f"{name} {digest(payload)}" for name, payload in new]
     else:
-        lines = compare(new, outputs(args.against))
-    for line in lines:
+        lines = compare(new, outputs(args.against)[0])
+    for line in lines + reruns:
         print(line)
     return 0
 
