@@ -28,7 +28,6 @@ from .errors import IdentifiabilityError
 from .grid import MatrixPath, VectorPath
 from .ode import rk4_affine
 from .params import SystemParams
-from .population import AgentTrace
 from .riccati import (
     RiccatiBundle,
     coupling_weight,
@@ -36,40 +35,25 @@ from .riccati import (
     solve_tracking_offset,
 )
 
-DEFAULT_SV_TOL = 1e-8
+# relative singular-value cutoff of the identifiability rank, and the
+# number of sample times build_correction_problem takes when given none
+SV_TOL = 1e-8
 DEFAULT_SAMPLES = 8
 
 
-def observable_path(trace, params: SystemParams, grid=None, mode="finite-difference") -> VectorPath:
-    """Extract Ob(t) = x_dot - A x - B u from an agent's realized path.
-
-    mode "exact-drift" uses the stored simulation drift (validation only);
-    "finite-difference" estimates x_dot by central differences, which is all
-    a real agent can do.
-    """
-    if isinstance(trace, AgentTrace):
-        x, u = trace.x, trace.u
-    else:
-        x, u, _ = trace  # (x, u, drift-or-None) triple
-    if grid is None:
-        grid = x.grid
+def observable_path(x: VectorPath, u: VectorPath, params: SystemParams) -> VectorPath:
+    """Ob(t) = x_dot - A x - B u from an agent's realized state and control
+    paths, with x_dot estimated by second-order finite differences (central
+    inside, one-sided at the ends), which is all a real agent can do."""
+    grid = x.grid
     if grid.steps < 2:
         raise ValueError("need at least three nodes to estimate the drift")
     xv, uv = x.values, u.values
-    if mode == "exact-drift":
-        # read here only: a trace's drift is derived for its whole population
-        drift = trace.drift if isinstance(trace, AgentTrace) else trace[2]
-        if drift is None:
-            raise ValueError("exact-drift mode requires a stored drift path")
-        xdot = drift.values
-    elif mode == "finite-difference":
-        dt = grid.dt
-        xdot = np.empty_like(xv)
-        xdot[1:-1] = (xv[2:] - xv[:-2]) / (2.0 * dt)
-        xdot[0] = (-3.0 * xv[0] + 4.0 * xv[1] - xv[2]) / (2.0 * dt)
-        xdot[-1] = (3.0 * xv[-1] - 4.0 * xv[-2] + xv[-3]) / (2.0 * dt)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    dt = grid.dt
+    xdot = np.empty_like(xv)
+    xdot[1:-1] = (xv[2:] - xv[:-2]) / (2.0 * dt)
+    xdot[0] = (-3.0 * xv[0] + 4.0 * xv[1] - xv[2]) / (2.0 * dt)
+    xdot[-1] = (3.0 * xv[-1] - 4.0 * xv[-2] + xv[-3]) / (2.0 * dt)
     ob = xdot - xv @ params.A.T - uv @ params.B.T
     return VectorPath(grid, ob)
 
@@ -97,9 +81,10 @@ def k_matrices(maps: DeviationMaps) -> tuple[MatrixPath, MatrixPath]:
     return MatrixPath(maps.grid, K1), MatrixPath(maps.grid, K2)
 
 
-def default_sample_times(grid, t0, m=DEFAULT_SAMPLES):
-    """m equispaced grid nodes in (0, t0]."""
+def default_sample_times(grid, t0):
+    """DEFAULT_SAMPLES equispaced grid nodes in (0, t0]."""
     k0 = grid.index_of(t0)
+    m = DEFAULT_SAMPLES
     if k0 < m:
         raise ValueError(f"t0={t0} leaves fewer than {m} nodes to sample")
     ks = np.linspace(k0 / m, k0, m).round().astype(int)
@@ -118,7 +103,6 @@ class CorrectionProblem:
     stacked_K: np.ndarray
     stacked_Ob1: np.ndarray
     z_i_t0: np.ndarray | None = None
-    sv_tol: float = DEFAULT_SV_TOL
 
     @property
     def n(self):
@@ -126,8 +110,7 @@ class CorrectionProblem:
 
 
 def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0,
-                             sample_times=None, z_i_t0=None,
-                             sv_tol=DEFAULT_SV_TOL) -> CorrectionProblem:
+                             sample_times=None, z_i_t0=None) -> CorrectionProblem:
     grid = maps.grid
     if sample_times is None:
         sample_times = default_sample_times(grid, t0)
@@ -146,7 +129,6 @@ def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0,
         K1=K1, K2=K2,
         stacked_K=np.vstack(rows_K), stacked_Ob1=np.concatenate(rows_b),
         z_i_t0=None if z_i_t0 is None else np.asarray(z_i_t0, dtype=float),
-        sv_tol=sv_tol,
     )
 
 
@@ -156,7 +138,7 @@ def identifiability(problem: CorrectionProblem):
     if sv.size == 0 or sv[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(sv > problem.sv_tol * sv[0]))
+        rank = int(np.sum(sv > SV_TOL * sv[0]))
     return {"rank": rank, "identifiable": rank == 2 * problem.n}
 
 
@@ -165,7 +147,6 @@ class CorrectionResult:
     E_bar: np.ndarray
     E_i: np.ndarray
     z_A_t0: np.ndarray | None
-    identifiable: bool
     rank: int
     residual: float
 
@@ -192,7 +173,7 @@ def recover_errors(problem: CorrectionProblem) -> CorrectionResult:
         z_A_t0 = problem.z_i_t0 + maps.Mz.at(t0) @ E_bar - maps.Phi1.at(t0) @ E_i
     return CorrectionResult(
         E_bar=E_bar, E_i=E_i, z_A_t0=z_A_t0,
-        identifiable=True, rank=ident["rank"], residual=residual,
+        rank=ident["rank"], residual=residual,
     )
 
 

@@ -72,7 +72,7 @@ class DeviationMaps:
         transition PhiX from I and the own-trajectory deviations Mx1, Mx2
         from 0, one scan of the columns [PhiX | Mx1 | Mx2] from [I | 0 | 0]
         under [0 | fx1 | L2].  Built on first read and shared by every later
-        reader, so the values are read-only."""
+        reader."""
         params, grid = self.params, self.grid
         n = params.n
         P1v, Mg_v, Mz_v = self.bundle.P1.values, self.Mg.values, self.Mz.values
@@ -82,7 +82,6 @@ class DeviationMaps:
         f[:, :, 2 * n:] = params.C @ Mz_v - FRB @ (P1v @ Mz_v) - FRB @ Mg_v
         X = rk4_affine(agent_generator(params, P1v), f, np.eye(n, 3 * n), grid,
                        forward=True)
-        X.flags.writeable = False
         return tuple(MatrixPath(grid, X[:, :, j * n:(j + 1) * n]) for j in range(3))
 
 

@@ -2,7 +2,7 @@
 
 All solvers in the package exchange data as node values on a shared
 :class:`TimeGrid`.  Off-node evaluation is linear interpolation between the
-bracketing nodes and exact at nodes.
+bracketing nodes and exact at nodes.  A path's values are read-only.
 """
 
 from __future__ import annotations
@@ -63,7 +63,10 @@ class TimeGrid:
 
 
 def _check_values(grid, values, ndim):
-    values = np.asarray(values, dtype=float)
+    """The node values as a read-only view: a path never changes its values,
+    and the array passed in stays writable."""
+    values = np.asarray(values, dtype=float).view()
+    values.flags.writeable = False
     if values.ndim != ndim:
         raise ValueError(f"expected {ndim}-d value array, got shape {values.shape}")
     if values.shape[0] != grid.steps + 1:

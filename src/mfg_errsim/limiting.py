@@ -65,11 +65,6 @@ class LimitingRun:
         return VectorPath(self.grid, vals)
 
 
-def planned_offset(bundle: RiccatiBundle, mf: MeanField) -> VectorPath:
-    """Tracking offset an agent derives from its own mean-field prediction."""
-    return solve_tracking_offset(bundle.params, bundle.P1, mf.z, mf.ubar, bundle.grid)
-
-
 def _distinct(keys):
     """Column of each key among the distinct keys, numbered in order of
     first appearance, and the position of each distinct key's first

@@ -193,7 +193,8 @@ def _prefix_compose(TC, n):
 
 
 def rk4_affine(H, f, v0, grid, forward=True):
-    """RK4 for dv/dt = H(t) v + f(t) with H, f given as node arrays (or None).
+    """RK4 for dv/dt = H(t) v + f(t) with H, f given as node arrays (f may
+    be None).
 
     v0 is the value at t_start (forward) or t_end (backward), a vector (n,)
     or a matrix (n, m).  f has the state's shape at every node, or is a
@@ -216,7 +217,7 @@ def rk4_affine(H, f, v0, grid, forward=True):
     V0 = v0[:, None] if v0.ndim == 1 else v0
     n, m = V0.shape
     K = grid.steps
-    Hh = np.zeros((2 * K + 1, n, n)) if H is None else half_nodes(H)
+    Hh = half_nodes(H)
     fh = None if f is None else half_nodes(f).reshape(2 * K + 1, n, -1)
     w = n if fh is None else n + fh.shape[2]
     if forward:
@@ -259,20 +260,12 @@ def rk4_nonlinear(rhs, v0, grid, forward=True):
     return rk4_steps(lambda i, v: rhs(th[i], v), v0, grid, forward)
 
 
-def fundamental_solution(H, t_ref, grid=None):
+def fundamental_solution(H: MatrixPath, t_ref):
     """Fundamental solution Phi with dPhi/dt = H(t) Phi and Phi(t_ref) = I.
 
     Phi(t) Phi(s)^{-1} is then the state-transition matrix from s to t.
     """
-    if isinstance(H, MatrixPath):
-        grid, Hn = H.grid, H.values
-    elif grid is None:
-        raise ValueError("grid required when H is not a MatrixPath")
-    else:
-        Hn = np.asarray(H, dtype=float)
-        if Hn.ndim != 3 or Hn.shape[0] != grid.steps + 1:
-            raise ValueError(f"H must be a ({grid.steps + 1}, n, n) node array, "
-                             f"got shape {Hn.shape}")
+    grid, Hn = H.grid, H.values
     n, m = Hn.shape[1:]
     if n != m:
         raise ValueError(f"H must be square, got {n}x{m}")

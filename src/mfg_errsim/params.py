@@ -159,7 +159,7 @@ class SystemParams:
         return TimeGrid(0.0, self.T, steps)
 
 
-def p6_params(D_scale: float = 0.05) -> SystemParams:
+def p6_params() -> SystemParams:
     """Canonical 2-d fixture "P6".
 
     sbar is set equal to s (the barred quantities mirror the unbarred ones
@@ -168,7 +168,7 @@ def p6_params(D_scale: float = 0.05) -> SystemParams:
     I = np.eye(2)
     s = np.array([0.5, 0.3])
     return SystemParams(
-        A=-I, B=0.5 * I, C=0.5 * I, F=0.5 * I, D=D_scale * I,
+        A=-I, B=0.5 * I, C=0.5 * I, F=0.5 * I, D=0.05 * I,
         Q_I=I, Q=I, Qbar_I=I, Qbar=I, R=I,
         Gamma=I, Gammabar=I,
         eta=np.zeros(2), etabar=np.zeros(2), s=s, sbar=s,

@@ -63,7 +63,8 @@ class RealtimeDeviationMaps:
 
 @dataclass
 class RealtimeKernels:
-    """Anchor-independent kernels from which all realtime maps follow."""
+    """Anchor-independent kernels from which all realtime maps follow.
+    Every array is read-only."""
 
     bundle: RiccatiBundle
     PhiZ: MatrixPath             # the bundle's actual-mean-field transition
@@ -122,6 +123,8 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
 
     Mig_diag = V @ PhiZ_inv
     M0g_diag = (U + V @ J) @ Phi1_inv
+    for a in (PhiZ_inv, Phi1_inv, J, V, U, Mig_diag, M0g_diag):
+        a.flags.writeable = False
     return RealtimeKernels(
         bundle=bundle, PhiZ=PhiZ, PhiZ_inv=PhiZ_inv, Phi1_inv=Phi1_inv,
         J=J, V=V, U=U, Mig_diag=Mig_diag, M0g_diag=M0g_diag,

@@ -23,9 +23,12 @@ taken in blocks re-anchored at [I; P] so that X never grows past 1e8, and
 a finite escape shows as a singular X.
 
 The closed-loop generators, the feedback control and the forward
-mean-field solve that every downstream module runs are defined here once;
-the bundle caches the two forward transitions (Phi1, PhiZ) that the
-deviation maps and the realtime kernels share.
+mean-field solve that every downstream module runs are defined here once.
+RiccatiBundle solves P1, P0 and G with the bundle and the rest on first
+read: P2 and G1, which only the realtime kernels and the "p2" prediction
+route read, and the two forward transitions (Phi1, PhiZ) that the
+deviation maps and the realtime kernels share.  Every path is read-only,
+so a bundle can be shared.
 """
 
 from __future__ import annotations
@@ -121,12 +124,13 @@ def _escape_guard(fn, what):
 _GROWTH_MAX = 1e8
 
 
-def _block_steps(step_norm, K):
-    """Steps per block: the most steps L with step_norm^L <= _GROWTH_MAX,
-    step_norm bounding the 2-norm of one step's map."""
-    if step_norm <= 1.0:
+def _block_steps(log_norm, K):
+    """Steps per block: the most steps L with L log_norm <= log(_GROWTH_MAX),
+    log_norm bounding the log of the 2-norm of one step's map (a log, so a
+    bound past the float range stays finite)."""
+    if log_norm <= 0.0:
         return K
-    return int(min(K, max(1.0, np.log(_GROWTH_MAX) // np.log(step_norm))))
+    return int(min(K, max(1.0, np.log(_GROWTH_MAX) // log_norm)))
 
 
 def _riccati_ratio(XY, nodes, grid, what):
@@ -196,7 +200,7 @@ def _hamiltonian_riccati(Ham, PT, grid, what):
         Psi = expm(-grid.dt * Ham)
     except IntegrationBlowupError as e:
         raise IntegrationBlowupError(f"{what}: step map over dt = {grid.dt:.6g}: {e}") from None
-    powers = matrix_powers(Psi, _block_steps(np.linalg.norm(Psi, 2), grid.steps))
+    powers = matrix_powers(Psi, _block_steps(np.log(np.linalg.norm(Psi, 2)), grid.steps))
     return _riccati_blocks(lambda k, j, V: powers[1:j + 1] @ V, PT, len(powers) - 1,
                            grid, what)
 
@@ -253,7 +257,7 @@ def solve_P2(params: SystemParams, P1: MatrixPath, grid: TimeGrid) -> MatrixPath
     Ham[:, n:, :n] = -coupling_weight(params, P1)
     Ham[:, n:, n:] = -(params.A.T - P1v @ BFRB)
     # exp(dt ||Ham||_F) bounds the 2-norm of one step's map
-    L = _block_steps(np.exp(grid.dt * np.linalg.norm(Ham, axis=(1, 2)).max()), K)
+    L = _block_steps(grid.dt * np.linalg.norm(Ham, axis=(1, 2)).max(), K)
 
     def span(k, j, V):
         XY = rk4_affine(Ham[k - j:k + 1], None, V, grid.subgrid(k - j, k), forward=False)
@@ -326,31 +330,41 @@ def solve_tracking_offset(
 
 @dataclass
 class RiccatiBundle:
-    """All Riccati/offset solutions on one grid, plus the generating params."""
+    """All Riccati/offset solutions on one grid, plus the generating params.
+
+    P1, P0 and G are solved with the bundle; P2, G1 and the transitions
+    Phi1, PhiZ are solved on first read, so a caller pays only for what it
+    reads."""
 
     params: SystemParams
     grid: TimeGrid
     P0: MatrixPath
     P1: MatrixPath
-    P2: MatrixPath
     G: VectorPath
-    G1: VectorPath
 
     @classmethod
     def solve(cls, params: SystemParams, grid: TimeGrid) -> "RiccatiBundle":
-        """Solve every path on the grid.
+        """Solve P1, P0 and G on the grid.
 
         P1 and P0 are powers of the exact step maps of their constant
-        Hamiltonians, and P2 is a scan of its time-varying Hamiltonian's
-        RK4 step propagators.  Each gives P = Y X^-1 in blocks re-anchored
-        at [I; P] and raises FiniteEscapeError, naming the path, where X
-        turns singular.  The linear G and G1 solves are scans of step
-        propagators (see ode.rk4_affine)."""
+        Hamiltonians, giving P = Y X^-1 in blocks re-anchored at [I; P];
+        each raises FiniteEscapeError, naming the path, where X turns
+        singular.  The linear G solve is a scan of step propagators (see
+        ode.rk4_affine)."""
         P1, P0 = solve_P1(params, grid), solve_P0(params, grid)
-        P2 = solve_P2(params, P1, grid)
-        G = solve_G(params, P0, grid)
-        G1 = solve_G1(params, P1, P2, grid)
-        return cls(params=params, grid=grid, P0=P0, P1=P1, P2=P2, G=G, G1=G1)
+        return cls(params=params, grid=grid, P0=P0, P1=P1, G=solve_G(params, P0, grid))
+
+    @cached_property
+    def P2(self) -> MatrixPath:
+        """Riccati of the average-prediction system (solve_P2).  It equals
+        P0 - P1 up to truncation, so it exists wherever P0 and P1 do and
+        solving it on first read moves no escape."""
+        return solve_P2(self.params, self.P1, self.grid)
+
+    @cached_property
+    def G1(self) -> VectorPath:
+        """Offset paired with (P1, P2) (solve_G1), equal to G up to truncation."""
+        return solve_G1(self.params, self.P1, self.P2, self.grid)
 
     @cached_property
     def Phi1(self) -> MatrixPath:

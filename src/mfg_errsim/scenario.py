@@ -18,9 +18,10 @@ reads neither, realtime only the kernels).  An entry's key is the grid, T
 and the bytes of every parameter array.  At most _SOLVED_MAX = 2 entries
 are kept; a new entry evicts the one with the fewest hits, the oldest on a
 tie, so a stream of one-off parameter sets never evicts a set that
-repeats.  A solve that raises is not kept.  Every kept array is read-only,
-and no output of a run refers to one.  An entry holding all three takes
-about 0.7 MB at n = 2 and 2000 steps.
+repeats.  A solve that raises is not kept.  Paths and kernel arrays are
+read-only by construction, so an entry is shared safely, and no output of
+a run refers to one.  An entry holding all three takes about 0.7 MB at
+n = 2 and 2000 steps.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .correction import (
+    DEFAULT_SAMPLES,
     build_correction_problem,
     identifiability,
     modified_game,
@@ -48,7 +50,7 @@ from .deviations import (
     expected_trajectory_deviation,
     predicted_mf_deviation,
 )
-from .errors import ConfigError
+from .errors import ConfigError, MfgError
 from .limiting import solve_limiting, solve_limiting_batch
 from .params import P6_EBAR_BASE, P6_Z0, SystemParams, p6_params
 from .realtime import (
@@ -235,13 +237,17 @@ def validate_config(raw) -> ScenarioConfig:
     cfg = ScenarioConfig(params=params, mode=mode, **cfg_kwargs)
     grid = cfg.grid()
     # (field, time) of every time the mode reads at a grid node
-    at_nodes = {"correct": [("t0", cfg.t0)], "realtime": [("t0", cfg.t0)],
+    at_nodes = {"correct": [("t0", cfg.t0)],
                 "evolve": [("grid_steps", t) for t in _probe_times(cfg.params)]}
     for key, t in at_nodes.get(mode, []):
         try:
             grid.index_of(t)
         except ValueError:
             raise ConfigError([(key, f"must put t = {t:g} on a grid node")]) from None
+    # correction samples the drift on (0, t0] and restarts the game on [t0, T]
+    if mode == "correct" and not DEFAULT_SAMPLES <= grid.index_of(cfg.t0) < grid.steps:
+        raise ConfigError([("t0", f"must lie before T = {cfg.params.T:g} and leave "
+                                  f"{DEFAULT_SAMPLES} grid nodes in (0, t0]")])
     return cfg
 
 
@@ -292,7 +298,8 @@ def _write_csv(path, header, columns):
 def _write_table(out, files, name, columns):
     """Write the (label, values) columns to out/name and record the file in
     files.  1-d values are the one column `label`; (rows, n) values are the
-    columns label1 .. label<n>."""
+    columns label1 .. label<n>.  A non-finite value raises MfgError naming
+    the file and the column."""
     header, cols = [], []
     for label, values in columns:
         values = np.asarray(values, dtype=float)
@@ -302,6 +309,10 @@ def _write_table(out, files, name, columns):
         else:
             header += [f"{label}{j + 1}" for j in range(values.shape[1])]
             cols += list(values.T)
+    finite = [bool(np.isfinite(c).all()) for c in cols]
+    if not all(finite):
+        raise MfgError(f"{name}: column {header[finite.index(False)]} holds a "
+                       "non-finite value")
     files[name] = _write_csv(os.path.join(out, name), header, cols)
 
 
@@ -340,8 +351,11 @@ def _plot_script(path, csv_specs):
         fh.write("\n".join(lines) + "\n")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_line(k_values, y_values):
-    """Least-squares line y = a k + b; returns slope, intercept, R^2."""
+    """Least-squares line y = a k + b; returns slope, intercept, R^2.  An
+    overflow is not warned about: it shows as a non-finite figure, which
+    _write_table rejects."""
     k = np.asarray(k_values, dtype=float)
     y = np.asarray(y_values, dtype=float)
     A = np.column_stack([k, np.ones_like(k)])
@@ -360,35 +374,19 @@ _solved_cache: dict = {}
 
 class _Solved:
     """The Riccati bundle of one parameter set and grid, with the deviation
-    maps and realtime kernels built on first read.  Every array is
-    read-only."""
+    maps and realtime kernels built on first read."""
 
     def __init__(self, params: SystemParams, grid):
         self.bundle = RiccatiBundle.solve(params, grid)
-        _freeze(self.bundle)
         self.hits = 0
 
     @cached_property
     def maps(self):
-        maps = build_maps(self.bundle)
-        _freeze(self.bundle, maps)  # the bundle now holds Phi1 and PhiZ
-        return maps
+        return build_maps(self.bundle)
 
     @cached_property
     def kernels(self):
-        kernels = build_kernels(self.bundle)
-        _freeze(self.bundle, kernels)
-        return kernels
-
-
-def _freeze(*objs):
-    """Make every array the objects hold, directly or as path values,
-    read-only."""
-    for obj in objs:
-        for value in vars(obj).values():
-            arr = getattr(value, "values", value)
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+        return build_kernels(self.bundle)
 
 
 def _solved(params: SystemParams, grid) -> _Solved:

@@ -24,7 +24,7 @@ from mfg_errsim.deviations import (
     expected_trajectory_deviation,
     predicted_mf_deviation,
 )
-from mfg_errsim.limiting import planned_offset, solve_limiting
+from mfg_errsim.limiting import solve_limiting
 from mfg_errsim.params import (
     P6_EBAR_BASE,
     P6_ERROR_COV,
@@ -100,7 +100,7 @@ def test_acceptance_2_representation_identities(bundle):
 
 def test_acceptance_3_linear_deviation_maps(bundle, maps, mf_c, z0):
     rng = np.random.default_rng(2024)
-    g_c = planned_offset(bundle, mf_c)
+    g_c = equilibrium_law(bundle, mf_c).g
     ref = solve_limiting(bundle, z0, np.zeros(2), np.zeros(2))
     worst = 0.0
     for _ in range(10):

@@ -38,17 +38,18 @@ def ob1(run, bundle, params):
 
 
 def test_finite_difference_drift_close_to_exact(run, params, grid):
-    fd = observable_path((run.x_i, run.u_i, None), params, grid)
+    fd = observable_path(run.x_i, run.u_i, params)
     exact = run.observable()
     # central differences are second order in the step
     assert np.max(np.abs(fd.values - exact.values)) < 100.0 * grid.dt ** 2
 
 
-def test_observable_path_input_validation(run, params, grid):
-    with pytest.raises(ValueError, match="drift"):
-        observable_path((run.x_i, run.u_i, None), params, grid, mode="exact-drift")
-    with pytest.raises(ValueError, match="unknown mode"):
-        observable_path((run.x_i, run.u_i, None), params, grid, mode="spectral")
+def test_observable_path_input_validation(run, params):
+    # two nodes leave no second-order difference to take
+    x, u = run.x_i.slice(0, 1), run.u_i.slice(0, 1)
+    with pytest.raises(ValueError, match="three nodes"):
+        observable_path(x, u, params)
+    assert len(observable_path(run.x_i.slice(0, 2), run.u_i.slice(0, 2), params)) == 3
 
 
 def test_residual_is_linear_in_the_errors(ob1, maps):

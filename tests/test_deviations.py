@@ -3,13 +3,14 @@
 import numpy as np
 import numpy.testing as npt
 
+from mfg_errsim.core import equilibrium_law
 from mfg_errsim.deviations import (
     actual_mf_deviation,
     control_offset_deviation,
     expected_trajectory_deviation,
     predicted_mf_deviation,
 )
-from mfg_errsim.limiting import planned_offset, solve_limiting
+from mfg_errsim.limiting import solve_limiting
 from mfg_errsim.params import P6_Z0
 
 E_I = np.array([0.2, 0.1])
@@ -58,7 +59,7 @@ def test_predicted_mf_deviation_matches_two_solves(bundle, maps, z0):
 
 def test_offset_deviation_matches_two_solves(bundle, maps, mf_c, z0):
     run = solve_limiting(bundle, z0, E_I, E_BAR)
-    g_c = planned_offset(bundle, mf_c)
+    g_c = equilibrium_law(bundle, mf_c).g
     direct = run.g_i.values - g_c.values
     mapped = control_offset_deviation(maps, E_I)
     assert np.max(np.abs(mapped.values - direct)) < 1e-6

@@ -14,7 +14,6 @@ from mfg_errsim.errors import (
     GridMismatchError,
     IntegrationBlowupError,
 )
-from mfg_errsim.limiting import planned_offset
 from mfg_errsim.params import P6_Z0
 from mfg_errsim.realtime import (
     EstimatorState,
@@ -260,7 +259,10 @@ def test_simulation_uses_population_mean_when_z0_omitted(params, bundle, grid,
 
 
 def test_planned_offset_equals_tracking_solution(bundle, mf_c, law_c):
-    g = planned_offset(bundle, mf_c)
-    npt.assert_array_equal(g.values, law_c.g.values)
+    # the offset planned from the equilibrium prediction, a tracking solve,
+    # is the representation g_c = (P0 - P1) z_c + G that realtime_simulate uses
+    g_c = np.einsum("kij,kj->ki", bundle.P0.values - bundle.P1.values,
+                    mf_c.z.values) + bundle.G.values
+    assert np.max(np.abs(law_c.g.values - g_c)) < 1e-6
     mf2 = equilibrium_mf(bundle, P6_Z0)
     npt.assert_array_equal(mf2.z.values, mf_c.z.values)

@@ -13,8 +13,10 @@ from mfg_errsim.params import p6_params, s1_params
 from mfg_errsim.riccati import (
     RiccatiBundle,
     coupling_weight,
+    solve_G1,
     solve_P0,
     solve_P1,
+    solve_P2,
     solve_tracking_offset,
 )
 
@@ -169,10 +171,11 @@ def test_fast_rotation_on_a_coarse_grid_is_not_an_escape():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         b = RiccatiBundle.solve(p, grid)
+        P2 = b.P2.values
     assert np.max(np.abs(b.P1.values - P1_ref)) < 1e-12
     assert np.max(np.abs(b.P0.values - P0_ref)) < 1e-12
     # P2 keeps the RK4 truncation of 2 rad steps (0.038 measured)
-    assert np.max(np.abs(b.P2.values - (P0_ref - P1_ref))) < 0.05
+    assert np.max(np.abs(P2 - (P0_ref - P1_ref))) < 0.05
 
 
 def test_long_horizon_matches_the_step_loop():
@@ -208,6 +211,25 @@ def test_bundle_P1_P0_equal_the_standalone_solves(bundle, params, grid):
     for p, b in ((params, bundle), (mixed, RiccatiBundle.solve(mixed, grid))):
         npt.assert_array_equal(b.P1.values, solve_P1(p, grid).values)
         npt.assert_array_equal(b.P0.values, solve_P0(p, grid).values)
+
+
+def test_lazy_P2_and_G1_equal_the_direct_solves(params, grid):
+    b = RiccatiBundle.solve(params, grid)
+    P2 = solve_P2(params, b.P1, grid)
+    npt.assert_array_equal(b.P2.values, P2.values)
+    npt.assert_array_equal(b.G1.values, solve_G1(params, b.P1, P2, grid).values)
+    assert b.P2 is b.P2 and b.G1 is b.G1
+
+
+def test_P2_block_bound_does_not_overflow():
+    # dt ||Ham||_F is far past log(float max) here, so exp of it overflows
+    p = p6_params().with_(A=1000.0 * np.eye(2))
+    grid = p.default_grid(200)
+    P1 = solve_P1(p, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P2 = solve_P2(p, P1, grid)
+    assert np.isfinite(P2.values).all()
 
 
 def test_bundle_solve_collects_consistent_paths(bundle, grid):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfg_errsim import scenario
+from mfg_errsim import riccati, scenario
 from mfg_errsim.cli import main
 from mfg_errsim.errors import ConfigError, FiniteEscapeError
 from mfg_errsim.limiting import solve_limiting
@@ -127,6 +127,8 @@ def test_t0_must_be_a_grid_node_for_correction_modes():
     assert any(f == "t0" for f, _ in ei.value.problems)
     cfg = validate_config({"mode": "correct", "grid_steps": 200, "t0": 0.5})
     assert cfg.t0 == 0.5
+    # realtime mode never reads t0
+    validate_config({"mode": "realtime", "grid_steps": 200, "t0": 0.5013})
 
 
 @pytest.mark.parametrize("k_sweep, reason", [
@@ -395,6 +397,19 @@ def test_a_failed_solve_is_not_kept(tmp_path):
     assert not scenario._solved_cache
 
 
+@pytest.mark.parametrize("mode", ["predict", "evolve", "correct", "realtime"])
+def test_only_realtime_mode_solves_P2_and_G1(tmp_path, monkeypatch, mode):
+    calls = []
+    for name in ("solve_P2", "solve_G1"):
+        def spy(*args, _solve=getattr(riccati, name), _name=name):
+            calls.append(_name)
+            return _solve(*args)
+        monkeypatch.setattr(riccati, name, spy)
+    run_scenario(validate_config({"mode": mode, "grid_steps": 200, "N": 20,
+                                  "output_dir": str(tmp_path)}))
+    assert calls == (["solve_P2"] if mode == "realtime" else [])
+
+
 def test_kept_paths_are_read_only():
     params = p6_params()
     entry = scenario._solved(params, params.default_grid(50))
@@ -452,6 +467,10 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     ({"mode": "correct"}, ["--steps", "7"], "t0"),
     ({"mode": "predict"}, ["--steps", "0"], "grid_steps"),
     ({"mode": "evolve", "grid_steps": 100}, [], "grid_steps"),
+    # correction restarts the game at t0 < T and samples 8 nodes in (0, t0]
+    ({"mode": "correct", "grid_steps": 200, "t0": 2.0}, [], "t0"),
+    ({"mode": "correct", "grid_steps": 200, "t0": 0.01}, [], "t0"),
+    ({"mode": "correct", "grid_steps": 4, "t0": 1.0}, [], "t0"),
 ])
 def test_cli_run_validates_the_grid_with_its_overrides(tmp_path, capsys, doc,
                                                        overrides, field):
@@ -492,11 +511,13 @@ _HUGE = 10 ** 400  # a JSON integer past the float range
     ({"mode": "predict", "E_i": [0.0, _NAN]}, 1, "config error: E_i:"),
     ({"mode": "evolve", "k_sweep": [1.0, _NAN, 2.0]}, 1, "config error: k_sweep:"),
     ({"mode": "evolve", "k_sweep": [1, _HUGE]}, 1, "config error: k_sweep:"),
+    ({"mode": "evolve", "grid_steps": 200, "k_sweep": [1, 1e300]}, 2,
+     "runtime error: linearity.csv: column r_squared"),
     ({"mode": "realtime", "N": 5, "D": _INF}, 1, "config error: D:"),
     ({"mode": "realtime", "N": 5, "D": _HUGE}, 1, "config error: D:"),
 ], ids=["A_nan", "A_text", "T_inf", "T_huge_int", "B_overflow", "T_overflow",
         "T_expm_overflow", "t0_inf", "t0_huge_int", "z0_nan", "E_bar_nan", "E_i_nan",
-        "k_sweep_nan", "k_sweep_huge_int", "D_inf", "D_huge_int"])
+        "k_sweep_nan", "k_sweep_huge_int", "k_sweep_overflow", "D_inf", "D_huge_int"])
 def test_cli_run_reports_non_finite_and_overflowing_values(tmp_path, capsys, doc,
                                                            code, prefix):
     # the clean error comes without a numpy warning before it
