@@ -12,6 +12,7 @@ offset g is driven by the mean-field paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,19 +32,32 @@ class MeanField:
 
 @dataclass
 class FeedbackLaw:
-    """Affine state feedback u = -R^-1 B' (P1 x + g) on the grid of its paths."""
+    """Affine state feedback u = -R^-1 B' (P1 x + g) on the grid of its paths.
+
+    simulate steps a law in its affine form u = gain x + offset (see the
+    population module), with the node arrays gain = -R^-1 B' P1 and
+    offset = -R^-1 B' g.  error_gain is None: every agent plays the same law.
+    """
 
     params: SystemParams
     P1: MatrixPath
     g: VectorPath
 
+    error_gain = None
+
     @property
     def grid(self) -> TimeGrid:
         return self.g.grid
 
-    def at_node(self, x, k):
-        """Controls (N, d) of the states x (N, n) at grid node k."""
-        return control(self.params, self.P1[k], np.asarray(x, dtype=float), self.g[k])
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """-R^-1 B' P1 at every node, (K+1, d, n)."""
+        return -(self.params.RinvBt @ self.P1.values)
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        """-R^-1 B' g at every node, (K+1, d)."""
+        return -(self.g.values @ self.params.RinvBtT)
 
 
 def equilibrium_mf(bundle: RiccatiBundle, z0, k0: int = 0) -> MeanField:

@@ -5,9 +5,19 @@ for initial sampling and one for dynamics noise.  This makes every result
 independent of iteration order and thread count, and lets a single agent's
 trajectory be replayed bit-for-bit against different mean-field inputs.
 
-Every simulator in the package steps through ``euler_maruyama``.  A law is
-anything with a ``grid`` and ``at_node(x, k)``, the controls of the states
-x (N, n) at node k of that grid.
+A law is affine in the state: agent i's control at node k is
+
+    u = gain[k] x + offset[k] + error_gain[k] E_i
+
+with node arrays gain (K+1, d, n) = -R^-1 B' P1 and offset (K+1, d), and
+error_gain (K+1, d, n) or None for a law every agent plays alike.  A law
+carries them with P1, its errors (N, n) when it has an error gain, and its
+grid, on which the run takes place.  An Euler-Maruyama step is then an
+affine map of each agent's state whose matrix I + dt agent_generator(P1) all
+agents share, so simulate and replay_agent compose the steps of each noise
+block with prefix scans (see _step_agents) instead of stepping node by
+node.  euler_maruyama, the node loop, steps realtime_simulate, whose
+controls come from an estimator policy at each node.
 """
 
 from __future__ import annotations
@@ -18,15 +28,20 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import FeedbackLaw
 from .errors import IntegrationBlowupError
-from .grid import TimeGrid, VectorPath, require_same_grid
+from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
+from .ode import _prefix_compose
 from .params import SystemParams
-from .riccati import control
+from .riccati import agent_generator, mf_generator
 
 _SAMPLING = 0
 _DYNAMICS = 1
-# nodes of dynamics noise drawn per refill of euler_maruyama's noise buffer
+# nodes of dynamics noise drawn per refill of the noise buffer, and nodes per
+# block of simulate's scans
 _NOISE_BLOCK = 128
+# column chunks of the agents' noise per block scan (see _step_agents)
+_NOISE_CHUNKS = 4
 
 
 def _agent_rng(seed: int, agent_id: int, purpose: int) -> np.random.Generator:
@@ -74,11 +89,13 @@ class PopulationResult:
     """Realized paths of N agents; entry [k, i] of xs, us and drifts is
     agent i at node k.
 
-    drifts is not stored by the run: its first read derives every node's
-    drift A x + B u + C mf_x + F mf_u from xs[k], us[k] and the run's
-    coupling (the node means under empirical coupling, else node k of the
-    prescribed (z, ubar) arrays, kept by reference), bit for bit the drift
-    euler_maruyama stepped with, and caches it.
+    coupling is the pair of (K+1, n) and (K+1, d) node arrays (mf_x, mf_u)
+    the run stepped with: the population's mean state and control as the
+    run's mean scan gives them under empirical coupling, else the
+    prescribed (z, ubar) arrays, kept by reference.  drifts is not stored
+    by the run: its first read derives every node's drift
+    A x + B u + C mf_x + F mf_u from xs[k], us[k] and the coupling, and
+    caches it.
     """
 
     params: SystemParams
@@ -88,20 +105,16 @@ class PopulationResult:
     errors: np.ndarray   # (N, n) initial-information errors
     x_N: VectorPath
     u_N: VectorPath
-    coupling: tuple | None = field(default=None, repr=False)
+    coupling: tuple = field(repr=False)
 
     @cached_property
     def drifts(self) -> np.ndarray:
         """(K+1, N, n) drift of every agent at every node."""
-        params, N = self.params, self.xs.shape[1]
+        params = self.params
         At, Bt = (np.ascontiguousarray(M.T) for M in (params.A, params.B))
         drifts = np.empty_like(self.xs)
-        for k, (x, u) in enumerate(zip(self.xs, self.us)):
-            if self.coupling is None:
-                mf_x, mf_u = agent_sum(x) / N, agent_sum(u) / N
-            else:
-                mf_x, mf_u = self.coupling[0][k], self.coupling[1][k]
-            drifts[k] = _drift(params, At, Bt, x, u, mf_x, mf_u)
+        for k, args in enumerate(zip(self.xs, self.us, *self.coupling)):
+            drifts[k] = _drift(params, At, Bt, *args)
         return drifts
 
     def trace(self, i: int) -> AgentTrace:
@@ -151,31 +164,25 @@ def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
     return out
 
 
-class OffsetFamilyLaw:
-    """Affine laws sharing P1 but with per-agent offsets g_i = g + Mg E_i.
+@dataclass
+class OffsetFamilyLaw(FeedbackLaw):
+    """Affine laws sharing P1 but with per-agent offsets g_i = g + Mg E_i,
+    so agent i's control adds error_gain E_i, error_gain = -R^-1 B' Mg.
 
-    Evaluates the whole population's controls in one vectorized call, which
-    keeps heterogeneous-error simulations linear in N.
+    errors holds the E_i of the agents in order; simulate steps every agent
+    in one pass, which keeps heterogeneous-error simulations linear in N.
     """
 
-    def __init__(self, params, P1, g_base, Mg, errors):
-        self.params = params
-        self.P1 = P1
-        self.g_base = g_base
-        self.Mg = Mg
-        self.errors = np.asarray(errors, dtype=float)
-        # Mg[k]' at every node, contiguous (see euler_maruyama)
-        self._MgT = np.ascontiguousarray(np.swapaxes(Mg.values, 1, 2))
+    Mg: MatrixPath
+    errors: np.ndarray
 
-    @property
-    def grid(self) -> TimeGrid:
-        return self.g_base.grid
+    def __post_init__(self):
+        self.errors = np.asarray(self.errors, dtype=float)
 
-    def at_node(self, x, k):
-        """Controls (N, d) of the agents' states x (N, n) at grid node k."""
-        g = self.errors @ self._MgT[k]
-        g += self.g_base[k]
-        return control(self.params, self.P1[k], x, g)
+    @cached_property
+    def error_gain(self) -> np.ndarray:
+        """-R^-1 B' Mg at every node, (K+1, d, n)."""
+        return -(self.params.RinvBt @ self.Mg.values)
 
 
 def agent_sum(a):
@@ -204,16 +211,20 @@ def _drift(params, At, Bt, x, u, mf_x, mf_u):
 
 def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
                    coupling=None, seed: int = 0, D=None, ids=None):
-    """Euler-Maruyama integration of agents started at the rows of x0.
+    """Euler-Maruyama integration of agents started at the rows of x0, one
+    node at a time.
 
-    Yields (k, x, u, drift, mf_x) at every node k = 0..K, where u =
-    control_at(x, k) are the agents' controls, drift = A x + B u + C mf_x +
-    F mf_u, and (mf_x, mf_u) are the start-of-step population averages when
-    coupling is None, else node k of the pair of prescribed node arrays
-    coupling = (z, ubar).  Row i of x0 is agent ids[i] (default i), whose
-    own dynamics noise stream drives it.  D overrides the noise matrix
-    params.D, a scalar D standing for D times the identity.  Raises
-    IntegrationBlowupError at the first non-finite state.
+    This node loop steps realtime_simulate, whose controls come from a
+    callback at each node; simulate and replay_agent step affine laws by
+    block scans instead (see _step_agents).  Yields (k, x, u, drift, mf_x)
+    at every node k = 0..K, where u = control_at(x, k) are the agents'
+    controls, drift = A x + B u + C mf_x + F mf_u, and (mf_x, mf_u) are
+    the start-of-step population averages when coupling is None, else node
+    k of the pair of prescribed node arrays coupling = (z, ubar).  Row i of
+    x0 is agent ids[i] (default i), whose own dynamics noise stream drives
+    it.  D overrides the noise matrix params.D, a scalar D standing for D
+    times the identity.  Raises IntegrationBlowupError at the first
+    non-finite state.
 
     Each node costs a handful of small (N, n) numpy calls, so their operand
     layout decides the speed.  Every choice below gives the same bits as
@@ -290,6 +301,147 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
                     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _step_agents(params, law, x0, ids, coupling, seed, D):
+    """Euler-Maruyama run of the agents ids from the rows of x0 (N, n)
+    under the affine law (see the module docstring).  Returns the paths xs
+    (K+1, N, n) and us (K+1, N, d), their node sums, and the coupling
+    (mf_x, mf_u) the run stepped with: the prescribed node arrays coupling
+    or, for coupling None, the population means.  D is as in euler_maruyama.
+
+    Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n_ik,
+    with T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k +
+    C mf_x_k + F mf_u_k) the same for every agent, W the error gain and
+    n_ik the agent's noise.  Per block of _NOISE_BLOCK steps from node k0:
+
+    - every agent's stream draws the block's noise into its row of one
+      (N, _NOISE_BLOCK, n) buffer, as in euler_maruyama;
+    - under empirical coupling the mean state steps by
+      m -> (I + dt mf_generator(P1)_k) m + dt (B+F) vbar_k + sqrt(dt) D
+      nbar_k, vbar and nbar the agents' mean offset and noise: one
+      _prefix_compose of those maps gives the block's mf_x, and mf_u =
+      gain mf_x + vbar, before any agent is stepped;
+    - one _prefix_compose of the maps [T_k | f_k | dt B W_k] gives
+      [P_j | c_j | CE_j], so agent i's state at node k0 + j + 1 is
+      z_i [P_j | c_j | CE_j]' with z_i = [x_k0 | 1 | E_i], and its control
+      there is z_i U_j, U_j = [P_j | c_j | CE_j]' gain' + [0 | offset |
+      W]' at that node;
+    - under noise, a _prefix_compose of [T_k | sqrt(dt) D n_k] over a
+      chunk of the agents' noise columns adds their noise part dx, and dx
+      gain' to the controls;
+    - the states and controls of all agents, or of a chunk, go into xs and
+      us at once, and agent_sum takes the block's node sums.
+
+    No step map is inverted, and no product mixes two agents' rows or
+    columns, so under prescribed coupling an agent's bits do not depend on
+    the others.  A non-finite state raises IntegrationBlowupError naming
+    the first such node and its first agent.
+    """
+    N, n = x0.shape
+    if N == 1:
+        # a lone agent steps beside a copy of itself: numpy multiplies a
+        # one-row operand by other BLAS kernels (gemv), whose bits differ
+        xs, us, _, _, coupling = _step_agents(params, law, np.repeat(x0, 2, axis=0),
+                                              [ids[0]] * 2, coupling, seed, D)
+        xs, us = xs[:, :1].copy(), us[:, :1].copy()
+        return xs, us, xs[:, 0], us[:, 0], coupling
+    grid = law.grid
+    K, dt = grid.steps, grid.dt
+    d = params.d
+    B, C, F = params.B, params.C, params.F
+    D = params.D if D is None else D
+    D = np.eye(n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+    noisy = not np.allclose(D, 0.0)
+    if noisy:
+        rngs = [_agent_rng(seed, int(i), _DYNAMICS) for i in ids]
+        noise = np.empty((N, min(_NOISE_BLOCK, K), n))
+        sqdtD = np.sqrt(dt) * D
+    # a noisy block scans the agents' noise in _NOISE_CHUNKS chunks of
+    # near-equal width, so that a chunk's scan transients (about four times
+    # its maps) stay near the noise buffer's size, each at least two agents
+    # wide (see above)
+    chunks = min(_NOISE_CHUNKS, N // 2) if noisy else 1
+    edges = [N * j // chunks for j in range(chunks + 1)]
+    gain, offset, W = law.gain, law.offset, law.error_gain
+    e = 0 if W is None else n
+    P1 = law.P1.values
+    eye = np.eye(n)
+    # the rows [x | 1 | E_i] of the agents, updated to each block's x_k0
+    Z = np.empty((N, n + 1 + e))
+    Z[:, n] = 1.0
+    if W is not None:
+        Z[:, n + 1:] = E = law.errors[np.asarray(ids)]
+    if coupling is None:
+        vbar = offset if W is None else offset + (agent_sum(E) / N) @ np.swapaxes(W, 1, 2)
+        mf_x, mf_u = np.empty((K + 1, n)), np.empty((K + 1, d))
+        mf_x[0] = agent_sum(x0) / N
+    else:
+        mf_x, mf_u = coupling
+    xs, us = np.empty((K + 1, N, n)), np.empty((K + 1, N, d))
+    xs[0] = x0
+    x_sum, u_sum = np.empty((K + 1, n)), np.empty((K + 1, d))
+    x_sum[0] = agent_sum(x0)
+    for k0 in range(0, K, _NOISE_BLOCK):
+        k1 = min(k0 + _NOISE_BLOCK, K)
+        m = k1 - k0
+        hi = k1 + 1 if k1 == K else k1   # nodes k0..hi-1 take their controls here
+        T = eye + dt * agent_generator(params, P1[k0:k1])
+        if noisy:
+            for row, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[row, :m])
+        if coupling is None:
+            mean_maps = np.empty((m, n, n + 1))
+            mean_maps[:, :, :n] = eye + dt * mf_generator(params, P1[k0:k1])
+            mean_maps[:, :, n] = dt * (vbar[k0:k1] @ (B + F).T)
+            if noisy:
+                mean_maps[:, :, n] += (noise[:, :m].sum(axis=0) / N) @ sqdtD.T
+            PC = _prefix_compose(mean_maps, n)
+            mf_x[k0 + 1:k1 + 1] = PC[:, :, :n] @ mf_x[k0] + PC[:, :, n]
+            mf_u[k0:hi] = (gain[k0:hi] @ mf_x[k0:hi, :, None])[..., 0] + vbar[k0:hi]
+        # [P_j | c_j | CE_j]' of the block's maps [T_k | f_k | dt B W_k]
+        maps = np.empty((m, n, n + 1 + e))
+        maps[:, :, :n] = T
+        maps[:, :, n] = dt * (offset[k0:k1] @ B.T + mf_x[k0:k1] @ C.T + mf_u[k0:k1] @ F.T)
+        if W is not None:
+            maps[:, :, n + 1:] = dt * (B @ W[k0:k1])
+        PT = np.ascontiguousarray(np.swapaxes(_prefix_compose(maps, n), 1, 2))
+        # [1 | E_i] takes the control terms [offset | W]', and x its gain'
+        gainT = np.ascontiguousarray(np.swapaxes(gain[k0 + 1:hi], 1, 2))
+        U = np.zeros((hi - k0, n + 1 + e, d))
+        U[0, :n] = gain[k0].T
+        U[1:] = PT[:hi - k0 - 1] @ gainT
+        U[:, n] += offset[k0:hi]
+        if W is not None:
+            U[:, n + 1:] += np.swapaxes(W[k0:hi], 1, 2)
+        Z[:, :n] = xs[k0]
+        for a, b in zip(edges, edges[1:]):
+            x, u = xs[k0 + 1:k1 + 1, a:b], us[k0:hi, a:b]
+            np.matmul(Z[a:b], PT, out=x)
+            np.matmul(Z[a:b], U, out=u)
+            if noisy:
+                TC = np.empty((m, n, n + b - a))
+                TC[:, :, :n] = T
+                np.matmul(sqdtD, noise[a:b, :m].transpose(1, 2, 0), out=TC[:, :, n:])
+                # a product with I moves the agents from columns to rows:
+                # exact, and faster than numpy's strided copy
+                dx = np.swapaxes(_prefix_compose(TC, n)[:, :, n:], 1, 2) @ eye
+                x += dx
+                u[1:] += dx[:hi - k0 - 1] @ gainT
+                del dx   # before the next chunk's scan
+        x_sum[k0 + 1:k1 + 1] = agent_sum(xs[k0 + 1:k1 + 1])
+        u_sum[k0:hi] = agent_sum(us[k0:hi])
+        # a finite node sum means every state is finite; a non-finite one is
+        # a blow-up or an overflow of finite states, which the scan tells apart
+        for k in k0 + 1 + np.flatnonzero(~np.isfinite(x_sum[k0 + 1:k1 + 1]).all(axis=1)):
+            bad = np.flatnonzero(~np.isfinite(xs[k]).all(axis=1))
+            if len(bad):
+                raise IntegrationBlowupError(
+                    f"agent {ids[bad[0]]} state non-finite at node {k}",
+                    node=int(k), time=grid.times[k],
+                )
+    return xs, us, x_sum, u_sum, (mf_x, mf_u)
+
+
 def simulate(
     params: SystemParams,
     population,
@@ -301,39 +453,29 @@ def simulate(
 ) -> PopulationResult:
     """Euler-Maruyama integration of N agents who all play law.
 
-    law answers at_node(x, k) for the states (N, n) of every agent and
-    carries its grid, on which the run takes place (grid, if given, must
-    be the same).  mf_coupling is "empirical" (start-of-step population
-    averages) or a (z_path, ubar_path) pair of prescribed mean-field paths
-    on that grid.  D overrides the noise matrix (see euler_maruyama).
+    law is an affine law (see the module docstring) and carries its grid,
+    on which the run takes place (grid, if given, must be the same).
+    mf_coupling is "empirical" (start-of-step population averages) or a
+    (z_path, ubar_path) pair of prescribed mean-field paths on that grid.
+    D overrides the noise matrix (see euler_maruyama).  The agents are
+    stepped a block of nodes at a time by prefix scans (see _step_agents).
     """
     paths = () if mf_coupling == "empirical" else tuple(mf_coupling)
     grid = require_same_grid(law if grid is None else grid, law, *paths)
     N = len(population)
-    K = grid.steps
-    x0 = [p[0] for p in population]
-    xs = np.empty((K + 1, N, params.n))
-    us = np.empty((K + 1, N, params.d))
-    coupling = tuple(p.values for p in paths) or None
-    for k, x, u, _, _ in euler_maruyama(params, x0, grid, law.at_node, coupling,
-                                        seed, D):
-        xs[k], us[k] = x, u
+    x0 = np.array([p[0] for p in population], dtype=float)
+    xs, us, x_sum, u_sum, coupling = _step_agents(
+        params, law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
     errors = np.array([p[1] for p in population], dtype=float)
-    x_N = VectorPath(grid, agent_sum(xs) / N)
-    u_N = VectorPath(grid, agent_sum(us) / N)
     return PopulationResult(params=params, grid=grid, xs=xs, us=us, errors=errors,
-                            x_N=x_N, u_N=u_N, coupling=coupling)
+                            x_N=VectorPath(grid, x_sum / N), u_N=VectorPath(grid, u_sum / N),
+                            coupling=coupling)
 
 
 def replay_agent(params, trace: AgentTrace, law, z_path, ubar_path, grid, seed, D=None):
     """Re-run one agent with a different law against prescribed mean-field
     paths, reusing the agent's own dynamics noise stream."""
     grid = require_same_grid(grid, law, z_path, ubar_path)
-    xs = np.empty((grid.steps + 1, params.n))
-    us = np.empty((grid.steps + 1, params.d))
-    steps = euler_maruyama(params, trace.x.initial[None, :], grid, law.at_node,
-                           (z_path.values, ubar_path.values), seed, D,
-                           ids=[trace.agent_id])
-    for k, x, u, _, _ in steps:
-        xs[k], us[k] = x[0], u[0]
-    return VectorPath(grid, xs), VectorPath(grid, us)
+    xs, us, *_ = _step_agents(params, law, trace.x.initial[None, :], [trace.agent_id],
+                              (z_path.values, ubar_path.values), seed, D)
+    return VectorPath(grid, xs[:, 0]), VectorPath(grid, us[:, 0])

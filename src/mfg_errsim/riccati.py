@@ -106,12 +106,22 @@ def mean_field_path(params: SystemParams, P, G, z0, grid: TimeGrid) -> np.ndarra
 # Riccati and offset solves
 
 
-def _escape_guard(fn, what):
+# RK4's stability region meets the negative real axis at about -2.785
+_RK4_REAL_BOUND = 2.785
+
+
+def _backward_linear(H, f, vT, grid, what):
+    """rk4_affine backward from vT.  A linear ODE has no finite escape, so a
+    non-finite node is a step-size instability: the IntegrationBlowupError
+    names the grid's steps and dt rho(H)."""
     try:
-        return fn()
+        return rk4_affine(H, f, vT, grid, forward=False)
     except IntegrationBlowupError as e:
-        raise FiniteEscapeError(
-            f"{what} escaped to infinity near t={e.time:.6g}", node=e.node, time=e.time
+        rho = np.max(np.abs(np.linalg.eigvals(H)))
+        raise IntegrationBlowupError(
+            f"{what} blew up near t={e.time:.6g} with grid_steps={grid.steps}: "
+            f"dt*rho(H) = {grid.dt * rho:.4g} against RK4's real stability bound "
+            f"of about {_RK4_REAL_BOUND}", node=e.node, time=e.time
         ) from e
 
 
@@ -289,7 +299,7 @@ def _solve_offset(params: SystemParams, P, grid: TimeGrid, what) -> VectorPath:
     H = offset_generator(params, P, params.BFRB)
     f = np.broadcast_to(params.nu, (grid.steps + 1, params.n))
     GT = -params.Qbar_I @ params.sbar - params.Qbar @ params.etabar
-    values = _escape_guard(lambda: rk4_affine(H, f, GT, grid, forward=False), what)
+    values = _backward_linear(H, f, GT, grid, what)
     return VectorPath(grid, values)
 
 
@@ -322,7 +332,7 @@ def solve_tracking_offset(
     zT = z[-1]
     gT = (-params.Qbar_I @ params.sbar)[:, None] - params.Qbar @ (
         params.Gammabar @ zT + params.etabar[:, None])
-    values = _escape_guard(lambda: rk4_affine(H, f, gT, grid, forward=False), "g")
+    values = _backward_linear(H, f, gT, grid, "g")
     if z_path.values.ndim == 2:
         return VectorPath(grid, values[..., 0])
     return MatrixPath(grid, values)
@@ -350,7 +360,8 @@ class RiccatiBundle:
         Hamiltonians, giving P = Y X^-1 in blocks re-anchored at [I; P];
         each raises FiniteEscapeError, naming the path, where X turns
         singular.  The linear G solve is a scan of step propagators (see
-        ode.rk4_affine)."""
+        ode.rk4_affine); a non-finite node there is a step-size instability,
+        an IntegrationBlowupError naming the grid's steps."""
         P1, P0 = solve_P1(params, grid), solve_P0(params, grid)
         return cls(params=params, grid=grid, P0=P0, P1=P1, G=solve_G(params, P0, grid))
 

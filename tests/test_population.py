@@ -11,7 +11,7 @@ from mfg_errsim.core import equilibrium_law, equilibrium_mf
 from mfg_errsim.errors import GridMismatchError, IntegrationBlowupError
 from mfg_errsim.grid import MatrixPath, VectorPath
 from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV, P6_Z0, SystemParams, s1_params
-from mfg_errsim.riccati import RiccatiBundle
+from mfg_errsim.riccati import RiccatiBundle, agent_generator, control
 from mfg_errsim.population import (
     _DYNAMICS,
     _NOISE_BLOCK,
@@ -23,6 +23,19 @@ from mfg_errsim.population import (
     sample_population,
     simulate,
 )
+
+
+def _control_at(law):
+    """The controls u = -R^-1 B' (P1 x + g_i) of the states x (N, n) at node
+    k, g_i = g + Mg E_i for a per-agent offset law: the law in its own
+    terms rather than its affine form, for euler_maruyama and the reference
+    loop."""
+    def control_at(x, k):
+        g = law.g[k]
+        if law.error_gain is not None:
+            g = g + law.errors @ law.Mg[k].T
+        return control(law.params, law.P1[k], x, g)
+    return control_at
 
 
 def _pop(N, seed=0):
@@ -112,7 +125,9 @@ def test_offset_family_law_shifts_controls_with_errors(params, grid, law_c, maps
     k = grid.index_of(0.5)
     expected = -(x @ law_c.P1[k].T + law_c.g[k] + maps.Mg[k] @ errors[0]) \
         @ params.RinvBt.T
-    npt.assert_allclose(fam.at_node(x, k), expected, atol=1e-14)
+    affine = x @ fam.gain[k].T + fam.offset[k] + errors @ fam.error_gain[k].T
+    npt.assert_allclose(affine, expected, atol=1e-14)
+    npt.assert_allclose(_control_at(fam)(x, k), expected, atol=1e-14)
 
 
 def test_simulation_runs_on_the_grid_of_its_law(params, grid, law_c):
@@ -198,7 +213,7 @@ def test_empirical_coupling_is_the_plain_node_mean(n, d, N):
     p, law, fam, pop = _family(n, d, N)
     x0 = np.array([x for x, _ in pop])
     nodes = 0
-    for k, x, u, drift, mf_x in euler_maruyama(p, x0, law.grid, fam.at_node, seed=5):
+    for k, x, u, drift, mf_x in euler_maruyama(p, x0, law.grid, _control_at(fam), seed=5):
         npt.assert_array_equal(mf_x, x.sum(axis=0) / N)
         mf_u = u.sum(axis=0) / N
         expected = x @ p.A.T + u @ p.B.T + mf_x @ p.C.T + mf_u @ p.F.T
@@ -222,37 +237,38 @@ def test_finite_states_whose_node_sum_overflows_do_not_raise():
     x0[[1, 4], 0] = 1e308
     coupling = (np.zeros((61, 3)), np.zeros((61, 2)))
     last = None
-    for k, x, _, _, _ in euler_maruyama(zero, x0, grid, _zero_law(zero, grid).at_node,
+    for k, x, _, _, _ in euler_maruyama(zero, x0, grid, _control_at(_zero_law(zero, grid)),
                                         coupling, D=0.0):
         last = k
         npt.assert_array_equal(x, x0)
     assert last == grid.steps
 
 
-class _PoisonedLaw:
-    """A law whose control of one agent at one node is infinite."""
+class _PoisonedLaw(OffsetFamilyLaw):
+    """An affine law whose offset of one agent at one node is infinite: its
+    Mg is zero but at that node, where it overflows on that agent's error,
+    and the other agents' errors are zero."""
 
-    def __init__(self, law, agent, node):
-        self.law, self.agent, self.node = law, agent, node
-
-    @property
-    def grid(self):
-        return self.law.grid
-
-    def at_node(self, x, k):
-        u = self.law.at_node(x, k)
-        if k == self.node:
-            u[self.agent] = np.inf
-        return u
+    def __init__(self, law, agent, node, N):
+        Mg = np.zeros(law.P1.values.shape)
+        Mg[node] = 1e300
+        errors = np.zeros((N, law.params.n))
+        errors[agent, 0] = 1e300
+        super().__init__(law.params, law.P1, law.g, MatrixPath(law.grid, Mg), errors)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value")
 def test_a_non_finite_control_names_the_agent_and_the_next_node():
     p, law, _, pop = _family(3, 2, 7)
     coupling = (VectorPath(law.grid, np.zeros((61, 3))),
                 VectorPath(law.grid, np.zeros((61, 2))))
+    poisoned = _PoisonedLaw(law, 3, 5, len(pop))
+    with np.errstate(over="ignore"):
+        offsets = (poisoned.offset[:, None]
+                   + poisoned.errors @ np.swapaxes(poisoned.error_gain, 1, 2))
+    assert np.isinf(offsets[5, 3]).all() and np.isfinite(np.delete(offsets, 5, 0)).all()
+    assert np.isfinite(np.delete(offsets, 3, 1)).all()
     with pytest.raises(IntegrationBlowupError, match="agent 3 state non-finite at node 6") as ei:
-        simulate(p, pop, _PoisonedLaw(law, 3, 5), mf_coupling=coupling, seed=5)
+        simulate(p, pop, poisoned, mf_coupling=coupling, seed=5)
     assert ei.value.node == 6 and ei.value.time == law.grid.times[6]
 
 
@@ -269,9 +285,10 @@ def _one_draw_run(p, pop, law, coupling, seed, D=None):
     noise = np.empty((N, K, n))
     for i in range(N):
         _agent_rng(seed, i, _DYNAMICS).standard_normal(out=noise[i])
+    control_at = _control_at(law)
     xs, us, drifts = [], [], []
     for k in range(K + 1):
-        u = law.at_node(x, k)
+        u = control_at(x, k)
         if coupling is None:
             mf_x, mf_u = agent_sum(x) / N, agent_sum(u) / N
         else:
@@ -304,16 +321,69 @@ def _couplings(law, n, d):
             ((z, ubar), (VectorPath(grid, z), VectorPath(grid, ubar)))]
 
 
+def _assert_matches_the_loop(res, xs, us):
+    # the scan composes the steps in another order than the node loop, so
+    # the two agree to rounding, not bit for bit
+    npt.assert_allclose(res.xs, xs, rtol=0, atol=1e-13)
+    npt.assert_allclose(res.us, us, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("K", [1, _NOISE_BLOCK - 1, _NOISE_BLOCK, _NOISE_BLOCK + 1,
                                2 * _NOISE_BLOCK + 3])
 def test_block_noise_run_equals_the_one_draw_loop_bit_for_bit(K):
-    p, law, fam, pop = _family(3, 2, 9, K)
-    for coupling, paths in _couplings(law, 3, 2):
-        res = simulate(p, pop, fam, mf_coupling=paths, seed=5)
-        xs, us, drifts = _one_draw_run(p, pop, fam, coupling, seed=5)
-        npt.assert_array_equal(res.xs, xs)
-        npt.assert_array_equal(res.us, us)
-        npt.assert_array_equal(res.drifts, drifts)
+    # the block draws are the one-draw streams bit for bit; the states agree
+    # to rounding for either law, either coupling, with and without noise
+    for n, d in ((3, 2), (1, 1)):
+        p, law, fam, pop = _family(n, d, 9, K)
+        for lw in (law, fam):
+            for coupling, paths in _couplings(law, n, d):
+                for D in (None, 0.0):
+                    res = simulate(p, pop, lw, mf_coupling=paths, seed=5, D=D)
+                    xs, us, _ = _one_draw_run(p, pop, lw, coupling, seed=5, D=D)
+                    _assert_matches_the_loop(res, xs, us)
+
+
+def test_a_stiff_run_at_the_euler_edge_matches_the_one_draw_loop():
+    # dt |lambda| of the closed loop near 0.9, so I + dt H is near singular
+    p, _, _, rng = _general_set(3, 2)
+    p = p.with_(A=p.A - 230.0 * np.eye(3))
+    bundle = RiccatiBundle.solve(p, p.default_grid(2 * _NOISE_BLOCK + 3))
+    law = equilibrium_law(bundle, equilibrium_mf(bundle, np.ones(3)))
+    edge = bundle.grid.dt * np.abs(np.linalg.eigvals(agent_generator(p, bundle.P1.values)))
+    assert 0.85 < edge.max() < 0.95
+    Mg = MatrixPath(bundle.grid, rng.standard_normal((bundle.grid.steps + 1, 3, 3)))
+    fam = OffsetFamilyLaw(p, bundle.P1, law.g, Mg, rng.standard_normal((9, 3)))
+    pop = [(x0, e) for x0, e in zip(rng.standard_normal((9, 3)), fam.errors)]
+    for lw in (law, fam):
+        for coupling, paths in _couplings(law, 3, 2):
+            res = simulate(p, pop, lw, mf_coupling=paths, seed=5)
+            xs, us, _ = _one_draw_run(p, pop, lw, coupling, seed=5)
+            _assert_matches_the_loop(res, xs, us)
+
+
+@pytest.mark.parametrize("D", [None, 0.0])
+def test_an_agent_of_a_prescribed_run_does_not_depend_on_the_others(D):
+    # a lone agent, and agents in other chunks and chunk positions
+    p, law, fam, pop = _family(3, 2, 300, 2 * _NOISE_BLOCK + 3)
+    _, paths = _couplings(law, 3, 2)[1]
+    for many in (law, fam):
+        r300 = simulate(p, pop, many, mf_coupling=paths, seed=5, D=D)
+        for N in (1, 9, 151):
+            few = many if many is law else OffsetFamilyLaw(
+                p, fam.P1, fam.g, fam.Mg, fam.errors[:N])
+            res = simulate(p, pop[:N], few, mf_coupling=paths, seed=5, D=D)
+            npt.assert_array_equal(res.xs, r300.xs[:, :N])
+            npt.assert_array_equal(res.us, r300.us[:, :N])
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (1, 1)])
+def test_an_empirical_run_steps_with_the_node_means_of_its_paths(n, d):
+    p, law, fam, pop = _family(n, d, 300, 2 * _NOISE_BLOCK + 3)
+    for lw in (law, fam):
+        for D in (None, 0.0):
+            res = simulate(p, pop, lw, seed=5, D=D)
+            npt.assert_allclose(res.coupling[0], res.x_N.values, rtol=0, atol=1e-13)
+            npt.assert_allclose(res.coupling[1], res.u_N.values, rtol=0, atol=1e-13)
 
 
 def test_replay_reproduces_an_agent_of_a_noisy_run_bit_for_bit():
@@ -329,18 +399,20 @@ def test_replay_reproduces_an_agent_of_a_noisy_run_bit_for_bit():
 @pytest.mark.parametrize("D", [None, 0.0])
 def test_drifts_on_first_read_are_the_stepped_drifts(D):
     p, law, fam, pop = _family(3, 2, 9)
-    x0 = np.array([x for x, _ in pop])
     for lw in (law, fam):
         for coupling, paths in _couplings(law, 3, 2):
-            stepped = np.array([drift.copy() for _, _, _, drift, _ in euler_maruyama(
-                p, x0, law.grid, lw.at_node, coupling, seed=5, D=D)])
+            _, _, stepped = _one_draw_run(p, pop, lw, coupling, seed=5, D=D)
             res = simulate(p, pop, lw, mf_coupling=paths, seed=5, D=D)
             assert "drifts" not in vars(res)
-            npt.assert_array_equal(res.drifts, stepped)
+            npt.assert_allclose(res.drifts, stepped, rtol=0, atol=1e-13)
+            # bit for bit the drifts of the stored paths under the run's coupling
+            for k, (x, u, mf_x, mf_u) in enumerate(zip(res.xs, res.us, *res.coupling)):
+                npt.assert_array_equal(
+                    res.drifts[k], x @ p.A.T + u @ p.B.T + mf_x @ p.C.T + mf_u @ p.F.T)
             assert res.drifts is res.drifts
             tr = res.trace(4)
             assert np.shares_memory(tr.drift.values, res.drifts)
-            npt.assert_array_equal(tr.drift.values, stepped[:, 4])
+            npt.assert_array_equal(tr.drift.values, res.drifts[:, 4])
 
 
 def test_a_noisy_run_holds_little_beyond_its_paths(params):

@@ -528,6 +528,17 @@ def test_cli_run_reports_non_finite_and_overflowing_values(tmp_path, capsys, doc
     assert prefix in err and "Traceback" not in err
 
 
+def test_a_linear_solve_past_rk4_stability_is_a_blowup_not_an_escape(tmp_path, capsys):
+    # dt*rho of the linear G solve is about 10 at 200 steps and 1 at 2000
+    doc = {"mode": "predict", "grid_steps": 200, "params": {"A": [[1000, 0], [0, 1000]]}}
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error: G blew up" in err and "escaped" not in err
+    assert "grid_steps=200" in err and "dt*rho(H) = 10.01" in err and "2.785" in err
+    doc["grid_steps"] = 2000
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "b")]) == 0
+
+
 @pytest.mark.parametrize("steps", [150, 450, 2001])
 def test_series_files_hold_the_solve_at_every_stride_node(tmp_path, steps):
     cfg = validate_config({"mode": "predict", "grid_steps": steps,
