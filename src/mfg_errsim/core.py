@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import expm, matrix_powers
+from .ode import cumulative_trapezoid, expm, matrix_powers
 from .params import SystemParams
 from .riccati import RiccatiBundle, control, mean_field_path, solve_tracking_offset
 
@@ -159,8 +159,7 @@ def existence_check(
     powers = matrix_powers(expm(params.A * dt), K).transpose(0, 2, 1)
     m_int = np.linalg.norm(powers @ Qb_half, 2, axis=(1, 2)) ** 2
     m_term = np.linalg.norm(powers @ Qb_nhalf, 2, axis=(1, 2)) ** 2
-    # cumulative trapezoid of m_int over the lag variable
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (m_int[:-1] + m_int[1:]))])
+    cum = cumulative_trapezoid(m_int, dt)
     # node t_j has lag range [0, T - t_j], i.e. lags 0..K-j
     vals = np.sqrt(m_term[::-1] + cum[::-1])
     phi_norm = float(np.max(vals))

@@ -26,14 +26,8 @@ from .core import FeedbackLaw, equilibrium_mf
 from .deviations import DeviationMaps
 from .errors import IdentifiabilityError
 from .grid import MatrixPath, VectorPath
-from .ode import rk4_affine
 from .params import SystemParams
-from .riccati import (
-    RiccatiBundle,
-    coupling_weight,
-    offset_generator,
-    solve_tracking_offset,
-)
+from .riccati import RiccatiBundle, solve_tracking_offset
 
 # relative singular-value cutoff of the identifiability rank, and the
 # number of sample times build_correction_problem takes when given none
@@ -210,21 +204,17 @@ def corrected_mf_deviation(maps: DeviationMaps, t0, E_bar) -> VectorPath:
 
 
 def modified_offset_map(maps: DeviationMaps, t0) -> MatrixPath:
-    """Map Ebar -> deviation of the post-correction offset g_new on [t0, T].
+    """Map Ebar -> deviation of the post-correction offset g_new on [t0, T]:
+    Mg(t) Phi1(t0)^{-1} Mz(t0).
 
-    Built by the same backward ODE as the pre-correction offset map, driven
-    by the post-correction mean-field deviation Phi1(t) Phi1(t0)^{-1} Mz(t0).
+    The offset deviation obeys the backward ODE of the pre-correction map
+    Mg, driven by the post-correction mean-field deviation
+    Phi1(t) Phi1(t0)^{-1} Mz(t0) and ending at -Qbar Gammabar times its
+    terminal value.  Drive and terminal value are those of Mg
+    right-multiplied by the constant matrix Phi1(t0)^{-1} Mz(t0), so the
+    solution is Mg times that matrix, and so is its RK4 solve on the same
+    nodes.
     """
-    bundle = maps.bundle
-    params = bundle.params
-    grid = maps.grid
-    k0 = grid.index_of(t0)
-    sub = grid.subgrid(k0)
+    k0 = maps.grid.index_of(t0)
     seed = np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])
-    dPhi = maps.Phi1.values[k0:] @ seed
-    S = coupling_weight(params, bundle.P1)[k0:]
-    Hg = offset_generator(params, bundle.P1.values[k0:], params.BFRB)
-    f = -(S @ dPhi)
-    MT = -params.Qbar @ params.Gammabar @ dPhi[-1]
-    vals = rk4_affine(Hg, f, MT, sub, forward=False)
-    return MatrixPath(sub, vals)
+    return MatrixPath(maps.grid.subgrid(k0), maps.Mg.values[k0:] @ seed)

@@ -12,14 +12,16 @@ For noiseless validation and for the correction pipeline we need the exact
 * x_i     -- the tagged agent's expected trajectory inside that population.
 
 solve_limiting_batch solves any number of (E_i, Ebar) scenarios together:
-each stage above is one rk4_affine scan with one column per distinct run,
-so the trajectories are direct solves of their ODEs on the Riccati
-bundle's grid, independent of the linear deviation maps they check.
+the mean fields and offsets are three rk4_affine scans with one column per
+run, and each run solves its x_i on first read, so the trajectories are
+direct solves of their ODEs on the Riccati bundle's grid, independent of
+the linear deviation maps they check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +39,15 @@ from .riccati import (
 
 @dataclass
 class LimitingRun:
-    """All deterministic limit trajectories for one (E_i, Ebar) scenario."""
+    """All deterministic limit trajectories for one (E_i, Ebar) scenario.
+
+    The tagged agent's expected trajectory x_i, u_i from x0 is solved on
+    its first read (see _agent)."""
 
     bundle: RiccatiBundle
     E_i: np.ndarray
     E_bar: np.ndarray
+    x0: np.ndarray       # the tagged agent's true initial state
     z_c: MeanField       # correct-information equilibrium
     mf_i: MeanField      # tagged agent's prediction
     g_i: VectorPath
@@ -49,12 +55,33 @@ class LimitingRun:
     g_bar: VectorPath
     z_A: VectorPath      # realized mean field
     ubar_A: VectorPath   # realized average control
-    x_i: VectorPath      # tagged agent's expected trajectory
-    u_i: VectorPath
 
     @property
     def grid(self):
         return self.bundle.grid
+
+    @property
+    def x_i(self) -> VectorPath:
+        """Tagged agent's expected trajectory."""
+        return self._agent[0]
+
+    @property
+    def u_i(self) -> VectorPath:
+        return self._agent[1]
+
+    @cached_property
+    def _agent(self):
+        """(x_i, u_i): the agent plays its own offset g_i inside the realized
+        mean field, dx = [agent_generator(P1) x - B R^-1 B' g_i + C z_A
+        + F ubar_A] dt from x0, one single-column scan."""
+        params, grid = self.bundle.params, self.grid
+        P1v = self.bundle.P1.values
+        g, z, u = (p.values[..., None] for p in (self.g_i, self.z_A, self.ubar_A))
+        f = -(params.BRB @ g) + params.C @ z + params.F @ u
+        xv = rk4_affine(agent_generator(params, P1v), f, self.x0[:, None], grid,
+                        forward=True)
+        uv = control(params, P1v, xv, g)
+        return VectorPath(grid, xv[..., 0]), VectorPath(grid, uv[..., 0])
 
     def observable(self) -> VectorPath:
         """Exact drift residual Ob = C z_A + F ubar_A seen by any agent."""
@@ -65,18 +92,6 @@ class LimitingRun:
         return VectorPath(self.grid, vals)
 
 
-def _distinct(keys):
-    """Column of each key among the distinct keys, numbered in order of
-    first appearance, and the position of each distinct key's first
-    appearance."""
-    cols, first = {}, []
-    for j, key in enumerate(keys):
-        if key not in cols:
-            cols[key] = len(first)
-            first.append(j)
-    return [cols[key] for key in keys], first
-
-
 def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[LimitingRun]:
     """The deterministic scenarios of a tagged agent for S error pairs.
 
@@ -85,11 +100,12 @@ def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[Limi
     initial mean field, and x0, the agent's true initial state in every
     run, defaults to z0.
 
-    Four scans, one column per distinct run each: the equilibrium mean
-    fields from z0 and every z0 + E; the tracking offsets of the
-    predictions; the realized mean fields of the distinct average offsets;
-    and the agent trajectories.  The paths of the returned runs are column
-    views of the batch arrays; identical columns are solved once.
+    Three scans, one column per run each: the equilibrium mean fields of
+    2S + 1 columns, column 2r from z0 + E_i of pair r, column 2r + 1 from
+    z0 + E_bar of pair r and the last from z0; the tracking offsets of the
+    2S predictions; and the realized mean fields of the S average offsets.
+    The paths of the returned runs are column views of the batch arrays.
+    A run solves the agent trajectory x_i, u_i on its first read.
     """
     params, grid = bundle.params, bundle.grid
     P0v, P1v, Gv = bundle.P0.values, bundle.P1.values, bundle.G.values
@@ -97,45 +113,29 @@ def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[Limi
     pairs = [(np.asarray(E_i, dtype=float), np.asarray(E_bar, dtype=float))
              for E_i, E_bar in pairs]
     x0 = z0 if x0 is None else np.asarray(x0, dtype=float)
+    S = len(pairs)
 
-    # equilibrium mean fields; the predictions come first, so their
-    # distinct starts are the first p columns
-    starts = [z0 + E for pair in pairs for E in pair] + [z0]
-    col, first = _distinct([v.tobytes() for v in starts])
-    zv = mean_field_path(params, P0v, Gv, np.stack([starts[j] for j in first], axis=1), grid)
+    zv = mean_field_path(params, P0v, Gv, np.stack(
+        [z0 + E for pair in pairs for E in pair] + [z0], axis=1), grid)
     uv = control(params, P0v, zv, Gv)
-    p = max(col[:-1]) + 1
-    gv = solve_tracking_offset(params, bundle.P1, MatrixPath(grid, zv[:, :, :p]),
-                               MatrixPath(grid, uv[:, :, :p]), grid).values
-    c, ci, cb = col[-1], col[0:-1:2], col[1:-1:2]
+    gv = solve_tracking_offset(params, bundle.P1, MatrixPath(grid, zv[:, :, :2 * S]),
+                               MatrixPath(grid, uv[:, :, :2 * S]), grid).values
 
-    # realized mean field of each distinct average offset
-    ca, first = _distinct(cb)
-    g_bar = gv[:, :, [cb[j] for j in first]]
-    za = mean_field_path(params, P1v, g_bar, np.repeat(z0[:, None], len(first), axis=1), grid)
+    # realized mean field of each average offset
+    g_bar = gv[:, :, 1::2]
+    za = mean_field_path(params, P1v, g_bar, np.repeat(z0[:, None], S, axis=1), grid)
     ua = control(params, P1v, za, g_bar)
-
-    # tagged agent's expected trajectory for each distinct (g_i, z_A)
-    cx, first = _distinct(list(zip(ci, ca)))
-    g_i = gv[:, :, [ci[r] for r in first]]
-    z_A = za[:, :, [ca[r] for r in first]]
-    u_A = ua[:, :, [ca[r] for r in first]]
-    f = -(params.BRB @ g_i) + params.C @ z_A + params.F @ u_A
-    xv = rk4_affine(agent_generator(params, P1v), f,
-                    np.repeat(x0[:, None], len(first), axis=1), grid, forward=True)
-    xu = control(params, P1v, xv, g_i)
 
     def path(a, j):
         return VectorPath(grid, a[:, :, j])
 
-    z_c = MeanField(z=path(zv, c), ubar=path(uv, c))
+    z_c = MeanField(z=path(zv, 2 * S), ubar=path(uv, 2 * S))
     return [
         LimitingRun(
-            bundle=bundle, E_i=E_i, E_bar=E_bar, z_c=z_c,
-            mf_i=MeanField(z=path(zv, ci[r]), ubar=path(uv, ci[r])), g_i=path(gv, ci[r]),
-            zbar=MeanField(z=path(zv, cb[r]), ubar=path(uv, cb[r])), g_bar=path(gv, cb[r]),
-            z_A=path(za, ca[r]), ubar_A=path(ua, ca[r]),
-            x_i=path(xv, cx[r]), u_i=path(xu, cx[r]),
+            bundle=bundle, E_i=E_i, E_bar=E_bar, x0=x0, z_c=z_c,
+            mf_i=MeanField(z=path(zv, 2 * r), ubar=path(uv, 2 * r)), g_i=path(gv, 2 * r),
+            zbar=MeanField(z=path(zv, 2 * r + 1), ubar=path(uv, 2 * r + 1)),
+            g_bar=path(gv, 2 * r + 1), z_A=path(za, r), ubar_A=path(ua, r),
         )
         for r, (E_i, E_bar) in enumerate(pairs)
     ]

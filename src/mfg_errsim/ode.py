@@ -254,6 +254,13 @@ def rk4_affine(H, f, v0, grid, forward=True):
     return out.reshape((K + 1,) + v0.shape)
 
 
+def cumulative_trapezoid(a, dt):
+    """Trapezoid integrals from node 0 to every node of the node array a
+    (K+1, ...) on a grid of step dt, 0 at node 0."""
+    seg = 0.5 * dt * (a[:-1] + a[1:])
+    return np.concatenate([np.zeros((1,) + seg.shape[1:]), np.cumsum(seg, axis=0)])
+
+
 def rk4_nonlinear(rhs, v0, grid, forward=True):
     """RK4 for dv/dt = rhs(t, v) with a general (possibly nonlinear) rhs."""
     th = half_nodes(grid.times)

@@ -210,7 +210,7 @@ def _drift(params, At, Bt, x, u, mf_x, mf_u):
 
 
 def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
-                   coupling=None, seed: int = 0, D=None, ids=None):
+                   coupling=None, seed: int = 0, D=None):
     """Euler-Maruyama integration of agents started at the rows of x0, one
     node at a time.
 
@@ -221,10 +221,9 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
     controls, drift = A x + B u + C mf_x + F mf_u, and (mf_x, mf_u) are
     the start-of-step population averages when coupling is None, else node
     k of the pair of prescribed node arrays coupling = (z, ubar).  Row i of
-    x0 is agent ids[i] (default i), whose own dynamics noise stream drives
-    it.  D overrides the noise matrix params.D, a scalar D standing for D
-    times the identity.  Raises IntegrationBlowupError at the first
-    non-finite state.
+    x0 is agent i, whose own dynamics noise stream drives it.  D overrides
+    the noise matrix params.D, a scalar D standing for D times the
+    identity.  Raises IntegrationBlowupError at the first non-finite state.
 
     Each node costs a handful of small (N, n) numpy calls, so their operand
     layout decides the speed.  Every choice below gives the same bits as
@@ -261,13 +260,12 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
     N, n = x.shape
     K, dt = grid.steps, grid.dt
     sqdt = np.sqrt(dt)
-    ids = range(N) if ids is None else ids
     D = params.D if D is None else D
     D = np.eye(n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
     At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (params.A, params.B, D))
     rngs = None
     if not np.allclose(D, 0.0):
-        rngs = [_agent_rng(seed, int(i), _DYNAMICS) for i in ids]
+        rngs = [_agent_rng(seed, i, _DYNAMICS) for i in range(N)]
         noise = np.empty((N, min(_NOISE_BLOCK, K), n))
     x_sum = agent_sum(x)
     for k in range(K + 1):
@@ -296,7 +294,7 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
                 bad = np.argwhere(~np.all(np.isfinite(x), axis=1))
                 if len(bad):
                     raise IntegrationBlowupError(
-                        f"agent {ids[bad[0, 0]]} state non-finite at node {k + 1}",
+                        f"agent {bad[0, 0]} state non-finite at node {k + 1}",
                         node=k + 1, time=grid.times[k + 1],
                     )
 

@@ -28,7 +28,7 @@ from .core import FeedbackLaw, equilibrium_mf
 from .deviations import DeviationMaps
 from .errors import EstimatorPolicyError, GridMismatchError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import invert_path, rk4_affine
+from .ode import cumulative_trapezoid, invert_path, rk4_affine
 from .params import SystemParams
 from .population import agent_sum, euler_maruyama
 from .riccati import (
@@ -103,9 +103,7 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
 
     # J(t) = int_0^t PhiZ^-1 (B+F) R^-1 B' P2 Phi1 ds  (trapezoid)
     P2Phi1 = P2v @ Phi1.values
-    integrand = PhiZ_inv @ (BFRB @ P2Phi1)
-    seg = 0.5 * grid.dt * (integrand[:-1] + integrand[1:])
-    J = np.concatenate([np.zeros((1,) + seg.shape[1:]), np.cumsum(seg, axis=0)])
+    J = cumulative_trapezoid(PhiZ_inv @ (BFRB @ P2Phi1), grid.dt)
 
     S = coupling_weight(params, bundle.P1)
     Hback = offset_generator(params, P1v, BRB)
@@ -204,9 +202,7 @@ def deviation_quadrature(kernels: RealtimeKernels, Ebar_path, Ebar1_path) -> Vec
         + np.einsum("kij,kj->ki", kernels.M0g_diag, Ebar1_path.values)
     )
     w = -np.einsum("kij,jl,kl->ki", kernels.PhiZ_inv, params.BFRB, dg)
-    seg = 0.5 * grid.dt * (w[:-1] + w[1:])
-    cum = np.concatenate([np.zeros((1, params.n)), np.cumsum(seg, axis=0)])
-    vals = np.einsum("kij,kj->ki", kernels.PhiZ.values, cum)
+    vals = np.einsum("kij,kj->ki", kernels.PhiZ.values, cumulative_trapezoid(w, grid.dt))
     return VectorPath(grid, vals)
 
 

@@ -262,10 +262,10 @@ def solve_P2(params: SystemParams, P1: MatrixPath, grid: TimeGrid) -> MatrixPath
     n, K = params.n, grid.steps
     P1v = P1.values
     Ham = np.empty((K + 1, 2 * n, 2 * n))
-    Ham[:, :n, :n] = (params.A + params.C) - BFRB @ P1v
+    Ham[:, :n, :n] = mf_generator(params, P1v)
     Ham[:, :n, n:] = -BFRB
     Ham[:, n:, :n] = -coupling_weight(params, P1)
-    Ham[:, n:, n:] = -(params.A.T - P1v @ BFRB)
+    Ham[:, n:, n:] = offset_generator(params, P1v, BFRB)
     # exp(dt ||Ham||_F) bounds the 2-norm of one step's map
     L = _block_steps(grid.dt * np.linalg.norm(Ham, axis=(1, 2)).max(), K)
 

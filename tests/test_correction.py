@@ -19,7 +19,8 @@ from mfg_errsim.correction import (
 from mfg_errsim.deviations import build_maps
 from mfg_errsim.errors import IdentifiabilityError
 from mfg_errsim.limiting import solve_limiting
-from mfg_errsim.riccati import RiccatiBundle
+from mfg_errsim.ode import rk4_affine
+from mfg_errsim.riccati import RiccatiBundle, coupling_weight, offset_generator
 
 E_I = np.array([0.2, 0.1])
 E_BAR = np.array([0.4, -0.4])
@@ -138,3 +139,36 @@ def test_post_correction_offset_map(maps, params, bundle, run, law_c, grid):
     M = modified_offset_map(maps, T0)
     predicted = np.einsum("kij,j->ki", M.values, E_BAR)
     assert np.max(np.abs(predicted - direct)) < 1e-6
+
+
+def _offset_map_by_ode(maps, t0):
+    """The post-correction offset map as the backward ODE of Mg driven by
+    the post-correction mean-field deviation Phi1(t) Phi1(t0)^-1 Mz(t0)."""
+    bundle, params = maps.bundle, maps.params
+    k0 = maps.grid.index_of(t0)
+    dPhi = maps.Phi1.values[k0:] @ np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])
+    S = coupling_weight(params, bundle.P1)[k0:]
+    Hg = offset_generator(params, bundle.P1.values[k0:], params.BFRB)
+    MT = -params.Qbar @ params.Gammabar @ dPhi[-1]
+    return rk4_affine(Hg, -(S @ dPhi), MT, maps.grid.subgrid(k0), forward=False)
+
+
+@pytest.fixture(scope="module")
+def mixed_maps(params, grid):
+    """Maps of a set with non-commuting A and C and non-scalar B, F, R."""
+    mixed = params.with_(A=np.array([[-1.0, 0.3], [-0.2, -0.8]]),
+                         B=np.array([[0.6, 0.1], [-0.2, 0.4]]),
+                         C=np.array([[0.3, -0.1], [0.25, 0.2]]),
+                         F=np.array([[0.2, 0.05], [-0.1, 0.3]]),
+                         R=np.array([[1.2, 0.3], [0.3, 0.8]]))
+    return build_maps(RiccatiBundle.solve(mixed, grid))
+
+
+@pytest.mark.parametrize("fixture", ["maps", "mixed_maps"])
+@pytest.mark.parametrize("t0", [0.5, 1.0, 1.5])
+def test_modified_offset_map_is_the_backward_ode_solution(request, fixture, t0):
+    maps = request.getfixturevalue(fixture)
+    M = modified_offset_map(maps, t0)
+    want = _offset_map_by_ode(maps, t0)
+    assert M.grid.t_start == t0 and M.values.shape == want.shape
+    assert np.max(np.abs(M.values - want)) <= 1e-13 * np.max(np.abs(want))

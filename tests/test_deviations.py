@@ -10,7 +10,8 @@ from mfg_errsim.deviations import (
     expected_trajectory_deviation,
     predicted_mf_deviation,
 )
-from mfg_errsim.limiting import solve_limiting
+from mfg_errsim import limiting
+from mfg_errsim.limiting import solve_limiting, solve_limiting_batch
 from mfg_errsim.params import P6_Z0
 
 E_I = np.array([0.2, 0.1])
@@ -96,6 +97,25 @@ def test_observable_of_limiting_run(bundle, params, z0):
     expected = run.z_A.values @ params.C.T + run.ubar_A.values @ params.F.T
     npt.assert_array_equal(ob.values, expected)
     assert ob.grid.steps == bundle.grid.steps
+
+
+def test_agent_trajectory_is_solved_once_on_first_read(bundle, z0, monkeypatch):
+    calls, rk4_affine = [], limiting.rk4_affine
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return rk4_affine(*args, **kwargs)
+
+    monkeypatch.setattr(limiting, "rk4_affine", spy)
+    first, other = solve_limiting_batch(bundle, z0, [(E_I, E_BAR), (E_BAR, E_I)])
+    assert calls == []
+    x, u = first.x_i, first.u_i
+    assert len(calls) == 1
+    assert first.x_i is x and first.u_i is u
+    for path in (other.z_c.z, other.mf_i.z, other.g_i, other.zbar.z, other.g_bar,
+                 other.z_A, other.ubar_A):
+        path.values
+    assert len(calls) == 1
 
 
 def test_tagged_agent_can_start_off_the_mean(bundle, z0):

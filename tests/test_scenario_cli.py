@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfg_errsim import riccati, scenario
+from mfg_errsim import limiting, riccati, scenario
 from mfg_errsim.cli import main
 from mfg_errsim.errors import ConfigError, FiniteEscapeError
 from mfg_errsim.limiting import solve_limiting
@@ -264,6 +264,17 @@ def test_evolve_mode_does_not_use_the_deviation_maps(tmp_path, monkeypatch):
     manifest = run_scenario(validate_config({
         "mode": "evolve", "grid_steps": 200, "output_dir": str(tmp_path)}))
     assert {"linearity.csv", "deviations.csv"} <= set(manifest.files)
+
+
+@pytest.mark.parametrize("mode", ["predict", "evolve", "correct"])
+def test_deterministic_modes_never_solve_the_agent_trajectory(tmp_path, mode, monkeypatch):
+    def no_agent_scan(*args, **kwargs):
+        raise AssertionError(f"{mode} mode writes no agent trajectory")
+
+    monkeypatch.setattr(limiting, "rk4_affine", no_agent_scan)
+    manifest = run_scenario(validate_config({
+        "mode": mode, "grid_steps": 200, "output_dir": str(tmp_path)}))
+    assert "deviations.csv" in manifest.files
 
 
 def test_correct_mode_recovers_injected_errors(tmp_path):
