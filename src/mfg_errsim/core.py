@@ -73,7 +73,7 @@ def equilibrium_mf(bundle: RiccatiBundle, z0, k0: int = 0) -> MeanField:
 
 def equilibrium_law(bundle: RiccatiBundle, mf: MeanField) -> FeedbackLaw:
     """Feedback law of the representative agent under a given mean field."""
-    g = solve_tracking_offset(bundle.params, bundle.P1, mf.z, mf.ubar, bundle.grid)
+    g = solve_tracking_offset(bundle.params, bundle.P1, mf.z, mf.ubar)
     return FeedbackLaw(params=bundle.params, P1=bundle.P1, g=g)
 
 
@@ -213,7 +213,7 @@ def epsilon_nash_gap(
     J_eq = cost(params, tr1.x, tr1.u, x_N)
 
     # best response to the frozen empirical mean field
-    g_br = solve_tracking_offset(params, bundle.P1, x_N, u_N, grid)
+    g_br = solve_tracking_offset(params, bundle.P1, x_N, u_N)
     law_br = FeedbackLaw(params=params, P1=bundle.P1, g=g_br)
     x_br, u_br = population.replay_agent(
         params, tr1, law_br, x_N, u_N, grid, seed=seed, D=D

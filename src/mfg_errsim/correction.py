@@ -13,7 +13,9 @@ with K1 = (C - F R^-1 B' P1) Mz - F R^-1 B' Mg and
 K2 = -(C - F R^-1 B' P1) Phi1 + F R^-1 B' Mg.  Sampling Ob1 at m times and
 stacking gives a linear system; if its rank is 2n the errors are uniquely
 recoverable, the true mean field at the correction time t0 can be
-reconstructed, and the game restarted from it.
+reconstructed, and the game restarted from it.  Paths combined here must
+share a grid (GridMismatchError otherwise), and the restarted game reads
+its parameters from the Riccati bundle it restarts.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .core import FeedbackLaw, equilibrium_mf
 from .deviations import DeviationMaps
 from .errors import IdentifiabilityError
-from .grid import MatrixPath, VectorPath
+from .grid import MatrixPath, VectorPath, require_same_grid
 from .params import SystemParams
 from .riccati import RiccatiBundle, solve_tracking_offset
 
@@ -39,7 +41,7 @@ def observable_path(x: VectorPath, u: VectorPath, params: SystemParams) -> Vecto
     """Ob(t) = x_dot - A x - B u from an agent's realized state and control
     paths, with x_dot estimated by second-order finite differences (central
     inside, one-sided at the ends), which is all a real agent can do."""
-    grid = x.grid
+    grid = require_same_grid(x, u)
     if grid.steps < 2:
         raise ValueError("need at least three nodes to estimate the drift")
     xv, uv = x.values, u.values
@@ -54,14 +56,16 @@ def observable_path(x: VectorPath, u: VectorPath, params: SystemParams) -> Vecto
 
 def residual_path(Ob: VectorPath, z_i: VectorPath, g_i: VectorPath,
                   params: SystemParams, P1: MatrixPath) -> VectorPath:
-    """Ob1(t) = Ob(t) - (C - F R^-1 B' P1) z_i(t) + F R^-1 B' g_i(t)."""
+    """Ob1(t) = Ob(t) - (C - F R^-1 B' P1) z_i(t) + F R^-1 B' g_i(t), on the
+    grid the four paths share (GridMismatchError otherwise)."""
+    grid = require_same_grid(Ob, z_i, g_i, P1)
     FRB = params.FRB
     pred = (
         z_i.values @ params.C.T
         - np.einsum("kij,kj->ki", FRB @ P1.values, z_i.values)
         - g_i.values @ FRB.T
     )
-    return VectorPath(Ob.grid, Ob.values - pred)
+    return VectorPath(grid, Ob.values - pred)
 
 
 def k_matrices(maps: DeviationMaps) -> tuple[MatrixPath, MatrixPath]:
@@ -105,7 +109,9 @@ class CorrectionProblem:
 
 def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0,
                              sample_times=None, z_i_t0=None) -> CorrectionProblem:
-    grid = maps.grid
+    """The stacked system of Ob1 at the sample times, on the grid maps and
+    Ob1 share (GridMismatchError otherwise)."""
+    grid = require_same_grid(maps, Ob1)
     if sample_times is None:
         sample_times = default_sample_times(grid, t0)
     sample_times = sorted(float(t) for t in sample_times)
@@ -171,7 +177,7 @@ def recover_errors(problem: CorrectionProblem) -> CorrectionResult:
     )
 
 
-def modified_game(params: SystemParams, bundle: RiccatiBundle, z_A_t0, t0):
+def modified_game(bundle: RiccatiBundle, z_A_t0, t0):
     """Restart the equilibrium from the reconstructed mean field at t0.
 
     Returns the corrected mean field z_new, average control, the tracking
@@ -180,8 +186,8 @@ def modified_game(params: SystemParams, bundle: RiccatiBundle, z_A_t0, t0):
     k0 = bundle.grid.index_of(t0)
     mf = equilibrium_mf(bundle, z_A_t0, k0)
     P1 = bundle.P1.slice(k0)
-    g_new = solve_tracking_offset(params, P1, mf.z, mf.ubar, P1.grid)
-    law = FeedbackLaw(params=params, P1=P1, g=g_new)
+    g_new = solve_tracking_offset(bundle.params, P1, mf.z, mf.ubar)
+    law = FeedbackLaw(params=bundle.params, P1=P1, g=g_new)
     return {"z_new": mf.z, "ubar_new": mf.ubar, "g_new": g_new, "law": law}
 
 

@@ -9,9 +9,10 @@ z_i(0) = z0 + E_i, every resulting deviation is linear in the errors:
 * expected own trajectory dx_i(t)   = Mx1(t) E_i + Mx2(t) Ebar.
 
 The maps are built once per parameter set by integrating their defining
-matrix ODEs on the shared grid.  The single-agent transition PhiX and the
-own-trajectory maps Mx1, Mx2 come from one more scan, run on their first
-read.
+matrix ODEs on the Riccati bundle's grid, and read the transitions Phi1
+and PhiZ from the bundle, which solves each on its first read.  The
+single-agent transition PhiX and the own-trajectory maps Mx1, Mx2 come
+from one more scan, run on their first read.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from .riccati import (
 class DeviationMaps:
     """Fundamental solutions and error-to-deviation maps on one grid.
 
-    PhiX, Mx1 and Mx2 are built on first read (see _agent_paths)."""
+    Phi1 and PhiZ are the bundle's; PhiX, Mx1 and Mx2 are built on first
+    read (see _agent_paths)."""
 
     bundle: RiccatiBundle
-    Phi1: MatrixPath   # transition of the predicted-equilibrium system
-    PhiZ: MatrixPath   # transition of the actual-mean-field system
     Mg: MatrixPath
     Mz: MatrixPath
 
@@ -52,6 +52,16 @@ class DeviationMaps:
     @property
     def params(self):
         return self.bundle.params
+
+    @property
+    def Phi1(self) -> MatrixPath:
+        """Transition of the predicted-equilibrium system."""
+        return self.bundle.Phi1
+
+    @property
+    def PhiZ(self) -> MatrixPath:
+        """Transition of the actual-mean-field system."""
+        return self.bundle.PhiZ
 
     @property
     def PhiX(self) -> MatrixPath:
@@ -95,7 +105,7 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     Hg = offset_generator(params, P1v, params.BFRB)
     Hz = mf_generator(params, P1v)
 
-    Phi1, PhiZ = bundle.Phi1, bundle.PhiZ
+    Phi1 = bundle.Phi1
     S = coupling_weight(params, bundle.P1)  # P1 C - P1 F R^-1 B' P1 - Q*Gamma
 
     # offset deviation: backward affine matrix ODE driven by S Phi1
@@ -107,7 +117,7 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     Mz_v = rk4_affine(Hz, -(params.BFRB @ Mg_v), np.zeros((n, n)), grid, forward=True)
     Mz = MatrixPath(grid, Mz_v)
 
-    return DeviationMaps(bundle=bundle, Phi1=Phi1, PhiZ=PhiZ, Mg=Mg, Mz=Mz)
+    return DeviationMaps(bundle=bundle, Mg=Mg, Mz=Mz)
 
 
 def _apply(M: MatrixPath, v) -> VectorPath:

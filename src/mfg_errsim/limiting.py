@@ -119,7 +119,7 @@ def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[Limi
         [z0 + E for pair in pairs for E in pair] + [z0], axis=1), grid)
     uv = control(params, P0v, zv, Gv)
     gv = solve_tracking_offset(params, bundle.P1, MatrixPath(grid, zv[:, :, :2 * S]),
-                               MatrixPath(grid, uv[:, :, :2 * S]), grid).values
+                               MatrixPath(grid, uv[:, :, :2 * S])).values
 
     # realized mean field of each average offset
     g_bar = gv[:, :, 1::2]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegrationBlowupError, SingularMatrixError
-from .grid import MatrixPath, TimeGrid
+from .grid import MatrixPath
 
 _RCOND_MIN = 1e-12
 
@@ -267,27 +267,17 @@ def rk4_nonlinear(rhs, v0, grid, forward=True):
     return rk4_steps(lambda i, v: rhs(th[i], v), v0, grid, forward)
 
 
-def fundamental_solution(H: MatrixPath, t_ref):
-    """Fundamental solution Phi with dPhi/dt = H(t) Phi and Phi(t_ref) = I.
+def fundamental_solution(H: MatrixPath):
+    """Fundamental solution Phi with dPhi/dt = H(t) Phi and Phi = I at the
+    first node of H's grid.
 
-    Phi(t) Phi(s)^{-1} is then the state-transition matrix from s to t.
+    Phi(t) Phi(s)^{-1} is then the state-transition matrix from s to t; the
+    solution anchored at node k is that of H.slice(k).
     """
-    grid, Hn = H.grid, H.values
-    n, m = Hn.shape[1:]
+    n, m = H.shape
     if n != m:
         raise ValueError(f"H must be square, got {n}x{m}")
-    k_ref = grid.index_of(t_ref)
-    eye = np.eye(n)
-    K = grid.steps
-    values = np.empty((K + 1, n, n))
-    if k_ref < K:
-        sub = grid.subgrid(k_ref, K)
-        values[k_ref:] = rk4_affine(Hn[k_ref:], None, eye, sub, forward=True)
-    if k_ref > 0:
-        sub = grid.subgrid(0, k_ref)
-        values[: k_ref + 1] = rk4_affine(Hn[: k_ref + 1], None, eye, sub, forward=False)
-    values[k_ref] = eye
-    return MatrixPath(grid, values)
+    return MatrixPath(H.grid, rk4_affine(H.values, None, np.eye(n), H.grid, forward=True))
 
 
 def invert_path(Phi):

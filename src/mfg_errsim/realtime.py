@@ -15,7 +15,8 @@ where E_i(t0) = z_hat - z_c(t0) and Ebar_i(t0) = zbar_hat - z_c(t0).
 
 The maps for all anchors are generated from three kernel paths (V, U, J)
 computed once per parameter set, which also yields the diagonal maps
-t -> M(t; t) needed when agents re-anchor at every instant.
+t -> M(t; t) needed when agents re-anchor at every instant.  The kernels
+hold the Riccati bundle and read its transitions Phi1 and PhiZ from it.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ class RealtimeKernels:
     """Anchor-independent kernels from which all realtime maps follow.
     Every array is read-only."""
 
-    bundle: RiccatiBundle
-    PhiZ: MatrixPath             # the bundle's actual-mean-field transition
+    bundle: RiccatiBundle        # its transitions Phi1 and PhiZ are read here
     PhiZ_inv: np.ndarray         # (K+1, n, n)
     Phi1_inv: np.ndarray
     J: np.ndarray                # cumulative coupling integral
@@ -124,7 +124,7 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
     for a in (PhiZ_inv, Phi1_inv, J, V, U, Mig_diag, M0g_diag):
         a.flags.writeable = False
     return RealtimeKernels(
-        bundle=bundle, PhiZ=PhiZ, PhiZ_inv=PhiZ_inv, Phi1_inv=Phi1_inv,
+        bundle=bundle, PhiZ_inv=PhiZ_inv, Phi1_inv=Phi1_inv,
         J=J, V=V, U=U, Mig_diag=Mig_diag, M0g_diag=M0g_diag,
     )
 
@@ -133,7 +133,7 @@ def build_realtime_maps(kernels: RealtimeKernels, t0) -> RealtimeDeviationMaps:
     """Deviation maps for a fixed anchor t0, on the full grid."""
     grid = kernels.grid
     k0 = grid.index_of(t0)
-    PhiZ = kernels.PhiZ.values
+    PhiZ = kernels.bundle.PhiZ.values
     PhiZ_inv0 = kernels.PhiZ_inv[k0]
     Phi1_inv0 = kernels.Phi1_inv[k0]
     J0 = kernels.J[k0]
@@ -180,7 +180,7 @@ def restricted_prediction(bundle: RiccatiBundle, est: EstimatorState, route="p2"
     # own mean-field estimate, driven by the predicted average offset
     z_hat = VectorPath(sub, mean_field_path(params, P1.values, gbar_v, est.z_hat, sub))
     ubar = VectorPath(sub, control(params, P1.values, z_hat.values, gbar_v))
-    g_i = solve_tracking_offset(params, P1, z_hat, ubar, sub)
+    g_i = solve_tracking_offset(params, P1, z_hat, ubar)
     law = FeedbackLaw(params=params, P1=P1, g=g_i)
     return {"zbar": zbar, "gbar": gbar, "z_hat": z_hat, "ubar": ubar,
             "g_i": g_i, "law": law}
@@ -202,7 +202,8 @@ def deviation_quadrature(kernels: RealtimeKernels, Ebar_path, Ebar1_path) -> Vec
         + np.einsum("kij,kj->ki", kernels.M0g_diag, Ebar1_path.values)
     )
     w = -np.einsum("kij,jl,kl->ki", kernels.PhiZ_inv, params.BFRB, dg)
-    vals = np.einsum("kij,kj->ki", kernels.PhiZ.values, cumulative_trapezoid(w, grid.dt))
+    vals = np.einsum("kij,kj->ki", kernels.bundle.PhiZ.values,
+                     cumulative_trapezoid(w, grid.dt))
     return VectorPath(grid, vals)
 
 

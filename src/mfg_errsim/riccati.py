@@ -26,9 +26,10 @@ The closed-loop generators, the feedback control and the forward
 mean-field solve that every downstream module runs are defined here once.
 RiccatiBundle solves P1, P0 and G with the bundle and the rest on first
 read: P2 and G1, which only the realtime kernels and the "p2" prediction
-route read, and the two forward transitions (Phi1, PhiZ) that the
-deviation maps and the realtime kernels share.  Every path is read-only,
-so a bundle can be shared.
+route read, and the two forward transitions Phi1 and PhiZ (the deviation
+maps read Phi1, the realtime kernels both).  Every path is read-only, so a
+bundle can be shared.  Past P1 and P0, every solve takes its grid from the
+paths it is given, so no solve can pair a path with another grid.
 """
 
 from __future__ import annotations
@@ -247,8 +248,9 @@ def solve_P0(params: SystemParams, grid: TimeGrid) -> MatrixPath:
     return _solve_riccati(params, grid, "P0")
 
 
-def solve_P2(params: SystemParams, P1: MatrixPath, grid: TimeGrid) -> MatrixPath:
-    """Riccati of the average-prediction system, P2(T) = -Qbar*Gammabar:
+def solve_P2(params: SystemParams, P1: MatrixPath) -> MatrixPath:
+    """Riccati of the average-prediction system on P1's grid,
+    P2(T) = -Qbar*Gammabar:
     -dP2 = [P2 H1 + H2 P2 + S - P2 (B+F) R^-1 B' P2] dt with
     H1 = A+C - (B+F) R^-1 B' P1, H2 = A' - P1 (B+F) R^-1 B' and S the
     coupling weight.
@@ -257,8 +259,7 @@ def solve_P2(params: SystemParams, P1: MatrixPath, grid: TimeGrid) -> MatrixPath
     [X; Y] is an rk4_affine scan (half-step coefficients from half_nodes),
     in blocks re-anchored at [I; P2] as in the P1/P0 solve.
     """
-    require_same_grid(P1)
-    BFRB = params.BFRB
+    grid, BFRB = P1.grid, params.BFRB
     n, K = params.n, grid.steps
     P1v = P1.values
     Ham = np.empty((K + 1, 2 * n, 2 * n))
@@ -282,15 +283,17 @@ def coupling_weight(params: SystemParams, P1: MatrixPath) -> np.ndarray:
     return P1v @ params.C - (P1v @ params.FRB) @ P1v - params.Q @ params.Gamma
 
 
-def solve_G(params: SystemParams, P0: MatrixPath, grid: TimeGrid) -> VectorPath:
-    """Offset of the coupled system: dG = [-(A' - P0 (B+F) R^-1 B') G + nu] dt,
-    G(T) = -Qbar_I sbar - Qbar etabar."""
-    return _solve_offset(params, P0.values, grid, "G")
+def solve_G(params: SystemParams, P0: MatrixPath) -> VectorPath:
+    """Offset of the coupled system on P0's grid:
+    dG = [-(A' - P0 (B+F) R^-1 B') G + nu] dt, G(T) = -Qbar_I sbar - Qbar etabar."""
+    return _solve_offset(params, P0.values, P0.grid, "G")
 
 
-def solve_G1(params: SystemParams, P1: MatrixPath, P2: MatrixPath, grid: TimeGrid) -> VectorPath:
-    """Offset paired with (P1, P2):
+def solve_G1(params: SystemParams, P1: MatrixPath, P2: MatrixPath) -> VectorPath:
+    """Offset paired with (P1, P2), on their shared grid (GridMismatchError
+    otherwise):
     dG1 = [-(A' - (P1+P2)(B+F) R^-1 B') G1 + nu] dt, same terminal as G."""
+    grid = require_same_grid(P1, P2)
     return _solve_offset(params, P1.values + P2.values, grid, "G1")
 
 
@@ -303,14 +306,9 @@ def _solve_offset(params: SystemParams, P, grid: TimeGrid, what) -> VectorPath:
     return VectorPath(grid, values)
 
 
-def solve_tracking_offset(
-    params: SystemParams,
-    P1: MatrixPath,
-    z_path,
-    ubar_path,
-    grid: TimeGrid,
-):
-    """Backward tracking offset g driven by mean-field paths (z, ubar):
+def solve_tracking_offset(params: SystemParams, P1: MatrixPath, z_path, ubar_path):
+    """Backward tracking offset g driven by mean-field paths (z, ubar), on
+    the grid P1, z and ubar share (GridMismatchError otherwise):
 
     dg = -[(A' - P1 B R^-1 B') g + (P1 C - Q*Gamma) z + P1 F ubar - Q_I s - Q eta] dt,
     g(T) = -Qbar_I sbar - Qbar (Gammabar z(T) + etabar).
@@ -318,7 +316,7 @@ def solve_tracking_offset(
     z and ubar are VectorPaths, giving a VectorPath, or MatrixPaths with one
     column per run, giving a MatrixPath of the runs' offsets.
     """
-    require_same_grid(P1, z_path, ubar_path)
+    grid = require_same_grid(P1, z_path, ubar_path)
     P1v = P1.values
     z, ub = _cols(z_path.values), _cols(ubar_path.values)
     H = offset_generator(params, P1v, params.BRB)
@@ -363,19 +361,19 @@ class RiccatiBundle:
         ode.rk4_affine); a non-finite node there is a step-size instability,
         an IntegrationBlowupError naming the grid's steps."""
         P1, P0 = solve_P1(params, grid), solve_P0(params, grid)
-        return cls(params=params, grid=grid, P0=P0, P1=P1, G=solve_G(params, P0, grid))
+        return cls(params=params, grid=grid, P0=P0, P1=P1, G=solve_G(params, P0))
 
     @cached_property
     def P2(self) -> MatrixPath:
         """Riccati of the average-prediction system (solve_P2).  It equals
         P0 - P1 up to truncation, so it exists wherever P0 and P1 do and
         solving it on first read moves no escape."""
-        return solve_P2(self.params, self.P1, self.grid)
+        return solve_P2(self.params, self.P1)
 
     @cached_property
     def G1(self) -> VectorPath:
         """Offset paired with (P1, P2) (solve_G1), equal to G up to truncation."""
-        return solve_G1(self.params, self.P1, self.P2, self.grid)
+        return solve_G1(self.params, self.P1, self.P2)
 
     @cached_property
     def Phi1(self) -> MatrixPath:
@@ -388,5 +386,4 @@ class RiccatiBundle:
         return self._mf_transition(self.P1)
 
     def _mf_transition(self, P: MatrixPath) -> MatrixPath:
-        H = MatrixPath(self.grid, mf_generator(self.params, P.values))
-        return fundamental_solution(H, self.grid.t_start)
+        return fundamental_solution(MatrixPath(self.grid, mf_generator(self.params, P.values)))

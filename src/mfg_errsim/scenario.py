@@ -36,13 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .correction import (
-    DEFAULT_SAMPLES,
-    build_correction_problem,
-    modified_game,
-    recover_errors,
-    residual_path,
-)
+from .core import equilibrium_mf
+from .correction import DEFAULT_SAMPLES, build_correction_problem, recover_errors, residual_path
 from .deviations import (
     actual_mf_deviation,
     build_maps,
@@ -65,9 +60,9 @@ _FMT = "%.17g"
 # evolve mode regresses the deviations at these times (those before T)
 _EVOLVE_PROBES = (0.25, 1.0, 1.75)
 
-_PARAM_MATRICES = ("A", "B", "C", "F", "D", "Q_I", "Q", "Qbar_I", "Qbar",
-                   "R", "Gamma", "Gammabar")
-_PARAM_VECTORS = ("eta", "etabar", "s", "sbar")
+# the array fields of SystemParams, which a config's "params" object may set
+# beside T; the test-only "relaxed" flag is not a config key
+_PARAM_ARRAYS = tuple(f.name for f in fields(SystemParams) if f.name not in ("T", "relaxed"))
 
 
 @dataclass
@@ -96,17 +91,10 @@ class ScenarioConfig:
                 return v.tolist()
             return v
 
-        d = {
-            "mode": self.mode, "grid_steps": self.grid_steps, "N": self.N,
-            "seed": self.seed, "z0": conv(self.z0), "E_bar": conv(self.E_bar),
-            "E_i": conv(self.E_i), "t0": self.t0,
-            "k_sweep": list(self.k_sweep), "D": self.D,
-        }
-        d["params"] = {
-            name: conv(getattr(self.params, name))
-            for name in _PARAM_MATRICES + _PARAM_VECTORS
-        }
-        d["params"]["T"] = self.params.T
+        d = {f.name: conv(getattr(self, f.name)) for f in fields(self)
+             if f.name not in ("params", "output_dir")}
+        d["params"] = {name: conv(getattr(self.params, name))
+                       for name in _PARAM_ARRAYS + ("T",)}
         return d
 
 
@@ -154,7 +142,7 @@ def validate_config(raw) -> ScenarioConfig:
                         problems.append(("params.T", "must be a positive finite number"))
                     else:
                         kwargs["T"] = float(value)
-                elif name in _PARAM_MATRICES + _PARAM_VECTORS:
+                elif name in _PARAM_ARRAYS:
                     try:
                         kwargs[name] = np.asarray(value, dtype=float)
                     except (TypeError, ValueError):
@@ -470,7 +458,10 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
             maps, Ob1, config.t0, z_i_t0=run.mf_i.z.at(config.t0))
         # recover_errors raises unless the stacked system has full rank
         result = recover_errors(problem)
-        mod = modified_game(config.params, bundle, result.z_A_t0, config.t0)
+        # the restarted mean field of correction.modified_game, without the
+        # offset and law that no file reads
+        k0 = grid.index_of(config.t0)
+        z_new = equilibrium_mf(bundle, result.z_A_t0, k0).z.values
         _write_table(out, files, "correction_report.csv", [
             ("t", [config.t0]), ("identifiable", [float(result.rank == 2 * n)]),
             ("rank", [float(result.rank)]), ("residual", [result.residual]),
@@ -478,7 +469,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
             ("E_bar_true", [config.E_bar]), ("z_A_t0", [result.z_A_t0]),
         ])
         zc, za = run.z_c.z.values, run.z_A.values
-        z_corr = np.vstack([za[:grid.index_of(config.t0)], mod["z_new"].values])
+        z_corr = np.vstack([za[:k0], z_new])
         _write_series(out, files, "mf_actual.csv", grid,
                       [("z_c", zc), ("z_uncorrected", za), ("z_corrected", z_corr)])
         _write_series(out, files, "deviations.csv", grid,

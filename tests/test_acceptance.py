@@ -211,7 +211,7 @@ def test_acceptance_5_one_time_correction(params, grid, bundle, maps, z0):
                               params, bundle.P1)
         res_k = recover_errors(build_correction_problem(
             maps, ob1_k, t0, z_i_t0=run_k.mf_i.z.at(t0)))
-        mod = modified_game(params, bundle, res_k.z_A_t0, t0)
+        mod = modified_game(bundle, res_k.z_A_t0, t0)
         dev_cor = _sup(mod["z_new"].values - run_k.z_c.z.values[k0:])
         dev_unc = _sup(run_k.z_A.values[k0:] - run_k.z_c.z.values[k0:])
         assert dev_cor < dev_unc

@@ -17,7 +17,8 @@ from mfg_errsim.correction import (
     residual_path,
 )
 from mfg_errsim.deviations import build_maps
-from mfg_errsim.errors import IdentifiabilityError
+from mfg_errsim.errors import GridMismatchError, IdentifiabilityError
+from mfg_errsim.grid import TimeGrid
 from mfg_errsim.limiting import solve_limiting
 from mfg_errsim.ode import rk4_affine
 from mfg_errsim.riccati import RiccatiBundle, coupling_weight, offset_generator
@@ -51,6 +52,26 @@ def test_observable_path_input_validation(run, params):
     with pytest.raises(ValueError, match="three nodes"):
         observable_path(x, u, params)
     assert len(observable_path(run.x_i.slice(0, 2), run.u_i.slice(0, 2), params)) == 3
+
+
+def _other_horizon(path):
+    """The path's node values on a grid of the same step count and twice T."""
+    g = path.grid
+    return type(path)(TimeGrid(g.t_start, 2.0 * g.t_end, g.steps), path.values)
+
+
+@pytest.mark.parametrize("other", [_other_horizon, lambda path: path.slice(0, 1000)],
+                         ids=["other_T", "other_steps"])
+def test_paths_on_another_grid_are_a_grid_mismatch(run, params, bundle, maps, ob1, other):
+    Ob, z_i, g_i, P1 = run.observable(), run.mf_i.z, run.g_i, bundle.P1
+    for args in ((other(Ob), z_i, g_i, P1), (Ob, other(z_i), g_i, P1),
+                 (Ob, z_i, other(g_i), P1), (Ob, z_i, g_i, other(P1))):
+        with pytest.raises(GridMismatchError):
+            residual_path(*args[:3], params, args[3])
+    with pytest.raises(GridMismatchError):
+        build_correction_problem(maps, other(ob1), T0)
+    with pytest.raises(GridMismatchError):
+        observable_path(run.x_i, other(run.u_i), params)
 
 
 def test_residual_is_linear_in_the_errors(ob1, maps):
@@ -109,10 +130,9 @@ def test_unidentifiable_problem_raises(params, z0):
         recover_errors(problem)
 
 
-def test_modified_game_restarts_from_reconstructed_state(
-        params, bundle, run, grid):
+def test_modified_game_restarts_from_reconstructed_state(bundle, run, grid):
     z_A_t0 = run.z_A.at(T0)
-    mod = modified_game(params, bundle, z_A_t0, T0)
+    mod = modified_game(bundle, z_A_t0, T0)
     npt.assert_array_equal(mod["z_new"].initial, z_A_t0)
     assert mod["z_new"].grid.t_start == pytest.approx(T0)
     assert mod["law"].grid.t_start == pytest.approx(T0)
@@ -124,8 +144,8 @@ def test_modified_game_restarts_from_reconstructed_state(
 
 
 def test_post_correction_deviation_matches_transition_formula(
-        maps, params, bundle, run, grid):
-    mod = modified_game(params, bundle, run.z_A.at(T0), T0)
+        maps, bundle, run, grid):
+    mod = modified_game(bundle, run.z_A.at(T0), T0)
     k0 = grid.index_of(T0)
     direct = mod["z_new"].values - run.z_c.z.values[k0:]
     predicted = corrected_mf_deviation(maps, T0, E_BAR)
@@ -133,7 +153,7 @@ def test_post_correction_deviation_matches_transition_formula(
 
 
 def test_post_correction_offset_map(maps, params, bundle, run, law_c, grid):
-    mod = modified_game(params, bundle, run.z_A.at(T0), T0)
+    mod = modified_game(bundle, run.z_A.at(T0), T0)
     k0 = grid.index_of(T0)
     direct = mod["g_new"].values - law_c.g.values[k0:]
     M = modified_offset_map(maps, T0)

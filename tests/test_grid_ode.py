@@ -287,7 +287,7 @@ def test_rk4_affine_scan_composes_at_most_2k_rows(monkeypatch):
 def test_fundamental_solution_constant_coefficients():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     g = TimeGrid(0.0, 1.0, 200)
-    Phi = fundamental_solution(MatrixPath(g, np.broadcast_to(A, (201, 2, 2)).copy()), 0.0)
+    Phi = fundamental_solution(MatrixPath(g, np.broadcast_to(A, (201, 2, 2)).copy()))
     npt.assert_array_equal(Phi.initial, np.eye(2))
     npt.assert_allclose(Phi.terminal, expm(A), atol=1e-10)
 
@@ -296,12 +296,13 @@ def test_fundamental_solution_midgrid_anchor_transition_property():
     rng = np.random.default_rng(1)
     g = TimeGrid(0.0, 1.0, 100)
     H = MatrixPath(g, rng.standard_normal((101, 2, 2)) * 0.4)
-    Phi0 = fundamental_solution(H, 0.0)
-    Phi_half = fundamental_solution(H, 0.5)
+    Phi0 = fundamental_solution(H)
     k = g.index_of(0.5)
-    npt.assert_array_equal(Phi_half[k], np.eye(2))
-    # Phi_half(t) = Phi0(t) Phi0(0.5)^-1
-    expected = Phi0.values @ np.linalg.inv(Phi0[k])
+    # anchored at t_k by slicing: Phi_half(t) = Phi0(t) Phi0(t_k)^-1 on [t_k, T]
+    Phi_half = fundamental_solution(H.slice(k))
+    assert Phi_half.grid == g.subgrid(k)
+    npt.assert_array_equal(Phi_half.initial, np.eye(2))
+    expected = Phi0.values[k:] @ np.linalg.inv(Phi0[k])
     npt.assert_allclose(Phi_half.values, expected, atol=1e-9)
 
 

@@ -6,13 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mfg_errsim.errors import FiniteEscapeError, IntegrationBlowupError
-from mfg_errsim.grid import MatrixPath
+from mfg_errsim.errors import FiniteEscapeError, GridMismatchError, IntegrationBlowupError
+from mfg_errsim.grid import MatrixPath, TimeGrid
 from mfg_errsim.ode import half_nodes, rk4_nonlinear, rk4_steps
 from mfg_errsim.params import p6_params, s1_params
 from mfg_errsim.riccati import (
     RiccatiBundle,
     coupling_weight,
+    solve_G,
     solve_G1,
     solve_P0,
     solve_P1,
@@ -113,7 +114,7 @@ def test_offset_terminal_values(bundle, params):
 
 
 def test_tracking_offset_terminal_value(bundle, params, mf_c):
-    g = solve_tracking_offset(params, bundle.P1, mf_c.z, mf_c.ubar, bundle.grid)
+    g = solve_tracking_offset(params, bundle.P1, mf_c.z, mf_c.ubar)
     gT = -params.Qbar_I @ params.sbar - params.Qbar @ (
         params.Gammabar @ mf_c.z.terminal + params.etabar
     )
@@ -215,10 +216,30 @@ def test_bundle_P1_P0_equal_the_standalone_solves(bundle, params, grid):
 
 def test_lazy_P2_and_G1_equal_the_direct_solves(params, grid):
     b = RiccatiBundle.solve(params, grid)
-    P2 = solve_P2(params, b.P1, grid)
+    P2 = solve_P2(params, b.P1)
     npt.assert_array_equal(b.P2.values, P2.values)
-    npt.assert_array_equal(b.G1.values, solve_G1(params, b.P1, P2, grid).values)
+    npt.assert_array_equal(b.G1.values, solve_G1(params, b.P1, P2).values)
     assert b.P2 is b.P2 and b.G1 is b.G1
+
+
+def test_solves_on_a_sliced_path_live_on_its_grid(bundle, params, mf_c):
+    # a solve takes its grid from the paths it is given: the slice's [t_k, T]
+    k = 500
+    P0, P1 = bundle.P0.slice(k), bundle.P1.slice(k)
+    z, ubar = mf_c.z.slice(k), mf_c.ubar.slice(k)
+    G = solve_G(params, P0)
+    for path in (G, solve_P2(params, P1), solve_tracking_offset(params, P1, z, ubar)):
+        assert path.grid == P1.grid and len(path) == len(P1)
+    # G on the slice ends where the full G does and steps the same nodes back
+    npt.assert_allclose(G.values, bundle.G.values[k:], atol=1e-12)
+
+
+def test_G1_needs_P1_and_P2_on_one_grid(bundle, params):
+    P1, P2 = bundle.P1, bundle.P2
+    for other in (P2.slice(0, 1000),
+                  MatrixPath(TimeGrid(0.0, 2.0 * P2.grid.t_end, P2.grid.steps), P2.values)):
+        with pytest.raises(GridMismatchError):
+            solve_G1(params, P1, other)
 
 
 def test_P2_block_bound_does_not_overflow():
@@ -228,7 +249,7 @@ def test_P2_block_bound_does_not_overflow():
     P1 = solve_P1(p, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        P2 = solve_P2(p, P1, grid)
+        P2 = solve_P2(p, P1)
     assert np.isfinite(P2.values).all()
 
 

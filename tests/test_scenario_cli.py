@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfg_errsim import limiting, riccati, scenario
+from mfg_errsim import correction, limiting, riccati, scenario
 from mfg_errsim.cli import main
 from mfg_errsim.errors import ConfigError, FiniteEscapeError
 from mfg_errsim.limiting import solve_limiting
@@ -419,6 +419,34 @@ def test_only_realtime_mode_solves_P2_and_G1(tmp_path, monkeypatch, mode):
     run_scenario(validate_config({"mode": mode, "grid_steps": 200, "N": 20,
                                   "output_dir": str(tmp_path)}))
     assert calls == (["solve_P2"] if mode == "realtime" else [])
+
+
+@pytest.mark.parametrize("mode", ["predict", "correct"])
+def test_deviation_modes_solve_only_the_Phi1_transition(tmp_path, monkeypatch, mode):
+    # the maps read Phi1 from the bundle; PhiZ is the realtime kernels' alone
+    generators, solve = [], riccati.fundamental_solution
+
+    def spy(H, *args):
+        generators.append(H.values)
+        return solve(H, *args)
+
+    monkeypatch.setattr(riccati, "fundamental_solution", spy)
+    cfg = validate_config({"mode": mode, "grid_steps": 200, "output_dir": str(tmp_path)})
+    run_scenario(cfg)
+    bundle = scenario._solved(cfg.params, cfg.grid()).bundle
+    assert len(generators) == 1
+    np.testing.assert_array_equal(
+        generators[0], riccati.mf_generator(cfg.params, bundle.P0.values))
+
+
+def test_correct_mode_solves_no_post_correction_offset(tmp_path, monkeypatch):
+    def no_offset(*args):
+        raise AssertionError("correct mode writes no post-correction offset")
+
+    monkeypatch.setattr(correction, "solve_tracking_offset", no_offset)
+    manifest = run_scenario(validate_config({
+        "mode": "correct", "grid_steps": 200, "output_dir": str(tmp_path)}))
+    assert "mf_actual.csv" in manifest.files
 
 
 def test_kept_paths_are_read_only():
