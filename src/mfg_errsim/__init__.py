@@ -13,6 +13,7 @@ from .errors import (
     IdentifiabilityError,
     IntegrationBlowupError,
     MfgError,
+    ParamsMismatchError,
     SingularMatrixError,
 )
 from .grid import MatrixPath, TimeGrid, VectorPath
@@ -27,6 +28,7 @@ __all__ = [
     "IdentifiabilityError",
     "IntegrationBlowupError",
     "MfgError",
+    "ParamsMismatchError",
     "SingularMatrixError",
     "MatrixPath",
     "TimeGrid",

@@ -61,20 +61,23 @@ class FeedbackLaw:
 
 
 def equilibrium_mf(bundle: RiccatiBundle, z0, k0: int = 0) -> MeanField:
-    """Solve the equilibrium mean-field forward ODE from z(t_k0) = z0.
+    """Solve the equilibrium mean-field forward ODE from z(t_k0) = z0,
+    under the bundle's step maps of mf_generator(P0).
 
     The paths live on the grid nodes k0..K (the whole grid for k0 = 0).
     """
     P0, G = bundle.P0.slice(k0), bundle.G.slice(k0)
-    zv = mean_field_path(bundle.params, P0.values, G.values, z0, P0.grid)
+    zv = mean_field_path(bundle.params, bundle.mf0_steps, G.values, z0, k0)
     ub = control(bundle.params, P0.values, zv, G.values)
     return MeanField(z=VectorPath(P0.grid, zv), ubar=VectorPath(P0.grid, ub))
 
 
 def equilibrium_law(bundle: RiccatiBundle, mf: MeanField) -> FeedbackLaw:
-    """Feedback law of the representative agent under a given mean field."""
-    g = solve_tracking_offset(bundle.params, bundle.P1, mf.z, mf.ubar)
-    return FeedbackLaw(params=bundle.params, P1=bundle.P1, g=g)
+    """Feedback law of the representative agent under a given mean field,
+    on its grid: the bundle's, or a tail [t_k0, T] of it."""
+    g = solve_tracking_offset(bundle, mf.z, mf.ubar)
+    P1 = bundle.P1.slice(bundle.start_node(g.grid))
+    return FeedbackLaw(params=bundle.params, P1=P1, g=g)
 
 
 def cost(params: SystemParams, x_path: VectorPath, u_path: VectorPath, z_path: VectorPath) -> float:
@@ -213,7 +216,7 @@ def epsilon_nash_gap(
     J_eq = cost(params, tr1.x, tr1.u, x_N)
 
     # best response to the frozen empirical mean field
-    g_br = solve_tracking_offset(params, bundle.P1, x_N, u_N)
+    g_br = solve_tracking_offset(bundle, x_N, u_N)
     law_br = FeedbackLaw(params=params, P1=bundle.P1, g=g_br)
     x_br, u_br = population.replay_agent(
         params, tr1, law_br, x_N, u_N, grid, seed=seed, D=D

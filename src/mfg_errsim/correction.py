@@ -185,9 +185,8 @@ def modified_game(bundle: RiccatiBundle, z_A_t0, t0):
     """
     k0 = bundle.grid.index_of(t0)
     mf = equilibrium_mf(bundle, z_A_t0, k0)
-    P1 = bundle.P1.slice(k0)
-    g_new = solve_tracking_offset(bundle.params, P1, mf.z, mf.ubar)
-    law = FeedbackLaw(params=bundle.params, P1=P1, g=g_new)
+    g_new = solve_tracking_offset(bundle, mf.z, mf.ubar)
+    law = FeedbackLaw(params=bundle.params, P1=bundle.P1.slice(k0), g=g_new)
     return {"z_new": mf.z, "ubar_new": mf.ubar, "g_new": g_new, "law": law}
 
 

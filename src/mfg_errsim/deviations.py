@@ -29,7 +29,6 @@ from .riccati import (
     agent_generator,
     control,
     coupling_weight,
-    mf_generator,
     offset_generator,
 )
 
@@ -103,7 +102,6 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
 
     # the offset deviation runs backward: d(dg)/dt = -(Hg dg + S dz)
     Hg = offset_generator(params, P1v, params.BFRB)
-    Hz = mf_generator(params, P1v)
 
     Phi1 = bundle.Phi1
     S = coupling_weight(params, bundle.P1)  # P1 C - P1 F R^-1 B' P1 - Q*Gamma
@@ -113,8 +111,9 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     Mg_v = rk4_affine(Hg, -(S @ Phi1.values), MgT, grid, forward=False)
     Mg = MatrixPath(grid, Mg_v)
 
-    # actual mean-field deviation: forward, zero initial state
-    Mz_v = rk4_affine(Hz, -(params.BFRB @ Mg_v), np.zeros((n, n)), grid, forward=True)
+    # actual mean-field deviation: forward under the bundle's step maps of
+    # mf_generator(P1), zero initial state
+    Mz_v = bundle.mf1_steps.solve(-(params.BFRB @ Mg_v), np.zeros((n, n)))
     Mz = MatrixPath(grid, Mz_v)
 
     return DeviationMaps(bundle=bundle, Mg=Mg, Mz=Mz)

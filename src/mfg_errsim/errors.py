@@ -30,6 +30,10 @@ class GridMismatchError(ValueError, MfgError):
     """Paths passed to an operation do not share a grid."""
 
 
+class ParamsMismatchError(ValueError, MfgError):
+    """Objects passed to an operation carry different parameter sets."""
+
+
 class EstimatorPolicyError(ValueError, MfgError):
     """An estimator policy returned errors that do not fit the population."""
 

@@ -12,10 +12,11 @@ For noiseless validation and for the correction pipeline we need the exact
 * x_i     -- the tagged agent's expected trajectory inside that population.
 
 solve_limiting_batch solves any number of (E_i, Ebar) scenarios together:
-the mean fields and offsets are three rk4_affine scans with one column per
-run, and each run solves its x_i on first read, so the trajectories are
-direct solves of their ODEs on the Riccati bundle's grid, independent of
-the linear deviation maps they check.
+the mean fields and offsets are three scans with one column per run, each
+under step maps the Riccati bundle keeps (ode.StepMaps), so a repeated
+parameter set builds no step map; each run solves its x_i on first read
+(one rk4_affine).  The trajectories are direct solves of their ODEs on the
+bundle's grid, independent of the linear deviation maps they check.
 """
 
 from __future__ import annotations
@@ -100,10 +101,12 @@ def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[Limi
     initial mean field, and x0, the agent's true initial state in every
     run, defaults to z0.
 
-    Three scans, one column per run each: the equilibrium mean fields of
-    2S + 1 columns, column 2r from z0 + E_i of pair r, column 2r + 1 from
-    z0 + E_bar of pair r and the last from z0; the tracking offsets of the
-    2S predictions; and the realized mean fields of the S average offsets.
+    Three scans, one column per run each, under the bundle's step maps:
+    the equilibrium mean fields of 2S + 1 columns (mf0_steps), column 2r
+    from z0 + E_i of pair r, column 2r + 1 from z0 + E_bar of pair r and
+    the last from z0; the tracking offsets of the 2S predictions
+    (tracking_steps); and the realized mean fields of the S average
+    offsets (mf1_steps).
     The paths of the returned runs are column views of the batch arrays.
     A run solves the agent trajectory x_i, u_i on its first read.
     """
@@ -115,15 +118,15 @@ def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[Limi
     x0 = z0 if x0 is None else np.asarray(x0, dtype=float)
     S = len(pairs)
 
-    zv = mean_field_path(params, P0v, Gv, np.stack(
-        [z0 + E for pair in pairs for E in pair] + [z0], axis=1), grid)
+    zv = mean_field_path(params, bundle.mf0_steps, Gv, np.stack(
+        [z0 + E for pair in pairs for E in pair] + [z0], axis=1))
     uv = control(params, P0v, zv, Gv)
-    gv = solve_tracking_offset(params, bundle.P1, MatrixPath(grid, zv[:, :, :2 * S]),
+    gv = solve_tracking_offset(bundle, MatrixPath(grid, zv[:, :, :2 * S]),
                                MatrixPath(grid, uv[:, :, :2 * S])).values
 
     # realized mean field of each average offset
     g_bar = gv[:, :, 1::2]
-    za = mean_field_path(params, P1v, g_bar, np.repeat(z0[:, None], S, axis=1), grid)
+    za = mean_field_path(params, bundle.mf1_steps, g_bar, np.repeat(z0[:, None], S, axis=1))
     ua = control(params, P1v, za, g_bar)
 
     def path(a, j):

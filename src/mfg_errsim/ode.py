@@ -6,12 +6,21 @@ one RK4 step (_rk4_step) behind every solver.  Stage values of
 time-varying coefficients at half-steps come from linear interpolation of
 node values (half_nodes), so every coefficient can live on the same grid as
 the solution.  Nonlinear problems step in a Python loop (rk4_steps).  Affine
-problems do not: rk4_affine takes the step once, on strided views of the
-stage coefficients of all steps, to build each step's propagator, and
-composes the propagators with a work-efficient (odd-even) prefix scan of
-about 2K compositions in 2 ceil(log2 K) batched calls.  Backward problems
-are integrated in reversed time with a negative step; returned paths are
-always forward-indexed.
+problems do not.  One RK4 step of dv/dt = H v + f is affine in v and in f,
+v_(k+1) = T_k v_k + c_k, and StepMaps takes the step once for all K steps,
+on strided views of the stage coefficients, to get every step map T_k and
+the weights that give c_k from f; it keeps them with the up-sweep levels of
+a work-efficient odd-even prefix scan over the T_k (Ladner and Fischer
+1980; Blelloch 1990).  A solve then forms its forcing columns c_k and
+scans only them against those levels, fewer than 2K matvec rows in
+2 ceil(log2 K) batched calls, and the transition (fundamental solution) is
+the levels' prefix products.  The step maps depend on H and the grid only,
+so a generator that several solves share keeps one StepMaps
+(riccati.RiccatiBundle keeps three), and rk4_affine is the one-off solve
+for the rest.  Backward problems are integrated in reversed time with a
+negative step; returned paths are always forward-indexed.  _prefix_compose
+is the same scan over whole affine maps [T_k | c_k], for the Monte Carlo
+block steps of the population module.
 
 A constant linear ODE needs no RK4: its exact step map is the matrix
 exponential (expm, Pade scaling and squaring), and matrix_powers gives all
@@ -19,6 +28,8 @@ the map's powers up to a step count with log-depth batched doubling.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -192,66 +203,157 @@ def _prefix_compose(TC, n):
     return out
 
 
+def _up_sweep(T):
+    """The levels of the odd-even scan over the matrices T (K, n, n): T,
+    then the products T_(2i+1) T_(2i) of its pairs, and so on down to one
+    matrix.  Fewer than K products in ceil(log2 K) batched calls."""
+    levels = [T]
+    while len(T) > 1:
+        T = T[1::2] @ T[:len(T) - 1:2]
+        levels.append(T)
+    return levels
+
+
+def _scan(levels, c):
+    """C_k = sum over j <= k of T_k ... T_(j+1) c_j for the columns c
+    (K, n, m), given the up-sweep levels of the T_j: the odd-even scan of
+    _prefix_compose on the columns alone, K - 1 matvec rows per level of
+    length K, fewer than 2K in all."""
+    K = len(c)
+    if K == 1:
+        return c
+    T = levels[0]
+    pairs = T[1::2] @ c[:K - 1:2]
+    pairs += c[1::2]
+    pairs = _scan(levels[1:], pairs)
+    out = np.empty_like(c)
+    out[0] = c[0]
+    out[1::2] = pairs
+    even = np.matmul(T[2::2], pairs[:(K - 1) // 2], out=out[2::2])
+    even += c[2::2]
+    return out
+
+
+class StepMaps:
+    """The RK4 step maps of dv/dt = H(t) v + f(t) on a grid in one
+    direction, for any forcing f and start value.
+
+    Step j, in integration order, is v -> T_j v + c_j with
+    c_j = W0_j f_j + W1_j f_(j+1/2) + (h/6) f_(j+1), f read at the step's
+    first node, midpoint (the nodes' average, as half_nodes) and last node.
+    T, W0 and W1 come from one _rk4_step on the state [I | 0 | 0] under
+    the forcing [0 | I | 0] at the first stage and [0 | 0 | I] at the
+    midpoint stages; they are kept with the up-sweep levels of the T_j, so
+    a solve only scans its forcing columns, and the transition is the
+    unforced solve from I.  Backward maps (forward False) step with
+    negative dt from the grid's end; every returned path is forward-indexed.
+    With forcing False the step is taken on [I] alone and W0, W1 are None,
+    for unforced solves (rk4_affine with f None) at a third of the width.
+    """
+
+    def __init__(self, H, grid, forward=True, forcing=True):
+        H = np.asarray(H, dtype=float)
+        n, K = H.shape[1], grid.steps
+        w = 3 * n if forcing else n
+        self.H, self.grid, self.forward = H, grid, forward
+        self.h = grid.dt if forward else -grid.dt
+        Hh = half_nodes(H)
+        if forward:
+            stages = (slice(0, 2 * K, 2), slice(1, 2 * K, 2), slice(2, None, 2))
+        else:
+            stages = (slice(2 * K, 0, -2), slice(2 * K - 1, None, -2),
+                      slice(2 * K - 2, None, -2))
+        Hs = [Hh[j] for j in stages]
+        eye = np.eye(n)
+
+        def rhs(i, v):
+            dv = Hs[i] @ v
+            if forcing and i < 2:
+                dv[:, :, (i + 1) * n:(i + 2) * n] += eye
+            return dv
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            TW = _rk4_step(rhs, 0, np.broadcast_to(np.eye(n, w), (K, n, w)), self.h, 1)
+            parts = [np.ascontiguousarray(TW[:, :, j:j + n]) for j in range(0, w, n)]
+            self.T = parts[0]
+            self.W0, self.W1 = parts[1:] if forcing else (None, None)
+            self.levels = _up_sweep(self.T)
+        # every solve shares these, so none may write them
+        for a in self.levels + [self.W0, self.W1]:
+            if a is not None:
+                a.flags.writeable = False
+
+    def solve(self, f, v0, k0=0):
+        """Node values of the run over nodes k0..K of the grid, from v0 at
+        its start: node k0 forward, node K backward.
+
+        v0 is a vector (n,) or a matrix (n, m); f, on the run's nodes, has
+        the state's shape at every node, is a vector path (K - k0 + 1, n)
+        forcing every column of a matrix state alike, or is None.  Returns
+        the forward-indexed array (K - k0 + 1,) + v0.shape and raises
+        IntegrationBlowupError at the first non-finite node in integration
+        order, named by its node of the grid.  The run's columns c_j come
+        from two batched matmuls, T_j0 v0 is added to its first, the steps
+        outside it get zero columns, and _scan does the rest: no step map
+        is built, composed or inverted here.
+        """
+        if f is not None and self.W0 is None:
+            raise ValueError("step maps built with forcing=False take no forcing")
+        v0 = np.asarray(v0, dtype=float)
+        V0 = v0[:, None] if v0.ndim == 1 else v0
+        n, m = V0.shape
+        K = self.grid.steps
+        L = K - k0
+        run = slice(k0, K) if self.forward else slice(0, L)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.zeros((K, n, m))
+            if f is not None:
+                f = np.asarray(f, dtype=float).reshape(L + 1, n, -1)
+                if not self.forward:
+                    f = f[::-1]
+                cf = self.W0[run] @ f[:-1]
+                cf += self.W1[run] @ (0.5 * (f[:-1] + f[1:]))
+                cf += (self.h / 6.0) * f[1:]
+                c[run] = cf
+            c[run.start] += self.T[run.start] @ V0
+            C = _scan(self.levels, c)[run]
+        # a non-finite column poisons every later prefix, so the first
+        # non-finite node in step order is the one the step loop would stop at
+        bad = ~np.isfinite(C).all(axis=(1, 2))
+        if bad.any():
+            j = int(np.argmax(bad))
+            k = k0 + j + 1 if self.forward else K - 1 - j
+            _check_finite(C[j], k, self.grid.times[k])
+        out = np.empty((L + 1, n, m))
+        if self.forward:
+            out[0], out[1:] = V0, C
+        else:
+            out[-1], out[:-1] = V0, C[::-1]
+        return out.reshape((L + 1,) + v0.shape)
+
+    @cached_property
+    def transition(self):
+        """The fundamental solution, forward-indexed (K+1, n, n): the
+        unforced solve from I at the start node, so the prefix products
+        T_j ... T_0 of the steps."""
+        out = self.solve(None, np.eye(self.T.shape[1]))
+        out.flags.writeable = False
+        return out
+
+
 def rk4_affine(H, f, v0, grid, forward=True):
     """RK4 for dv/dt = H(t) v + f(t) with H, f given as node arrays (f may
-    be None).
+    be None): StepMaps(H, grid, forward).solve(f, v0), the maps built
+    without forcing weights when f is None.
 
     v0 is the value at t_start (forward) or t_end (backward), a vector (n,)
     or a matrix (n, m).  f has the state's shape at every node, or is a
     vector path (K+1, n) forcing every column of a matrix state alike.
     Returns the full forward-indexed array of node values and raises
-    IntegrationBlowupError at the first non-finite node.
-
-    One RK4 step is affine in v, v_{k+1} = T_k v_k + c_k, so no step loop
-    runs: _rk4_step, called once for all K steps on the state [I | 0] under
-    the forcing [0 | f], gives every [T_k | c_k]; the odd-even prefix scan
-    composes them (about 2K compositions in 2 ceil(log2 K) batched calls),
-    and node values are P_k v0 + C_k.  The K steps read half-nodes 2k,
-    2k + 1 and 2k + 2 (reversed backward), so the three stage coefficients
-    are strided views of the half-node arrays, taken once: no stage call
-    copies a (K, n, n) block out of them.  A forcing shared by all columns
-    is one column of c_k.  With f None every c_k is zero, so the state is I
-    and only the T_k are built and composed.
+    IntegrationBlowupError at the first non-finite node.  A generator that
+    several solves share keeps its StepMaps instead (see riccati.RiccatiBundle).
     """
-    v0 = np.asarray(v0, dtype=float)
-    V0 = v0[:, None] if v0.ndim == 1 else v0
-    n, m = V0.shape
-    K = grid.steps
-    Hh = half_nodes(H)
-    fh = None if f is None else half_nodes(f).reshape(2 * K + 1, n, -1)
-    w = n if fh is None else n + fh.shape[2]
-    if forward:
-        h, nodes = grid.dt, np.arange(1, K + 1)
-        stages = (slice(0, 2 * K, 2), slice(1, 2 * K, 2), slice(2, None, 2))
-    else:
-        h, nodes = -grid.dt, np.arange(K - 1, -1, -1)
-        stages = (slice(2 * K, 0, -2), slice(2 * K - 1, None, -2), slice(2 * K - 2, None, -2))
-    Hs = [Hh[j] for j in stages]
-    fs = None if fh is None else [fh[j] for j in stages]
-
-    def rhs(i, v):
-        dv = Hs[i] @ v
-        if fs is not None:
-            dv[:, :, n:] += fs[i]
-        return dv
-
-    U0 = np.broadcast_to(np.eye(n, w), (K, n, w))
-    out = np.empty((K + 1, n, m))
-    out[0 if forward else K] = V0
-    with np.errstate(over="ignore", invalid="ignore"):
-        TC = _rk4_step(rhs, 0, U0, h, 1)
-        PC = _prefix_compose(TC, n)
-        vals = PC[:, :, :n] @ V0
-        if fh is not None:
-            vals += PC[:, :, n:]
-        out[nodes] = vals
-    # a non-finite step poisons every later prefix, so the first non-finite
-    # node in step order is the one the step loop would stop at
-    bad = ~np.isfinite(out[nodes]).all(axis=(1, 2))
-    if bad.any():
-        k = nodes[np.argmax(bad)]
-        _check_finite(out[k], k, grid.times[k])
-    return out.reshape((K + 1,) + v0.shape)
+    return StepMaps(H, grid, forward, forcing=f is not None).solve(f, v0)
 
 
 def cumulative_trapezoid(a, dt):

@@ -8,10 +8,12 @@ the horizon T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
+from .errors import ParamsMismatchError
 from .grid import TimeGrid
 
 
@@ -152,11 +154,26 @@ class SystemParams:
         """Composite running target Q_I s + Q eta."""
         return self.Q_I @ self.s + self.Q @ self.eta
 
+    @cached_property
+    def key(self) -> tuple:
+        """The horizon and the shape and bytes of every array field: two
+        sets with equal keys are the same game."""
+        arrays = (getattr(self, f.name) for f in fields(self))
+        return (self.T,) + tuple(
+            (a.shape, a.tobytes()) for a in arrays if isinstance(a, np.ndarray))
+
     def with_(self, **kw) -> "SystemParams":
         return replace(self, **kw)
 
     def default_grid(self, steps: int = 2000) -> TimeGrid:
         return TimeGrid(0.0, self.T, steps)
+
+
+def require_same_params(params: SystemParams, owner, what: str) -> None:
+    """Raise ParamsMismatchError unless params is the parameter set owner
+    (a feedback law or a Riccati bundle, named by what) carries."""
+    if params is not owner.params and params.key != owner.params.key:
+        raise ParamsMismatchError(f"params differ from the parameter set of the {what}")
 
 
 def p6_params() -> SystemParams:

@@ -32,7 +32,7 @@ from .core import FeedbackLaw
 from .errors import IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from .ode import _prefix_compose
-from .params import SystemParams
+from .params import SystemParams, require_same_params
 from .riccati import agent_generator, mf_generator
 
 _SAMPLING = 0
@@ -457,7 +457,9 @@ def simulate(
     (z_path, ubar_path) pair of prescribed mean-field paths on that grid.
     D overrides the noise matrix (see euler_maruyama).  The agents are
     stepped a block of nodes at a time by prefix scans (see _step_agents).
+    params must be the law's parameter set (ParamsMismatchError otherwise).
     """
+    require_same_params(params, law, "law")
     paths = () if mf_coupling == "empirical" else tuple(mf_coupling)
     grid = require_same_grid(law if grid is None else grid, law, *paths)
     N = len(population)
@@ -472,7 +474,9 @@ def simulate(
 
 def replay_agent(params, trace: AgentTrace, law, z_path, ubar_path, grid, seed, D=None):
     """Re-run one agent with a different law against prescribed mean-field
-    paths, reusing the agent's own dynamics noise stream."""
+    paths, reusing the agent's own dynamics noise stream.  params must be
+    the law's parameter set (ParamsMismatchError otherwise)."""
+    require_same_params(params, law, "law")
     grid = require_same_grid(grid, law, z_path, ubar_path)
     xs, us, *_ = _step_agents(params, law, trace.x.initial[None, :], [trace.agent_id],
                               (z_path.values, ubar_path.values), seed, D)

@@ -29,15 +29,15 @@ from .core import FeedbackLaw, equilibrium_mf
 from .deviations import DeviationMaps
 from .errors import EstimatorPolicyError, GridMismatchError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import cumulative_trapezoid, invert_path, rk4_affine
-from .params import SystemParams
+from .ode import StepMaps, cumulative_trapezoid, invert_path
+from .params import SystemParams, require_same_params
 from .population import agent_sum, euler_maruyama
 from .riccati import (
     RiccatiBundle,
     control,
     coupling_weight,
     mean_field_path,
-    offset_generator,
+    mf_generator,
     solve_tracking_offset,
 )
 
@@ -96,7 +96,7 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
     params, grid = bundle.params, bundle.grid
     K = grid.steps
     P1v, P2v = bundle.P1.values, bundle.P2.values
-    BFRB, BRB = params.BFRB, params.BRB
+    BFRB = params.BFRB
     PhiZ, Phi1 = bundle.PhiZ, bundle.Phi1
     PhiZ_inv = invert_path(PhiZ)
     Phi1_inv = invert_path(Phi1)
@@ -106,17 +106,16 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
     J = cumulative_trapezoid(PhiZ_inv @ (BFRB @ P2Phi1), grid.dt)
 
     S = coupling_weight(params, bundle.P1)
-    Hback = offset_generator(params, P1v, BRB)
 
-    # V and U run backward under Hback, as the columns of one scan [V | U]:
-    # V driven by S PhiZ, terminal -Qbar Gammabar PhiZ(T); U driven by
+    # V and U run backward under offset_generator(P1, BRB), whose step maps
+    # the bundle keeps, as the columns of one scan [V | U]: V driven by
+    # S PhiZ, terminal -Qbar Gammabar PhiZ(T); U driven by
     # -S PhiZ J - P1 F R^-1 B' P2 Phi1, terminal +Qbar Gammabar PhiZ(T) J(T)
     n = params.n
     SPhiZ = S @ PhiZ.values
     f = np.concatenate([-SPhiZ, SPhiZ @ J + P1v @ (params.FRB @ P2Phi1)], axis=2)
     VT = -params.Qbar @ params.Gammabar @ PhiZ.terminal
-    VU = rk4_affine(Hback, f, np.concatenate([VT, -VT @ J[K]], axis=1), grid,
-                    forward=False)
+    VU = bundle.tracking_steps.solve(f, np.concatenate([VT, -VT @ J[K]], axis=1))
     V, U = VU[:, :, :n], VU[:, :, n:]
 
     Mig_diag = V @ PhiZ_inv
@@ -167,20 +166,22 @@ def restricted_prediction(bundle: RiccatiBundle, est: EstimatorState, route="p2"
     if route == "p2":
         Pbar = P1.values + bundle.P2.slice(k0).values
         Gbar = bundle.G1.slice(k0).values
+        steps, start = StepMaps(mf_generator(params, Pbar), sub), 0
     elif route == "p0":
         Pbar = bundle.P0.slice(k0).values
         Gbar = bundle.G.slice(k0).values
+        steps, start = bundle.mf0_steps, k0
     else:
         raise ValueError(f"unknown route {route!r}")
-    zbar_v = mean_field_path(params, Pbar, Gbar, est.zbar_hat, sub)
+    zbar_v = mean_field_path(params, steps, Gbar, est.zbar_hat, start)
     gbar_v = np.einsum("kij,kj->ki", Pbar - P1.values, zbar_v) + Gbar
     zbar = VectorPath(sub, zbar_v)
     gbar = VectorPath(sub, gbar_v)
 
     # own mean-field estimate, driven by the predicted average offset
-    z_hat = VectorPath(sub, mean_field_path(params, P1.values, gbar_v, est.z_hat, sub))
+    z_hat = VectorPath(sub, mean_field_path(params, bundle.mf1_steps, gbar_v, est.z_hat, k0))
     ubar = VectorPath(sub, control(params, P1.values, z_hat.values, gbar_v))
-    g_i = solve_tracking_offset(params, P1, z_hat, ubar)
+    g_i = solve_tracking_offset(bundle, z_hat, ubar)
     law = FeedbackLaw(params=params, P1=P1, g=g_i)
     return {"zbar": zbar, "gbar": gbar, "z_hat": z_hat, "ubar": ubar,
             "g_i": g_i, "law": law}
@@ -293,11 +294,13 @@ def realtime_simulate(
     supplied by one policy call per node (see the protocol above); output
     that does not broadcast to (N, n) raises EstimatorPolicyError.  The run
     takes place on the bundle's grid; a grid or kernels on another grid
-    raise GridMismatchError, a non-finite state IntegrationBlowupError.
+    raise GridMismatchError, params other than the bundle's
+    ParamsMismatchError, a non-finite state IntegrationBlowupError.
     Returns the realized mean field, the correct-information reference,
     realized error paths, and a report comparing the realized deviation
     with the linear-theory quadrature.
     """
+    require_same_params(params, bundle, "bundle")
     if kernels is None:
         kernels = build_kernels(bundle)
     grid = require_same_grid(bundle if grid is None else grid, bundle, kernels)

@@ -26,10 +26,14 @@ The closed-loop generators, the feedback control and the forward
 mean-field solve that every downstream module runs are defined here once.
 RiccatiBundle solves P1, P0 and G with the bundle and the rest on first
 read: P2 and G1, which only the realtime kernels and the "p2" prediction
-route read, and the two forward transitions Phi1 and PhiZ (the deviation
-maps read Phi1, the realtime kernels both).  Every path is read-only, so a
-bundle can be shared.  Past P1 and P0, every solve takes its grid from the
-paths it is given, so no solve can pair a path with another grid.
+route read; the RK4 step maps (ode.StepMaps) of the three generators that
+several solves share, mf_generator(P0), mf_generator(P1) and the tracking
+offset's offset_generator(P1, BRB), so each of those solves only scans its
+forcing; and the two forward transitions Phi1 and PhiZ, the prefix
+products of the first two (the deviation maps read Phi1, the realtime
+kernels both).  Every path is read-only, so a bundle can be shared.  Past
+P1 and P0, every solve takes its grid from the paths or the bundle it is
+given, so no solve can pair a path with another grid.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FiniteEscapeError, IntegrationBlowupError
+from .errors import FiniteEscapeError, GridMismatchError, IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import _RCOND_MIN, expm, fundamental_solution, matrix_powers, rk4_affine
+from .ode import _RCOND_MIN, StepMaps, expm, matrix_powers, rk4_affine
 from .params import SystemParams
 
 
@@ -93,14 +97,14 @@ def control(params: SystemParams, P, x, g=None) -> np.ndarray:
     return np.negative(Px, out=Px) @ params.RinvBtT
 
 
-def mean_field_path(params: SystemParams, P, G, z0, grid: TimeGrid) -> np.ndarray:
+def mean_field_path(params: SystemParams, steps: StepMaps, G, z0, k0=0) -> np.ndarray:
     """Forward mean-field solve dz = [mf_generator(P) z - (B+F) R^-1 B' G] dt
-    from z(t_start) = z0, on node arrays P and G of the grid.  z0 is (n,)
-    or (n, m), one column per run; G is (K+1, n), shared by every run, or
-    (K+1, n, m)."""
+    from z(t_k0) = z0, with steps the forward step maps of mf_generator(P)
+    (a RiccatiBundle keeps those of P0 and P1).  G is a node array of the
+    nodes k0..K, (K-k0+1, n), shared by every run, or (K-k0+1, n, m); z0 is
+    (n,) or (n, m), one column per run."""
     f = -(params.BFRB @ G) if G.ndim == 3 else -(G @ params.BFRB.T)
-    return rk4_affine(mf_generator(params, P), f, np.asarray(z0, dtype=float),
-                      grid, forward=True)
+    return steps.solve(f, np.asarray(z0, dtype=float), k0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +115,16 @@ def mean_field_path(params: SystemParams, P, G, z0, grid: TimeGrid) -> np.ndarra
 _RK4_REAL_BOUND = 2.785
 
 
-def _backward_linear(H, f, vT, grid, what):
-    """rk4_affine backward from vT.  A linear ODE has no finite escape, so a
-    non-finite node is a step-size instability: the IntegrationBlowupError
-    names the grid's steps and dt rho(H)."""
-    try:
-        return rk4_affine(H, f, vT, grid, forward=False)
-    except IntegrationBlowupError as e:
-        rho = np.max(np.abs(np.linalg.eigvals(H)))
-        raise IntegrationBlowupError(
-            f"{what} blew up near t={e.time:.6g} with grid_steps={grid.steps}: "
-            f"dt*rho(H) = {grid.dt * rho:.4g} against RK4's real stability bound "
-            f"of about {_RK4_REAL_BOUND}", node=e.node, time=e.time
-        ) from e
+def _step_size_error(e, H, grid, what):
+    """The error of a backward linear solve on grid under the generator H
+    that blew up with e.  A linear ODE has no finite escape, so a non-finite
+    node is a step-size instability: the IntegrationBlowupError names the
+    grid's steps and dt rho(H)."""
+    rho = np.max(np.abs(np.linalg.eigvals(H)))
+    return IntegrationBlowupError(
+        f"{what} blew up near t={e.time:.6g} with grid_steps={grid.steps}: "
+        f"dt*rho(H) = {grid.dt * rho:.4g} against RK4's real stability bound "
+        f"of about {_RK4_REAL_BOUND}", node=e.node, time=e.time)
 
 
 # Riccati solves through the linear Hamiltonian system: P = Y X^-1 with
@@ -302,35 +303,41 @@ def _solve_offset(params: SystemParams, P, grid: TimeGrid, what) -> VectorPath:
     H = offset_generator(params, P, params.BFRB)
     f = np.broadcast_to(params.nu, (grid.steps + 1, params.n))
     GT = -params.Qbar_I @ params.sbar - params.Qbar @ params.etabar
-    values = _backward_linear(H, f, GT, grid, what)
+    try:
+        values = rk4_affine(H, f, GT, grid, forward=False)
+    except IntegrationBlowupError as e:
+        raise _step_size_error(e, H, grid, what) from e
     return VectorPath(grid, values)
 
 
-def solve_tracking_offset(params: SystemParams, P1: MatrixPath, z_path, ubar_path):
+def solve_tracking_offset(bundle: "RiccatiBundle", z_path, ubar_path):
     """Backward tracking offset g driven by mean-field paths (z, ubar), on
-    the grid P1, z and ubar share (GridMismatchError otherwise):
+    the grid z and ubar share, which must be the bundle's or its tail
+    [t_k0, T] (GridMismatchError otherwise):
 
     dg = -[(A' - P1 B R^-1 B') g + (P1 C - Q*Gamma) z + P1 F ubar - Q_I s - Q eta] dt,
     g(T) = -Qbar_I sbar - Qbar (Gammabar z(T) + etabar).
 
     z and ubar are VectorPaths, giving a VectorPath, or MatrixPaths with one
-    column per run, giving a MatrixPath of the runs' offsets.
+    column per run, giving a MatrixPath of the runs' offsets.  The solve
+    scans the drive under the bundle's tracking_steps, which it stops at
+    node k0, with the drive matrices P1 C - Q*Gamma and P1 F the bundle
+    keeps beside them.
     """
-    grid = require_same_grid(P1, z_path, ubar_path)
-    P1v = P1.values
+    params = bundle.params
+    grid = require_same_grid(z_path, ubar_path)
+    k0 = bundle.start_node(grid)
     z, ub = _cols(z_path.values), _cols(ubar_path.values)
-    H = offset_generator(params, P1v, params.BRB)
-    drive = (
-        (P1v @ params.C) @ z
-        - (params.Q @ params.Gamma) @ z
-        + (P1v @ params.F) @ ub
-        - params.nu[:, None]
-    )
-    f = -drive
-    zT = z[-1]
+    PCQG, P1F = (a[k0:] for a in bundle.tracking_drive)
+    f = params.nu[:, None] - PCQG @ z
+    f -= P1F @ ub
     gT = (-params.Qbar_I @ params.sbar)[:, None] - params.Qbar @ (
-        params.Gammabar @ zT + params.etabar[:, None])
-    values = _backward_linear(H, f, gT, grid, "g")
+        params.Gammabar @ z[-1] + params.etabar[:, None])
+    steps = bundle.tracking_steps
+    try:
+        values = steps.solve(f, gT, k0)
+    except IntegrationBlowupError as e:
+        raise _step_size_error(e, steps.H, bundle.grid, "g") from e
     if z_path.values.ndim == 2:
         return VectorPath(grid, values[..., 0])
     return MatrixPath(grid, values)
@@ -340,9 +347,9 @@ def solve_tracking_offset(params: SystemParams, P1: MatrixPath, z_path, ubar_pat
 class RiccatiBundle:
     """All Riccati/offset solutions on one grid, plus the generating params.
 
-    P1, P0 and G are solved with the bundle; P2, G1 and the transitions
-    Phi1, PhiZ are solved on first read, so a caller pays only for what it
-    reads."""
+    P1, P0 and G are solved with the bundle; P2, G1, the step maps of the
+    shared generators and the transitions Phi1, PhiZ are built on first
+    read, so a caller pays only for what it reads, and once."""
 
     params: SystemParams
     grid: TimeGrid
@@ -376,14 +383,50 @@ class RiccatiBundle:
         return solve_G1(self.params, self.P1, self.P2)
 
     @cached_property
+    def mf0_steps(self) -> StepMaps:
+        """Forward step maps of mf_generator(P0): Phi1 and the equilibrium
+        mean fields (core.equilibrium_mf, limiting.solve_limiting_batch)."""
+        return StepMaps(mf_generator(self.params, self.P0.values), self.grid)
+
+    @cached_property
+    def mf1_steps(self) -> StepMaps:
+        """Forward step maps of mf_generator(P1): PhiZ, the deviation map Mz
+        and the realized mean fields."""
+        return StepMaps(mf_generator(self.params, self.P1.values), self.grid)
+
+    @cached_property
+    def tracking_steps(self) -> StepMaps:
+        """Backward step maps of offset_generator(P1, BRB), the generator of
+        the tracking offset (solve_tracking_offset) and of the realtime
+        kernels V and U."""
+        return StepMaps(offset_generator(self.params, self.P1.values, self.params.BRB),
+                        self.grid, forward=False)
+
+    @cached_property
+    def tracking_drive(self) -> tuple:
+        """(P1 C - Q*Gamma, P1 F) at every node, the matrices that drive the
+        tracking offset with z and ubar."""
+        p, P1v = self.params, self.P1.values
+        drive = P1v @ p.C - p.Q @ p.Gamma, P1v @ p.F
+        for a in drive:
+            a.flags.writeable = False
+        return drive
+
+    @cached_property
     def Phi1(self) -> MatrixPath:
         """Predicted-equilibrium transition: generator mf_generator(P0), I at t_start."""
-        return self._mf_transition(self.P0)
+        return MatrixPath(self.grid, self.mf0_steps.transition)
 
     @cached_property
     def PhiZ(self) -> MatrixPath:
         """Actual-mean-field transition: generator mf_generator(P1), I at t_start."""
-        return self._mf_transition(self.P1)
+        return MatrixPath(self.grid, self.mf1_steps.transition)
 
-    def _mf_transition(self, P: MatrixPath) -> MatrixPath:
-        return fundamental_solution(MatrixPath(self.grid, mf_generator(self.params, P.values)))
+    def start_node(self, grid: TimeGrid) -> int:
+        """The node k0 at which grid, the bundle's grid or its tail
+        [t_k0, T], starts; GridMismatchError for any other grid."""
+        k0 = self.grid.steps - grid.steps
+        if k0 < 0:
+            raise GridMismatchError(f"grids differ: {self.grid} vs {grid}")
+        require_same_grid(self.grid.subgrid(k0), grid)
+        return k0

@@ -378,9 +378,7 @@ class _Solved:
 
 def _solved(params: SystemParams, grid) -> _Solved:
     """The kept solves of (params, grid), solving them on a miss."""
-    arrays = (getattr(params, f.name) for f in fields(params))
-    key = (grid, params.T) + tuple(
-        (a.shape, a.tobytes()) for a in arrays if isinstance(a, np.ndarray))
+    key = (grid,) + params.key
     entry = _solved_cache.get(key)
     if entry is not None:
         entry.hits += 1

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfg_errsim import ode
 from mfg_errsim.errors import (
@@ -267,21 +269,126 @@ def test_prefix_compose_matches_a_left_fold(w):
 
 
 def test_rk4_affine_scan_composes_at_most_2k_rows(monkeypatch):
-    # a doubling scan composes about K log2 K rows; the odd-even scan < 2K
-    calls = []
-    compose = ode._compose
+    # a doubling scan composes about K log2 K rows; the odd-even scan < 2K:
+    # the up-sweep forms fewer than K matrix products, and the scan of the
+    # forcing columns K - 1 matvec rows per level of length K, two batched
+    # calls per level
+    levels, scans = [], []
+    up_sweep, scan = ode._up_sweep, ode._scan
 
-    def counted(L, R, n):
-        calls.append(len(L))
-        return compose(L, R, n)
+    def counted_up_sweep(T):
+        out = up_sweep(T)
+        levels.extend(len(L) for L in out[1:])
+        return out
 
-    monkeypatch.setattr(ode, "_compose", counted)
+    def counted_scan(lv, c):
+        scans.append(len(c) - 1)
+        return scan(lv, c)
+
+    monkeypatch.setattr(ode, "_up_sweep", counted_up_sweep)
+    monkeypatch.setattr(ode, "_scan", counted_scan)
     K = 2000
     grid = TimeGrid(0.0, 2.0, K)
     f = np.ones((K + 1, 3))
     rk4_affine(_varying_generator(grid.times), f, np.zeros(3), grid)
-    assert 0 < sum(calls) <= 2 * K
-    assert len(calls) <= 2 * math.ceil(math.log2(K))
+    assert 0 < sum(levels) < K
+    assert len(levels) <= math.ceil(math.log2(K))
+    assert 0 < sum(scans) <= 2 * K
+    assert 2 * len([r for r in scans if r > 0]) <= 2 * math.ceil(math.log2(K))
+
+
+def _composed_rk4_affine(H, f, v0, grid, forward):
+    """The affine solve as the [T_k | c_k] composition scan that preceded
+    the step maps: _rk4_step on [I | 0] under the forcing [0 | f] for all
+    steps at once, ode._prefix_compose of the maps, node values
+    P_k v0 + C_k.  The reference for StepMaps.solve."""
+    v0 = np.asarray(v0, dtype=float)
+    V0 = v0[:, None] if v0.ndim == 1 else v0
+    n, m = V0.shape
+    K = grid.steps
+    Hh = half_nodes(H)
+    fh = None if f is None else half_nodes(f).reshape(2 * K + 1, n, -1)
+    w = n if fh is None else n + fh.shape[2]
+    if forward:
+        h, nodes = grid.dt, np.arange(1, K + 1)
+        stages = (slice(0, 2 * K, 2), slice(1, 2 * K, 2), slice(2, None, 2))
+    else:
+        h, nodes = -grid.dt, np.arange(K - 1, -1, -1)
+        stages = (slice(2 * K, 0, -2), slice(2 * K - 1, None, -2), slice(2 * K - 2, None, -2))
+    Hs = [Hh[j] for j in stages]
+    fs = None if fh is None else [fh[j] for j in stages]
+
+    def rhs(i, v):
+        dv = Hs[i] @ v
+        if fs is not None:
+            dv[:, :, n:] += fs[i]
+        return dv
+
+    out = np.empty((K + 1, n, m))
+    out[0 if forward else K] = V0
+    PC = ode._prefix_compose(ode._rk4_step(rhs, 0, np.broadcast_to(np.eye(n, w), (K, n, w)),
+                                           h, 1), n)
+    vals = PC[:, :, :n] @ V0
+    if fh is not None:
+        vals += PC[:, :, n:]
+    out[nodes] = vals
+    return out.reshape((K + 1,) + v0.shape)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(n=st.integers(1, 4), K=st.integers(1, 70), forward=st.booleans(),
+       columns=st.sampled_from([None, 1, 3]), forcing=st.sampled_from(["own", "shared", None]),
+       start=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_step_maps_solve_is_the_composed_scan_and_superposes(n, K, forward, columns, forcing,
+                                                            start, seed):
+    # columns None is a vector state; a shared forcing is a vector path
+    # driving every column of a matrix state; start puts the run on nodes
+    # k0..K of the grid the step maps were built on
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, 1.5, K)
+    k0 = min(int(start * K), K - 1)
+    t = grid.times[:, None, None]
+    H = (rng.standard_normal((n, n)) + np.sin(2.0 * t) * rng.standard_normal((n, n))
+         + t * rng.standard_normal((n, n)))
+    shape = (n,) if columns is None else (n, columns)
+    fshape = {"own": shape, "shared": (n,), None: None}[forcing]
+    steps = ode.StepMaps(H, grid, forward)
+    sub = grid.subgrid(k0)
+
+    def draw():
+        v0 = rng.standard_normal(shape)
+        if fshape is None:
+            return None, v0
+        return rng.standard_normal((K - k0 + 1,) + fshape), v0
+
+    (f1, v1), (f2, v2) = draw(), draw()
+    got = steps.solve(f1, v1, k0)
+    ref = _composed_rk4_affine(H[k0:], f1, v1, sub, forward)
+    assert got.shape == ref.shape == (K - k0 + 1,) + shape
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    npt.assert_array_equal(got[0 if forward else -1], v1)
+
+    a, b = rng.uniform(-2.0, 2.0, 2)
+    mixed = steps.solve(None if f1 is None else a * f1 + b * f2, a * v1 + b * v2, k0)
+    parts = a * got + b * steps.solve(f2, v2, k0)
+    assert np.max(np.abs(mixed - parts)) <= 1e-12 * max(np.max(np.abs(parts)), scale)
+
+    if f1 is not None:
+        j = int(rng.integers(0, K - k0 + 1))
+        bad = f1.copy()
+        bad[(j,) + (0,) * len(fshape)] = np.inf
+        loop_f = bad if forcing == "own" or columns is None else bad[..., None]
+        nodes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationBlowupError) as ei:
+                steps.solve(bad, v1, k0)
+            nodes.append(ei.value.node)
+            with pytest.raises(IntegrationBlowupError) as ei:
+                _affine_step_loop(H[k0:], loop_f, v1, sub, forward)
+            nodes.append(k0 + ei.value.node)
+        assert nodes[0] == nodes[1]
 
 
 def test_fundamental_solution_constant_coefficients():

@@ -8,9 +8,22 @@ import pytest
 
 from mfg_errsim.core import FeedbackLaw
 from mfg_errsim.core import equilibrium_law, equilibrium_mf
-from mfg_errsim.errors import GridMismatchError, IntegrationBlowupError
+from mfg_errsim.errors import (
+    GridMismatchError,
+    IntegrationBlowupError,
+    MfgError,
+    ParamsMismatchError,
+)
 from mfg_errsim.grid import MatrixPath, VectorPath
-from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV, P6_Z0, SystemParams, s1_params
+from mfg_errsim.params import (
+    P6_ERROR_COV,
+    P6_INIT_COV,
+    P6_Z0,
+    SystemParams,
+    p6_params,
+    s1_params,
+)
+from mfg_errsim.realtime import realtime_simulate, truth_policy
 from mfg_errsim.riccati import RiccatiBundle, agent_generator, control
 from mfg_errsim.population import (
     _DYNAMICS,
@@ -427,3 +440,30 @@ def test_a_noisy_run_holds_little_beyond_its_paths(params):
     finally:
         tracemalloc.stop()
     assert peak <= res.xs.nbytes + res.us.nbytes + 0.5 * res.xs.nbytes
+
+
+def test_a_params_argument_other_than_the_law_or_bundle_fails_loudly():
+    # A = -2 I steers the dynamics of the run while the law and the bundle
+    # hold P6: unchecked, x_N and z_A move by 0.159 without an error
+    p6 = p6_params()
+    other = p6.with_(A=-2.0 * np.eye(2))
+    grid = p6.default_grid(400)
+    bundle = RiccatiBundle.solve(p6, grid)
+    mf = equilibrium_mf(bundle, P6_Z0)
+    law = equilibrium_law(bundle, mf)
+    pop = sample_population(20, init_mean=P6_Z0, init_cov=P6_INIT_COV,
+                            error_mean=np.zeros(2), error_cov=P6_ERROR_COV, seed=3)
+    # an equal parameter set in another object is the same game
+    res = simulate(p6.with_(), pop, law, grid=grid, seed=3, D=0.0)
+    runs = (
+        lambda params: simulate(params, pop, law, grid=grid, seed=3, D=0.0),
+        lambda params: replay_agent(params, res.traces[0], law, mf.z, mf.ubar, grid,
+                                    seed=3, D=0.0),
+        lambda params: realtime_simulate(params, bundle, pop, truth_policy(), seed=3,
+                                         D=0.0),
+    )
+    for run in runs:
+        run(p6.with_())
+        with pytest.raises(ParamsMismatchError) as ei:
+            run(other)
+        assert isinstance(ei.value, ValueError) and isinstance(ei.value, MfgError)

@@ -10,9 +10,14 @@ from mfg_errsim.errors import FiniteEscapeError, GridMismatchError, IntegrationB
 from mfg_errsim.grid import MatrixPath, TimeGrid
 from mfg_errsim.ode import half_nodes, rk4_nonlinear, rk4_steps
 from mfg_errsim.params import p6_params, s1_params
+from mfg_errsim.core import equilibrium_mf
+from mfg_errsim.deviations import build_maps
+from mfg_errsim.limiting import solve_limiting
 from mfg_errsim.riccati import (
     RiccatiBundle,
     coupling_weight,
+    mf_generator,
+    offset_generator,
     solve_G,
     solve_G1,
     solve_P0,
@@ -114,7 +119,7 @@ def test_offset_terminal_values(bundle, params):
 
 
 def test_tracking_offset_terminal_value(bundle, params, mf_c):
-    g = solve_tracking_offset(params, bundle.P1, mf_c.z, mf_c.ubar)
+    g = solve_tracking_offset(bundle, mf_c.z, mf_c.ubar)
     gT = -params.Qbar_I @ params.sbar - params.Qbar @ (
         params.Gammabar @ mf_c.z.terminal + params.etabar
     )
@@ -190,6 +195,75 @@ def test_long_horizon_matches_the_step_loop():
         assert np.max(np.abs(path.values - ref)) < 1e-11
 
 
+def _rk4_step_loop(H, f, v0, grid, forward):
+    """The classical RK4 step loop on dv/dt = H v + f, written out, with H
+    and f read at half-steps as the average of the two nodes: the
+    reference for the scans under step maps."""
+    K, h = grid.steps, grid.dt if forward else -grid.dt
+    Hm, fm = 0.5 * (H[:-1] + H[1:]), 0.5 * (f[:-1] + f[1:])
+    out = np.empty((K + 1,) + np.shape(v0))
+    v = out[0 if forward else K] = v0
+    for a in range(K) if forward else range(K, 0, -1):
+        b, mid = (a + 1, a) if forward else (a - 1, a - 1)
+        k1 = H[a] @ v + f[a]
+        k2 = Hm[mid] @ (v + 0.5 * h * k1) + fm[mid]
+        k3 = Hm[mid] @ (v + 0.5 * h * k2) + fm[mid]
+        k4 = H[b] @ (v + h * k3) + f[b]
+        v = out[b] = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def test_long_horizon_forced_solves_under_step_maps_match_the_step_loop():
+    # T = 50 on a non-commuting set whose mf_generator(P1) has an eigenvalue
+    # of real part 0.13, so PhiZ and the realized mean field grow over the
+    # horizon (|PhiZ| reaches about 400)
+    p = p6_params().with_(
+        T=50.0, A=np.array([[-1.0, 0.3], [-0.2, -0.8]]),
+        B=np.array([[0.6, 0.1], [-0.2, 0.4]]), C=np.array([[1.3, -0.1], [0.25, 1.1]]),
+        F=np.array([[0.2, 0.05], [-0.1, 0.3]]), R=np.array([[1.2, 0.3], [0.3, 0.8]]),
+        Gamma=np.array([[0.5, 0.2], [-0.1, 0.4]]))
+    grid = p.default_grid(5000)
+    b = RiccatiBundle.solve(p, grid)
+    P0v, P1v = b.P0.values, b.P1.values
+    H0, H1 = mf_generator(p, P0v), mf_generator(p, P1v)
+    Hg = offset_generator(p, P1v, p.BRB)
+    assert np.max(np.linalg.eigvals(H1).real) > 0.1
+    assert np.max(np.abs(b.PhiZ.values)) > 100.0
+    z0, E = np.array([0.4, -0.2]), np.array([0.08, -0.12])
+
+    def check(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # equilibrium mean field from t_0 and from a midgrid start
+    mf = equilibrium_mf(b, z0)
+    check(mf.z.values, _rk4_step_loop(H0, -(b.G.values @ p.BFRB.T), z0, grid, True))
+    k0 = 1700
+    mf_k = equilibrium_mf(b, z0, k0)
+    check(mf_k.z.values, _rk4_step_loop(H0[k0:], -(b.G.values[k0:] @ p.BFRB.T), z0,
+                                        grid.subgrid(k0), True))
+    # tracking offsets on the whole grid and on the tail
+    for m in (mf, mf_k):
+        k = grid.steps - m.z.grid.steps
+        z, ub = m.z.values, m.ubar.values
+        drive = (np.einsum("kij,kj->ki", P1v[k:] @ p.C - p.Q @ p.Gamma, z)
+                 + np.einsum("kij,kj->ki", P1v[k:] @ p.F, ub) - p.nu)
+        gT = -p.Qbar_I @ p.sbar - p.Qbar @ (p.Gammabar @ z[-1] + p.etabar)
+        check(solve_tracking_offset(b, m.z, m.ubar).values,
+              _rk4_step_loop(Hg[k:], -drive, gT, m.z.grid, False))
+    # realized mean field of one average offset
+    run = solve_limiting(b, z0, E, E)
+    check(run.z_A.values, _rk4_step_loop(H1, -(run.g_bar.values @ p.BFRB.T), z0, grid, True))
+    # the deviation maps Mg (one-off backward solve) and Mz (under mf_generator(P1))
+    maps = build_maps(b)
+    S = coupling_weight(p, b.P1)
+    MgT = -p.Qbar @ p.Gammabar @ b.Phi1.terminal
+    check(maps.Mg.values, _rk4_step_loop(offset_generator(p, P1v, p.BFRB),
+                                         -(S @ b.Phi1.values), MgT, grid, False))
+    check(maps.Mz.values, _rk4_step_loop(H1, -(p.BFRB @ maps.Mg.values), np.zeros((2, 2)),
+                                         grid, True))
+    check(b.PhiZ.values, _rk4_step_loop(H1, np.zeros_like(H1), np.eye(2), grid, True))
+
+
 def test_very_long_horizon_reanchors_to_the_algebraic_solution():
     # at T = 800 one step map's power over all 8000 steps would overflow
     # (the Hamiltonian's growth rate is sqrt(3/2), and 800 sqrt(3/2) > 709)
@@ -228,7 +302,7 @@ def test_solves_on_a_sliced_path_live_on_its_grid(bundle, params, mf_c):
     P0, P1 = bundle.P0.slice(k), bundle.P1.slice(k)
     z, ubar = mf_c.z.slice(k), mf_c.ubar.slice(k)
     G = solve_G(params, P0)
-    for path in (G, solve_P2(params, P1), solve_tracking_offset(params, P1, z, ubar)):
+    for path in (G, solve_P2(params, P1), solve_tracking_offset(bundle, z, ubar)):
         assert path.grid == P1.grid and len(path) == len(P1)
     # G on the slice ends where the full G does and steps the same nodes back
     npt.assert_allclose(G.values, bundle.G.values[k:], atol=1e-12)
@@ -240,6 +314,16 @@ def test_G1_needs_P1_and_P2_on_one_grid(bundle, params):
                   MatrixPath(TimeGrid(0.0, 2.0 * P2.grid.t_end, P2.grid.steps), P2.values)):
         with pytest.raises(GridMismatchError):
             solve_G1(params, P1, other)
+
+
+def test_tracking_offset_needs_a_tail_of_the_bundle_grid(bundle, mf_c):
+    # the bundle's step maps serve its grid and every tail [t_k, T] of it
+    z, ubar = mf_c.z, mf_c.ubar
+    for zs, us in ((z.slice(0, 1000), ubar.slice(0, 1000)),
+                   (z.slice(500), ubar.slice(400)),
+                   (z.slice(3, 1003), ubar.slice(3, 1003))):
+        with pytest.raises(GridMismatchError):
+            solve_tracking_offset(bundle, zs, us)
 
 
 def test_P2_block_bound_does_not_overflow():

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfg_errsim import correction, limiting, riccati, scenario
+from mfg_errsim import correction, deviations, limiting, ode, riccati, scenario
 from mfg_errsim.cli import main
 from mfg_errsim.errors import ConfigError, FiniteEscapeError
 from mfg_errsim.limiting import solve_limiting
@@ -424,19 +424,41 @@ def test_only_realtime_mode_solves_P2_and_G1(tmp_path, monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["predict", "correct"])
 def test_deviation_modes_solve_only_the_Phi1_transition(tmp_path, monkeypatch, mode):
     # the maps read Phi1 from the bundle; PhiZ is the realtime kernels' alone
-    generators, solve = [], riccati.fundamental_solution
+    generators, transition = [], ode.StepMaps.transition.func
 
-    def spy(H, *args):
-        generators.append(H.values)
-        return solve(H, *args)
+    def spy(steps):
+        generators.append(steps.H)
+        return transition(steps)
 
-    monkeypatch.setattr(riccati, "fundamental_solution", spy)
+    monkeypatch.setattr(ode.StepMaps, "transition", property(spy))
     cfg = validate_config({"mode": mode, "grid_steps": 200, "output_dir": str(tmp_path)})
     run_scenario(cfg)
     bundle = scenario._solved(cfg.params, cfg.grid()).bundle
     assert len(generators) == 1
     np.testing.assert_array_equal(
         generators[0], riccati.mf_generator(cfg.params, bundle.P0.values))
+
+
+@pytest.mark.parametrize("mode", ["predict", "evolve", "correct"])
+def test_a_repeated_parameter_set_builds_no_step_maps(tmp_path, monkeypatch, mode):
+    # the second request reads the kept bundle and maps, whose step maps
+    # serve every solve of the request
+    cfg = validate_config({"mode": mode, "grid_steps": 200, "output_dir": str(tmp_path)})
+    run_scenario(cfg)
+    built, init = [], ode.StepMaps.__init__
+
+    def spy_init(steps, *args, **kwargs):
+        built.append("StepMaps")
+        init(steps, *args, **kwargs)
+
+    def no_rk4_affine(*args, **kwargs):
+        raise AssertionError(f"{mode} mode solved with rk4_affine on a repeated parameter set")
+
+    monkeypatch.setattr(ode.StepMaps, "__init__", spy_init)
+    for module in (ode, riccati, deviations, limiting):
+        monkeypatch.setattr(module, "rk4_affine", no_rk4_affine)
+    run_scenario(cfg)
+    assert built == []
 
 
 def test_correct_mode_solves_no_post_correction_offset(tmp_path, monkeypatch):
@@ -458,6 +480,9 @@ def test_kept_paths_are_read_only():
     arrays += [getattr(maps, name).values for name in ("Mg", "Mz", "PhiX", "Mx1", "Mx2")]
     arrays += [getattr(kernels, name) for name in ("PhiZ_inv", "Phi1_inv", "J", "V", "U",
                                                    "Mig_diag", "M0g_diag")]
+    arrays += list(bundle.tracking_drive)
+    for steps in (bundle.mf0_steps, bundle.mf1_steps, bundle.tracking_steps):
+        arrays += steps.levels + [steps.W0, steps.W1, steps.transition]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] += 1.0

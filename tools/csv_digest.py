@@ -23,11 +23,13 @@ parameter sets: the identity-scaled fixture P6, and a fixed n = d = 2 set
 with non-commuting A and C and non-scalar B, F and R, so a transposed or
 reordered product changes its bytes.  On the same two sets, at the same
 grid, it also takes the arrays of direct calls: the Riccati bundle, the
-deviation maps, one limiting run, the post-correction offset map and the
-realtime kernels; ``simulate`` with the shared and the per-agent offset
-law, empirical and prescribed coupling, default and zero noise;
-``replay_agent``; ``epsilon_nash_gap``; and ``realtime_simulate`` with
-each of the four estimator policies at default and zero noise.  These
+deviation maps, one limiting run, evolve mode's five-pair
+``solve_limiting_batch``, ``equilibrium_mf`` started at node K // 4, the
+post-correction offset map and the realtime kernels; ``simulate`` with
+the shared and the per-agent offset law, empirical and prescribed
+coupling, default and zero noise; ``replay_agent``; ``epsilon_nash_gap``;
+and ``realtime_simulate`` with each of the four estimator policies at
+default and zero noise.  These
 calls keep one signature across refactors, so the script runs unchanged
 against an older checkout.
 
@@ -89,7 +91,7 @@ def array_outputs(fixture, fdoc):
     from mfg_errsim.core import epsilon_nash_gap, equilibrium_law, equilibrium_mf
     from mfg_errsim.correction import modified_offset_map
     from mfg_errsim.deviations import build_maps
-    from mfg_errsim.limiting import solve_limiting
+    from mfg_errsim.limiting import solve_limiting, solve_limiting_batch
     from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV
     from mfg_errsim.population import (
         OffsetFamilyLaw,
@@ -122,6 +124,14 @@ def array_outputs(fixture, fdoc):
     run = solve_limiting(bundle, cfg.z0, E_i, cfg.E_bar)
     out += [(f"{fixture}/limiting/{name}", [getattr(run, name).values])
             for name in ("g_i", "g_bar", "z_A", "ubar_A", "x_i", "u_i")]
+    ks = validate_config(dict(fdoc, mode="evolve", grid_steps=GRID_STEPS)).k_sweep
+    batch = solve_limiting_batch(bundle, cfg.z0,
+                                 [(k * cfg.E_bar, k * cfg.E_bar) for k in ks + [0.0]])
+    out += [(f"{fixture}/limiting_batch/{name}", [getattr(r, name).values for r in batch])
+            for name in ("g_i", "g_bar", "z_A", "ubar_A")]
+    out.append((f"{fixture}/limiting_batch/mf_i", [r.mf_i.z.values for r in batch]))
+    mf_k0 = equilibrium_mf(bundle, cfg.z0, GRID_STEPS // 4)
+    out.append((f"{fixture}/equilibrium_mf_k0/z,ubar", [mf_k0.z.values, mf_k0.ubar.values]))
     out.append((f"{fixture}/correction/modified_offset_map",
                 [modified_offset_map(maps, 0.5).values]))
     for lname, law in laws.items():
