@@ -297,12 +297,14 @@ class StepMaps:
         outside it get zero columns, and _scan does the rest: no step map
         is built, composed or inverted here.
         """
+        K = self.grid.steps
+        if not 0 <= k0 < K:
+            raise ValueError(f"a run starts at a node in 0..{K - 1}, got {k0}")
         if f is not None and self.W0 is None:
             raise ValueError("step maps built with forcing=False take no forcing")
         v0 = np.asarray(v0, dtype=float)
         V0 = v0[:, None] if v0.ndim == 1 else v0
         n, m = V0.shape
-        K = self.grid.steps
         L = K - k0
         run = slice(k0, K) if self.forward else slice(0, L)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -391,6 +391,17 @@ def test_step_maps_solve_is_the_composed_scan_and_superposes(n, K, forward, colu
         assert nodes[0] == nodes[1]
 
 
+def test_step_maps_reject_a_run_off_the_grid_and_an_unbuilt_forcing():
+    grid = TimeGrid(0.0, 1.0, 10)
+    H = _varying_generator(grid.times)
+    steps = ode.StepMaps(H, grid)
+    for k0 in (-1, 10, 11):
+        with pytest.raises(ValueError, match="starts at a node"):
+            steps.solve(None, np.ones(3), k0)
+    with pytest.raises(ValueError, match="forcing=False"):
+        ode.StepMaps(H, grid, forcing=False).solve(np.ones((11, 3)), np.ones(3))
+
+
 def test_fundamental_solution_constant_coefficients():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     g = TimeGrid(0.0, 1.0, 200)
