@@ -18,9 +18,10 @@ the levels' prefix products.  The step maps depend on H and the grid only,
 so a generator that several solves share keeps one StepMaps
 (riccati.RiccatiBundle keeps three), and rk4_affine is the one-off solve
 for the rest.  Backward problems are integrated in reversed time with a
-negative step; returned paths are always forward-indexed.  _prefix_compose
-is the same scan over whole affine maps [T_k | c_k], for the Monte Carlo
-block steps of the population module.
+negative step; returned paths are always forward-indexed.  _up_sweep and
+_scan are the package's one prefix scan: the population module's Monte
+Carlo blocks sweep their Euler step maps up and scan columns against them
+too.
 
 A constant linear ODE needs no RK4: its exact step map is the matrix
 exponential (expm, Pade scaling and squaring), and matrix_powers gives all
@@ -174,35 +175,6 @@ def rk4_steps(rhs, v0, grid, forward=True):
     return out
 
 
-def _compose(L, R, n):
-    """Batched composition of affine maps, R first: [T_L T_R | T_L c_R + c_L]
-    from L = [T_L | c_L] and R = [T_R | c_R]."""
-    out = L[:, :, :n] @ R
-    out[:, :, n:] += L[:, :, n:]
-    return out
-
-
-def _prefix_compose(TC, n):
-    """Inclusive prefix composition of the affine maps v -> T_j v + c_j.
-
-    TC[j] = [T_j | c_j] with T_j of shape (n, n).  Returns [P_j | C_j], where
-    v -> P_j v + C_j applies maps 0..j in order.  Odd-even scan (Ladner and
-    Fischer 1980; Blelloch 1990): compose the pairs (2i, 2i+1), scan the
-    pairs recursively for the odd entries, then compose each even entry
-    2i >= 2 with pair prefix i - 1.  About 2K compositions in all, in
-    2 ceil(log2 K) batched calls, against K log2 K for a doubling scan.
-    """
-    K = len(TC)
-    if K == 1:
-        return TC
-    pairs = _prefix_compose(_compose(TC[1::2], TC[:K - 1:2], n), n)
-    out = np.empty_like(TC)
-    out[0] = TC[0]
-    out[1::2] = pairs
-    out[2::2] = _compose(TC[2::2], pairs[:(K - 1) // 2], n)
-    return out
-
-
 def _up_sweep(T):
     """The levels of the odd-even scan over the matrices T (K, n, n): T,
     then the products T_(2i+1) T_(2i) of its pairs, and so on down to one
@@ -216,9 +188,13 @@ def _up_sweep(T):
 
 def _scan(levels, c):
     """C_k = sum over j <= k of T_k ... T_(j+1) c_j for the columns c
-    (K, n, m), given the up-sweep levels of the T_j: the odd-even scan of
-    _prefix_compose on the columns alone, K - 1 matvec rows per level of
-    length K, fewer than 2K in all."""
+    (K, n, m), given the up-sweep levels of the T_j: the package's one
+    prefix scan.  Odd-even (Ladner and Fischer 1980; Blelloch 1990): fold
+    the pairs (2i, 2i+1) of columns with the level's maps, scan the pairs
+    recursively for the odd entries, then step each even entry 2i >= 2 on
+    from pair prefix i - 1.  K - 1 matvec rows per level of length K, fewer
+    than 2K in all, in 2 ceil(log2 K) batched calls; an affine map's
+    matrix part scans as columns too, T_0 first and zeros after it."""
     K = len(c)
     if K == 1:
         return c
@@ -293,9 +269,12 @@ class StepMaps:
         the forward-indexed array (K - k0 + 1,) + v0.shape and raises
         IntegrationBlowupError at the first non-finite node in integration
         order, named by its node of the grid.  The run's columns c_j come
-        from two batched matmuls, T_j0 v0 is added to its first, the steps
-        outside it get zero columns, and _scan does the rest: no step map
-        is built, composed or inverted here.
+        from two batched matmuls, T_j0 v0 is added to its first, and _scan
+        does the rest against the levels' slices of the run's sub-tree: the
+        steps from its first one rounded down to a multiple of the smallest
+        power of two >= K - k0, so fewer than 2 (K - k0) columns, the ones
+        before the run zero.  No step map is built, composed or inverted
+        here.
         """
         K = self.grid.steps
         if not 0 <= k0 < K:
@@ -306,19 +285,23 @@ class StepMaps:
         V0 = v0[:, None] if v0.ndim == 1 else v0
         n, m = V0.shape
         L = K - k0
-        run = slice(k0, K) if self.forward else slice(0, L)
+        first = k0 if self.forward else 0   # the run's first step, in step order
+        lo = first - first % (1 << (L - 1).bit_length())
+        levels = [lv[lo >> i:(first + L) >> i] for i, lv in enumerate(self.levels)]
+        run = slice(first - lo, None)
         with np.errstate(over="ignore", invalid="ignore"):
-            c = np.zeros((K, n, m))
+            c = np.zeros((first + L - lo, n, m))
             if f is not None:
                 f = np.asarray(f, dtype=float).reshape(L + 1, n, -1)
                 if not self.forward:
                     f = f[::-1]
-                cf = self.W0[run] @ f[:-1]
-                cf += self.W1[run] @ (0.5 * (f[:-1] + f[1:]))
+                steps = slice(first, first + L)
+                cf = self.W0[steps] @ f[:-1]
+                cf += self.W1[steps] @ (0.5 * (f[:-1] + f[1:]))
                 cf += (self.h / 6.0) * f[1:]
                 c[run] = cf
-            c[run.start] += self.T[run.start] @ V0
-            C = _scan(self.levels, c)[run]
+            c[run.start] += self.T[first] @ V0
+            C = _scan(levels, c)[run]
         # a non-finite column poisons every later prefix, so the first
         # non-finite node in step order is the one the step loop would stop at
         bad = ~np.isfinite(C).all(axis=(1, 2))

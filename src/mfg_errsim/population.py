@@ -14,10 +14,11 @@ error_gain (K+1, d, n) or None for a law every agent plays alike.  A law
 carries them with P1, its errors (N, n) when it has an error gain, and its
 grid, on which the run takes place.  An Euler-Maruyama step is then an
 affine map of each agent's state whose matrix I + dt agent_generator(P1) all
-agents share, so simulate and replay_agent compose the steps of each noise
-block with prefix scans (see _step_agents) instead of stepping node by
-node.  euler_maruyama, the node loop, steps realtime_simulate, whose
-controls come from an estimator policy at each node.
+agents share, so simulate and replay_agent sweep each noise block's step
+maps up once and prefix-scan the agents' columns against them (see
+_step_agents) instead of stepping node by node.  euler_maruyama, the node
+loop, steps realtime_simulate, whose controls come from an estimator policy
+at each node.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .core import FeedbackLaw
 from .errors import IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import _prefix_compose
+from .ode import _scan, _up_sweep
 from .params import SystemParams, require_same_params
 from .riccati import agent_generator, mf_generator
 
@@ -310,23 +311,27 @@ def _step_agents(params, law, x0, ids, coupling, seed, D):
     Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n_ik,
     with T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k +
     C mf_x_k + F mf_u_k) the same for every agent, W the error gain and
-    n_ik the agent's noise.  Per block of _NOISE_BLOCK steps from node k0:
+    n_ik the agent's noise.  Per block of _NOISE_BLOCK steps from node k0,
+    ode._up_sweep takes the block's T_k up once, and every scan of the
+    block is an ode._scan of columns against those levels:
 
     - every agent's stream draws the block's noise into its row of one
       (N, _NOISE_BLOCK, n) buffer, as in euler_maruyama;
     - under empirical coupling the mean state steps by
-      m -> (I + dt mf_generator(P1)_k) m + dt (B+F) vbar_k + sqrt(dt) D
-      nbar_k, vbar and nbar the agents' mean offset and noise: one
-      _prefix_compose of those maps gives the block's mf_x, and mf_u =
-      gain mf_x + vbar, before any agent is stepped;
-    - one _prefix_compose of the maps [T_k | f_k | dt B W_k] gives
+      m -> M_k m + dt (B+F) vbar_k + sqrt(dt) D nbar_k, M_k = I + dt
+      mf_generator(P1)_k swept up once too, vbar and nbar the agents' mean
+      offset and noise: the scan of the columns [M_k0 | b_k] (the first n
+      columns zero after the first step) gives [P_j | C_j], the block's
+      mf_x is P_j m_k0 + C_j, and mf_u = gain mf_x + vbar, before any
+      agent is stepped;
+    - the scan of the columns [T_k0 | f_k | dt B W_k] (likewise) gives
       [P_j | c_j | CE_j], so agent i's state at node k0 + j + 1 is
       z_i [P_j | c_j | CE_j]' with z_i = [x_k0 | 1 | E_i], and its control
       there is z_i U_j, U_j = [P_j | c_j | CE_j]' gain' + [0 | offset |
       W]' at that node;
-    - under noise, a _prefix_compose of [T_k | sqrt(dt) D n_k] over a
-      chunk of the agents' noise columns adds their noise part dx, and dx
-      gain' to the controls;
+    - under noise, the scan of a chunk of the agents' noise columns
+      sqrt(dt) D n_k adds their noise part dx, and dx gain' to the
+      controls;
     - the states and controls of all agents, or of a chunk, go into xs and
       us at once, and agent_sum takes the block's node sums.
 
@@ -355,8 +360,8 @@ def _step_agents(params, law, x0, ids, coupling, seed, D):
         noise = np.empty((N, min(_NOISE_BLOCK, K), n))
         sqdtD = np.sqrt(dt) * D
     # a noisy block scans the agents' noise in _NOISE_CHUNKS chunks of
-    # near-equal width, so that a chunk's scan transients (about four times
-    # its maps) stay near the noise buffer's size, each at least two agents
+    # near-equal width, so that a chunk's scan transients (a few times its
+    # columns) stay near the noise buffer's size, each at least two agents
     # wide (see above)
     chunks = min(_NOISE_CHUNKS, N // 2) if noisy else 1
     edges = [N * j // chunks for j in range(chunks + 1)]
@@ -383,26 +388,27 @@ def _step_agents(params, law, x0, ids, coupling, seed, D):
         k1 = min(k0 + _NOISE_BLOCK, K)
         m = k1 - k0
         hi = k1 + 1 if k1 == K else k1   # nodes k0..hi-1 take their controls here
-        T = eye + dt * agent_generator(params, P1[k0:k1])
+        levels = _up_sweep(eye + dt * agent_generator(params, P1[k0:k1]))
         if noisy:
             for row, rng in enumerate(rngs):
                 rng.standard_normal(out=noise[row, :m])
         if coupling is None:
-            mean_maps = np.empty((m, n, n + 1))
-            mean_maps[:, :, :n] = eye + dt * mf_generator(params, P1[k0:k1])
-            mean_maps[:, :, n] = dt * (vbar[k0:k1] @ (B + F).T)
+            mean_levels = _up_sweep(eye + dt * mf_generator(params, P1[k0:k1]))
+            cols = np.zeros((m, n, n + 1))
+            cols[0, :, :n] = mean_levels[0][0]
+            cols[:, :, n] = dt * (vbar[k0:k1] @ (B + F).T)
             if noisy:
-                mean_maps[:, :, n] += (noise[:, :m].sum(axis=0) / N) @ sqdtD.T
-            PC = _prefix_compose(mean_maps, n)
+                cols[:, :, n] += (noise[:, :m].sum(axis=0) / N) @ sqdtD.T
+            PC = _scan(mean_levels, cols)
             mf_x[k0 + 1:k1 + 1] = PC[:, :, :n] @ mf_x[k0] + PC[:, :, n]
             mf_u[k0:hi] = (gain[k0:hi] @ mf_x[k0:hi, :, None])[..., 0] + vbar[k0:hi]
-        # [P_j | c_j | CE_j]' of the block's maps [T_k | f_k | dt B W_k]
-        maps = np.empty((m, n, n + 1 + e))
-        maps[:, :, :n] = T
-        maps[:, :, n] = dt * (offset[k0:k1] @ B.T + mf_x[k0:k1] @ C.T + mf_u[k0:k1] @ F.T)
+        # [P_j | c_j | CE_j]' from the block's columns [T_k0 | f_k | dt B W_k]
+        cols = np.zeros((m, n, n + 1 + e))
+        cols[0, :, :n] = levels[0][0]
+        cols[:, :, n] = dt * (offset[k0:k1] @ B.T + mf_x[k0:k1] @ C.T + mf_u[k0:k1] @ F.T)
         if W is not None:
-            maps[:, :, n + 1:] = dt * (B @ W[k0:k1])
-        PT = np.ascontiguousarray(np.swapaxes(_prefix_compose(maps, n), 1, 2))
+            cols[:, :, n + 1:] = dt * (B @ W[k0:k1])
+        PT = np.ascontiguousarray(np.swapaxes(_scan(levels, cols), 1, 2))
         # [1 | E_i] takes the control terms [offset | W]', and x its gain'
         gainT = np.ascontiguousarray(np.swapaxes(gain[k0 + 1:hi], 1, 2))
         U = np.zeros((hi - k0, n + 1 + e, d))
@@ -417,12 +423,10 @@ def _step_agents(params, law, x0, ids, coupling, seed, D):
             np.matmul(Z[a:b], PT, out=x)
             np.matmul(Z[a:b], U, out=u)
             if noisy:
-                TC = np.empty((m, n, n + b - a))
-                TC[:, :, :n] = T
-                np.matmul(sqdtD, noise[a:b, :m].transpose(1, 2, 0), out=TC[:, :, n:])
+                cols = sqdtD @ noise[a:b, :m].transpose(1, 2, 0)
                 # a product with I moves the agents from columns to rows:
                 # exact, and faster than numpy's strided copy
-                dx = np.swapaxes(_prefix_compose(TC, n)[:, :, n:], 1, 2) @ eye
+                dx = np.swapaxes(_scan(levels, cols), 1, 2) @ eye
                 x += dx
                 u[1:] += dx[:hi - k0 - 1] @ gainT
                 del dx   # before the next chunk's scan

@@ -17,7 +17,8 @@ from mfg_errsim.errors import (
 )
 from mfg_errsim.grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from mfg_errsim.ode import (
-    _prefix_compose,
+    _scan,
+    _up_sweep,
     expm as ode_expm,
     fundamental_solution,
     half_nodes,
@@ -250,7 +251,8 @@ def test_rk4_affine_blowup_node_matches_step_loop(forward, steps, j, bad):
 
 
 @pytest.mark.parametrize("w", [3, 5])
-def test_prefix_compose_matches_a_left_fold(w):
+def test_scan_matches_a_left_fold(w):
+    # the columns [T_0 | c_0], then [0 | c_k], scan to the composed maps
     n = 3
     rng = np.random.default_rng(11)
     for K in range(1, 71):
@@ -258,7 +260,9 @@ def test_prefix_compose_matches_a_left_fold(w):
         if K > 1:
             assert np.linalg.norm(TC[0, :, :n] @ TC[1, :, :n]
                                   - TC[1, :, :n] @ TC[0, :, :n]) > 0.1
-        got = _prefix_compose(TC.copy(), n)
+        cols = TC.copy()
+        cols[1:, :, :n] = 0.0
+        got = _scan(_up_sweep(TC[:, :, :n]), cols)
         assert got.shape == (K, n, w)
         # v <- T_k v + c_k, applied to v = [I | 0], folds the maps in order
         P = np.eye(n, w)
@@ -298,10 +302,10 @@ def test_rk4_affine_scan_composes_at_most_2k_rows(monkeypatch):
 
 
 def _composed_rk4_affine(H, f, v0, grid, forward):
-    """The affine solve as the [T_k | c_k] composition scan that preceded
-    the step maps: _rk4_step on [I | 0] under the forcing [0 | f] for all
-    steps at once, ode._prefix_compose of the maps, node values
-    P_k v0 + C_k.  The reference for StepMaps.solve."""
+    """The affine solve as a composition of the maps [T_k | c_k]:
+    _rk4_step on [I | 0] under the forcing [0 | f] for all steps at once,
+    the maps folded left in step order, node values P_k v0 + C_k.  The
+    reference for StepMaps.solve."""
     v0 = np.asarray(v0, dtype=float)
     V0 = v0[:, None] if v0.ndim == 1 else v0
     n, m = V0.shape
@@ -326,8 +330,12 @@ def _composed_rk4_affine(H, f, v0, grid, forward):
 
     out = np.empty((K + 1, n, m))
     out[0 if forward else K] = V0
-    PC = ode._prefix_compose(ode._rk4_step(rhs, 0, np.broadcast_to(np.eye(n, w), (K, n, w)),
-                                           h, 1), n)
+    TC = ode._rk4_step(rhs, 0, np.broadcast_to(np.eye(n, w), (K, n, w)), h, 1)
+    PC, P = np.empty_like(TC), np.eye(n, w)
+    for k in range(K):
+        P = TC[k, :, :n] @ P
+        P[:, n:] += TC[k, :, n:]
+        PC[k] = P
     vals = PC[:, :, :n] @ V0
     if fh is not None:
         vals += PC[:, :, n:]
@@ -389,6 +397,33 @@ def test_step_maps_solve_is_the_composed_scan_and_superposes(n, K, forward, colu
                 _affine_step_loop(H[k0:], loop_f, v1, sub, forward)
             nodes.append(k0 + ei.value.node)
         assert nodes[0] == nodes[1]
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("k0", [1500, 1990])
+def test_a_late_run_scans_only_its_sub_tree(monkeypatch, forward, k0):
+    # a run of K - k0 steps scans the kept levels' sub-tree from its first
+    # step rounded down to a multiple of the smallest power of two >= K - k0:
+    # fewer than 2 (K - k0) columns, and the bits of the whole grid's scan
+    # with zero columns outside the run
+    K = 2000
+    grid = TimeGrid(0.0, 2.0, K)
+    steps = ode.StepMaps(_varying_generator(grid.times), grid, forward, forcing=False)
+    v0 = np.arange(6.0).reshape(3, 2) - 2.5
+    scan, columns = ode._scan, []
+
+    def counted_scan(lv, c):
+        columns.append(len(c))
+        return scan(lv, c)
+
+    monkeypatch.setattr(ode, "_scan", counted_scan)
+    got = steps.solve(None, v0, k0)
+    assert 0 < max(columns) <= 2 * (K - k0)
+    first = k0 if forward else 0
+    c = np.zeros((K, 3, 2))
+    c[first] = steps.T[first] @ v0
+    whole = scan(steps.levels, c)[first:first + K - k0]
+    npt.assert_array_equal(got[1:] if forward else got[-2::-1], whole)
 
 
 def test_step_maps_reject_a_run_off_the_grid_and_an_unbuilt_forcing():

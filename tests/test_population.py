@@ -25,6 +25,7 @@ from mfg_errsim.params import (
 )
 from mfg_errsim.realtime import realtime_simulate, truth_policy
 from mfg_errsim.riccati import RiccatiBundle, agent_generator, control
+from mfg_errsim import population
 from mfg_errsim.population import (
     _DYNAMICS,
     _NOISE_BLOCK,
@@ -397,6 +398,28 @@ def test_an_empirical_run_steps_with_the_node_means_of_its_paths(n, d):
             res = simulate(p, pop, lw, seed=5, D=D)
             npt.assert_allclose(res.coupling[0], res.x_N.values, rtol=0, atol=1e-13)
             npt.assert_allclose(res.coupling[1], res.u_N.values, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [3, 9])
+def test_a_run_sweeps_each_blocks_step_maps_up_once(monkeypatch, N):
+    # the agents' maps once per block, the mean's once more under empirical
+    # coupling, however many chunks the block's noise is scanned in (four
+    # for the noisy run of nine agents, one otherwise)
+    p, law, fam, pop = _family(3, 2, N, 2 * _NOISE_BLOCK + 3)
+    up_sweep, sweeps = population._up_sweep, []
+
+    def counted_up_sweep(T):
+        sweeps.append(len(T))
+        return up_sweep(T)
+
+    monkeypatch.setattr(population, "_up_sweep", counted_up_sweep)
+    for coupling, paths in _couplings(law, 3, 2):
+        for D in (None, 0.0):
+            sweeps.clear()
+            simulate(p, pop, fam, mf_coupling=paths, seed=5, D=D)
+            per_block = 1 if coupling is not None else 2
+            assert sweeps == [n for n in (_NOISE_BLOCK, _NOISE_BLOCK, 3)
+                              for _ in range(per_block)]
 
 
 def test_replay_reproduces_an_agent_of_a_noisy_run_bit_for_bit():

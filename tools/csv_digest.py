@@ -24,7 +24,8 @@ with non-commuting A and C and non-scalar B, F and R, so a transposed or
 reordered product changes its bytes.  On the same two sets, at the same
 grid, it also takes the arrays of direct calls: the Riccati bundle, the
 deviation maps, one limiting run, evolve mode's five-pair
-``solve_limiting_batch``, ``equilibrium_mf`` started at node K // 4, the
+``solve_limiting_batch``, ``equilibrium_mf`` started at node K // 4 and
+at node K - 10 (a run whose scan starts inside the grid), the
 post-correction offset map and the realtime kernels; ``simulate`` with
 the shared and the per-agent offset law, empirical and prescribed
 coupling, default and zero noise; ``replay_agent``; ``epsilon_nash_gap``;
@@ -132,6 +133,9 @@ def array_outputs(fixture, fdoc):
     out.append((f"{fixture}/limiting_batch/mf_i", [r.mf_i.z.values for r in batch]))
     mf_k0 = equilibrium_mf(bundle, cfg.z0, GRID_STEPS // 4)
     out.append((f"{fixture}/equilibrium_mf_k0/z,ubar", [mf_k0.z.values, mf_k0.ubar.values]))
+    mf_late = equilibrium_mf(bundle, cfg.z0, GRID_STEPS - 10)
+    out.append((f"{fixture}/equilibrium_mf_late/z,ubar",
+                [mf_late.z.values, mf_late.ubar.values]))
     out.append((f"{fixture}/correction/modified_offset_map",
                 [modified_offset_map(maps, 0.5).values]))
     for lname, law in laws.items():
