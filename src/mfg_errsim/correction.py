@@ -212,13 +212,10 @@ def modified_offset_map(maps: DeviationMaps, t0) -> MatrixPath:
     """Map Ebar -> deviation of the post-correction offset g_new on [t0, T]:
     Mg(t) Phi1(t0)^{-1} Mz(t0).
 
-    The offset deviation obeys the backward ODE of the pre-correction map
-    Mg, driven by the post-correction mean-field deviation
-    Phi1(t) Phi1(t0)^{-1} Mz(t0) and ending at -Qbar Gammabar times its
-    terminal value.  Drive and terminal value are those of Mg
-    right-multiplied by the constant matrix Phi1(t0)^{-1} Mz(t0), so the
-    solution is Mg times that matrix, and so is its RK4 solve on the same
-    nodes.
+    The restarted equilibrium's offset is (P0 - P1) z_new + G, so its
+    deviation is (P0 - P1) times the mean-field deviation
+    Phi1(t) Phi1(t0)^{-1} Mz(t0) Ebar (corrected_mf_deviation), and
+    (P0 - P1) Phi1 is Mg (deviations.build_maps).
     """
     k0 = maps.grid.index_of(t0)
     seed = np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])

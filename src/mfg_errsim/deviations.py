@@ -8,9 +8,12 @@ z_i(0) = z0 + E_i, every resulting deviation is linear in the errors:
 * actual mean field:      dz^A(t)   = Mz(t) Ebar,
 * expected own trajectory dx_i(t)   = Mx1(t) E_i + Mx2(t) Ebar.
 
-The maps are built once per parameter set by integrating their defining
-matrix ODEs on the Riccati bundle's grid, and read the transitions Phi1
-and PhiZ from the bundle, which solves each on its first read.  The
+The maps are built once per parameter set on the Riccati bundle's grid.
+An agent's offset in its predicted equilibrium is (P0 - P1) z + G (the
+representation identity P2 = P0 - P1), so Mg = (P0 - P1) Phi1 is a
+product of the bundle's paths; Mz is the forward scan that Mg drives
+under the bundle's step maps of mf_generator(P1).  The transitions Phi1
+and PhiZ are the bundle's, which solves each on its first read.  The
 single-agent transition PhiX and the own-trajectory maps Mx1, Mx2 come
 from one more scan, run on their first read.
 """
@@ -24,13 +27,7 @@ import numpy as np
 
 from .grid import MatrixPath, VectorPath
 from .ode import rk4_affine
-from .riccati import (
-    RiccatiBundle,
-    agent_generator,
-    control,
-    coupling_weight,
-    offset_generator,
-)
+from .riccati import RiccatiBundle, agent_generator, control
 
 
 @dataclass
@@ -96,27 +93,14 @@ class DeviationMaps:
 
 def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     """Construct the deviation maps of a solved parameter set."""
-    params, grid = bundle.params, bundle.grid
-    n = params.n
-    P1v = bundle.P1.values
-
-    # the offset deviation runs backward: d(dg)/dt = -(Hg dg + S dz)
-    Hg = offset_generator(params, P1v, params.BFRB)
-
-    Phi1 = bundle.Phi1
-    S = coupling_weight(params, bundle.P1)  # P1 C - P1 F R^-1 B' P1 - Q*Gamma
-
-    # offset deviation: backward affine matrix ODE driven by S Phi1
-    MgT = -params.Qbar @ params.Gammabar @ Phi1.terminal
-    Mg_v = rk4_affine(Hg, -(S @ Phi1.values), MgT, grid, forward=False)
-    Mg = MatrixPath(grid, Mg_v)
-
+    params = bundle.params
+    # offset deviation: dg = (P0 - P1) dz with dz = Phi1 E
+    Mg_v = (bundle.P0.values - bundle.P1.values) @ bundle.Phi1.values
     # actual mean-field deviation: forward under the bundle's step maps of
     # mf_generator(P1), zero initial state
-    Mz_v = bundle.mf1_steps.solve(-(params.BFRB @ Mg_v), np.zeros((n, n)))
-    Mz = MatrixPath(grid, Mz_v)
-
-    return DeviationMaps(bundle=bundle, Mg=Mg, Mz=Mz)
+    Mz_v = bundle.mf1_steps.solve(-(params.BFRB @ Mg_v), np.zeros((params.n, params.n)))
+    return DeviationMaps(bundle=bundle, Mg=MatrixPath(bundle.grid, Mg_v),
+                         Mz=MatrixPath(bundle.grid, Mz_v))
 
 
 def _apply(M: MatrixPath, v) -> VectorPath:

@@ -13,10 +13,15 @@ estimate errors, with maps
 
 where E_i(t0) = z_hat - z_c(t0) and Ebar_i(t0) = zbar_hat - z_c(t0).
 
-The maps for all anchors are generated from three kernel paths (V, U, J)
-computed once per parameter set, which also yields the diagonal maps
-t -> M(t; t) needed when agents re-anchor at every instant.  The kernels
-hold the Riccati bundle and read its transitions Phi1 and PhiZ from it.
+The own estimate propagates under PhiZ, the average one under Phi1, and
+an agent whose two estimates agree plays the predicted equilibrium, whose
+offset is (P0 - P1) z + G.  So Miz and M0z = Phi1 Phi1(t0)^-1 - Miz are
+products of the bundle's transitions, Mig is the one kernel path V (a
+backward scan driven by PhiZ) times PhiZ(t0)^-1, and
+M0g = (P0 - P1) Phi1 Phi1(t0)^-1 - Mig.  The kernels are computed once per
+parameter set, together with the diagonal maps t -> M(t; t) needed when
+agents re-anchor at every instant.  They hold the Riccati bundle and read
+its transitions Phi1 and PhiZ from it.
 """
 
 from __future__ import annotations
@@ -64,15 +69,13 @@ class RealtimeDeviationMaps:
 
 @dataclass
 class RealtimeKernels:
-    """Anchor-independent kernels from which all realtime maps follow.
-    Every array is read-only."""
+    """Anchor-independent kernels from which, with the bundle's P0, P1 and
+    transitions, all realtime maps follow.  Every array is read-only."""
 
     bundle: RiccatiBundle        # its transitions Phi1 and PhiZ are read here
     PhiZ_inv: np.ndarray         # (K+1, n, n)
     Phi1_inv: np.ndarray
-    J: np.ndarray                # cumulative coupling integral
     V: np.ndarray                # own-error offset kernel
-    U: np.ndarray                # average-error offset kernel
     Mig_diag: np.ndarray         # t -> Mig(t; t)
     M0g_diag: np.ndarray         # t -> M0g(t; t)
 
@@ -93,60 +96,34 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
     """
     if maps is not None and maps.bundle is not bundle:
         raise GridMismatchError("deviation maps were built from another Riccati bundle")
-    params, grid = bundle.params, bundle.grid
-    K = grid.steps
-    P1v, P2v = bundle.P1.values, bundle.P2.values
-    BFRB = params.BFRB
-    PhiZ, Phi1 = bundle.PhiZ, bundle.Phi1
+    params, PhiZ = bundle.params, bundle.PhiZ
     PhiZ_inv = invert_path(PhiZ)
-    Phi1_inv = invert_path(Phi1)
+    Phi1_inv = invert_path(bundle.Phi1)
 
-    # J(t) = int_0^t PhiZ^-1 (B+F) R^-1 B' P2 Phi1 ds  (trapezoid)
-    P2Phi1 = P2v @ Phi1.values
-    J = cumulative_trapezoid(PhiZ_inv @ (BFRB @ P2Phi1), grid.dt)
-
-    S = coupling_weight(params, bundle.P1)
-
-    # V and U run backward under offset_generator(P1, BRB), whose step maps
-    # the bundle keeps, as the columns of one scan [V | U]: V driven by
-    # S PhiZ, terminal -Qbar Gammabar PhiZ(T); U driven by
-    # -S PhiZ J - P1 F R^-1 B' P2 Phi1, terminal +Qbar Gammabar PhiZ(T) J(T)
-    n = params.n
-    SPhiZ = S @ PhiZ.values
-    f = np.concatenate([-SPhiZ, SPhiZ @ J + P1v @ (params.FRB @ P2Phi1)], axis=2)
-    VT = -params.Qbar @ params.Gammabar @ PhiZ.terminal
-    VU = bundle.tracking_steps.solve(f, np.concatenate([VT, -VT @ J[K]], axis=1))
-    V, U = VU[:, :, :n], VU[:, :, n:]
+    # V runs backward under offset_generator(P1, BRB), whose step maps the
+    # bundle keeps, driven by S PhiZ from -Qbar Gammabar PhiZ(T)
+    SPhiZ = coupling_weight(params, bundle.P1) @ PhiZ.values
+    V = bundle.tracking_steps.solve(-SPhiZ, -params.Qbar @ params.Gammabar @ PhiZ.terminal)
 
     Mig_diag = V @ PhiZ_inv
-    M0g_diag = (U + V @ J) @ Phi1_inv
-    for a in (PhiZ_inv, Phi1_inv, J, V, U, Mig_diag, M0g_diag):
+    M0g_diag = (bundle.P0.values - bundle.P1.values) - Mig_diag
+    for a in (PhiZ_inv, Phi1_inv, V, Mig_diag, M0g_diag):
         a.flags.writeable = False
-    return RealtimeKernels(
-        bundle=bundle, PhiZ_inv=PhiZ_inv, Phi1_inv=Phi1_inv,
-        J=J, V=V, U=U, Mig_diag=Mig_diag, M0g_diag=M0g_diag,
-    )
+    return RealtimeKernels(bundle=bundle, PhiZ_inv=PhiZ_inv, Phi1_inv=Phi1_inv,
+                           V=V, Mig_diag=Mig_diag, M0g_diag=M0g_diag)
 
 
 def build_realtime_maps(kernels: RealtimeKernels, t0) -> RealtimeDeviationMaps:
     """Deviation maps for a fixed anchor t0, on the full grid."""
-    grid = kernels.grid
+    bundle, grid = kernels.bundle, kernels.grid
     k0 = grid.index_of(t0)
-    PhiZ = kernels.bundle.PhiZ.values
-    PhiZ_inv0 = kernels.PhiZ_inv[k0]
-    Phi1_inv0 = kernels.Phi1_inv[k0]
-    J0 = kernels.J[k0]
-    Miz = np.einsum("kij,jl->kil", PhiZ, PhiZ_inv0)
-    M0z = -np.einsum("kij,kjl,lm->kim", PhiZ, kernels.J - J0, Phi1_inv0)
-    Mig = np.einsum("kij,jl->kil", kernels.V, PhiZ_inv0)
-    M0g = np.einsum(
-        "kij,jl->kil",
-        kernels.U + np.einsum("kij,jl->kil", kernels.V, J0),
-        Phi1_inv0,
-    )
+    Miz = bundle.PhiZ.values @ kernels.PhiZ_inv[k0]
+    Phi1_t0 = bundle.Phi1.values @ kernels.Phi1_inv[k0]
+    Mig = kernels.V @ kernels.PhiZ_inv[k0]
+    M0g = (bundle.P0.values - bundle.P1.values) @ Phi1_t0 - Mig
     return RealtimeDeviationMaps(
         t0=float(t0),
-        Miz=MatrixPath(grid, Miz), M0z=MatrixPath(grid, M0z),
+        Miz=MatrixPath(grid, Miz), M0z=MatrixPath(grid, Phi1_t0 - Miz),
         Mig=MatrixPath(grid, Mig), M0g=MatrixPath(grid, M0g),
     )
 
@@ -191,12 +168,13 @@ def deviation_quadrature(kernels: RealtimeKernels, Ebar_path, Ebar1_path) -> Vec
     """Predicted actual-mean-field deviation from realized estimate errors.
 
     Ebar_path(t) is the population-average own-estimate error, Ebar1_path(t)
-    the average of the agents' average-estimate errors.  Evaluates
+    the average of the agents' average-estimate errors, both on the
+    kernels' grid (GridMismatchError otherwise).  Evaluates
 
         dz_A(t) = -PhiZ(t) int_0^t PhiZ^-1 (B+F) R^-1 B'
                   [Mig(s; s) Ebar(s) + M0g(s; s) Ebar1(s)] ds.
     """
-    grid = kernels.grid
+    grid = require_same_grid(kernels, Ebar_path, Ebar1_path)
     params = kernels.params
     dg = (
         np.einsum("kij,kj->ki", kernels.Mig_diag, Ebar_path.values)

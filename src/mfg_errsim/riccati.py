@@ -25,10 +25,11 @@ a finite escape shows as a singular X.
 The closed-loop generators, the feedback control and the forward
 mean-field solve that every downstream module runs are defined here once.
 RiccatiBundle solves P1, P0 and G with the bundle and the rest on first
-read: P2 and G1, which only the realtime kernels and the "p2" prediction
-route read; the RK4 step maps (ode.StepMaps) of the three generators that
-several solves share, mf_generator(P0), mf_generator(P1) and the tracking
-offset's offset_generator(P1, BRB), so each of those solves only scans its
+read: P2 and G1, which only the "p2" prediction route and the identity
+checks read (every other path uses P0 - P1 and G); the RK4 step maps
+(ode.StepMaps) of the three generators that several solves share,
+mf_generator(P0), mf_generator(P1) and the tracking offset's
+offset_generator(P1, BRB), so each of those solves only scans its
 forcing; and the two forward transitions Phi1 and PhiZ, the prefix
 products of the first two (the deviation maps read Phi1, the realtime
 kernels both).  Every path is read-only, so a bundle can be shared.  Past
@@ -398,7 +399,7 @@ class RiccatiBundle:
     def tracking_steps(self) -> StepMaps:
         """Backward step maps of offset_generator(P1, BRB), the generator of
         the tracking offset (solve_tracking_offset) and of the realtime
-        kernels V and U."""
+        kernel V."""
         return StepMaps(offset_generator(self.params, self.P1.values, self.params.BRB),
                         self.grid, forward=False)
 

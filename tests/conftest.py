@@ -39,6 +39,17 @@ def maps(bundle):
 
 
 @pytest.fixture(scope="session")
+def mixed_maps(params, grid):
+    """Maps of a set with non-commuting A and C and non-scalar B, F, R."""
+    mixed = params.with_(A=np.array([[-1.0, 0.3], [-0.2, -0.8]]),
+                         B=np.array([[0.6, 0.1], [-0.2, 0.4]]),
+                         C=np.array([[0.3, -0.1], [0.25, 0.2]]),
+                         F=np.array([[0.2, 0.05], [-0.1, 0.3]]),
+                         R=np.array([[1.2, 0.3], [0.3, 0.8]]))
+    return build_maps(RiccatiBundle.solve(mixed, grid))
+
+
+@pytest.fixture(scope="session")
 def kernels(bundle, maps):
     return build_kernels(bundle, maps)
 

@@ -173,22 +173,20 @@ def _offset_map_by_ode(maps, t0):
     return rk4_affine(Hg, -(S @ dPhi), MT, maps.grid.subgrid(k0), forward=False)
 
 
-@pytest.fixture(scope="module")
-def mixed_maps(params, grid):
-    """Maps of a set with non-commuting A and C and non-scalar B, F, R."""
-    mixed = params.with_(A=np.array([[-1.0, 0.3], [-0.2, -0.8]]),
-                         B=np.array([[0.6, 0.1], [-0.2, 0.4]]),
-                         C=np.array([[0.3, -0.1], [0.25, 0.2]]),
-                         F=np.array([[0.2, 0.05], [-0.1, 0.3]]),
-                         R=np.array([[1.2, 0.3], [0.3, 0.8]]))
-    return build_maps(RiccatiBundle.solve(mixed, grid))
-
-
 @pytest.mark.parametrize("fixture", ["maps", "mixed_maps"])
 @pytest.mark.parametrize("t0", [0.5, 1.0, 1.5])
 def test_modified_offset_map_is_the_backward_ode_solution(request, fixture, t0):
+    # the map is the closed form (P0 - P1) Phi1 Phi1(t0)^-1 Mz(t0), and its
+    # gap to the backward ODE's RK4 solve is truncation error that falls
+    # with the grid
     maps = request.getfixturevalue(fixture)
+    bundle, k0 = maps.bundle, maps.grid.index_of(t0)
     M = modified_offset_map(maps, t0)
-    want = _offset_map_by_ode(maps, t0)
+    P2Phi1 = (bundle.P0.values - bundle.P1.values) @ maps.Phi1.values
+    want = P2Phi1[k0:] @ np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])
     assert M.grid.t_start == t0 and M.values.shape == want.shape
     assert np.max(np.abs(M.values - want)) <= 1e-13 * np.max(np.abs(want))
+    coarse = build_maps(RiccatiBundle.solve(maps.params, maps.params.default_grid(200)))
+    gaps = [np.max(np.abs(modified_offset_map(m, t0).values - _offset_map_by_ode(m, t0)))
+            for m in (coarse, maps)]
+    assert maps.grid.steps == 2000 and gaps[1] * 50.0 <= gaps[0]

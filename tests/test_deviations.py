@@ -2,17 +2,21 @@
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from mfg_errsim.core import equilibrium_law
 from mfg_errsim.deviations import (
     actual_mf_deviation,
+    build_maps,
     control_offset_deviation,
     expected_trajectory_deviation,
     predicted_mf_deviation,
 )
-from mfg_errsim import limiting
+from mfg_errsim import deviations, limiting, ode
 from mfg_errsim.limiting import solve_limiting, solve_limiting_batch
+from mfg_errsim.ode import rk4_affine
 from mfg_errsim.params import P6_Z0
+from mfg_errsim.riccati import RiccatiBundle, coupling_weight, offset_generator
 
 E_I = np.array([0.2, 0.1])
 E_BAR = np.array([0.1, -0.1])
@@ -32,6 +36,49 @@ def test_map_boundary_values(maps, params):
     npt.assert_array_equal(maps.Mx2.initial, np.zeros((2, 2)))
     MgT = -params.Qbar @ params.Gammabar @ maps.Phi1.terminal
     npt.assert_array_equal(maps.Mg.terminal, MgT)
+
+
+@pytest.mark.parametrize("fixture", ["maps", "mixed_maps"])
+def test_offset_map_is_the_representation_identity(request, fixture):
+    # an agent's offset in its predicted equilibrium is (P0 - P1) z + G
+    maps = request.getfixturevalue(fixture)
+    want = (maps.bundle.P0.values - maps.bundle.P1.values) @ maps.Phi1.values
+    assert np.max(np.abs(maps.Mg.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _Mg_by_ode(bundle):
+    """Mg as the backward ODE d(Mg)/dt = -(Hg Mg + S Phi1) from
+    Mg(T) = -Qbar Gammabar Phi1(T), solved by RK4 on the bundle's grid."""
+    p, Phi1 = bundle.params, bundle.Phi1
+    Hg = offset_generator(p, bundle.P1.values, p.BFRB)
+    MgT = -p.Qbar @ p.Gammabar @ Phi1.terminal
+    return rk4_affine(Hg, -(coupling_weight(p, bundle.P1) @ Phi1.values), MgT, bundle.grid,
+                      forward=False)
+
+
+@pytest.mark.parametrize("fixture", ["maps", "mixed_maps"])
+def test_a_coarse_offset_map_meets_the_fine_grid_bound(request, fixture):
+    # at 200 steps the RK4 solve of Mg's backward ODE is off by 1.5e-6 (P6)
+    # and 3.3e-6 (mixed set), the identity by 7.8e-7 and 6.0e-7: only
+    # Phi1's error is left
+    params = request.getfixturevalue(fixture).params
+    fine = _Mg_by_ode(RiccatiBundle.solve(params, params.default_grid(4000)))
+    coarse = build_maps(RiccatiBundle.solve(params, params.default_grid(200)))
+    assert np.max(np.abs(coarse.Mg.values - fine[::20])) < 1e-6
+
+
+def test_build_maps_solves_no_one_off_ode(params, monkeypatch):
+    bundle = RiccatiBundle.solve(params, params.default_grid(200))
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return rk4_affine(*args, **kwargs)
+
+    for module in (ode, deviations):
+        monkeypatch.setattr(module, "rk4_affine", spy)
+    build_maps(bundle)
+    assert calls == []
 
 
 def test_zero_errors_give_zero_deviations(maps):

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mfg_errsim import deviations, scenario
+from mfg_errsim import deviations, riccati, scenario
 from mfg_errsim.core import equilibrium_mf
 from mfg_errsim.deviations import build_maps
 from mfg_errsim.errors import (
@@ -14,6 +14,7 @@ from mfg_errsim.errors import (
     GridMismatchError,
     IntegrationBlowupError,
 )
+from mfg_errsim.grid import TimeGrid, VectorPath
 from mfg_errsim.params import P6_Z0
 from mfg_errsim.realtime import (
     EstimatorState,
@@ -92,6 +93,23 @@ def test_diagonal_kernels_match_anchored_maps(kernels, grid):
         rt = build_realtime_maps(kernels, t0)
         npt.assert_allclose(kernels.Mig_diag[k0], rt.Mig[k0], atol=1e-10)
         npt.assert_allclose(kernels.M0g_diag[k0], rt.M0g[k0], atol=1e-10)
+
+
+def test_average_error_kernel_is_the_representation_identity(bundle, kernels):
+    # an agent whose two estimates agree plays the predicted equilibrium,
+    # whose offset deviation is (P0 - P1) times its mean-field deviation
+    want = (bundle.P0.values - bundle.P1.values) - kernels.Mig_diag
+    assert np.max(np.abs(kernels.M0g_diag - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_kernels_solve_no_P2(params, monkeypatch):
+    def no_P2(*args):
+        raise AssertionError("build_kernels solved P2")
+
+    monkeypatch.setattr(riccati, "solve_P2", no_P2)
+    bundle = RiccatiBundle.solve(params, params.default_grid(200))
+    build_kernels(bundle)
+    assert "P2" not in vars(bundle)
 
 
 def test_policies(kernels):
@@ -190,6 +208,18 @@ def test_simulation_rejects_a_grid_other_than_the_bundles(params, bundle,
             realtime_simulate(params, bundle, _pop(3), truth_policy(),
                               grid=params.default_grid(steps), seed=0, D=0.0,
                               kernels=kernels)
+
+
+def test_quadrature_rejects_error_paths_on_another_grid(params):
+    kernels = build_kernels(RiccatiBundle.solve(params, params.default_grid(200)))
+    zeros = np.zeros((201, 2))
+    on_kernels_grid = VectorPath(kernels.grid, zeros)
+    assert np.all(deviation_quadrature(kernels, on_kernels_grid, on_kernels_grid).values == 0)
+    for grid in (TimeGrid(0.0, 3.0, 200), params.default_grid(100)):
+        other = VectorPath(grid, np.ones((grid.steps + 1, 2)))
+        for paths in ((other, on_kernels_grid), (on_kernels_grid, other)):
+            with pytest.raises(GridMismatchError):
+                deviation_quadrature(kernels, *paths)
 
 
 # ------------------------------------------------------- two-path kernels

@@ -253,12 +253,10 @@ def test_long_horizon_forced_solves_under_step_maps_match_the_step_loop():
     # realized mean field of one average offset
     run = solve_limiting(b, z0, E, E)
     check(run.z_A.values, _rk4_step_loop(H1, -(run.g_bar.values @ p.BFRB.T), z0, grid, True))
-    # the deviation maps Mg (one-off backward solve) and Mz (under mf_generator(P1))
+    # the deviation maps Mg = (P0 - P1) Phi1 and Mz (under mf_generator(P1))
     maps = build_maps(b)
-    S = coupling_weight(p, b.P1)
-    MgT = -p.Qbar @ p.Gammabar @ b.Phi1.terminal
-    check(maps.Mg.values, _rk4_step_loop(offset_generator(p, P1v, p.BFRB),
-                                         -(S @ b.Phi1.values), MgT, grid, False))
+    check(maps.Mg.values, (P0v - P1v) @ _rk4_step_loop(H0, np.zeros_like(H0), np.eye(2),
+                                                       grid, True))
     check(maps.Mz.values, _rk4_step_loop(H1, -(p.BFRB @ maps.Mg.values), np.zeros((2, 2)),
                                          grid, True))
     check(b.PhiZ.values, _rk4_step_loop(H1, np.zeros_like(H1), np.eye(2), grid, True))

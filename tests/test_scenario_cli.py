@@ -409,7 +409,9 @@ def test_a_failed_solve_is_not_kept(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["predict", "evolve", "correct", "realtime"])
-def test_only_realtime_mode_solves_P2_and_G1(tmp_path, monkeypatch, mode):
+def test_no_mode_solves_P2_or_G1(tmp_path, monkeypatch, mode):
+    # every mode reads P0 - P1 and G; only the "p2" prediction route and the
+    # identity checks read P2 and G1
     calls = []
     for name in ("solve_P2", "solve_G1"):
         def spy(*args, _solve=getattr(riccati, name), _name=name):
@@ -418,7 +420,7 @@ def test_only_realtime_mode_solves_P2_and_G1(tmp_path, monkeypatch, mode):
         monkeypatch.setattr(riccati, name, spy)
     run_scenario(validate_config({"mode": mode, "grid_steps": 200, "N": 20,
                                   "output_dir": str(tmp_path)}))
-    assert calls == (["solve_P2"] if mode == "realtime" else [])
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", ["predict", "correct"])
@@ -478,8 +480,8 @@ def test_kept_paths_are_read_only():
     arrays = [getattr(bundle, name).values for name in ("P0", "P1", "P2", "G", "G1",
                                                         "Phi1", "PhiZ")]
     arrays += [getattr(maps, name).values for name in ("Mg", "Mz", "PhiX", "Mx1", "Mx2")]
-    arrays += [getattr(kernels, name) for name in ("PhiZ_inv", "Phi1_inv", "J", "V", "U",
-                                                   "Mig_diag", "M0g_diag")]
+    arrays += [getattr(kernels, name) for name in ("PhiZ_inv", "Phi1_inv", "V", "Mig_diag",
+                                                   "M0g_diag")]
     arrays += list(bundle.tracking_drive)
     for steps in (bundle.mf0_steps, bundle.mf1_steps, bundle.tracking_steps):
         arrays += steps.levels + [steps.W0, steps.W1, steps.transition]

@@ -26,11 +26,11 @@ grid, it also takes the arrays of direct calls: the Riccati bundle, the
 deviation maps, one limiting run, evolve mode's five-pair
 ``solve_limiting_batch``, ``equilibrium_mf`` started at node K // 4 and
 at node K - 10 (a run whose scan starts inside the grid), the
-post-correction offset map and the realtime kernels; ``simulate`` with
-the shared and the per-agent offset law, empirical and prescribed
-coupling, default and zero noise; ``replay_agent``; ``epsilon_nash_gap``;
-and ``realtime_simulate`` with each of the four estimator policies at
-default and zero noise.  These
+post-correction offset map, the realtime kernels and the realtime maps
+anchored at t0 = 0.5; ``simulate`` with the shared and the per-agent
+offset law, empirical and prescribed coupling, default and zero noise;
+``replay_agent``; ``epsilon_nash_gap``; and ``realtime_simulate`` with
+each of the four estimator policies at default and zero noise.  These
 calls keep one signature across refactors, so the script runs unchanged
 against an older checkout.
 
@@ -157,7 +157,10 @@ def array_outputs(fixture, fdoc):
 
     kernels = realtime.build_kernels(bundle)
     out += [(f"{fixture}/kernels/{name}", [np.asarray(getattr(kernels, name))])
-            for name in ("PhiZ_inv", "Phi1_inv", "J", "V", "U", "Mig_diag", "M0g_diag")]
+            for name in ("PhiZ_inv", "Phi1_inv", "V", "Mig_diag", "M0g_diag")]
+    rt = realtime.build_realtime_maps(kernels, 0.5)
+    out += [(f"{fixture}/realtime_maps/{name}", [getattr(rt, name).values])
+            for name in ("Miz", "M0z", "Mig", "M0g")]
     policies = {
         "hold": realtime.hold_initial_error_policy(errors, cfg.E_bar),
         "decay": realtime.decay_to_truth_policy(errors, cfg.E_bar, rate=1.5),
