@@ -14,6 +14,7 @@ from .errors import (
     IntegrationBlowupError,
     MfgError,
     ParamsMismatchError,
+    PopulationError,
     SingularMatrixError,
 )
 from .grid import MatrixPath, TimeGrid, VectorPath
@@ -29,6 +30,7 @@ __all__ = [
     "IntegrationBlowupError",
     "MfgError",
     "ParamsMismatchError",
+    "PopulationError",
     "SingularMatrixError",
     "MatrixPath",
     "TimeGrid",

@@ -34,6 +34,10 @@ class ParamsMismatchError(ValueError, MfgError):
     """Objects passed to an operation carry different parameter sets."""
 
 
+class PopulationError(ValueError, MfgError):
+    """A population does not fit the parameter set or the law it plays."""
+
+
 class EstimatorPolicyError(ValueError, MfgError):
     """An estimator policy returned errors that do not fit the population."""
 

@@ -19,6 +19,11 @@ maps up once and prefix-scan the agents' columns against them (see
 _step_agents) instead of stepping node by node.  euler_maruyama, the node
 loop, steps realtime_simulate, whose controls come from an estimator policy
 at each node.
+
+A run keeps node arrays, not paths: each block's states and controls go
+into a scratch of _NOISE_BLOCK + 1 nodes, so simulate holds O(N) memory
+beyond its (K+1, .) node arrays, and its result builds the paths when they
+are read (see PopulationResult).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import FeedbackLaw
-from .errors import IntegrationBlowupError
+from .errors import IntegrationBlowupError, PopulationError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from .ode import _scan, _up_sweep
 from .params import SystemParams, require_same_params
@@ -66,6 +71,35 @@ def _cov_factor(cov, name):
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _agent_rows(params, population, law=None, N=None):
+    """The initial states x0 and errors E_i of population, a sequence of
+    (x0, E_i) pairs, as two (len(population), n) arrays.  Raises
+    PopulationError unless the population has an agent, every x0 and E_i
+    is n = params.n numbers and law, if it has an error gain, holds the
+    (N, n) errors of N agents, N the population's size unless given."""
+    size, n = len(population), params.n
+    if size < 1:
+        raise PopulationError("a population needs at least one agent, got 0")
+    rows = []
+    for j, name in enumerate(("x0", "E_i")):
+        try:
+            a = np.array([p[j] for p in population], dtype=float)
+        except ValueError:   # rows of different widths, or not numbers
+            a = None
+        if a is None or a.shape != (size, n):
+            i = next((i for i, p in enumerate(population) if np.shape(p[j]) != (n,)), None)
+            what = (f"of agent {i} has shape {np.shape(population[i][j])}, not ({n},)"
+                    if i is not None else "holds values that are not numbers")
+            raise PopulationError(f"{name} {what}, in a population of {size} on n = {n}")
+        rows.append(a)
+    N = size if N is None else N
+    if law is not None and law.error_gain is not None and np.shape(law.errors) != (N, n):
+        raise PopulationError(
+            f"the law holds errors of shape {np.shape(law.errors)}, not ({N}, {n}), "
+            f"for {N} agents on n = {n}")
+    return rows
+
+
 @dataclass
 class AgentTrace:
     """Realized path of one agent, as views into its PopulationResult.
@@ -90,23 +124,45 @@ class PopulationResult:
     """Realized paths of N agents; entry [k, i] of xs, us and drifts is
     agent i at node k.
 
-    coupling is the pair of (K+1, n) and (K+1, d) node arrays (mf_x, mf_u)
-    the run stepped with: the population's mean state and control as the
-    run's mean scan gives them under empirical coupling, else the
-    prescribed (z, ubar) arrays, kept by reference.  drifts is not stored
-    by the run: its first read derives every node's drift
+    The run keeps node arrays only: the node means x_N and u_N, and
+    coupling, the pair of (K+1, n) and (K+1, d) node arrays (mf_x, mf_u)
+    the run stepped with, that is the population's mean state and control
+    as the run's mean scan gives them under empirical coupling, else the
+    prescribed (z, ubar) arrays, kept by reference.  Its agents' paths take
+    O(N K) memory, so the first read of xs or us runs the block scan again
+    under the recorded coupling, with the run's law, x0, seed and D, and
+    caches both: that gives the run's paths bit for bit (see
+    _step_agents).  The first read of drifts derives every node's drift
     A x + B u + C mf_x + F mf_u from xs[k], us[k] and the coupling, and
     caches it.
     """
 
     params: SystemParams
     grid: TimeGrid
-    xs: np.ndarray       # (K+1, N, n)
-    us: np.ndarray       # (K+1, N, d)
     errors: np.ndarray   # (N, n) initial-information errors
     x_N: VectorPath
     u_N: VectorPath
     coupling: tuple = field(repr=False)
+    law: FeedbackLaw = field(repr=False)
+    x0: np.ndarray = field(repr=False)   # (N, n) initial states
+    seed: int
+    D: object
+
+    @cached_property
+    def _paths(self):
+        *_, paths = _step_agents(self.params, self.law, self.x0, range(len(self.x0)),
+                                 self.coupling, self.seed, self.D, paths=True)
+        return paths
+
+    @property
+    def xs(self) -> np.ndarray:
+        """(K+1, N, n) state of every agent at every node."""
+        return self._paths[0]
+
+    @property
+    def us(self) -> np.ndarray:
+        """(K+1, N, d) control of every agent at every node."""
+        return self._paths[1]
 
     @cached_property
     def drifts(self) -> np.ndarray:
@@ -141,7 +197,7 @@ class _Traces(Sequence):
         self._result = result
 
     def __len__(self):
-        return self._result.xs.shape[1]
+        return len(self._result.errors)
 
     def __getitem__(self, i):
         return self._result.trace(range(len(self))[i])
@@ -301,12 +357,16 @@ def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _step_agents(params, law, x0, ids, coupling, seed, D):
+def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
     """Euler-Maruyama run of the agents ids from the rows of x0 (N, n)
-    under the affine law (see the module docstring).  Returns the paths xs
-    (K+1, N, n) and us (K+1, N, d), their node sums, and the coupling
-    (mf_x, mf_u) the run stepped with: the prescribed node arrays coupling
-    or, for coupling None, the population means.  D is as in euler_maruyama.
+    under the affine law (see the module docstring).  Returns the node sums
+    (K+1, n) and (K+1, d) of the states and controls, the coupling
+    (mf_x, mf_u) the run stepped with (the prescribed node arrays coupling
+    or, for coupling None, the population means) and, for paths True, the
+    paths xs (K+1, N, n) and us (K+1, N, d), else None.  Without paths a
+    block's states and controls go into a scratch of _NOISE_BLOCK + 1
+    nodes, so the run holds O(N) memory beyond its node arrays.  D is as in
+    euler_maruyama.
 
     Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n_ik,
     with T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k +
@@ -332,22 +392,22 @@ def _step_agents(params, law, x0, ids, coupling, seed, D):
     - under noise, the scan of a chunk of the agents' noise columns
       sqrt(dt) D n_k adds their noise part dx, and dx gain' to the
       controls;
-    - the states and controls of all agents, or of a chunk, go into xs and
-      us at once, and agent_sum takes the block's node sums.
+    - the states and controls of all agents, or of a chunk, go into the
+      block's nodes at once, and agent_sum takes the block's node sums.
 
     No step map is inverted, and no product mixes two agents' rows or
     columns, so under prescribed coupling an agent's bits do not depend on
-    the others.  A non-finite state raises IntegrationBlowupError naming
-    the first such node and its first agent.
+    the others, and a run with paths True against the coupling of an
+    earlier run gives that run's paths bit for bit.  A non-finite state
+    raises IntegrationBlowupError naming the first such node and its first
+    agent.
     """
-    N, n = x0.shape
-    if N == 1:
+    lone = len(x0) == 1
+    if lone:
         # a lone agent steps beside a copy of itself: numpy multiplies a
         # one-row operand by other BLAS kernels (gemv), whose bits differ
-        xs, us, _, _, coupling = _step_agents(params, law, np.repeat(x0, 2, axis=0),
-                                              [ids[0]] * 2, coupling, seed, D)
-        xs, us = xs[:, :1].copy(), us[:, :1].copy()
-        return xs, us, xs[:, 0], us[:, 0], coupling
+        x0, ids = np.repeat(x0, 2, axis=0), [ids[0]] * 2
+    N, n = x0.shape
     grid = law.grid
     K, dt = grid.steps, grid.dt
     d = params.d
@@ -380,14 +440,20 @@ def _step_agents(params, law, x0, ids, coupling, seed, D):
         mf_x[0] = agent_sum(x0) / N
     else:
         mf_x, mf_u = coupling
-    xs, us = np.empty((K + 1, N, n)), np.empty((K + 1, N, d))
+    # the lone agent's node sums are its own path
+    node_sums = (lambda a: a[..., 0, :]) if lone else agent_sum
+    nodes = K + 1 if paths else min(_NOISE_BLOCK, K) + 1
+    xs, us = np.empty((nodes, N, n)), np.empty((nodes, N, d))
     xs[0] = x0
     x_sum, u_sum = np.empty((K + 1, n)), np.empty((K + 1, d))
-    x_sum[0] = agent_sum(x0)
+    x_sum[0] = node_sums(x0)
     for k0 in range(0, K, _NOISE_BLOCK):
         k1 = min(k0 + _NOISE_BLOCK, K)
         m = k1 - k0
         hi = k1 + 1 if k1 == K else k1   # nodes k0..hi-1 take their controls here
+        # the block's nodes k0..k1 of the states and k0..hi-1 of the controls
+        at = k0 if paths else 0
+        xb, ub = xs[at:at + m + 1], us[at:at + hi - k0]
         levels = _up_sweep(eye + dt * agent_generator(params, P1[k0:k1]))
         if noisy:
             for row, rng in enumerate(rngs):
@@ -417,9 +483,9 @@ def _step_agents(params, law, x0, ids, coupling, seed, D):
         U[:, n] += offset[k0:hi]
         if W is not None:
             U[:, n + 1:] += np.swapaxes(W[k0:hi], 1, 2)
-        Z[:, :n] = xs[k0]
+        Z[:, :n] = xb[0]
         for a, b in zip(edges, edges[1:]):
-            x, u = xs[k0 + 1:k1 + 1, a:b], us[k0:hi, a:b]
+            x, u = xb[1:, a:b], ub[:, a:b]
             np.matmul(Z[a:b], PT, out=x)
             np.matmul(Z[a:b], U, out=u)
             if noisy:
@@ -430,18 +496,25 @@ def _step_agents(params, law, x0, ids, coupling, seed, D):
                 x += dx
                 u[1:] += dx[:hi - k0 - 1] @ gainT
                 del dx   # before the next chunk's scan
-        x_sum[k0 + 1:k1 + 1] = agent_sum(xs[k0 + 1:k1 + 1])
-        u_sum[k0:hi] = agent_sum(us[k0:hi])
+        x_sum[k0 + 1:k1 + 1] = node_sums(xb[1:])
+        u_sum[k0:hi] = node_sums(ub)
         # a finite node sum means every state is finite; a non-finite one is
         # a blow-up or an overflow of finite states, which the scan tells apart
-        for k in k0 + 1 + np.flatnonzero(~np.isfinite(x_sum[k0 + 1:k1 + 1]).all(axis=1)):
-            bad = np.flatnonzero(~np.isfinite(xs[k]).all(axis=1))
+        for j in 1 + np.flatnonzero(~np.isfinite(x_sum[k0 + 1:k1 + 1]).all(axis=1)):
+            bad = np.flatnonzero(~np.isfinite(xb[j]).all(axis=1))
             if len(bad):
+                k = k0 + int(j)
                 raise IntegrationBlowupError(
                     f"agent {ids[bad[0]]} state non-finite at node {k}",
-                    node=int(k), time=grid.times[k],
+                    node=k, time=grid.times[k],
                 )
-    return xs, us, x_sum, u_sum, (mf_x, mf_u)
+        if not paths:
+            xs[0] = xb[m]
+    if not paths:
+        return x_sum, u_sum, (mf_x, mf_u), None
+    if lone:
+        xs, us = xs[:, :1].copy(), us[:, :1].copy()
+    return x_sum, u_sum, (mf_x, mf_u), (xs, us)
 
 
 def simulate(
@@ -455,33 +528,41 @@ def simulate(
 ) -> PopulationResult:
     """Euler-Maruyama integration of N agents who all play law.
 
-    law is an affine law (see the module docstring) and carries its grid,
-    on which the run takes place (grid, if given, must be the same).
-    mf_coupling is "empirical" (start-of-step population averages) or a
-    (z_path, ubar_path) pair of prescribed mean-field paths on that grid.
-    D overrides the noise matrix (see euler_maruyama).  The agents are
-    stepped a block of nodes at a time by prefix scans (see _step_agents).
-    params must be the law's parameter set (ParamsMismatchError otherwise).
+    population is a sequence of N >= 1 pairs (x0, E_i) of width n (see
+    _agent_rows).  law is an affine law (see the module docstring) and
+    carries its grid, on which the run takes place (grid, if given, must be
+    the same).  mf_coupling is "empirical" (start-of-step population
+    averages) or a (z_path, ubar_path) pair of prescribed mean-field paths
+    on that grid.  D overrides the noise matrix (see euler_maruyama).  The
+    agents are stepped a block of nodes at a time by prefix scans (see
+    _step_agents), and the result keeps the node arrays, building the paths
+    when they are read.  params must be the law's parameter set
+    (ParamsMismatchError otherwise).
     """
     require_same_params(params, law, "law")
     paths = () if mf_coupling == "empirical" else tuple(mf_coupling)
     grid = require_same_grid(law if grid is None else grid, law, *paths)
-    N = len(population)
-    x0 = np.array([p[0] for p in population], dtype=float)
-    xs, us, x_sum, u_sum, coupling = _step_agents(
+    x0, errors = _agent_rows(params, population, law)
+    N = len(x0)
+    x_sum, u_sum, coupling, _ = _step_agents(
         params, law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
-    errors = np.array([p[1] for p in population], dtype=float)
-    return PopulationResult(params=params, grid=grid, xs=xs, us=us, errors=errors,
-                            x_N=VectorPath(grid, x_sum / N), u_N=VectorPath(grid, u_sum / N),
-                            coupling=coupling)
+    x_sum /= N
+    u_sum /= N
+    return PopulationResult(params=params, grid=grid, errors=errors,
+                            x_N=VectorPath(grid, x_sum), u_N=VectorPath(grid, u_sum),
+                            coupling=coupling, law=law, x0=x0, seed=seed, D=D)
 
 
 def replay_agent(params, trace: AgentTrace, law, z_path, ubar_path, grid, seed, D=None):
     """Re-run one agent with a different law against prescribed mean-field
     paths, reusing the agent's own dynamics noise stream.  params must be
-    the law's parameter set (ParamsMismatchError otherwise)."""
+    the law's parameter set (ParamsMismatchError otherwise), and a law with
+    an error gain must hold the errors of the trace's population (see
+    _agent_rows)."""
     require_same_params(params, law, "law")
     grid = require_same_grid(grid, law, z_path, ubar_path)
-    xs, us, *_ = _step_agents(params, law, trace.x.initial[None, :], [trace.agent_id],
-                              (z_path.values, ubar_path.values), seed, D)
+    x0, _ = _agent_rows(params, [(trace.x.initial, trace.E_i)], law,
+                        len(trace.result.errors))
+    *_, (xs, us) = _step_agents(params, law, x0, [trace.agent_id],
+                                (z_path.values, ubar_path.values), seed, D, paths=True)
     return VectorPath(grid, xs[:, 0]), VectorPath(grid, us[:, 0])

@@ -36,7 +36,7 @@ from .errors import EstimatorPolicyError, GridMismatchError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from .ode import StepMaps, cumulative_trapezoid, invert_path
 from .params import SystemParams, require_same_params
-from .population import agent_sum, euler_maruyama
+from .population import _agent_rows, agent_sum, euler_maruyama
 from .riccati import (
     RiccatiBundle,
     control,
@@ -273,7 +273,8 @@ def realtime_simulate(
     that does not broadcast to (N, n) raises EstimatorPolicyError.  The run
     takes place on the bundle's grid; a grid or kernels on another grid
     raise GridMismatchError, params other than the bundle's
-    ParamsMismatchError, a non-finite state IntegrationBlowupError.
+    ParamsMismatchError, a population that does not fit params
+    PopulationError, a non-finite state IntegrationBlowupError.
     Returns the realized mean field, the correct-information reference,
     realized error paths, and a report comparing the realized deviation
     with the linear-theory quadrature.
@@ -283,8 +284,8 @@ def realtime_simulate(
         kernels = build_kernels(bundle)
     grid = require_same_grid(bundle if grid is None else grid, bundle, kernels)
     n = params.n
-    N = len(population)
-    x0 = [p[0] for p in population]
+    x0, _ = _agent_rows(params, population)
+    N = len(x0)
     if z0 is None:
         z0 = np.mean(x0, axis=0)
     mf_c = equilibrium_mf(bundle, z0)

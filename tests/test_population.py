@@ -1,6 +1,7 @@
 """Finite-population sampling, simulation, and replay."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from mfg_errsim.errors import (
     IntegrationBlowupError,
     MfgError,
     ParamsMismatchError,
+    PopulationError,
 )
 from mfg_errsim.grid import MatrixPath, VectorPath
 from mfg_errsim.params import (
@@ -451,18 +453,100 @@ def test_drifts_on_first_read_are_the_stepped_drifts(D):
             npt.assert_array_equal(tr.drift.values, res.drifts[:, 4])
 
 
-def test_a_noisy_run_holds_little_beyond_its_paths(params):
-    grid = params.default_grid(1000)
-    bundle = RiccatiBundle.solve(params, grid)
-    law = equilibrium_law(bundle, equilibrium_mf(bundle, P6_Z0))
+def test_a_noisy_runs_memory_does_not_grow_with_K(params):
+    # the run keeps node arrays, (K+1, n) each, and builds no (K+1, N, .)
+    # path: its peak stays below one such array, and what it holds beyond
+    # what it leaves behind is the same at four times the nodes
     pop = _pop(100)
-    tracemalloc.start()
-    try:
-        res = simulate(params, pop, law, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= res.xs.nbytes + res.us.nbytes + 0.5 * res.xs.nbytes
+    held = {}
+    for K in (1000, 4000):
+        bundle = RiccatiBundle.solve(params, params.default_grid(K))
+        law = equilibrium_law(bundle, equilibrium_mf(bundle, P6_Z0))
+        law.gain, law.offset   # the law's node arrays, before the run
+        tracemalloc.start()
+        try:
+            res = simulate(params, pop, law, seed=3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (K + 1) * len(pop) * params.n * 8
+        held[K] = peak - kept
+        del res
+    assert abs(held[4000] - held[1000]) <= 0.1 * held[1000]
+
+
+def _spy_step_agents(monkeypatch):
+    step_agents, calls = population._step_agents, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("paths", False))
+        return step_agents(*args, **kwargs)
+
+    monkeypatch.setattr(population, "_step_agents", spy)
+    return calls
+
+
+def test_a_run_builds_its_paths_only_when_they_are_read(monkeypatch):
+    p, law, fam, pop = _family(3, 2, 9, 2 * _NOISE_BLOCK + 3)
+    calls = _spy_step_agents(monkeypatch)
+    res = simulate(p, pop, fam, seed=5)
+    res.x_N, res.u_N, res.coupling
+    assert len(res.traces) == 9
+    assert calls == [False]
+    xs = res.xs
+    assert calls == [False, True]
+    res.us, res.drifts, res.trace(4), res.traces[2].drift
+    assert res.xs is xs and calls == [False, True]
+
+
+@pytest.mark.parametrize("N", [1, 9, 300])
+def test_paths_on_first_read_are_a_run_under_the_recorded_coupling(N):
+    p, law, fam, pop = _family(3, 2, N, 2 * _NOISE_BLOCK + 3)
+    for lw in (law, fam):
+        for D in (None, 0.0):
+            res = simulate(p, pop, lw, seed=5, D=D)
+            coupling = tuple(VectorPath(law.grid, a) for a in res.coupling)
+            fresh = simulate(p, pop, lw, mf_coupling=coupling, seed=5, D=D)
+            npt.assert_array_equal(fresh.x_N.values, res.x_N.values)
+            npt.assert_array_equal(fresh.u_N.values, res.u_N.values)
+            npt.assert_array_equal(res.xs, fresh.xs)
+            npt.assert_array_equal(res.us, fresh.us)
+
+
+def _assert_population_error(match, run):
+    with pytest.raises(PopulationError, match=match) as ei:
+        run()
+    assert isinstance(ei.value, ValueError) and isinstance(ei.value, MfgError)
+
+
+def test_a_population_that_does_not_fit_fails_loudly(params, law_c, mf_c, maps, bundle):
+    pop = _pop(5)
+    wide = [(np.ones(3), E) for _, E in pop]
+    ragged = pop[:2] + [(pop[2][0], np.ones(3))] + pop[3:]
+    fam3 = OffsetFamilyLaw(params, law_c.P1, law_c.g, maps.Mg, errors=np.zeros((3, 2)))
+    _assert_population_error(r"at least one agent, got 0",
+                             lambda: simulate(params, [], law_c))
+    _assert_population_error(r"x0 of agent 0 has shape \(3,\), not \(2,\), "
+                             r"in a population of 5 on n = 2",
+                             lambda: simulate(params, wide, law_c))
+    _assert_population_error(r"E_i of agent 2 has shape \(3,\), not \(2,\)",
+                             lambda: simulate(params, ragged, law_c))
+    _assert_population_error(r"x0 holds values that are not numbers",
+                             lambda: simulate(params, [(["a", "b"], np.zeros(2))], law_c))
+    _assert_population_error(r"errors of shape \(3, 2\), not \(5, 2\), for 5 agents",
+                             lambda: simulate(params, pop, fam3))
+    res = simulate(params, pop, law_c, mf_coupling=(mf_c.z, mf_c.ubar), D=0.0)
+    _assert_population_error(r"errors of shape \(3, 2\), not \(5, 2\)",
+                             lambda: replay_agent(params, res.trace(4), fam3, mf_c.z,
+                                                  mf_c.ubar, law_c.grid, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_population_error(r"at least one agent, got 0",
+                                 lambda: realtime_simulate(params, bundle, [],
+                                                           truth_policy()))
+        _assert_population_error(r"x0 of agent 0 has shape \(3,\)",
+                                 lambda: realtime_simulate(params, bundle, wide,
+                                                           truth_policy()))
 
 
 def test_a_params_argument_other_than_the_law_or_bundle_fails_loudly():
