@@ -14,11 +14,11 @@ error_gain (K+1, d, n) or None for a law every agent plays alike.  A law
 carries them with P1, its errors (N, n) when it has an error gain, and its
 grid, on which the run takes place.  An Euler-Maruyama step is then an
 affine map of each agent's state whose matrix I + dt agent_generator(P1) all
-agents share, so simulate and replay_agent sweep each noise block's step
-maps up once and prefix-scan the agents' columns against them (see
-_step_agents) instead of stepping node by node.  euler_maruyama, the node
-loop, steps realtime_simulate, whose controls come from an estimator policy
-at each node.
+agents share, so _step_agents, the one stepping routine here, sweeps each
+noise block's step maps up once and prefix-scans the agents' columns
+against them instead of stepping node by node.  realtime_simulate, whose
+controls come from an estimator policy at each node, steps node by node
+with this module's _noise_matrix, _noise_blocks, _drift and agent_sum.
 
 A run keeps node arrays, not paths: each block's states and controls go
 into a scratch of _NOISE_BLOCK + 1 nodes, so simulate holds O(N) memory
@@ -102,7 +102,7 @@ def _agent_rows(params, population, law=None, N=None):
 
 @dataclass
 class AgentTrace:
-    """Realized path of one agent, as views into its PopulationResult.
+    """Realized path of one agent of a PopulationResult.
 
     The drift, kept for validation, is read from the result's drifts, which
     are derived from the states and controls on first read.
@@ -132,9 +132,9 @@ class PopulationResult:
     O(N K) memory, so the first read of xs or us runs the block scan again
     under the recorded coupling, with the run's law, x0, seed and D, and
     caches both: that gives the run's paths bit for bit (see
-    _step_agents).  The first read of drifts derives every node's drift
-    A x + B u + C mf_x + F mf_u from xs[k], us[k] and the coupling, and
-    caches it.
+    _step_agents), and before that trace(i) steps agent i alone the same
+    way.  The first read of drifts derives every node's drift A x + B u +
+    C mf_x + F mf_u from xs[k], us[k] and the coupling, and caches it.
     """
 
     params: SystemParams
@@ -148,11 +148,14 @@ class PopulationResult:
     seed: int
     D: object
 
+    def _rerun(self, a, b):
+        """Paths (xs, us) of the agents a..b-1 under the recorded coupling."""
+        return _step_agents(self.params, self.law, self.x0[a:b], range(a, b),
+                            self.coupling, self.seed, self.D, paths=True)[-1]
+
     @cached_property
     def _paths(self):
-        *_, paths = _step_agents(self.params, self.law, self.x0, range(len(self.x0)),
-                                 self.coupling, self.seed, self.D, paths=True)
-        return paths
+        return self._rerun(0, len(self.x0))
 
     @property
     def xs(self) -> np.ndarray:
@@ -175,14 +178,15 @@ class PopulationResult:
         return drifts
 
     def trace(self, i: int) -> AgentTrace:
-        """Agent i's paths, as views into the result arrays."""
-        return AgentTrace(
-            agent_id=i,
-            E_i=self.errors[i],
-            x=VectorPath(self.grid, self.xs[:, i, :]),
-            u=VectorPath(self.grid, self.us[:, i, :]),
-            result=self,
-        )
+        """Agent i's paths: views of xs and us once built, else a lone run."""
+        i = range(len(self.errors))[i]
+        if "_paths" in vars(self):
+            x, u = self.xs[:, i], self.us[:, i]
+        else:
+            xs, us = self._rerun(i, i + 1)
+            x, u = xs[:, 0], us[:, 0]
+        return AgentTrace(agent_id=i, E_i=self.errors[i], x=VectorPath(self.grid, x),
+                          u=VectorPath(self.grid, u), result=self)
 
     @property
     def traces(self) -> Sequence:
@@ -191,7 +195,7 @@ class PopulationResult:
 
 
 class _Traces(Sequence):
-    """The traces of a PopulationResult, each built when it is indexed."""
+    """A result's traces, each built when indexed; iterating builds xs once."""
 
     def __init__(self, result):
         self._result = result
@@ -200,7 +204,11 @@ class _Traces(Sequence):
         return len(self._result.errors)
 
     def __getitem__(self, i):
-        return self._result.trace(range(len(self))[i])
+        return self._result.trace(i)
+
+    def __iter__(self):
+        self._result.xs
+        return (self._result.trace(i) for i in range(len(self)))
 
 
 def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
@@ -246,8 +254,8 @@ def agent_sum(a):
     """Sum over the agent axis of a (..., N, n) array, bitwise a.sum(axis=-2).
 
     For n > 1 numpy's sum adds the agents one after the other, and einsum
-    gives the same bits about four times faster (at N = 2000; see
-    euler_maruyama).  For n = 1 the agent axis is contiguous and numpy sums
+    gives the same bits about four times faster (at N = 2000, numpy 2.4,
+    2-vCPU x86-64).  For n = 1 the agent axis is contiguous and numpy sums
     it pairwise, which einsum does not, so that case keeps numpy's sum.
     """
     if a.shape[-1] == 1:
@@ -257,8 +265,9 @@ def agent_sum(a):
 
 def _drift(params, At, Bt, x, u, mf_x, mf_u):
     """Drifts A x + B u + C mf_x + F mf_u of the agents' rows of x and u,
-    accumulated in that order; At and Bt are contiguous A' and B' (see
-    euler_maruyama)."""
+    accumulated in that order.  At and Bt are contiguous A' and B' (see
+    realtime_simulate); the one-row mean-field products keep the views, as
+    they go through another BLAS kernel, where a copy changes the bits."""
     drift = x @ At
     drift += u @ Bt
     drift += mf_x @ params.C.T
@@ -266,94 +275,25 @@ def _drift(params, At, Bt, x, u, mf_x, mf_u):
     return drift
 
 
-def euler_maruyama(params: SystemParams, x0, grid: TimeGrid, control_at,
-                   coupling=None, seed: int = 0, D=None):
-    """Euler-Maruyama integration of agents started at the rows of x0, one
-    node at a time.
-
-    This node loop steps realtime_simulate, whose controls come from a
-    callback at each node; simulate and replay_agent step affine laws by
-    block scans instead (see _step_agents).  Yields (k, x, u, drift, mf_x)
-    at every node k = 0..K, where u = control_at(x, k) are the agents'
-    controls, drift = A x + B u + C mf_x + F mf_u, and (mf_x, mf_u) are
-    the start-of-step population averages when coupling is None, else node
-    k of the pair of prescribed node arrays coupling = (z, ubar).  Row i of
-    x0 is agent i, whose own dynamics noise stream drives it.  D overrides
-    the noise matrix params.D, a scalar D standing for D times the
-    identity.  Raises IntegrationBlowupError at the first non-finite state.
-
-    Each node costs a handful of small (N, n) numpy calls, so their operand
-    layout decides the speed.  Every choice below gives the same bits as
-    plain transposed views, sums and a per-step scan of the states (timings
-    at N = K = 2000, numpy 2.4, 2-vCPU x86-64):
-
-    - the noise is drawn in blocks of _NOISE_BLOCK = B nodes into one
-      agent-major (N, B, n) buffer, N B n floats whatever K is: every B
-      nodes each agent's stream, kept for the whole run, draws its next
-      B n normals straight into its own row, and node k reads a strided
-      (N, n) slice.  A stream's consecutive draws continue it, so the
-      numbers are those of one (K, n) draw per agent, and the bits are
-      unchanged.  B = 128, 256 and 512 fill and read in the same time
-      within noise (0.21-0.23 s), so B is the smallest, 4 MB at N = 2000
-      and n = 2.  A node-major buffer reads contiguously, but filling it
-      scatters each agent's draws over the rows, which costs more than the
-      reads save;
-    - the right operands A', B' and D' of the (N, n) products are
-      contiguous copies, multiplied about 2.5 times faster than transposed
-      views, with the same bits for N > 1.  The two (n,) mean-field
-      products, mf_x C' and mf_u F', keep the views: a one-row product goes
-      through another BLAS kernel, where a contiguous operand changes the
-      bits;
-    - the node sums come from agent_sum, and _drift, which
-      PopulationResult.drifts also calls, accumulates the drift in place in
-      the order A x + B u + C mf_x + F mf_u;
-    - a state is checked through its node sum: a finite sum means every
-      entry is finite, and only a non-finite one (a blow-up, or an
-      overflow of finite states) triggers the per-agent scan that names
-      the first bad agent.  The check runs before control_at sees the
-      state.
-    """
-    x = np.array(x0, dtype=float)
-    N, n = x.shape
-    K, dt = grid.steps, grid.dt
-    sqdt = np.sqrt(dt)
+def _noise_matrix(params, D):
+    """The noise matrix params.D, or D, a scalar standing for D times I."""
     D = params.D if D is None else D
-    D = np.eye(n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
-    At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (params.A, params.B, D))
-    rngs = None
-    if not np.allclose(D, 0.0):
-        rngs = [_agent_rng(seed, i, _DYNAMICS) for i in range(N)]
-        noise = np.empty((N, min(_NOISE_BLOCK, K), n))
-    x_sum = agent_sum(x)
-    for k in range(K + 1):
-        u = control_at(x, k)
-        if coupling is None:
-            mf_x, mf_u = x_sum / N, agent_sum(u) / N
-        else:
-            mf_x, mf_u = coupling[0][k], coupling[1][k]
-        drift = _drift(params, At, Bt, x, u, mf_x, mf_u)
-        yield k, x, u, drift, mf_x
-        if k < K:
-            x_next = drift * dt
-            x_next += x
-            if rngs is not None:
-                j = k % _NOISE_BLOCK
-                if j == 0:
-                    m = min(_NOISE_BLOCK, K - k)
-                    for row, rng in enumerate(rngs):
-                        rng.standard_normal(out=noise[row, :m])
-                dW = noise[:, j] @ Dt
-                dW *= sqdt
-                x_next += dW
-            x = x_next
-            x_sum = agent_sum(x)
-            if not np.isfinite(x_sum).all():
-                bad = np.argwhere(~np.all(np.isfinite(x), axis=1))
-                if len(bad):
-                    raise IntegrationBlowupError(
-                        f"agent {bad[0, 0]} state non-finite at node {k + 1}",
-                        node=k + 1, time=grid.times[k + 1],
-                    )
+    return np.eye(params.n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+
+
+def _noise_blocks(seed, ids, K, n):
+    """Dynamics noise of the agents ids for steps 0..K-1: per block of
+    m <= _NOISE_BLOCK steps, an (N, m, n) view of one agent-major buffer
+    whose row i agent ids[i]'s stream, kept for the run, fills with its
+    next m n normals, the numbers of one (K, n) draw.  (A node-major buffer
+    reads contiguously, but filling it scatters each stream's draws.)"""
+    rngs = [_agent_rng(seed, int(i), _DYNAMICS) for i in ids]
+    noise = np.empty((len(rngs), min(_NOISE_BLOCK, K), n))
+    for k0 in range(0, K, _NOISE_BLOCK):
+        m = min(_NOISE_BLOCK, K - k0)
+        for row, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[row, :m])
+        yield noise[:, :m]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -366,17 +306,15 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
     paths xs (K+1, N, n) and us (K+1, N, d), else None.  Without paths a
     block's states and controls go into a scratch of _NOISE_BLOCK + 1
     nodes, so the run holds O(N) memory beyond its node arrays.  D is as in
-    euler_maruyama.
+    _noise_matrix.
 
     Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n_ik,
     with T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k +
     C mf_x_k + F mf_u_k) the same for every agent, W the error gain and
-    n_ik the agent's noise.  Per block of _NOISE_BLOCK steps from node k0,
-    ode._up_sweep takes the block's T_k up once, and every scan of the
-    block is an ode._scan of columns against those levels:
+    n_ik the agent's noise (_noise_blocks).  Per block of _NOISE_BLOCK
+    steps from node k0, ode._up_sweep takes the block's T_k up once, and
+    every scan of the block is an ode._scan of columns against those levels:
 
-    - every agent's stream draws the block's noise into its row of one
-      (N, _NOISE_BLOCK, n) buffer, as in euler_maruyama;
     - under empirical coupling the mean state steps by
       m -> M_k m + dt (B+F) vbar_k + sqrt(dt) D nbar_k, M_k = I + dt
       mf_generator(P1)_k swept up once too, vbar and nbar the agents' mean
@@ -412,12 +350,10 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
     K, dt = grid.steps, grid.dt
     d = params.d
     B, C, F = params.B, params.C, params.F
-    D = params.D if D is None else D
-    D = np.eye(n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+    D = _noise_matrix(params, D)
     noisy = not np.allclose(D, 0.0)
     if noisy:
-        rngs = [_agent_rng(seed, int(i), _DYNAMICS) for i in ids]
-        noise = np.empty((N, min(_NOISE_BLOCK, K), n))
+        blocks = _noise_blocks(seed, ids, K, n)
         sqdtD = np.sqrt(dt) * D
     # a noisy block scans the agents' noise in _NOISE_CHUNKS chunks of
     # near-equal width, so that a chunk's scan transients (a few times its
@@ -456,15 +392,14 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
         xb, ub = xs[at:at + m + 1], us[at:at + hi - k0]
         levels = _up_sweep(eye + dt * agent_generator(params, P1[k0:k1]))
         if noisy:
-            for row, rng in enumerate(rngs):
-                rng.standard_normal(out=noise[row, :m])
+            noise = next(blocks)
         if coupling is None:
             mean_levels = _up_sweep(eye + dt * mf_generator(params, P1[k0:k1]))
             cols = np.zeros((m, n, n + 1))
             cols[0, :, :n] = mean_levels[0][0]
             cols[:, :, n] = dt * (vbar[k0:k1] @ (B + F).T)
             if noisy:
-                cols[:, :, n] += (noise[:, :m].sum(axis=0) / N) @ sqdtD.T
+                cols[:, :, n] += (noise.sum(axis=0) / N) @ sqdtD.T
             PC = _scan(mean_levels, cols)
             mf_x[k0 + 1:k1 + 1] = PC[:, :, :n] @ mf_x[k0] + PC[:, :, n]
             mf_u[k0:hi] = (gain[k0:hi] @ mf_x[k0:hi, :, None])[..., 0] + vbar[k0:hi]
@@ -489,7 +424,7 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
             np.matmul(Z[a:b], PT, out=x)
             np.matmul(Z[a:b], U, out=u)
             if noisy:
-                cols = sqdtD @ noise[a:b, :m].transpose(1, 2, 0)
+                cols = sqdtD @ noise[a:b].transpose(1, 2, 0)
                 # a product with I moves the agents from columns to rows:
                 # exact, and faster than numpy's strided copy
                 dx = np.swapaxes(_scan(levels, cols), 1, 2) @ eye
@@ -533,7 +468,7 @@ def simulate(
     carries its grid, on which the run takes place (grid, if given, must be
     the same).  mf_coupling is "empirical" (start-of-step population
     averages) or a (z_path, ubar_path) pair of prescribed mean-field paths
-    on that grid.  D overrides the noise matrix (see euler_maruyama).  The
+    on that grid.  D overrides the noise matrix (see _noise_matrix).  The
     agents are stepped a block of nodes at a time by prefix scans (see
     _step_agents), and the result keeps the node arrays, building the paths
     when they are read.  params must be the law's parameter set
@@ -546,10 +481,8 @@ def simulate(
     N = len(x0)
     x_sum, u_sum, coupling, _ = _step_agents(
         params, law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
-    x_sum /= N
-    u_sum /= N
     return PopulationResult(params=params, grid=grid, errors=errors,
-                            x_N=VectorPath(grid, x_sum), u_N=VectorPath(grid, u_sum),
+                            x_N=VectorPath(grid, x_sum / N), u_N=VectorPath(grid, u_sum / N),
                             coupling=coupling, law=law, x0=x0, seed=seed, D=D)
 
 

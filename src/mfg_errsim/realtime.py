@@ -21,7 +21,8 @@ backward scan driven by PhiZ) times PhiZ(t0)^-1, and
 M0g = (P0 - P1) Phi1 Phi1(t0)^-1 - Mig.  The kernels are computed once per
 parameter set, together with the diagonal maps t -> M(t; t) needed when
 agents re-anchor at every instant.  They hold the Riccati bundle and read
-its transitions Phi1 and PhiZ from it.
+its transitions Phi1 and PhiZ from it.  realtime_simulate steps the agents
+by Euler-Maruyama, node by node, as one policy call gives each node's errors.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import numpy as np
 
 from .core import FeedbackLaw, equilibrium_mf
 from .deviations import DeviationMaps
-from .errors import EstimatorPolicyError, GridMismatchError
+from .errors import EstimatorPolicyError, GridMismatchError, IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from .ode import StepMaps, cumulative_trapezoid, invert_path
 from .params import SystemParams, require_same_params
-from .population import _agent_rows, agent_sum, euler_maruyama
+from .population import _agent_rows, _drift, _noise_blocks, _noise_matrix, agent_sum
 from .riccati import (
     RiccatiBundle,
     control,
@@ -270,9 +271,10 @@ def realtime_simulate(
     anchor itself: u_i(t_k) = -R^-1 B'(P1 x_i + g_c + Mig(t_k;t_k) E_i(t_k)
     + M0g(t_k;t_k) Ebar_i(t_k)), with the estimate errors of all agents
     supplied by one policy call per node (see the protocol above); output
-    that does not broadcast to (N, n) raises EstimatorPolicyError.  The run
-    takes place on the bundle's grid; a grid or kernels on another grid
-    raise GridMismatchError, params other than the bundle's
+    that does not broadcast to (N, n) raises EstimatorPolicyError.  Agents
+    step node by node, with their noise streams and D as in simulate.  The
+    run takes place on the bundle's grid; a grid or kernels on another grid
+    raise GridMismatchError, params other than the bundle's or the kernels'
     ParamsMismatchError, a population that does not fit params
     PopulationError, a non-finite state IntegrationBlowupError.
     Returns the realized mean field, the correct-information reference,
@@ -282,10 +284,10 @@ def realtime_simulate(
     require_same_params(params, bundle, "bundle")
     if kernels is None:
         kernels = build_kernels(bundle)
+    require_same_params(params, kernels, "kernels")
     grid = require_same_grid(bundle if grid is None else grid, bundle, kernels)
-    n = params.n
     x0, _ = _agent_rows(params, population)
-    N = len(x0)
+    N, n = x0.shape
     if z0 is None:
         z0 = np.mean(x0, axis=0)
     mf_c = equilibrium_mf(bundle, z0)
@@ -295,30 +297,46 @@ def realtime_simulate(
         + bundle.G.values
     )
     ids = np.arange(N)
-    times = grid.times
-    z_A = np.empty((grid.steps + 1, n))
-    Ebar_real = np.empty((grid.steps + 1, n))
-    Ebar1_real = np.empty((grid.steps + 1, n))
-
-    # Mig(t_k; t_k)' and M0g(t_k; t_k)' at every node, contiguous (see
-    # euler_maruyama)
+    times, K, dt = grid.times, grid.steps, grid.dt
+    sqdt = np.sqrt(dt)
+    z_A, Ebar_real, Ebar1_real = (np.empty((K + 1, n)) for _ in range(3))
+    D = _noise_matrix(params, D)
+    noise = None if np.allclose(D, 0.0) else (
+        block[:, j] for block in _noise_blocks(seed, ids, K, n) for j in range(block.shape[1]))
+    # the right operands of the (N, n) products are contiguous copies: the
+    # bits of transposed views for N > 1, multiplied about 2.5 times faster
+    At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (params.A, params.B, D))
     MigT, M0gT = (np.ascontiguousarray(np.swapaxes(M, 1, 2))
                   for M in (kernels.Mig_diag, kernels.M0g_diag))
-
-    def control_at(x, k):
+    x, x_sum = x0, agent_sum(x0)
+    for k in range(K + 1):
         E_own, E_avg = _node_errors(estimator_policy, ids, k, times[k], (N, n))
         Ebar_real[k] = agent_sum(E_own) / N
         Ebar1_real[k] = agent_sum(E_avg) / N
+        z_A[k] = mf_x = x_sum / N
+        if k == K:
+            break
         g_ik = E_own @ MigT[k]
         g_ik += g_c[k]
         g_ik += E_avg @ M0gT[k]
-        return control(params, bundle.P1[k], x, g_ik)
-
-    for k, _, _, _, mf_x in euler_maruyama(params, x0, grid, control_at, seed=seed, D=D):
-        z_A[k] = mf_x
-    z_A_path = VectorPath(grid, z_A)
-    Ebar_path = VectorPath(grid, Ebar_real)
-    Ebar1_path = VectorPath(grid, Ebar1_real)
+        u = control(params, bundle.P1[k], x, g_ik)
+        drift = _drift(params, At, Bt, x, u, mf_x, agent_sum(u) / N)
+        x_next = drift * dt
+        x_next += x
+        if noise is not None:
+            dW = next(noise) @ Dt
+            dW *= sqdt
+            x_next += dW
+        x = x_next
+        x_sum = agent_sum(x)
+        # a finite node sum means every state is finite; only a non-finite
+        # one, a blow-up or an overflow of finite states, scans the agents
+        if not np.isfinite(x_sum).all():
+            bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+            if len(bad):
+                raise IntegrationBlowupError(f"agent {bad[0]} state non-finite at node {k + 1}",
+                                             node=k + 1, time=times[k + 1])
+    Ebar_path, Ebar1_path = VectorPath(grid, Ebar_real), VectorPath(grid, Ebar1_real)
     predicted = deviation_quadrature(kernels, Ebar_path, Ebar1_path)
     realized = z_A - mf_c.z.values
     report = {
@@ -326,7 +344,7 @@ def realtime_simulate(
         "max_abs_mismatch": float(np.max(np.abs(realized - predicted.values))),
     }
     return {
-        "z_A": z_A_path,
+        "z_A": VectorPath(grid, z_A),
         "z_c": mf_c.z,
         "Ebar": Ebar_path,
         "Ebar1": Ebar1_path,

@@ -25,7 +25,12 @@ from mfg_errsim.params import (
     p6_params,
     s1_params,
 )
-from mfg_errsim.realtime import realtime_simulate, truth_policy
+from mfg_errsim.realtime import (
+    build_kernels,
+    hold_initial_error_policy,
+    realtime_simulate,
+    truth_policy,
+)
 from mfg_errsim.riccati import RiccatiBundle, agent_generator, control
 from mfg_errsim import population
 from mfg_errsim.population import (
@@ -34,7 +39,6 @@ from mfg_errsim.population import (
     OffsetFamilyLaw,
     _agent_rng,
     agent_sum,
-    euler_maruyama,
     replay_agent,
     sample_population,
     simulate,
@@ -44,8 +48,7 @@ from mfg_errsim.population import (
 def _control_at(law):
     """The controls u = -R^-1 B' (P1 x + g_i) of the states x (N, n) at node
     k, g_i = g + Mg E_i for a per-agent offset law: the law in its own
-    terms rather than its affine form, for euler_maruyama and the reference
-    loop."""
+    terms rather than its affine form, for the reference loop."""
     def control_at(x, k):
         g = law.g[k]
         if law.error_gain is not None:
@@ -223,41 +226,86 @@ def test_simulated_means_are_numpy_means_bit_for_bit(n, d, N):
         npt.assert_array_equal(res.u_N.values, np.mean(res.us, axis=1))
 
 
+def _realtime_loop(p, bundle, pop, policy, seed, D=None):
+    """Reference realtime node loop in plain numpy terms: node means by
+    sum / N, transposed views, every agent's whole dynamics noise stream
+    drawn at once.  Returns (z_A, Ebar, Ebar1)."""
+    x = np.array([x0 for x0, _ in pop])
+    N, n = x.shape
+    grid = bundle.grid
+    K, dt = grid.steps, grid.dt
+    D = p.D if D is None else np.eye(n) * D
+    noise = np.empty((N, K, n))
+    for i in range(N):
+        _agent_rng(seed, i, _DYNAMICS).standard_normal(out=noise[i])
+    kernels = build_kernels(bundle)
+    z_c = equilibrium_mf(bundle, x.sum(axis=0) / N).z.values
+    g_c = np.einsum("kij,kj->ki", bundle.P0.values - bundle.P1.values, z_c) + bundle.G.values
+    out = np.empty((3, K + 1, n))
+    for k in range(K + 1):
+        E_own, E_avg = (np.broadcast_to(e, (N, n)) for e in policy(np.arange(N), k,
+                                                                  grid.times[k]))
+        out[:, k] = x.sum(axis=0) / N, E_own.sum(axis=0) / N, E_avg.sum(axis=0) / N
+        if k < K:
+            g = E_own @ kernels.Mig_diag[k].T + g_c[k] + E_avg @ kernels.M0g_diag[k].T
+            u = control(p, bundle.P1[k], x, g)
+            drift = x @ p.A.T + u @ p.B.T + out[0, k] @ p.C.T + (u.sum(axis=0) / N) @ p.F.T
+            x = x + drift * dt
+            if not np.allclose(D, 0.0):
+                x = x + (noise[:, k] @ D.T) * np.sqrt(dt)
+    return out
+
+
+def _realtime_set(n, d, N, K):
+    """_general_set on a K-step grid, with a population of N and a policy
+    whose two errors are per agent."""
+    p, bundle, _, rng = _general_set(n, d, K)
+    errors, avg = rng.standard_normal((2, N, n))
+    pop = [(x0, e) for x0, e in zip(rng.standard_normal((N, n)), errors)]
+    return p, bundle, pop, hold_initial_error_policy(errors, avg)
+
+
+def _assert_realtime_is_the_loop(p, bundle, pop, policy, D):
+    res = realtime_simulate(p, bundle, pop, policy, seed=5, D=D)
+    z_A, Ebar, Ebar1 = _realtime_loop(p, bundle, pop, policy, seed=5, D=D)
+    npt.assert_array_equal(res["z_A"].values, z_A)
+    npt.assert_array_equal(res["Ebar"].values, Ebar)
+    npt.assert_array_equal(res["Ebar1"].values, Ebar1)
+
+
 @pytest.mark.parametrize("N", [7, 300])
 @pytest.mark.parametrize("n, d", [(3, 2), (1, 1)])
 def test_empirical_coupling_is_the_plain_node_mean(n, d, N):
-    p, law, fam, pop = _family(n, d, N)
-    x0 = np.array([x for x, _ in pop])
-    nodes = 0
-    for k, x, u, drift, mf_x in euler_maruyama(p, x0, law.grid, _control_at(fam), seed=5):
-        npt.assert_array_equal(mf_x, x.sum(axis=0) / N)
-        mf_u = u.sum(axis=0) / N
-        expected = x @ p.A.T + u @ p.B.T + mf_x @ p.C.T + mf_u @ p.F.T
-        npt.assert_array_equal(drift, expected)
-        nodes += 1
-    assert nodes == law.grid.steps + 1
+    # realtime steps each node with the plain node means of the states and
+    # controls, in the plain order of the drift's terms
+    _assert_realtime_is_the_loop(*_realtime_set(n, d, N, 60), D=0.0)
 
 
-def _zero_law(p, grid):
-    K = grid.steps
-    return FeedbackLaw(params=p, P1=MatrixPath(grid, np.zeros((K + 1, p.n, p.n))),
-                       g=VectorPath(grid, np.zeros((K + 1, p.n))))
+@pytest.mark.parametrize("N", [9, 300])
+@pytest.mark.parametrize("n, d", [(3, 2), (1, 1)])
+def test_noisy_realtime_run_is_the_plain_node_loop_bit_for_bit(n, d, N):
+    # the noise buffer refills twice mid-run, and its blocks continue each
+    # agent's one-draw stream
+    _assert_realtime_is_the_loop(*_realtime_set(n, d, N, 2 * _NOISE_BLOCK + 3), D=None)
 
 
 def test_finite_states_whose_node_sum_overflows_do_not_raise():
+    # no dynamics, no control and zero coupling: every state stays at x0,
+    # whose node sum is infinite while every state is finite
     p, bundle, _, _ = _general_set(3, 2)
     zero = p.with_(A=np.zeros((3, 3)), B=np.zeros((3, 2)), C=np.zeros((3, 3)),
                    F=np.zeros((3, 2)))
     grid = bundle.grid
+    law = FeedbackLaw(params=zero, P1=MatrixPath(grid, np.zeros((61, 3, 3))),
+                      g=VectorPath(grid, np.zeros((61, 3))))
     x0 = np.zeros((7, 3))
     x0[[1, 4], 0] = 1e308
     coupling = (np.zeros((61, 3)), np.zeros((61, 2)))
-    last = None
-    for k, x, _, _, _ in euler_maruyama(zero, x0, grid, _control_at(_zero_law(zero, grid)),
-                                        coupling, D=0.0):
-        last = k
-        npt.assert_array_equal(x, x0)
-    assert last == grid.steps
+    # simulate's node means, and so its result, would be infinite
+    x_sum, _, _, (xs, _) = population._step_agents(zero, law, x0, range(7), coupling,
+                                                   seed=0, D=0.0, paths=True)
+    assert np.isinf(x_sum[:, 0]).all()
+    npt.assert_array_equal(xs, np.broadcast_to(x0, xs.shape))
 
 
 class _PoisonedLaw(OffsetFamilyLaw):
@@ -478,9 +526,9 @@ def test_a_noisy_runs_memory_does_not_grow_with_K(params):
 def _spy_step_agents(monkeypatch):
     step_agents, calls = population._step_agents, []
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("paths", False))
-        return step_agents(*args, **kwargs)
+    def spy(params, law, x0, *args, **kwargs):
+        calls.append((len(x0), kwargs.get("paths", False)))
+        return step_agents(params, law, x0, *args, **kwargs)
 
     monkeypatch.setattr(population, "_step_agents", spy)
     return calls
@@ -492,11 +540,40 @@ def test_a_run_builds_its_paths_only_when_they_are_read(monkeypatch):
     res = simulate(p, pop, fam, seed=5)
     res.x_N, res.u_N, res.coupling
     assert len(res.traces) == 9
-    assert calls == [False]
+    assert calls == [(9, False)]
     xs = res.xs
-    assert calls == [False, True]
-    res.us, res.drifts, res.trace(4), res.traces[2].drift
-    assert res.xs is xs and calls == [False, True]
+    assert calls == [(9, False), (9, True)]
+    res.us, res.drifts, res.trace(4), res.traces[2].drift, list(res.traces)
+    assert res.xs is xs and calls == [(9, False), (9, True)]
+    assert np.shares_memory(res.trace(4).x.values, xs)
+
+
+@pytest.mark.parametrize("D", [None, 0.0])
+def test_a_trace_read_before_the_paths_steps_only_its_agent(monkeypatch, D):
+    p, law, fam, pop = _family(3, 2, 9, 2 * _NOISE_BLOCK + 3)
+    _, paths = _couplings(law, 3, 2)[1]
+    calls = _spy_step_agents(monkeypatch)
+    for coupling in ("empirical", paths):
+        for lw in (law, fam):
+            calls.clear()
+            res = simulate(p, pop, lw, mf_coupling=coupling, seed=5, D=D)
+            traces = [res.trace(3), res.traces[-1], res.trace(0)]
+            assert calls == [(9, False), (1, True), (1, True), (1, True)]
+            assert "_paths" not in vars(res)
+            for i, tr in zip((3, 8, 0), traces):
+                assert tr.agent_id == i
+                npt.assert_array_equal(tr.x.values, res.xs[:, i])
+                npt.assert_array_equal(tr.u.values, res.us[:, i])
+
+
+def test_iterating_the_traces_builds_the_paths_once(monkeypatch):
+    p, law, fam, pop = _family(3, 2, 9, 2 * _NOISE_BLOCK + 3)
+    calls = _spy_step_agents(monkeypatch)
+    res = simulate(p, pop, fam, seed=5)
+    traces = list(res.traces)
+    assert calls == [(9, False), (9, True)]
+    assert [tr.agent_id for tr in traces] == list(range(9))
+    assert all(np.shares_memory(tr.x.values, res.xs) for tr in traces)
 
 
 @pytest.mark.parametrize("N", [1, 9, 300])

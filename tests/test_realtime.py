@@ -13,6 +13,7 @@ from mfg_errsim.errors import (
     EstimatorPolicyError,
     GridMismatchError,
     IntegrationBlowupError,
+    ParamsMismatchError,
 )
 from mfg_errsim.grid import TimeGrid, VectorPath
 from mfg_errsim.params import P6_Z0
@@ -208,6 +209,16 @@ def test_simulation_rejects_a_grid_other_than_the_bundles(params, bundle,
             realtime_simulate(params, bundle, _pop(3), truth_policy(),
                               grid=params.default_grid(steps), seed=0, D=0.0,
                               kernels=kernels)
+
+
+def test_simulation_rejects_kernels_of_another_parameter_set(params, bundle, kernels):
+    # kernels of C = 0.2 I on the same grid: unchecked, z_A moves by 2.9e-3
+    # without an error
+    other = build_kernels(RiccatiBundle.solve(params.with_(C=0.2 * np.eye(2)), bundle.grid))
+    policy = constant_error_policy(E_AVG)
+    realtime_simulate(params, bundle, _pop(5), policy, seed=0, kernels=kernels)
+    with pytest.raises(ParamsMismatchError, match="kernels"):
+        realtime_simulate(params, bundle, _pop(5), policy, seed=0, kernels=other)
 
 
 def test_quadrature_rejects_error_paths_on_another_grid(params):

@@ -28,9 +28,10 @@ deviation maps, one limiting run, evolve mode's five-pair
 at node K - 10 (a run whose scan starts inside the grid), the
 post-correction offset map, the realtime kernels and the realtime maps
 anchored at t0 = 0.5; ``simulate`` with the shared and the per-agent
-offset law, empirical and prescribed coupling, default and zero noise;
-``replay_agent``; ``epsilon_nash_gap``; and ``realtime_simulate`` with
-each of the four estimator policies at default and zero noise.  These
+offset law, empirical and prescribed coupling, default and zero noise,
+with agent 3's trace read before the paths; ``replay_agent``;
+``epsilon_nash_gap``; and ``realtime_simulate`` with each of the four
+estimator policies at default and zero noise.  These
 calls keep one signature across refactors, so the script runs unchanged
 against an older checkout.
 
@@ -144,6 +145,10 @@ def array_outputs(fixture, fdoc):
                 res = simulate(params, pop, law, mf_coupling=coupling, grid=grid,
                                seed=SEED, D=D)
                 key = f"{fixture}/simulate/{lname}-{cname}-{dname}"
+                # agent 3's trace read before the paths are built
+                tr = res.trace(3)
+                out.append((f"{fixture}/simulate_trace/{lname}-{cname}-{dname}",
+                            [tr.x.values, tr.u.values]))
                 for name in ("xs", "us", "drifts"):
                     out.append((f"{key}/{name}", [getattr(res, name)]))
                 out.append((f"{key}/x_N,u_N", [res.x_N.values, res.u_N.values]))
