@@ -4,6 +4,13 @@ Each agent owns two dedicated RNG streams derived from (seed, agent_id): one
 for initial sampling and one for dynamics noise.  This makes every result
 independent of iteration order and thread count, and lets a single agent's
 trajectory be replayed bit-for-bit against different mean-field inputs.
+Agent i's stream of a purpose is the PCG64 stream of
+SeedSequence(entropy=seed, spawn_key=(purpose, i)), but _agent_rngs seeds
+the streams of many agents in one pass: the agents share the SeedSequence
+pool of (seed, purpose), and only the mixing-in of the agent id and the
+output hash of generate_state, a few uint32 multiplies and shifts, run over
+the agent axis, so each PCG64 receives the same four words as from its own
+SeedSequence, for a fraction of the cost.
 
 A law is affine in the state: agent i's control at node k is
 
@@ -28,11 +35,13 @@ are read (see PopulationResult).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import FeedbackLaw
 from .errors import IntegrationBlowupError, PopulationError
@@ -50,9 +59,63 @@ _NOISE_BLOCK = 128
 _NOISE_CHUNKS = 4
 
 
-def _agent_rng(seed: int, agent_id: int, purpose: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, agent_id))
-    return np.random.Generator(np.random.PCG64(ss))
+# numpy's SeedSequence constants: the hash multipliers of its pool mixing
+# (A) and of generate_state (B), and the multipliers of its mix function
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+class _StateWords(ISeedSequence):
+    """Seed material that hands a bit generator words computed beforehand,
+    the generate_state(4, uint64) of a SeedSequence, which PCG64 reads."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _xshift(v):
+    v ^= v >> 16
+    return v
+
+
+def _agent_rngs(seed: int, ids, purpose: int) -> list:
+    """The generators Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=(purpose, i)))) of the agents i in ids, seeded in one pass.
+
+    The spawn key's words (purpose, i) come last in a SeedSequence's
+    entropy, so the pool of SeedSequence(entropy=seed, spawn_key=(purpose,))
+    is every agent's pool before i is mixed in: i is hashed into each of the
+    four pool words (the hash multiplier advanced past the 4 + 12 + 4 (w -
+    3) hashes of the w >= 4 seed words and the purpose), and generate_state
+    hashes the pool out to eight uint32 words, both over the agent axis.
+    numpy validates seed, a non-negative integer of any width; every id is
+    below 2**32, one entropy word.
+    """
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose,))
+    words = max(4, -(-operator.index(ss.entropy).bit_length() // 32))
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 3), 1 << 32) & _MASK32
+    ids = np.asarray(ids, dtype=np.uint32)
+    pool = np.empty((4, len(ids)), dtype=np.uint32)
+    for j, word in enumerate(ss.pool):
+        v = ids ^ np.uint32(h)
+        h = h * _MULT_A & _MASK32
+        v *= np.uint32(h)
+        pool[j] = _xshift(np.uint32(_MIX_L * int(word) & _MASK32) - _xshift(v) * np.uint32(_MIX_R))
+    state = np.empty((len(ids), 8), dtype=np.uint32)
+    h = _INIT_B
+    for j in range(8):
+        v = pool[j % 4] ^ np.uint32(h)
+        h = h * _MULT_B & _MASK32
+        v *= np.uint32(h)
+        state[:, j] = _xshift(v)
+    # little-endian word pairs, as generate_state forms its uint64 words
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in state]
 
 
 def _cov_factor(cov, name):
@@ -75,8 +138,8 @@ def _agent_rows(params, population, law=None, N=None):
     """The initial states x0 and errors E_i of population, a sequence of
     (x0, E_i) pairs, as two (len(population), n) arrays.  Raises
     PopulationError unless the population has an agent, every x0 and E_i
-    is n = params.n numbers and law, if it has an error gain, holds the
-    (N, n) errors of N agents, N the population's size unless given."""
+    is n = params.n finite numbers and law, if it has an error gain, holds
+    the (N, n) errors of N agents, N the population's size unless given."""
     size, n = len(population), params.n
     if size < 1:
         raise PopulationError("a population needs at least one agent, got 0")
@@ -91,6 +154,9 @@ def _agent_rows(params, population, law=None, N=None):
             what = (f"of agent {i} has shape {np.shape(population[i][j])}, not ({n},)"
                     if i is not None else "holds values that are not numbers")
             raise PopulationError(f"{name} {what}, in a population of {size} on n = {n}")
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+        if len(bad):
+            raise PopulationError(f"{name} of agent {bad[0]} is not finite: {a[bad[0]]}")
         rows.append(a)
     N = size if N is None else N
     if law is not None and law.error_gain is not None and np.shape(law.errors) != (N, n):
@@ -212,7 +278,9 @@ class _Traces(Sequence):
 
 
 def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
-    """Draw (x0, E_i) pairs for N agents from per-agent RNG streams."""
+    """Draw (x0, E_i) pairs for N agents from per-agent RNG streams: agent
+    i's x0 = init_mean + L_init z and E_i = error_mean + L_err z' take the
+    first and the last n of 2n normals of its stream, L L' the covariance."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     init_mean = np.atleast_1d(np.asarray(init_mean, dtype=float))
@@ -220,13 +288,14 @@ def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
     n = init_mean.shape[0]
     L_init = _cov_factor(init_cov, "init_cov")
     L_err = _cov_factor(error_cov, "error_cov")
-    out = []
-    for i in range(N):
-        rng = _agent_rng(seed, i, _SAMPLING)
-        x0 = init_mean + L_init @ rng.standard_normal(n)
-        E_i = error_mean + L_err @ rng.standard_normal(n)
-        out.append((x0, E_i))
-    return out
+    z = np.empty((N, 2 * n))
+    for row, rng in zip(z, _agent_rngs(seed, range(N), _SAMPLING)):
+        rng.standard_normal(out=row)
+    # the stacked products give each agent the bits of L @ its own draws,
+    # which z @ L.T does not
+    x0 = init_mean + (L_init @ z[:, :n, None])[..., 0]
+    E = error_mean + (L_err @ z[:, n:, None])[..., 0]
+    return list(zip(x0, E))
 
 
 @dataclass
@@ -275,6 +344,13 @@ def _drift(params, At, Bt, x, u, mf_x, mf_u):
     return drift
 
 
+def _mean_overflow(grid, k, what="states"):
+    """The error for a node sum of finite states (or controls) that
+    overflowed at node k, so that their mean is not finite."""
+    return IntegrationBlowupError(f"the mean of finite {what} overflowed at node {k}",
+                                  node=k, time=grid.times[k])
+
+
 def _noise_matrix(params, D):
     """The noise matrix params.D, or D, a scalar standing for D times I."""
     D = params.D if D is None else D
@@ -287,7 +363,7 @@ def _noise_blocks(seed, ids, K, n):
     whose row i agent ids[i]'s stream, kept for the run, fills with its
     next m n normals, the numbers of one (K, n) draw.  (A node-major buffer
     reads contiguously, but filling it scatters each stream's draws.)"""
-    rngs = [_agent_rng(seed, int(i), _DYNAMICS) for i in ids]
+    rngs = _agent_rngs(seed, ids, _DYNAMICS)
     noise = np.empty((len(rngs), min(_NOISE_BLOCK, K), n))
     for k0 in range(0, K, _NOISE_BLOCK):
         m = min(_NOISE_BLOCK, K - k0)
@@ -338,7 +414,9 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
     the others, and a run with paths True against the coupling of an
     earlier run gives that run's paths bit for bit.  A non-finite state
     raises IntegrationBlowupError naming the first such node and its first
-    agent.
+    agent.  Under empirical coupling a mean of x0 that overflows raises it
+    at node 0; otherwise a node sum that overflows on finite states is
+    returned as it is.
     """
     lone = len(x0) == 1
     if lone:
@@ -374,6 +452,8 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
         vbar = offset if W is None else offset + (agent_sum(E) / N) @ np.swapaxes(W, 1, 2)
         mf_x, mf_u = np.empty((K + 1, n)), np.empty((K + 1, d))
         mf_x[0] = agent_sum(x0) / N
+        if not np.isfinite(mf_x[0]).all():
+            raise _mean_overflow(grid, 0)
     else:
         mf_x, mf_u = coupling
     # the lone agent's node sums are its own path
@@ -472,7 +552,9 @@ def simulate(
     agents are stepped a block of nodes at a time by prefix scans (see
     _step_agents), and the result keeps the node arrays, building the paths
     when they are read.  params must be the law's parameter set
-    (ParamsMismatchError otherwise).
+    (ParamsMismatchError otherwise).  A non-finite state, or a node mean of
+    finite states or controls that overflows, raises IntegrationBlowupError
+    naming the node.
     """
     require_same_params(params, law, "law")
     paths = () if mf_coupling == "empirical" else tuple(mf_coupling)
@@ -481,6 +563,12 @@ def simulate(
     N = len(x0)
     x_sum, u_sum, coupling, _ = _step_agents(
         params, law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
+    # _step_agents raised on a non-finite state (and so on a non-finite
+    # control before node K): a non-finite node sum here is an overflow
+    finite = np.isfinite(x_sum).all(axis=1)
+    bad = np.flatnonzero(~(finite & np.isfinite(u_sum).all(axis=1)))
+    if len(bad):
+        raise _mean_overflow(grid, bad[0], "states" if not finite[bad[0]] else "controls")
     return PopulationResult(params=params, grid=grid, errors=errors,
                             x_N=VectorPath(grid, x_sum / N), u_N=VectorPath(grid, u_sum / N),
                             coupling=coupling, law=law, x0=x0, seed=seed, D=D)

@@ -37,7 +37,14 @@ from .errors import EstimatorPolicyError, GridMismatchError, IntegrationBlowupEr
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from .ode import StepMaps, cumulative_trapezoid, invert_path
 from .params import SystemParams, require_same_params
-from .population import _agent_rows, _drift, _noise_blocks, _noise_matrix, agent_sum
+from .population import (
+    _agent_rows,
+    _drift,
+    _mean_overflow,
+    _noise_blocks,
+    _noise_matrix,
+    agent_sum,
+)
 from .riccati import (
     RiccatiBundle,
     control,
@@ -276,7 +283,8 @@ def realtime_simulate(
     run takes place on the bundle's grid; a grid or kernels on another grid
     raise GridMismatchError, params other than the bundle's or the kernels'
     ParamsMismatchError, a population that does not fit params
-    PopulationError, a non-finite state IntegrationBlowupError.
+    PopulationError, a non-finite state or a node mean of finite states
+    that overflows IntegrationBlowupError.
     Returns the realized mean field, the correct-information reference,
     realized error paths, and a report comparing the realized deviation
     with the linear-theory quadrature.
@@ -288,6 +296,9 @@ def realtime_simulate(
     grid = require_same_grid(bundle if grid is None else grid, bundle, kernels)
     x0, _ = _agent_rows(params, population)
     N, n = x0.shape
+    x, x_sum = x0, agent_sum(x0)
+    if not np.isfinite(x_sum).all():
+        raise _mean_overflow(grid, 0)
     if z0 is None:
         z0 = np.mean(x0, axis=0)
     mf_c = equilibrium_mf(bundle, z0)
@@ -308,7 +319,6 @@ def realtime_simulate(
     At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (params.A, params.B, D))
     MigT, M0gT = (np.ascontiguousarray(np.swapaxes(M, 1, 2))
                   for M in (kernels.Mig_diag, kernels.M0g_diag))
-    x, x_sum = x0, agent_sum(x0)
     for k in range(K + 1):
         E_own, E_avg = _node_errors(estimator_policy, ids, k, times[k], (N, n))
         Ebar_real[k] = agent_sum(E_own) / N
@@ -336,6 +346,7 @@ def realtime_simulate(
             if len(bad):
                 raise IntegrationBlowupError(f"agent {bad[0]} state non-finite at node {k + 1}",
                                              node=k + 1, time=times[k + 1])
+            raise _mean_overflow(grid, k + 1)
     Ebar_path, Ebar1_path = VectorPath(grid, Ebar_real), VectorPath(grid, Ebar1_real)
     predicted = deviation_quadrature(kernels, Ebar_path, Ebar1_path)
     realized = z_A - mf_c.z.values

@@ -36,8 +36,9 @@ from mfg_errsim import population
 from mfg_errsim.population import (
     _DYNAMICS,
     _NOISE_BLOCK,
+    _SAMPLING,
     OffsetFamilyLaw,
-    _agent_rng,
+    _agent_rngs,
     agent_sum,
     replay_agent,
     sample_population,
@@ -55,6 +56,13 @@ def _control_at(law):
             g = g + law.errors @ law.Mg[k].T
         return control(law.params, law.P1[k], x, g)
     return control_at
+
+
+def _stream(seed, i, purpose=_DYNAMICS):
+    """Agent i's stream of a purpose from its own SeedSequence: the oracle
+    for population._agent_rngs, which seeds many agents in one pass."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, i))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _pop(N, seed=0):
@@ -83,6 +91,44 @@ def test_sampling_validates_inputs():
                           np.zeros(2), P6_ERROR_COV, 0)
     with pytest.raises(ValueError, match="positive semidefinite"):
         sample_population(2, P6_Z0, -np.eye(2), np.zeros(2), P6_ERROR_COV, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 9, 2**200 + 1])
+def test_batch_seeding_gives_each_agent_its_own_seed_sequence_stream(seed):
+    ids = np.arange(0, 5001, 3)
+    for purpose in (_SAMPLING, _DYNAMICS):
+        for i, rng in zip(ids, _agent_rngs(seed, ids, purpose)):
+            npt.assert_array_equal(rng.standard_normal(300),
+                                   _stream(seed, int(i), purpose).standard_normal(300))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_batch_seeding_rejects_what_a_seed_sequence_rejects(seed):
+    with pytest.raises((ValueError, TypeError)):
+        _stream(seed, 0)
+    with pytest.raises((ValueError, TypeError)):
+        _agent_rngs(seed, [0, 1], _DYNAMICS)
+    with pytest.raises((ValueError, TypeError)):
+        sample_population(2, P6_Z0, P6_INIT_COV, np.zeros(2), P6_ERROR_COV, seed)
+
+
+@pytest.mark.parametrize("N", [1, 2, 500])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampling_is_the_per_agent_draw_bit_for_bit(n, N):
+    # non-diagonal covariances: z @ L.T or an einsum over the agents moves
+    # the draws by an ulp against L @ each agent's own draws
+    rng = np.random.default_rng(n)
+    A, B = rng.standard_normal((2, n, n))
+    init_cov, error_cov = A @ A.T + 0.1 * np.eye(n), B @ B.T
+    init_mean, error_mean = rng.standard_normal((2, n))
+    L_init, L_err = np.linalg.cholesky(init_cov), np.linalg.cholesky(error_cov)
+    seed = 2**32 + 3
+    pop = sample_population(N, init_mean, init_cov, error_mean, error_cov, seed)
+    assert len(pop) == N
+    for i, (x0, E) in enumerate(pop):
+        draws = _stream(seed, i, _SAMPLING)
+        npt.assert_array_equal(x0, init_mean + L_init @ draws.standard_normal(n))
+        npt.assert_array_equal(E, error_mean + L_err @ draws.standard_normal(n))
 
 
 def test_zero_covariance_sampling_is_deterministic():
@@ -237,7 +283,7 @@ def _realtime_loop(p, bundle, pop, policy, seed, D=None):
     D = p.D if D is None else np.eye(n) * D
     noise = np.empty((N, K, n))
     for i in range(N):
-        _agent_rng(seed, i, _DYNAMICS).standard_normal(out=noise[i])
+        _stream(seed, i).standard_normal(out=noise[i])
     kernels = build_kernels(bundle)
     z_c = equilibrium_mf(bundle, x.sum(axis=0) / N).z.values
     g_c = np.einsum("kij,kj->ki", bundle.P0.values - bundle.P1.values, z_c) + bundle.G.values
@@ -308,6 +354,48 @@ def test_finite_states_whose_node_sum_overflows_do_not_raise():
     npt.assert_array_equal(xs, np.broadcast_to(x0, xs.shape))
 
 
+def _overflowing_p6_run(K=200):
+    """P6 at K steps with seven agents, two of them at x0 = (1e308, 0), so
+    that the node sum of their finite states overflows at node 0."""
+    p = p6_params()
+    bundle = RiccatiBundle.solve(p, p.default_grid(K))
+    mf = equilibrium_mf(bundle, P6_Z0)
+    pop = [(np.zeros(2), np.zeros(2)) for _ in range(7)]
+    for i in (1, 4):
+        pop[i] = (np.array([1e308, 0.0]), np.zeros(2))
+    return p, bundle, mf, pop
+
+
+def _assert_mean_overflow(node, run):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowupError,
+                           match=f"mean of finite states overflowed at node {node}$") as ei:
+            run()
+    assert ei.value.node == node
+
+
+def test_a_simulated_mean_that_overflows_names_its_node():
+    p, bundle, mf, pop = _overflowing_p6_run()
+    law = equilibrium_law(bundle, mf)
+    for coupling in ((mf.z, mf.ubar), "empirical"):
+        _assert_mean_overflow(0, lambda: simulate(p, pop, law, mf_coupling=coupling, D=0.0))
+    # states that grow, finite, until their node sum overflows at node 84
+    flat = p.with_(A=0.3 * np.eye(2), C=np.zeros((2, 2)), F=np.zeros((2, 2)))
+    grid = bundle.grid
+    law = FeedbackLaw(params=flat, P1=MatrixPath(grid, np.zeros((201, 2, 2))),
+                      g=VectorPath(grid, np.zeros((201, 2))))
+    pop = [(x0 * 0.7, E) for x0, E in pop]
+    zero = (VectorPath(grid, np.zeros((201, 2))), VectorPath(grid, np.zeros((201, 2))))
+    for coupling in (zero, "empirical"):
+        _assert_mean_overflow(84, lambda: simulate(flat, pop, law, mf_coupling=coupling, D=0.0))
+
+
+def test_a_realtime_mean_that_overflows_names_its_node():
+    p, bundle, _, pop = _overflowing_p6_run()
+    _assert_mean_overflow(0, lambda: realtime_simulate(p, bundle, pop, truth_policy(), D=0.0))
+
+
 class _PoisonedLaw(OffsetFamilyLaw):
     """An affine law whose offset of one agent at one node is infinite: its
     Mg is zero but at that node, where it overflows on that agent's error,
@@ -348,7 +436,7 @@ def _one_draw_run(p, pop, law, coupling, seed, D=None):
     At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (p.A, p.B, D))
     noise = np.empty((N, K, n))
     for i in range(N):
-        _agent_rng(seed, i, _DYNAMICS).standard_normal(out=noise[i])
+        _stream(seed, i).standard_normal(out=noise[i])
     control_at = _control_at(law)
     xs, us, drifts = [], [], []
     for k in range(K + 1):
@@ -612,6 +700,9 @@ def test_a_population_that_does_not_fit_fails_loudly(params, law_c, mf_c, maps, 
                              lambda: simulate(params, [(["a", "b"], np.zeros(2))], law_c))
     _assert_population_error(r"errors of shape \(3, 2\), not \(5, 2\), for 5 agents",
                              lambda: simulate(params, pop, fam3))
+    nan = pop[:3] + [(np.array([0.0, np.nan]), pop[3][1])] + pop[4:]
+    _assert_population_error(r"x0 of agent 3 is not finite",
+                             lambda: simulate(params, nan, law_c))
     res = simulate(params, pop, law_c, mf_coupling=(mf_c.z, mf_c.ubar), D=0.0)
     _assert_population_error(r"errors of shape \(3, 2\), not \(5, 2\)",
                              lambda: replay_agent(params, res.trace(4), fam3, mf_c.z,
@@ -623,6 +714,9 @@ def test_a_population_that_does_not_fit_fails_loudly(params, law_c, mf_c, maps, 
                                                            truth_policy()))
         _assert_population_error(r"x0 of agent 0 has shape \(3,\)",
                                  lambda: realtime_simulate(params, bundle, wide,
+                                                           truth_policy()))
+        _assert_population_error(r"x0 of agent 3 is not finite",
+                                 lambda: realtime_simulate(params, bundle, nan,
                                                            truth_policy()))
 
 

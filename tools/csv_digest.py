@@ -27,7 +27,8 @@ deviation maps, one limiting run, evolve mode's five-pair
 ``solve_limiting_batch``, ``equilibrium_mf`` started at node K // 4 and
 at node K - 10 (a run whose scan starts inside the grid), the
 post-correction offset map, the realtime kernels and the realtime maps
-anchored at t0 = 0.5; ``simulate`` with the shared and the per-agent
+anchored at t0 = 0.5; ``sample_population`` with non-diagonal covariances
+and a seed past 2**32; ``simulate`` with the shared and the per-agent
 offset law, empirical and prescribed coupling, default and zero noise,
 with agent 3's trace read before the paths; ``replay_agent``;
 ``epsilon_nash_gap``; and ``realtime_simulate`` with each of the four
@@ -78,6 +79,10 @@ MODES = {
 GRID_STEPS = 200
 N_AGENTS = 50
 SEED = 7
+# non-diagonal covariances, which the P6 ones are not, and a seed of two
+# entropy words, for the sample_population group
+SAMPLE_COVS = ([[0.3, 0.12], [0.12, 0.2]], [[0.05, -0.02], [-0.02, 0.04]])
+SAMPLE_SEED = 2**32 + 7
 
 
 def _sha(*arrays):
@@ -113,6 +118,9 @@ def array_outputs(fixture, fdoc):
     pop = sample_population(N_AGENTS, init_mean=cfg.z0, init_cov=P6_INIT_COV,
                             error_mean=cfg.E_bar, error_cov=P6_ERROR_COV, seed=SEED)
     errors = np.array([e for _, e in pop])
+    sampled = sample_population(500, init_mean=cfg.z0, init_cov=SAMPLE_COVS[0],
+                                error_mean=cfg.E_bar, error_cov=SAMPLE_COVS[1],
+                                seed=SAMPLE_SEED)
     laws = {"shared": shared,
             "family": OffsetFamilyLaw(params, bundle.P1, shared.g, maps.Mg, errors)}
     couplings = {"empirical": "empirical", "prescribed": (mf.z, mf.ubar)}
@@ -120,6 +128,7 @@ def array_outputs(fixture, fdoc):
 
     out = [(f"{fixture}/bundle/{name}", [getattr(bundle, name).values])
            for name in ("P0", "P1", "P2", "G", "G1")]
+    out.append((f"{fixture}/sample_population/x0,E_i", [np.array(sampled)]))
     out += [(f"{fixture}/maps/{name}", [getattr(maps, name).values])
             for name in ("Phi1", "PhiZ", "PhiX", "Mg", "Mz", "Mx1", "Mx2")]
     E_i = cfg.E_bar if cfg.E_i is None else cfg.E_i
