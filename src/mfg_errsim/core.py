@@ -4,9 +4,9 @@ The equilibrium mean-field state z solves the forward ODE
 
     dz = [(A + C - (B+F) R^-1 B' P0) z - (B+F) R^-1 B' G] dt,   z(0) = z0,
 
-and the mean-field control is ubar = -R^-1 B' (P0 z + G).  An individual
-agent plays the affine feedback u = -R^-1 B' (P1 x + g) where the tracking
-offset g is driven by the mean-field paths.
+and the mean-field control is ubar = -R^-1 B' (P0 z + G).  Under a given
+mean field an agent plays the affine feedback u = -R^-1 B' (P1 x + g), the
+tracking offset g driven by the mean-field paths (equilibrium_law).
 """
 
 from __future__ import annotations
@@ -109,19 +109,12 @@ def _opnorm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def existence_check(
-    params: SystemParams,
-    grid: TimeGrid | None = None,
-    Qp=None,
-    S=None,
-    Qp_bar=None,
-    S_bar=None,
-):
+def existence_check(params: SystemParams, grid: TimeGrid | None = None):
     """Sufficient condition for a unique mean-field equilibrium.
 
-    Splits the composite running weight Q_I + Q - Q*Gamma as Qp + S with Qp
-    positive definite (default Qp = Q_I + Q, S = symmetrized -Q*Gamma; the
-    skew part of Q*Gamma is discarded).  Evaluates
+    Splits the composite running weight Q_I + Q - Q*Gamma as Qp + S with
+    Qp = Q_I + Q positive definite and S the symmetrized -Q*Gamma (its skew
+    part discarded), and the terminal weight likewise.  Evaluates
 
         lhs = (1 + sqrt(T) * ||phi||_T * ||Ccal Qp^{-1/2}||) * (1 + N(S)),
 
@@ -131,16 +124,9 @@ def existence_check(
     """
     if grid is None:
         grid = params.default_grid()
-    QG = params.Q @ params.Gamma
-    QGbar = params.Qbar @ params.Gammabar
-    if Qp is None:
-        Qp = params.Q_I + params.Q
-    if S is None:
-        S = -0.5 * (QG + QG.T)
-    if Qp_bar is None:
-        Qp_bar = params.Qbar_I + params.Qbar
-    if S_bar is None:
-        S_bar = -0.5 * (QGbar + QGbar.T)
+    QG, QGbar = params.Q @ params.Gamma, params.Qbar @ params.Gammabar
+    Qp, S = params.Q_I + params.Q, -0.5 * (QG + QG.T)
+    Qp_bar, S_bar = params.Qbar_I + params.Qbar, -0.5 * (QGbar + QGbar.T)
     for name, M in (("Qp", Qp), ("Qp_bar", Qp_bar)):
         try:
             np.linalg.cholesky(M)
@@ -212,15 +198,12 @@ def epsilon_nash_gap(
     res = population.simulate(
         params, pop, law, mf_coupling="empirical", grid=grid, seed=seed, D=D)
     x_N, u_N = res.x_N, res.u_N
-    tr1 = res.traces[0]
+    tr1 = res.trace(0)
     J_eq = cost(params, tr1.x, tr1.u, x_N)
 
-    # best response to the frozen empirical mean field
-    g_br = solve_tracking_offset(bundle, x_N, u_N)
-    law_br = FeedbackLaw(params=params, P1=bundle.P1, g=g_br)
-    x_br, u_br = population.replay_agent(
-        params, tr1, law_br, x_N, u_N, grid, seed=seed, D=D
-    )
+    # best response to the frozen empirical mean field, under the same noise
+    law_br = equilibrium_law(bundle, MeanField(z=x_N, ubar=u_N))
+    x_br, u_br = res.replay(0, law_br, x_N, u_N)
     # the deviator moves the empirical average by its own 1/N share
     x_N_dev = VectorPath(grid, x_N.values + (x_br.values - tr1.x.values) / N)
     J_br = cost(params, x_br, u_br, x_N_dev)

@@ -12,10 +12,10 @@ prediction leaves an affine function of the unknown errors,
 with K1 = (C - F R^-1 B' P1) Mz - F R^-1 B' Mg and
 K2 = -(C - F R^-1 B' P1) Phi1 + F R^-1 B' Mg.  Sampling Ob1 at m times and
 stacking gives a linear system; if its rank is 2n the errors are uniquely
-recoverable, the true mean field at the correction time t0 can be
-reconstructed, and the game restarted from it.  Paths combined here must
-share a grid (GridMismatchError otherwise), and the restarted game reads
-its parameters from the Riccati bundle it restarts.
+recoverable, the true mean field at the correction time t0 follows from
+the agent's own prediction z_i(t0), and the game restarts from it, as the
+equilibrium and its law on [t0, T] under the bundle's parameters.  Paths
+combined here must share a grid (GridMismatchError otherwise).
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeedbackLaw, equilibrium_mf
+from .core import equilibrium_law, equilibrium_mf
 from .deviations import DeviationMaps
 from .errors import IdentifiabilityError
 from .grid import MatrixPath, VectorPath, require_same_grid
 from .params import SystemParams
-from .riccati import RiccatiBundle, solve_tracking_offset
+from .riccati import RiccatiBundle
 
 # relative singular-value cutoff of the identifiability rank, and the
 # number of sample times build_correction_problem takes when given none
@@ -91,26 +91,26 @@ def default_sample_times(grid, t0):
 
 @dataclass
 class CorrectionProblem:
-    """Stacked linear system for recovering (Ebar, E_i) at time t0."""
+    """Stacked linear system for recovering (Ebar, E_i) at time t0, with
+    the agent's own predicted mean field z_i(t0) there."""
 
     maps: DeviationMaps
     t0: float
-    sample_times: list
-    K1: MatrixPath
-    K2: MatrixPath
     stacked_K: np.ndarray
     stacked_Ob1: np.ndarray
-    z_i_t0: np.ndarray | None = None
+    z_i_t0: np.ndarray
 
     @property
     def n(self):
         return self.maps.params.n
 
 
-def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0,
-                             sample_times=None, z_i_t0=None) -> CorrectionProblem:
+def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0, z_i_t0,
+                             sample_times=None) -> CorrectionProblem:
     """The stacked system of Ob1 at the sample times, on the grid maps and
-    Ob1 share (GridMismatchError otherwise)."""
+    Ob1 share (GridMismatchError otherwise), with z_i_t0, the agent's own
+    predicted mean field at t0, from which recover_errors reconstructs
+    z_A(t0)."""
     grid = require_same_grid(maps, Ob1)
     if sample_times is None:
         sample_times = default_sample_times(grid, t0)
@@ -125,10 +125,9 @@ def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0,
         rows_K.append(np.hstack([K1.at(t), K2.at(t)]))
         rows_b.append(Ob1.at(t))
     return CorrectionProblem(
-        maps=maps, t0=float(t0), sample_times=sample_times,
-        K1=K1, K2=K2,
+        maps=maps, t0=float(t0),
         stacked_K=np.vstack(rows_K), stacked_Ob1=np.concatenate(rows_b),
-        z_i_t0=None if z_i_t0 is None else np.asarray(z_i_t0, dtype=float),
+        z_i_t0=np.asarray(z_i_t0, dtype=float),
     )
 
 
@@ -146,7 +145,7 @@ def identifiability(problem: CorrectionProblem):
 class CorrectionResult:
     E_bar: np.ndarray
     E_i: np.ndarray
-    z_A_t0: np.ndarray | None
+    z_A_t0: np.ndarray
     rank: int
     residual: float
 
@@ -154,7 +153,7 @@ class CorrectionResult:
 def recover_errors(problem: CorrectionProblem) -> CorrectionResult:
     """Least-squares recovery of (Ebar, E_i), plus the true mean field at t0.
 
-    z_A(t0) = z_i(t0) + Mz(t0) Ebar - Phi1(t0) E_i  (requires z_i_t0).
+    z_A(t0) = z_i(t0) + Mz(t0) Ebar - Phi1(t0) E_i.
     """
     ident = identifiability(problem)
     if not ident["identifiable"]:
@@ -166,13 +165,10 @@ def recover_errors(problem: CorrectionProblem) -> CorrectionResult:
     sol, *_ = np.linalg.lstsq(problem.stacked_K, problem.stacked_Ob1, rcond=None)
     E_bar, E_i = sol[:n], sol[n:]
     residual = float(np.linalg.norm(problem.stacked_K @ sol - problem.stacked_Ob1))
-    z_A_t0 = None
-    if problem.z_i_t0 is not None:
-        maps = problem.maps
-        t0 = problem.t0
-        z_A_t0 = problem.z_i_t0 + maps.Mz.at(t0) @ E_bar - maps.Phi1.at(t0) @ E_i
+    maps, t0 = problem.maps, problem.t0
     return CorrectionResult(
-        E_bar=E_bar, E_i=E_i, z_A_t0=z_A_t0,
+        E_bar=E_bar, E_i=E_i,
+        z_A_t0=problem.z_i_t0 + maps.Mz.at(t0) @ E_bar - maps.Phi1.at(t0) @ E_i,
         rank=ident["rank"], residual=residual,
     )
 
@@ -181,13 +177,11 @@ def modified_game(bundle: RiccatiBundle, z_A_t0, t0):
     """Restart the equilibrium from the reconstructed mean field at t0.
 
     Returns the corrected mean field z_new, average control, the tracking
-    offset g_new, and the feedback law valid on [t0, T].
+    offset g_new, and the equilibrium law on [t0, T].
     """
-    k0 = bundle.grid.index_of(t0)
-    mf = equilibrium_mf(bundle, z_A_t0, k0)
-    g_new = solve_tracking_offset(bundle, mf.z, mf.ubar)
-    law = FeedbackLaw(params=bundle.params, P1=bundle.P1.slice(k0), g=g_new)
-    return {"z_new": mf.z, "ubar_new": mf.ubar, "g_new": g_new, "law": law}
+    mf = equilibrium_mf(bundle, z_A_t0, bundle.grid.index_of(t0))
+    law = equilibrium_law(bundle, mf)
+    return {"z_new": mf.z, "ubar_new": mf.ubar, "g_new": law.g, "law": law}
 
 
 def corrected_mf_deviation(maps: DeviationMaps, t0, E_bar) -> VectorPath:

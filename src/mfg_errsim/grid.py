@@ -7,7 +7,7 @@ bracketing nodes and exact at nodes.  A path's values are read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -105,7 +105,8 @@ def matrix_powers(M, K):
     """The powers M^0 .. M^K of a square matrix, shape (K+1, n, n).
 
     Doubling: with M^0 .. M^(m-1) known, one batched matmul by M^m gives
-    M^m .. M^(2m-1), so ceil(log2(K+1)) passes in all.
+    M^m .. M^(2m-1), so ceil(log2(K+1)) passes in all.  M^m is squared
+    only while a later pass reads it, so no power past M^K is formed.
     """
     M = np.asarray(M, dtype=float)
     out = np.empty((K + 1,) + M.shape)
@@ -114,7 +115,9 @@ def matrix_powers(M, K):
     while m <= K:
         j = min(m, K + 1 - m)
         out[m:m + j] = out[:j] @ Mm
-        m, Mm = 2 * m, Mm @ Mm
+        m *= 2
+        if m <= K:
+            Mm = Mm @ Mm
     return out
 
 

@@ -134,14 +134,14 @@ def _cov_factor(cov, name):
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _agent_rows(params, population, law=None, N=None):
+def _agent_rows(params, population, law=None):
     """The initial states x0 and errors E_i of population, a sequence of
-    (x0, E_i) pairs, as two (len(population), n) arrays.  Raises
-    PopulationError unless the population has an agent, every x0 and E_i
-    is n = params.n finite numbers and law, if it has an error gain, holds
-    the (N, n) errors of N agents, N the population's size unless given."""
-    size, n = len(population), params.n
-    if size < 1:
+    (x0, E_i) pairs, as two (N, n) arrays.  Raises PopulationError unless
+    the population has an agent, every x0 and E_i is n = params.n finite
+    numbers and law, if it has an error gain, holds the (N, n) errors of
+    the population's N agents."""
+    N, n = len(population), params.n
+    if N < 1:
         raise PopulationError("a population needs at least one agent, got 0")
     rows = []
     for j, name in enumerate(("x0", "E_i")):
@@ -149,16 +149,15 @@ def _agent_rows(params, population, law=None, N=None):
             a = np.array([p[j] for p in population], dtype=float)
         except ValueError:   # rows of different widths, or not numbers
             a = None
-        if a is None or a.shape != (size, n):
+        if a is None or a.shape != (N, n):
             i = next((i for i, p in enumerate(population) if np.shape(p[j]) != (n,)), None)
             what = (f"of agent {i} has shape {np.shape(population[i][j])}, not ({n},)"
                     if i is not None else "holds values that are not numbers")
-            raise PopulationError(f"{name} {what}, in a population of {size} on n = {n}")
+            raise PopulationError(f"{name} {what}, in a population of {N} on n = {n}")
         bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
         if len(bad):
             raise PopulationError(f"{name} of agent {bad[0]} is not finite: {a[bad[0]]}")
         rows.append(a)
-    N = size if N is None else N
     if law is not None and law.error_gain is not None and np.shape(law.errors) != (N, n):
         raise PopulationError(
             f"the law holds errors of shape {np.shape(law.errors)}, not ({N}, {n}), "
@@ -199,8 +198,9 @@ class PopulationResult:
     under the recorded coupling, with the run's law, x0, seed and D, and
     caches both: that gives the run's paths bit for bit (see
     _step_agents), and before that trace(i) steps agent i alone the same
-    way.  The first read of drifts derives every node's drift A x + B u +
-    C mf_x + F mf_u from xs[k], us[k] and the coupling, and caches it.
+    way, as replay(i, ...) does under another law and coupling.  The first
+    read of drifts derives every node's drift A x + B u + C mf_x + F mf_u
+    from xs[k], us[k] and the coupling, and caches it.
     """
 
     params: SystemParams
@@ -214,10 +214,11 @@ class PopulationResult:
     seed: int
     D: object
 
-    def _rerun(self, a, b):
-        """Paths (xs, us) of the agents a..b-1 under the recorded coupling."""
-        return _step_agents(self.params, self.law, self.x0[a:b], range(a, b),
-                            self.coupling, self.seed, self.D, paths=True)[-1]
+    def _rerun(self, a, b, law=None, coupling=None):
+        """Paths (xs, us) of the agents a..b-1 from their x0, with the run's
+        seed and D, under law and coupling, the run's own unless given."""
+        return _step_agents(self.params, law or self.law, self.x0[a:b], range(a, b),
+                            coupling or self.coupling, self.seed, self.D, paths=True)[-1]
 
     @cached_property
     def _paths(self):
@@ -253,6 +254,20 @@ class PopulationResult:
             x, u = xs[:, 0], us[:, 0]
         return AgentTrace(agent_id=i, E_i=self.errors[i], x=VectorPath(self.grid, x),
                           u=VectorPath(self.grid, u), result=self)
+
+    def replay(self, i: int, law, z_path: VectorPath, ubar_path: VectorPath):
+        """Agent i's paths (x, u) under law against prescribed mean-field
+        paths, from its x0 with its own dynamics noise stream (under the
+        run's law and coupling, its trace bit for bit).  law must be of the
+        run's parameter set (ParamsMismatchError) and grid (GridMismatchError),
+        and hold the errors of the run's agents if it has an error gain
+        (PopulationError, see _agent_rows)."""
+        require_same_params(self.params, law, "law")
+        grid = require_same_grid(self, law, z_path, ubar_path)
+        i = range(len(self.x0))[i]
+        _agent_rows(self.params, list(zip(self.x0, self.errors)), law)
+        xs, us = self._rerun(i, i + 1, law, (z_path.values, ubar_path.values))
+        return VectorPath(grid, xs[:, 0]), VectorPath(grid, us[:, 0])
 
     @property
     def traces(self) -> Sequence:
@@ -573,17 +588,3 @@ def simulate(
                             x_N=VectorPath(grid, x_sum / N), u_N=VectorPath(grid, u_sum / N),
                             coupling=coupling, law=law, x0=x0, seed=seed, D=D)
 
-
-def replay_agent(params, trace: AgentTrace, law, z_path, ubar_path, grid, seed, D=None):
-    """Re-run one agent with a different law against prescribed mean-field
-    paths, reusing the agent's own dynamics noise stream.  params must be
-    the law's parameter set (ParamsMismatchError otherwise), and a law with
-    an error gain must hold the errors of the trace's population (see
-    _agent_rows)."""
-    require_same_params(params, law, "law")
-    grid = require_same_grid(grid, law, z_path, ubar_path)
-    x0, _ = _agent_rows(params, [(trace.x.initial, trace.E_i)], law,
-                        len(trace.result.errors))
-    *_, (xs, us) = _step_agents(params, law, x0, [trace.agent_id],
-                                (z_path.values, ubar_path.values), seed, D, paths=True)
-    return VectorPath(grid, xs[:, 0]), VectorPath(grid, us[:, 0])

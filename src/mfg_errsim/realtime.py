@@ -16,13 +16,13 @@ where E_i(t0) = z_hat - z_c(t0) and Ebar_i(t0) = zbar_hat - z_c(t0).
 The own estimate propagates under PhiZ, the average one under Phi1, and
 an agent whose two estimates agree plays the predicted equilibrium, whose
 offset is (P0 - P1) z + G.  So Miz and M0z = Phi1 Phi1(t0)^-1 - Miz are
-products of the bundle's transitions, Mig is the one kernel path V (a
-backward scan driven by PhiZ) times PhiZ(t0)^-1, and
-M0g = (P0 - P1) Phi1 Phi1(t0)^-1 - Mig.  The kernels are computed once per
-parameter set, together with the diagonal maps t -> M(t; t) needed when
-agents re-anchor at every instant.  They hold the Riccati bundle and read
-its transitions Phi1 and PhiZ from it.  realtime_simulate steps the agents
-by Euler-Maruyama, node by node, as one policy call gives each node's errors.
+products of the bundle's transitions, Mig = V PhiZ(t0)^-1 with V one
+backward scan driven by PhiZ, and M0g = (P0 - P1) Phi1 Phi1(t0)^-1 - Mig.
+The kernels, computed once per parameter set, are PhiZ^-1 and the diagonal
+maps t -> M(t; t) read when agents re-anchor at every instant; an anchor's
+Mig is Mig(t; t) Miz(t).  They hold the Riccati bundle and read its
+transitions Phi1 and PhiZ from it.  realtime_simulate steps the agents by
+Euler-Maruyama, node by node, as one policy call gives each node's errors.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeedbackLaw, equilibrium_mf
+from .core import MeanField, equilibrium_law, equilibrium_mf
 from .deviations import DeviationMaps
 from .errors import EstimatorPolicyError, GridMismatchError, IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
@@ -51,17 +51,7 @@ from .riccati import (
     coupling_weight,
     mean_field_path,
     mf_generator,
-    solve_tracking_offset,
 )
-
-
-@dataclass
-class EstimatorState:
-    """An agent's mean-field estimates at anchor time t0."""
-
-    zbar_hat: np.ndarray
-    z_hat: np.ndarray
-    t0: float
 
 
 @dataclass
@@ -82,8 +72,6 @@ class RealtimeKernels:
 
     bundle: RiccatiBundle        # its transitions Phi1 and PhiZ are read here
     PhiZ_inv: np.ndarray         # (K+1, n, n)
-    Phi1_inv: np.ndarray
-    V: np.ndarray                # own-error offset kernel
     Mig_diag: np.ndarray         # t -> Mig(t; t)
     M0g_diag: np.ndarray         # t -> M0g(t; t)
 
@@ -106,7 +94,6 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
         raise GridMismatchError("deviation maps were built from another Riccati bundle")
     params, PhiZ = bundle.params, bundle.PhiZ
     PhiZ_inv = invert_path(PhiZ)
-    Phi1_inv = invert_path(bundle.Phi1)
 
     # V runs backward under offset_generator(P1, BRB), whose step maps the
     # bundle keeps, driven by S PhiZ from -Qbar Gammabar PhiZ(T)
@@ -115,10 +102,10 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
 
     Mig_diag = V @ PhiZ_inv
     M0g_diag = (bundle.P0.values - bundle.P1.values) - Mig_diag
-    for a in (PhiZ_inv, Phi1_inv, V, Mig_diag, M0g_diag):
+    for a in (PhiZ_inv, Mig_diag, M0g_diag):
         a.flags.writeable = False
-    return RealtimeKernels(bundle=bundle, PhiZ_inv=PhiZ_inv, Phi1_inv=Phi1_inv,
-                           V=V, Mig_diag=Mig_diag, M0g_diag=M0g_diag)
+    return RealtimeKernels(bundle=bundle, PhiZ_inv=PhiZ_inv,
+                           Mig_diag=Mig_diag, M0g_diag=M0g_diag)
 
 
 def build_realtime_maps(kernels: RealtimeKernels, t0) -> RealtimeDeviationMaps:
@@ -126,8 +113,8 @@ def build_realtime_maps(kernels: RealtimeKernels, t0) -> RealtimeDeviationMaps:
     bundle, grid = kernels.bundle, kernels.grid
     k0 = grid.index_of(t0)
     Miz = bundle.PhiZ.values @ kernels.PhiZ_inv[k0]
-    Phi1_t0 = bundle.Phi1.values @ kernels.Phi1_inv[k0]
-    Mig = kernels.V @ kernels.PhiZ_inv[k0]
+    Phi1_t0 = bundle.Phi1.values @ np.linalg.inv(bundle.Phi1[k0])
+    Mig = kernels.Mig_diag @ Miz
     M0g = (bundle.P0.values - bundle.P1.values) @ Phi1_t0 - Mig
     return RealtimeDeviationMaps(
         t0=float(t0),
@@ -136,8 +123,9 @@ def build_realtime_maps(kernels: RealtimeKernels, t0) -> RealtimeDeviationMaps:
     )
 
 
-def restricted_prediction(bundle: RiccatiBundle, est: EstimatorState, route="p2"):
-    """One agent's full prediction and strategy from its estimates at t0.
+def restricted_prediction(bundle: RiccatiBundle, zbar_hat, z_hat, t0, route="p2"):
+    """One agent's full prediction and strategy from its estimates at t0:
+    zbar_hat of the population's average estimate, z_hat of the mean field.
 
     route "p2" propagates the average estimate with (P1 + P2, G1); route
     "p0" uses the equivalent (P0, G) representation.  Returns the predicted
@@ -145,7 +133,7 @@ def restricted_prediction(bundle: RiccatiBundle, est: EstimatorState, route="p2"
     tracking offset g_i, and the feedback law on [t0, T].
     """
     params = bundle.params
-    k0 = bundle.grid.index_of(est.t0)
+    k0 = bundle.grid.index_of(t0)
     P1 = bundle.P1.slice(k0)
     sub = P1.grid
     if route == "p2":
@@ -158,18 +146,17 @@ def restricted_prediction(bundle: RiccatiBundle, est: EstimatorState, route="p2"
         steps, start = bundle.mf0_steps, k0
     else:
         raise ValueError(f"unknown route {route!r}")
-    zbar_v = mean_field_path(params, steps, Gbar, est.zbar_hat, start)
+    zbar_v = mean_field_path(params, steps, Gbar, zbar_hat, start)
     gbar_v = np.einsum("kij,kj->ki", Pbar - P1.values, zbar_v) + Gbar
     zbar = VectorPath(sub, zbar_v)
     gbar = VectorPath(sub, gbar_v)
 
     # own mean-field estimate, driven by the predicted average offset
-    z_hat = VectorPath(sub, mean_field_path(params, bundle.mf1_steps, gbar_v, est.z_hat, k0))
+    z_hat = VectorPath(sub, mean_field_path(params, bundle.mf1_steps, gbar_v, z_hat, k0))
     ubar = VectorPath(sub, control(params, P1.values, z_hat.values, gbar_v))
-    g_i = solve_tracking_offset(bundle, z_hat, ubar)
-    law = FeedbackLaw(params=params, P1=P1, g=g_i)
+    law = equilibrium_law(bundle, MeanField(z=z_hat, ubar=ubar))
     return {"zbar": zbar, "gbar": gbar, "z_hat": z_hat, "ubar": ubar,
-            "g_i": g_i, "law": law}
+            "g_i": law.g, "law": law}
 
 
 def deviation_quadrature(kernels: RealtimeKernels, Ebar_path, Ebar1_path) -> VectorPath:

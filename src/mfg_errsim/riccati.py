@@ -162,7 +162,9 @@ def _riccati_ratio(XY, nodes, grid, what):
     """
     n = XY.shape[2]
     X, Y = XY[:, :n], XY[:, n:]
-    bad = ~(np.linalg.det(X) > 0.0)
+    # det X's sign by slogdet, which cannot overflow; a NaN in X is an escape
+    sign, logdet = np.linalg.slogdet(X)
+    bad = ~(sign > 0.0) | np.isnan(logdet)
     m = int(np.argmax(bad)) if bad.any() else len(X)
     Xinv = np.linalg.inv(X[:m])
     bad = 1.0 / (_norm1(X[:m]) * _norm1(Xinv)) < _RCOND_MIN

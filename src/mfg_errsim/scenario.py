@@ -231,6 +231,11 @@ def validate_config(raw) -> ScenarioConfig:
             grid.index_of(t)
         except ValueError:
             raise ConfigError([(key, f"must put t = {t:g} on a grid node")]) from None
+    if mode == "evolve" and not _probe_times(cfg.params):
+        probes = ", ".join(f"{t:g}" for t in _EVOLVE_PROBES)
+        raise ConfigError([("params.T", f"must exceed {_EVOLVE_PROBES[0]:g}: evolve regresses "
+                                        f"at the probe times t = {probes} before T, and "
+                                        f"T = {cfg.params.T:g} leaves none")])
     # correction samples the drift on (0, t0] and restarts the game on [t0, T]
     if mode == "correct" and not DEFAULT_SAMPLES <= grid.index_of(cfg.t0) < grid.steps:
         raise ConfigError([("t0", f"must lie before T = {cfg.params.T:g} and leave "

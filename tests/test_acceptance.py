@@ -35,7 +35,6 @@ from mfg_errsim.params import (
 )
 from mfg_errsim.population import OffsetFamilyLaw, sample_population, simulate
 from mfg_errsim.realtime import (
-    EstimatorState,
     constant_error_policy,
     hold_initial_error_policy,
     realtime_simulate,
@@ -227,11 +226,10 @@ def test_acceptance_6_realtime_mode(params, grid, bundle, kernels, mf_c, z0):
     # two-route equivalence of the anchored prediction
     route_err = 0.0
     for t0 in (0.25, 0.5, 1.0, 1.5, 1.75):
-        est = EstimatorState(zbar_hat=mf_c.z.at(t0) + np.array([0.1, -0.1]),
-                             z_hat=mf_c.z.at(t0) + np.array([0.15, -0.05]),
-                             t0=t0)
-        a = restricted_prediction(bundle, est, route="p2")
-        b = restricted_prediction(bundle, est, route="p0")
+        zbar_hat = mf_c.z.at(t0) + np.array([0.1, -0.1])
+        z_hat = mf_c.z.at(t0) + np.array([0.15, -0.05])
+        a = restricted_prediction(bundle, zbar_hat, z_hat, t0, route="p2")
+        b = restricted_prediction(bundle, zbar_hat, z_hat, t0, route="p0")
         route_err = max(route_err,
                         _sup(a["zbar"].values - b["zbar"].values),
                         _sup(a["g_i"].values - b["g_i"].values))

@@ -88,8 +88,11 @@ def test_existence_bound_satisfied_for_weak_coupling(params, grid):
 
 
 def test_existence_check_rejects_degenerate_split(params, grid):
-    with pytest.raises(ValueError, match="positive definite"):
-        existence_check(params, grid, Qp=np.zeros((2, 2)))
+    # Q_I = Q = 0 leaves the running split Qp = Q_I + Q singular
+    zero = np.zeros((2, 2))
+    degenerate = params.with_(Q_I=zero, Q=zero, relaxed=True)
+    with pytest.raises(ValueError, match="Qp must be positive definite"):
+        existence_check(degenerate, grid)
 
 
 def test_epsilon_nash_gap_nonnegative_without_noise():

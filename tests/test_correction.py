@@ -69,7 +69,7 @@ def test_paths_on_another_grid_are_a_grid_mismatch(run, params, bundle, maps, ob
         with pytest.raises(GridMismatchError):
             residual_path(*args[:3], params, args[3])
     with pytest.raises(GridMismatchError):
-        build_correction_problem(maps, other(ob1), T0)
+        build_correction_problem(maps, other(ob1), T0, run.mf_i.z.at(T0))
     with pytest.raises(GridMismatchError):
         observable_path(run.x_i, other(run.u_i), params)
 
@@ -91,19 +91,20 @@ def test_default_sample_times_lie_in_window(grid):
         default_sample_times(grid, grid.dt * 2)
 
 
-def test_problem_is_identifiable_with_default_samples(maps, ob1):
-    problem = build_correction_problem(maps, ob1, T0)
+def test_problem_is_identifiable_with_default_samples(maps, ob1, run):
+    problem = build_correction_problem(maps, ob1, T0, run.mf_i.z.at(T0))
     ident = identifiability(problem)
     assert ident["identifiable"] is True
     assert ident["rank"] == 4
     assert problem.stacked_K.shape == (16, 4)
 
 
-def test_sample_time_validation(maps, ob1):
+def test_sample_time_validation(maps, ob1, run):
+    z_i_t0 = run.mf_i.z.at(T0)
     with pytest.raises(ValueError):
-        build_correction_problem(maps, ob1, T0, sample_times=[0.25, 0.75])
+        build_correction_problem(maps, ob1, T0, z_i_t0, sample_times=[0.25, 0.75])
     with pytest.raises(ValueError):
-        build_correction_problem(maps, ob1, T0, sample_times=[])
+        build_correction_problem(maps, ob1, T0, z_i_t0, sample_times=[])
 
 
 def test_error_recovery_round_trip(maps, ob1, run):
@@ -124,7 +125,7 @@ def test_unidentifiable_problem_raises(params, z0):
     maps = build_maps(bundle)
     run = solve_limiting(bundle, z0, E_I, E_BAR)
     ob1 = residual_path(run.observable(), run.mf_i.z, run.g_i, decoupled, bundle.P1)
-    problem = build_correction_problem(maps, ob1, T0)
+    problem = build_correction_problem(maps, ob1, T0, run.mf_i.z.at(T0))
     assert identifiability(problem)["rank"] == 0
     with pytest.raises(IdentifiabilityError):
         recover_errors(problem)

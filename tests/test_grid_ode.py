@@ -513,3 +513,10 @@ def test_matrix_powers_match_repeated_products(K):
     assert got.shape == (K + 1, 3, 3)
     for j in range(K + 1):
         npt.assert_allclose(got[j], np.linalg.matrix_power(M, j), rtol=0, atol=1e-13)
+
+
+def test_matrix_powers_square_no_further_than_the_last_power():
+    # M^0 .. M^3 need M and M^2; squaring on to M^4 = 1e400 I overflowed
+    # in a RuntimeWarning, which fails a test here
+    got = matrix_powers(1e100 * np.eye(2), 3)
+    npt.assert_allclose(got[:, 0, 0], [1.0, 1e100, 1e200, 1e300], rtol=1e-15)

@@ -1,5 +1,6 @@
 """Finite-population sampling, simulation, and replay."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -40,7 +41,6 @@ from mfg_errsim.population import (
     OffsetFamilyLaw,
     _agent_rngs,
     agent_sum,
-    replay_agent,
     sample_population,
     simulate,
 )
@@ -168,7 +168,7 @@ def test_replay_reproduces_original_trace(params, grid, law_c, mf_c):
     res = simulate(params, pop, law_c, mf_coupling=(mf_c.z, mf_c.ubar),
                    grid=grid, seed=11)
     tr = res.traces[2]
-    x, u = replay_agent(params, tr, law_c, mf_c.z, mf_c.ubar, grid, seed=11)
+    x, u = res.replay(2, law_c, mf_c.z, mf_c.ubar)
     npt.assert_allclose(x.values, tr.x.values, atol=1e-12)
     npt.assert_allclose(u.values, tr.u.values, atol=1e-12)
 
@@ -565,9 +565,24 @@ def test_replay_reproduces_an_agent_of_a_noisy_run_bit_for_bit():
     _, (z, ubar) = _couplings(law, 3, 2)[1]
     res = simulate(p, pop, law, mf_coupling=(z, ubar), seed=5)
     for i in (0, 4, 8):
-        x, u = replay_agent(p, res.trace(i), law, z, ubar, law.grid, seed=5)
+        x, u = res.replay(i, law, z, ubar)
         npt.assert_array_equal(x.values, res.xs[:, i])
         npt.assert_array_equal(u.values, res.us[:, i])
+
+
+def test_replay_under_the_runs_law_and_coupling_is_the_run_bit_for_bit():
+    # the run's seed and D come with the result: replaying a noisy,
+    # empirically coupled run of the per-agent offset law under its law and
+    # recorded coupling gives each agent's stored path
+    p, law, fam, pop = _family(3, 2, 9, 2 * _NOISE_BLOCK + 3)
+    res = simulate(p, pop, fam, seed=5)
+    z, ubar = (VectorPath(res.grid, a) for a in res.coupling)
+    for i in (0, 4, -1):
+        x, u = res.replay(i, fam, z, ubar)
+        npt.assert_array_equal(x.values, res.xs[:, i])
+        npt.assert_array_equal(u.values, res.us[:, i])
+    with pytest.raises(GridMismatchError):
+        res.replay(0, fam, z.slice(0, 60), ubar)
 
 
 @pytest.mark.parametrize("D", [None, 0.0])
@@ -705,8 +720,7 @@ def test_a_population_that_does_not_fit_fails_loudly(params, law_c, mf_c, maps, 
                              lambda: simulate(params, nan, law_c))
     res = simulate(params, pop, law_c, mf_coupling=(mf_c.z, mf_c.ubar), D=0.0)
     _assert_population_error(r"errors of shape \(3, 2\), not \(5, 2\)",
-                             lambda: replay_agent(params, res.trace(4), fam3, mf_c.z,
-                                                  mf_c.ubar, law_c.grid, seed=0))
+                             lambda: res.replay(4, fam3, mf_c.z, mf_c.ubar))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_population_error(r"at least one agent, got 0",
@@ -735,8 +749,7 @@ def test_a_params_argument_other_than_the_law_or_bundle_fails_loudly():
     res = simulate(p6.with_(), pop, law, grid=grid, seed=3, D=0.0)
     runs = (
         lambda params: simulate(params, pop, law, grid=grid, seed=3, D=0.0),
-        lambda params: replay_agent(params, res.traces[0], law, mf.z, mf.ubar, grid,
-                                    seed=3, D=0.0),
+        lambda params: res.replay(0, dataclasses.replace(law, params=params), mf.z, mf.ubar),
         lambda params: realtime_simulate(params, bundle, pop, truth_policy(), seed=3,
                                          D=0.0),
     )

@@ -18,7 +18,6 @@ from mfg_errsim.errors import (
 from mfg_errsim.grid import TimeGrid, VectorPath
 from mfg_errsim.params import P6_Z0
 from mfg_errsim.realtime import (
-    EstimatorState,
     build_kernels,
     build_realtime_maps,
     constant_error_policy,
@@ -37,12 +36,8 @@ E_AVG = np.array([0.1, -0.1])
 
 
 def _anchored(bundle, mf_c, e_own, e_avg, t0=T0, route="p2"):
-    est = EstimatorState(
-        zbar_hat=mf_c.z.at(t0) + e_avg,
-        z_hat=mf_c.z.at(t0) + e_own,
-        t0=t0,
-    )
-    return restricted_prediction(bundle, est, route=route)
+    return restricted_prediction(bundle, mf_c.z.at(t0) + e_avg, mf_c.z.at(t0) + e_own,
+                                 t0, route=route)
 
 
 def test_routes_agree(bundle, mf_c):

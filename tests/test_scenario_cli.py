@@ -10,7 +10,7 @@ import pytest
 
 from mfg_errsim import correction, deviations, limiting, ode, riccati, scenario
 from mfg_errsim.cli import main
-from mfg_errsim.errors import ConfigError, FiniteEscapeError
+from mfg_errsim.errors import ConfigError, FiniteEscapeError, IntegrationBlowupError
 from mfg_errsim.limiting import solve_limiting
 from mfg_errsim.params import p6_params
 from mfg_errsim.riccati import RiccatiBundle
@@ -150,6 +150,23 @@ def test_cli_run_rejects_a_one_value_k_sweep(tmp_path, capsys):
     assert ("config error: k_sweep: must hold at least two distinct values"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_evolve_rejects_a_horizon_before_its_first_probe_time(tmp_path, capsys):
+    # every probe time lies at or past T = 0.2, which wrote a header-only
+    # linearity.csv and exited 0
+    doc = {"mode": "evolve", "params": {"T": 0.2}, "grid_steps": 200}
+    with pytest.raises(ConfigError) as ei:
+        validate_config(doc)
+    [(key, reason)] = ei.value.problems
+    assert key == "params.T" and "probe times t = 0.25, 1, 1.75" in reason
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert "config error: params.T: must exceed 0.25" in capsys.readouterr().err
+    assert not out.exists()
+    # a later T keeps the probe times before it, and no other mode reads them
+    assert _probe_times(validate_config(dict(doc, params={"T": 0.5})).params) == [0.25]
+    validate_config(dict(doc, mode="predict"))
 
 
 def test_evolve_headers_stay_distinct_when_k_values_agree_to_six_digits(tmp_path):
@@ -467,7 +484,7 @@ def test_correct_mode_solves_no_post_correction_offset(tmp_path, monkeypatch):
     def no_offset(*args):
         raise AssertionError("correct mode writes no post-correction offset")
 
-    monkeypatch.setattr(correction, "solve_tracking_offset", no_offset)
+    monkeypatch.setattr(correction, "equilibrium_law", no_offset)
     manifest = run_scenario(validate_config({
         "mode": "correct", "grid_steps": 200, "output_dir": str(tmp_path)}))
     assert "mf_actual.csv" in manifest.files
@@ -480,8 +497,7 @@ def test_kept_paths_are_read_only():
     arrays = [getattr(bundle, name).values for name in ("P0", "P1", "P2", "G", "G1",
                                                         "Phi1", "PhiZ")]
     arrays += [getattr(maps, name).values for name in ("Mg", "Mz", "PhiX", "Mx1", "Mx2")]
-    arrays += [getattr(kernels, name) for name in ("PhiZ_inv", "Phi1_inv", "V", "Mig_diag",
-                                                   "M0g_diag")]
+    arrays += [getattr(kernels, name) for name in ("PhiZ_inv", "Mig_diag", "M0g_diag")]
     arrays += list(bundle.tracking_drive)
     for steps in (bundle.mf0_steps, bundle.mf1_steps, bundle.tracking_steps):
         arrays += steps.levels + [steps.W0, steps.W1, steps.transition]
@@ -603,6 +619,21 @@ def test_a_linear_solve_past_rk4_stability_is_a_blowup_not_an_escape(tmp_path, c
     assert "grid_steps=200" in err and "dt*rho(H) = 10.01" in err and "2.785" in err
     doc["grid_steps"] = 2000
     assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "b")]) == 0
+
+
+def test_a_stiff_riccati_step_map_is_a_clean_blowup_without_a_warning(tmp_path, capsys):
+    # at A = -37000 I and 200 steps the exact step map of P1 and P0 grows by
+    # about e^370 a step: squaring its powers past the last one needed, and
+    # det X, overflowed in two RuntimeWarnings before G's blow-up
+    doc = {"mode": "realtime", "grid_steps": 200,
+           "params": {"A": [[-37000, 0], [0, -37000]]}, "output_dir": str(tmp_path / "a")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowupError, match="G blew up"):
+            run_scenario(validate_config(doc))
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error: G blew up" in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("steps", [150, 450, 2001])

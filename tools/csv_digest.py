@@ -30,11 +30,13 @@ post-correction offset map, the realtime kernels and the realtime maps
 anchored at t0 = 0.5; ``sample_population`` with non-diagonal covariances
 and a seed past 2**32; ``simulate`` with the shared and the per-agent
 offset law, empirical and prescribed coupling, default and zero noise,
-with agent 3's trace read before the paths; ``replay_agent``;
-``epsilon_nash_gap``; and ``realtime_simulate`` with each of the four
-estimator policies at default and zero noise.  These
-calls keep one signature across refactors, so the script runs unchanged
-against an older checkout.
+with agent 3's trace read before the paths; ``PopulationResult.replay``
+of agent 3; ``epsilon_nash_gap``; and ``realtime_simulate`` with each of
+the four estimator policies at default and zero noise.  The realtime
+kernels are PhiZ_inv, Mig_diag and M0g_diag.  ``--against`` runs the script
+against an older checkout that has these calls and kernel fields; for one
+that has not (one with ``replay_agent``, or kernels that keep Phi1_inv and
+V), run each tree's own script and compare the two digest listings.
 
 Each mode also runs a second time in the same process, into another
 directory, and a last line per fixture and mode reads ``rerun same`` when
@@ -100,12 +102,7 @@ def array_outputs(fixture, fdoc):
     from mfg_errsim.deviations import build_maps
     from mfg_errsim.limiting import solve_limiting, solve_limiting_batch
     from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV
-    from mfg_errsim.population import (
-        OffsetFamilyLaw,
-        replay_agent,
-        sample_population,
-        simulate,
-    )
+    from mfg_errsim.population import OffsetFamilyLaw, sample_population, simulate
     from mfg_errsim.riccati import RiccatiBundle
     from mfg_errsim.scenario import validate_config
 
@@ -162,16 +159,15 @@ def array_outputs(fixture, fdoc):
                     out.append((f"{key}/{name}", [getattr(res, name)]))
                 out.append((f"{key}/x_N,u_N", [res.x_N.values, res.u_N.values]))
                 if lname == "shared" and cname == "prescribed":
-                    x, u = replay_agent(params, res.traces[3], law, mf.z, mf.ubar,
-                                        grid, seed=SEED, D=D)
-                    out.append((f"{key}/replay_agent", [x.values, u.values]))
+                    x, u = res.replay(3, law, mf.z, mf.ubar)
+                    out.append((f"{key}/replay", [x.values, u.values]))
     for dname, D in noises.items():
         gap = epsilon_nash_gap(params, N_AGENTS, SEED, grid=grid, z0=cfg.z0, D=D)
         out.append((f"{fixture}/epsilon_nash_gap-{dname}", [[gap]]))
 
     kernels = realtime.build_kernels(bundle)
     out += [(f"{fixture}/kernels/{name}", [np.asarray(getattr(kernels, name))])
-            for name in ("PhiZ_inv", "Phi1_inv", "V", "Mig_diag", "M0g_diag")]
+            for name in ("PhiZ_inv", "Mig_diag", "M0g_diag")]
     rt = realtime.build_realtime_maps(kernels, 0.5)
     out += [(f"{fixture}/realtime_maps/{name}", [getattr(rt, name).values])
             for name in ("Miz", "M0z", "Mig", "M0g")]
