@@ -22,15 +22,18 @@ carries them with P1, its errors (N, n) when it has an error gain, and its
 grid, on which the run takes place.  An Euler-Maruyama step is then an
 affine map of each agent's state whose matrix I + dt agent_generator(P1) all
 agents share, so _step_agents, the one stepping routine here, sweeps each
-noise block's step maps up once and prefix-scans the agents' columns
-against them instead of stepping node by node.  realtime_simulate, whose
-controls come from an estimator policy at each node, steps node by node
-with this module's _noise_matrix, _noise_blocks, _drift and agent_sum.
+noise block's step maps up once and prefix-scans shared columns against
+them instead of stepping node by node.  realtime_simulate, whose controls
+come from an estimator policy at each node, steps node by node with this
+module's _noise_matrix, _noise_blocks, _drift and agent_sum.
 
-A run keeps node arrays, not paths: each block's states and controls go
-into a scratch of _NOISE_BLOCK + 1 nodes, so simulate holds O(N) memory
-beyond its (K+1, .) node arrays, and its result builds the paths when they
-are read (see PopulationResult).
+A run keeps node arrays, not paths.  The step being affine, a block's node
+sums follow from the sum of the agents' rows [x | 1 | E_i] at its first
+node and the agents' summed noise, and each agent's state is formed at the
+block's last node only, so simulate holds O(N) memory beyond its (K+1, .)
+node arrays and forms no agent's interior state unless a norm bound cannot
+show it finite.  Its result builds the paths when they are read (see
+PopulationResult).
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ _DYNAMICS = 1
 _NOISE_BLOCK = 128
 # column chunks of the agents' noise per block scan (see _step_agents)
 _NOISE_CHUNKS = 4
+# a block's states are written out unless a norm bound keeps them below this
+_STATE_BOUND = np.finfo(float).max / 2
 
 
 # numpy's SeedSequence constants: the hash multipliers of its pool mixing
@@ -189,18 +194,20 @@ class PopulationResult:
     """Realized paths of N agents; entry [k, i] of xs, us and drifts is
     agent i at node k.
 
-    The run keeps node arrays only: the node means x_N and u_N, and
-    coupling, the pair of (K+1, n) and (K+1, d) node arrays (mf_x, mf_u)
-    the run stepped with, that is the population's mean state and control
-    as the run's mean scan gives them under empirical coupling, else the
-    prescribed (z, ubar) arrays, kept by reference.  Its agents' paths take
-    O(N K) memory, so the first read of xs or us runs the block scan again
-    under the recorded coupling, with the run's law, x0, seed and D, and
-    caches both: that gives the run's paths bit for bit (see
-    _step_agents), and before that trace(i) steps agent i alone the same
-    way, as replay(i, ...) does under another law and coupling.  The first
-    read of drifts derives every node's drift A x + B u + C mf_x + F mf_u
-    from xs[k], us[k] and the coupling, and caches it.
+    The run keeps node arrays only: the node means x_N and u_N, formed by
+    linearity from the agents' summed rows and noise (see _step_agents), so
+    numpy's mean of xs and us to rounding, and coupling, the pair of
+    (K+1, n) and (K+1, d) node arrays (mf_x, mf_u) the run stepped with,
+    that is the population's mean state and control as the run's mean scan
+    gives them under empirical coupling, else the prescribed (z, ubar)
+    arrays, kept by reference.  Its agents' paths take O(N K) memory, so the
+    first read of xs or us writes out every block of the run again under the
+    recorded coupling, with the run's law, x0, seed and D, and caches both:
+    that gives the paths bit for bit whenever they are built, and before
+    that trace(i) steps agent i alone the same way, as replay(i, ...) does
+    under another law and coupling.  The first read of drifts derives every
+    node's drift A x + B u + C mf_x + F mf_u from xs[k], us[k] and the
+    coupling, and caches it.
     """
 
     params: SystemParams
@@ -387,6 +394,24 @@ def _noise_blocks(seed, ids, K, n):
         yield noise[:, :m]
 
 
+def _last_terms(levels, c):
+    """The terms T_(K-1) ... T_(j+1) c_j of the last entry of ode._scan(levels,
+    c), side by side: an (n, K m) array for the columns c (K, n, m), given
+    the up-sweep levels of the T_j.  The pairs fold as in _scan, into
+    [T_(2i+1) c_2i | c_(2i+1)] against the pair's product, recursively; for
+    odd K, T_(K-1) takes the first K - 1 columns' terms on and c_(K-1) joins
+    them.  O(K n m) memory, where scanning impulse columns takes O(K^2 n m),
+    over ceil(log2 K) levels of batched calls."""
+    K = len(c)
+    if K == 1:
+        return c[0]
+    T = levels[0]
+    terms = _last_terms(levels[1:], np.concatenate((T[1::2] @ c[:K - 1:2], c[1::2]), axis=2))
+    if K % 2:
+        terms = np.concatenate((T[K - 1] @ terms, c[K - 1]), axis=1)
+    return terms
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
     """Euler-Maruyama run of the agents ids from the rows of x0 (N, n)
@@ -394,10 +419,9 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
     (K+1, n) and (K+1, d) of the states and controls, the coupling
     (mf_x, mf_u) the run stepped with (the prescribed node arrays coupling
     or, for coupling None, the population means) and, for paths True, the
-    paths xs (K+1, N, n) and us (K+1, N, d), else None.  Without paths a
-    block's states and controls go into a scratch of _NOISE_BLOCK + 1
-    nodes, so the run holds O(N) memory beyond its node arrays.  D is as in
-    _noise_matrix.
+    paths xs (K+1, N, n) and us (K+1, N, d), else None.  Without paths the
+    run forms each agent's state at the blocks' last nodes only, so it holds
+    O(N) memory beyond its node arrays.  D is as in _noise_matrix.
 
     Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n_ik,
     with T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k +
@@ -415,23 +439,32 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
       agent is stepped;
     - the scan of the columns [T_k0 | f_k | dt B W_k] (likewise) gives
       [P_j | c_j | CE_j], so agent i's state at node k0 + j + 1 is
-      z_i [P_j | c_j | CE_j]' with z_i = [x_k0 | 1 | E_i], and its control
-      there is z_i U_j, U_j = [P_j | c_j | CE_j]' gain' + [0 | offset |
-      W]' at that node;
-    - under noise, the scan of a chunk of the agents' noise columns
-      sqrt(dt) D n_k adds their noise part dx, and dx gain' to the
-      controls;
-    - the states and controls of all agents, or of a chunk, go into the
-      block's nodes at once, and agent_sum takes the block's node sums.
+      z_i [P_j | c_j | CE_j]' plus its noise part, with z_i = [x_k0 | 1 |
+      E_i], and its control there is z_i U_j, U_j = [P_j | c_j | CE_j]'
+      gain' + [0 | offset | W]' at that node, plus the noise part times
+      gain';
+    - the step is affine, so the block's node sums are (sum_i z_i)
+      [P_j | c_j | CE_j]' and (sum_i z_i) U_j, plus, under noise, the scan
+      of the one column sqrt(dt) D sum_i n_ik and its product with gain';
+    - the noise part of agent i's state at the block's last node is
+      sum_j R_j sqrt(dt) D n_ij, R_j = T_(m-1) ... T_(j+1): _last_terms
+      gives the R_j sqrt(dt) D side by side, and one (N, m n) x (m n, n)
+      product with the block's noise buffer takes every agent's part.
+      These states start the next block.
 
-    No step map is inverted, and no product mixes two agents' rows or
-    columns, so under prescribed coupling an agent's bits do not depend on
-    the others, and a run with paths True against the coupling of an
-    earlier run gives that run's paths bit for bit.  A non-finite state
-    raises IntegrationBlowupError naming the first such node and its first
-    agent.  Under empirical coupling a mean of x0 that overflows raises it
-    at node 0; otherwise a node sum that overflows on finite states is
-    returned as it is.
+    With paths, and for a block whose states a norm bound cannot show
+    finite, the block's states and controls are written out node by node:
+    the states of all agents, or of a chunk, at once, their noise part the
+    scan of the chunk's noise columns sqrt(dt) D n_k.  The paths start each
+    block from their own last node.  No step map is inverted, and no
+    product of a written block mixes two agents' rows or columns, so under
+    prescribed coupling an agent's bits do not depend on the others, and a
+    run with paths True against the coupling of an earlier run gives that
+    run's paths bit for bit.  A non-finite state raises
+    IntegrationBlowupError naming the first such node and its first agent.
+    Under empirical coupling a mean of x0 that overflows raises it at node
+    0; otherwise a node sum that overflows on finite states is returned as
+    it is.
     """
     lone = len(x0) == 1
     if lone:
@@ -460,6 +493,7 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
     eye = np.eye(n)
     # the rows [x | 1 | E_i] of the agents, updated to each block's x_k0
     Z = np.empty((N, n + 1 + e))
+    Z[:, :n] = x0
     Z[:, n] = 1.0
     if W is not None:
         Z[:, n + 1:] = E = law.errors[np.asarray(ids)]
@@ -473,28 +507,26 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
         mf_x, mf_u = coupling
     # the lone agent's node sums are its own path
     node_sums = (lambda a: a[..., 0, :]) if lone else agent_sum
-    nodes = K + 1 if paths else min(_NOISE_BLOCK, K) + 1
-    xs, us = np.empty((nodes, N, n)), np.empty((nodes, N, d))
-    xs[0] = x0
+    if paths:
+        xs, us = np.empty((K + 1, N, n)), np.empty((K + 1, N, d))
+        xs[0] = x0
     x_sum, u_sum = np.empty((K + 1, n)), np.empty((K + 1, d))
     x_sum[0] = node_sums(x0)
     for k0 in range(0, K, _NOISE_BLOCK):
         k1 = min(k0 + _NOISE_BLOCK, K)
         m = k1 - k0
         hi = k1 + 1 if k1 == K else k1   # nodes k0..hi-1 take their controls here
-        # the block's nodes k0..k1 of the states and k0..hi-1 of the controls
-        at = k0 if paths else 0
-        xb, ub = xs[at:at + m + 1], us[at:at + hi - k0]
         levels = _up_sweep(eye + dt * agent_generator(params, P1[k0:k1]))
         if noisy:
             noise = next(blocks)
+            noise_sum = noise.sum(axis=0)
         if coupling is None:
             mean_levels = _up_sweep(eye + dt * mf_generator(params, P1[k0:k1]))
             cols = np.zeros((m, n, n + 1))
             cols[0, :, :n] = mean_levels[0][0]
             cols[:, :, n] = dt * (vbar[k0:k1] @ (B + F).T)
             if noisy:
-                cols[:, :, n] += (noise.sum(axis=0) / N) @ sqdtD.T
+                cols[:, :, n] += (noise_sum / N) @ sqdtD.T
             PC = _scan(mean_levels, cols)
             mf_x[k0 + 1:k1 + 1] = PC[:, :, :n] @ mf_x[k0] + PC[:, :, n]
             mf_u[k0:hi] = (gain[k0:hi] @ mf_x[k0:hi, :, None])[..., 0] + vbar[k0:hi]
@@ -513,33 +545,55 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
         U[:, n] += offset[k0:hi]
         if W is not None:
             U[:, n + 1:] += np.swapaxes(W[k0:hi], 1, 2)
-        Z[:, :n] = xb[0]
-        for a, b in zip(edges, edges[1:]):
-            x, u = xb[1:, a:b], ub[:, a:b]
-            np.matmul(Z[a:b], PT, out=x)
-            np.matmul(Z[a:b], U, out=u)
+        z_sum = node_sums(Z)
+        x_sum[k0 + 1:k1 + 1] = z_sum @ PT
+        u_sum[k0:hi] = z_sum @ U
+        if noisy:
+            dx = _scan(levels, ((noise[0] if lone else noise_sum) @ sqdtD.T)[..., None])[..., 0]
+            x_sum[k0 + 1:k1 + 1] += dx
+            u_sum[k0 + 1:hi] += (dx[:hi - k0 - 1, None] @ gainT)[:, 0]
+        if paths:
+            xb, ub = xs[k0 + 1:k1 + 1], us[k0:hi]
+        else:
+            # the block is written out unless a norm bound keeps its states,
+            # z_i [P_j | c_j | CE_j]' and a noise part of at most
+            # m |T|^(m-1) |sqrt(dt) D| max |n| (infinity norms, |T| >= 1 the
+            # block's largest), below _STATE_BOUND
+            bound = np.abs(Z).max() * np.abs(PT).sum(axis=1).max()
+            x_end = Z @ PT[m - 1]
             if noisy:
-                cols = sqdtD @ noise[a:b].transpose(1, 2, 0)
-                # a product with I moves the agents from columns to rows:
-                # exact, and faster than numpy's strided copy
-                dx = np.swapaxes(_scan(levels, cols), 1, 2) @ eye
-                x += dx
-                u[1:] += dx[:hi - k0 - 1] @ gainT
-                del dx   # before the next chunk's scan
-        x_sum[k0 + 1:k1 + 1] = node_sums(xb[1:])
-        u_sum[k0:hi] = node_sums(ub)
-        # a finite node sum means every state is finite; a non-finite one is
-        # a blow-up or an overflow of finite states, which the scan tells apart
-        for j in 1 + np.flatnonzero(~np.isfinite(x_sum[k0 + 1:k1 + 1]).all(axis=1)):
-            bad = np.flatnonzero(~np.isfinite(xb[j]).all(axis=1))
-            if len(bad):
-                k = k0 + int(j)
-                raise IntegrationBlowupError(
-                    f"agent {ids[bad[0]]} state non-finite at node {k}",
-                    node=k, time=grid.times[k],
-                )
-        if not paths:
-            xs[0] = xb[m]
+                tau = np.maximum(1.0, np.abs(levels[0]).sum(axis=2).max())
+                bound += (m * tau ** (m - 1) * np.abs(sqdtD).sum(axis=1).max()
+                          * max(noise.max(), -noise.min()))
+                terms = _last_terms(levels, np.broadcast_to(sqdtD, (m, n, n)))
+                x_end += noise.reshape(N, m * n) @ terms.T
+            xb = ub = None
+            if not bound < _STATE_BOUND:
+                xb, ub = np.empty((m, N, n)), np.empty((hi - k0, N, d))
+        if xb is not None:
+            for a, b in zip(edges, edges[1:]):
+                x, u = xb[:, a:b], ub[:, a:b]
+                np.matmul(Z[a:b], PT, out=x)
+                np.matmul(Z[a:b], U, out=u)
+                if noisy:
+                    cols = sqdtD @ noise[a:b].transpose(1, 2, 0)
+                    # a product with I moves the agents from columns to rows:
+                    # exact, and faster than numpy's strided copy
+                    dx = np.swapaxes(_scan(levels, cols), 1, 2) @ eye
+                    x += dx
+                    u[1:] += dx[:hi - k0 - 1] @ gainT
+                    del dx   # before the next chunk's scan
+            # a non-finite state makes its node's sum non-finite; a sum can
+            # also overflow on finite states, which the node's rows tell apart
+            for j in np.flatnonzero(~np.isfinite(agent_sum(xb)).all(axis=1)):
+                bad = np.flatnonzero(~np.isfinite(xb[j]).all(axis=1))
+                if len(bad):
+                    k = k0 + 1 + int(j)
+                    raise IntegrationBlowupError(
+                        f"agent {ids[bad[0]]} state non-finite at node {k}",
+                        node=k, time=grid.times[k],
+                    )
+        Z[:, :n] = xb[m - 1] if paths else x_end
     if not paths:
         return x_sum, u_sum, (mf_x, mf_u), None
     if lone:

@@ -262,14 +262,17 @@ def _family(n, d, N, K=60):
 
 @pytest.mark.parametrize("N", [7, 300])
 @pytest.mark.parametrize("n, d", [(3, 2), (1, 1)])
-def test_simulated_means_are_numpy_means_bit_for_bit(n, d, N):
-    p, law, fam, pop = _family(n, d, N)
-    prescribed = (VectorPath(law.grid, np.ones((61, n))),
-                  VectorPath(law.grid, np.ones((61, d))))
-    for coupling in ("empirical", prescribed):
-        res = simulate(p, pop, fam, mf_coupling=coupling, seed=5)
-        npt.assert_array_equal(res.x_N.values, np.mean(res.xs, axis=1))
-        npt.assert_array_equal(res.u_N.values, np.mean(res.us, axis=1))
+def test_simulated_means_are_the_means_of_the_paths_to_rounding(n, d, N):
+    # the node means come from the agents' summed rows by linearity, not from
+    # their paths, so they are numpy's mean of the paths to rounding
+    p, law, fam, pop = _family(n, d, N, 2 * _NOISE_BLOCK + 3)
+    for lw in (law, fam):
+        for _, coupling in _couplings(law, n, d):
+            for D in (None, 0.0):
+                res = simulate(p, pop, lw, mf_coupling=coupling, seed=5, D=D)
+                for mean, paths in ((res.x_N, res.xs), (res.u_N, res.us)):
+                    npt.assert_allclose(mean.values, np.mean(paths, axis=1), rtol=0,
+                                        atol=1e-13 * np.abs(paths).max())
 
 
 def _realtime_loop(p, bundle, pop, policy, seed, D=None):
@@ -389,6 +392,25 @@ def test_a_simulated_mean_that_overflows_names_its_node():
     zero = (VectorPath(grid, np.zeros((201, 2))), VectorPath(grid, np.zeros((201, 2))))
     for coupling in (zero, "empirical"):
         _assert_mean_overflow(84, lambda: simulate(flat, pop, law, mf_coupling=coupling, D=0.0))
+
+
+@pytest.mark.parametrize("D", [None, 0.0])
+def test_a_blowup_whose_node_sums_cancel_names_its_node_and_agent(D):
+    # two agents at x0 = (+-1.2e308, 0) under A = 0.3 I: their node sum stays
+    # zero while each state grows past the largest double at node 135
+    p, bundle, _, pop = _overflowing_p6_run()
+    flat = p.with_(A=0.3 * np.eye(2), C=np.zeros((2, 2)), F=np.zeros((2, 2)))
+    grid = bundle.grid
+    law = FeedbackLaw(params=flat, P1=MatrixPath(grid, np.zeros((201, 2, 2))),
+                      g=VectorPath(grid, np.zeros((201, 2))))
+    for i, x in ((1, 1.2e308), (4, -1.2e308)):
+        pop[i] = (np.array([x, 0.0]), np.zeros(2))
+    zero = (VectorPath(grid, np.zeros((201, 2))), VectorPath(grid, np.zeros((201, 2))))
+    for coupling in (zero, "empirical"):
+        with pytest.raises(IntegrationBlowupError,
+                           match="agent 1 state non-finite at node 135$") as ei:
+            simulate(flat, pop, law, mf_coupling=coupling, D=D)
+        assert ei.value.node == 135
 
 
 def test_a_realtime_mean_that_overflows_names_its_node():
@@ -624,6 +646,23 @@ def test_a_noisy_runs_memory_does_not_grow_with_K(params):
         held[K] = peak - kept
         del res
     assert abs(held[4000] - held[1000]) <= 0.1 * held[1000]
+
+
+def test_a_noiseless_run_forms_no_block_of_states(params):
+    # the node sums come from the agents' summed rows and each agent's state
+    # is formed at the blocks' last nodes only: the run's peak stays below
+    # one block of states, (_NOISE_BLOCK + 1, N, n)
+    pop = _pop(2000)
+    bundle = RiccatiBundle.solve(params, params.default_grid())
+    law = equilibrium_law(bundle, equilibrium_mf(bundle, P6_Z0))
+    law.gain, law.offset   # the law's node arrays, before the run
+    tracemalloc.start()
+    try:
+        simulate(params, pop, law, seed=3, D=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (_NOISE_BLOCK + 1) * len(pop) * params.n * 8
 
 
 def _spy_step_agents(monkeypatch):
