@@ -21,7 +21,7 @@ def _build_parser():
 
     run = sub.add_parser("run", help="execute a scenario config")
     run.add_argument("config", help="path to a JSON scenario config")
-    run.add_argument("--out", help="output directory (overrides config)")
+    run.add_argument("--out", help="output directory (replaces the config's output_dir)")
     run.add_argument("--seed", type=int, help="seed override")
     run.add_argument("--steps", type=int, help="grid steps override")
 
@@ -44,11 +44,12 @@ def main(argv=None) -> int:
 
             raw = load_document(args.config)
             if isinstance(raw, dict):
-                for key, value in (("seed", args.seed), ("grid_steps", args.steps)):
+                for key, value in (("seed", args.seed), ("grid_steps", args.steps),
+                                   ("output_dir", args.out)):
                     if value is not None:
                         raw[key] = value
             config = validate_config(raw)
-            manifest = run_scenario(config, output_dir=args.out)
+            manifest = run_scenario(config)
             print(f"wrote {len(manifest.files)} outputs "
                   f"(config {manifest.config_hash[:12]})")
             return 0

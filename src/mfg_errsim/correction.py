@@ -10,12 +10,13 @@ prediction leaves an affine function of the unknown errors,
     Ob1(t) = K1(t) Ebar + K2(t) E_i,
 
 with K1 = (C - F R^-1 B' P1) Mz - F R^-1 B' Mg and
-K2 = -(C - F R^-1 B' P1) Phi1 + F R^-1 B' Mg.  Sampling Ob1 at m times and
-stacking gives a linear system; if its rank is 2n the errors are uniquely
-recoverable, the true mean field at the correction time t0 follows from
-the agent's own prediction z_i(t0), and the game restarts from it, as the
-equilibrium and its law on [t0, T] under the bundle's parameters.  Paths
-combined here must share a grid (GridMismatchError otherwise).
+K2 = -(C - F R^-1 B' P1) Phi1 + F R^-1 B' Mg.  Sampling Ob1 at the
+DEFAULT_SAMPLES equispaced nodes in (0, t0] and stacking gives a linear
+system; if its rank is 2n the errors are uniquely recoverable, the true
+mean field at t0 follows from the agent's own prediction z_i(t0), and the
+game restarts from it, as the equilibrium and its law on [t0, T] under the
+bundle's parameters.  Paths combined here must share a grid
+(GridMismatchError otherwise).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .params import SystemParams
 from .riccati import RiccatiBundle
 
 # relative singular-value cutoff of the identifiability rank, and the
-# number of sample times build_correction_problem takes when given none
+# number of nodes build_correction_problem samples Ob1 at
 SV_TOL = 1e-8
 DEFAULT_SAMPLES = 8
 
@@ -55,14 +56,15 @@ def observable_path(x: VectorPath, u: VectorPath, params: SystemParams) -> Vecto
 
 
 def residual_path(Ob: VectorPath, z_i: VectorPath, g_i: VectorPath,
-                  params: SystemParams, P1: MatrixPath) -> VectorPath:
-    """Ob1(t) = Ob(t) - (C - F R^-1 B' P1) z_i(t) + F R^-1 B' g_i(t), on the
-    grid the four paths share (GridMismatchError otherwise)."""
-    grid = require_same_grid(Ob, z_i, g_i, P1)
-    FRB = params.FRB
+                  bundle: RiccatiBundle) -> VectorPath:
+    """Ob1(t) = Ob(t) - (C - F R^-1 B' P1) z_i(t) + F R^-1 B' g_i(t), with
+    the bundle's parameters and P1, on the grid the three paths and the
+    bundle share (GridMismatchError otherwise)."""
+    grid = require_same_grid(Ob, z_i, g_i, bundle)
+    params, FRB = bundle.params, bundle.params.FRB
     pred = (
         z_i.values @ params.C.T
-        - np.einsum("kij,kj->ki", FRB @ P1.values, z_i.values)
+        - np.einsum("kij,kj->ki", FRB @ bundle.P1.values, z_i.values)
         - g_i.values @ FRB.T
     )
     return VectorPath(grid, Ob.values - pred)
@@ -79,14 +81,13 @@ def k_matrices(maps: DeviationMaps) -> tuple[MatrixPath, MatrixPath]:
     return MatrixPath(maps.grid, K1), MatrixPath(maps.grid, K2)
 
 
-def default_sample_times(grid, t0):
-    """DEFAULT_SAMPLES equispaced grid nodes in (0, t0]."""
+def _sample_nodes(grid, t0):
+    """The DEFAULT_SAMPLES equispaced node indices in (0, t0]."""
     k0 = grid.index_of(t0)
     m = DEFAULT_SAMPLES
     if k0 < m:
         raise ValueError(f"t0={t0} leaves fewer than {m} nodes to sample")
-    ks = np.linspace(k0 / m, k0, m).round().astype(int)
-    return [float(grid.times[k]) for k in ks]
+    return np.linspace(k0 / m, k0, m).round().astype(int)
 
 
 @dataclass
@@ -100,45 +101,27 @@ class CorrectionProblem:
     stacked_Ob1: np.ndarray
     z_i_t0: np.ndarray
 
-    @property
-    def n(self):
-        return self.maps.params.n
 
-
-def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0, z_i_t0,
-                             sample_times=None) -> CorrectionProblem:
-    """The stacked system of Ob1 at the sample times, on the grid maps and
-    Ob1 share (GridMismatchError otherwise), with z_i_t0, the agent's own
-    predicted mean field at t0, from which recover_errors reconstructs
-    z_A(t0)."""
-    grid = require_same_grid(maps, Ob1)
-    if sample_times is None:
-        sample_times = default_sample_times(grid, t0)
-    sample_times = sorted(float(t) for t in sample_times)
-    if not sample_times:
-        raise ValueError("sample_times must be nonempty")
-    if sample_times[0] < grid.t_start - 1e-9 or sample_times[-1] > t0 + 1e-9:
-        raise ValueError(f"sample times must lie in [0, t0={t0}]")
-    K1, K2 = k_matrices(maps)
-    rows_K, rows_b = [], []
-    for t in sample_times:
-        rows_K.append(np.hstack([K1.at(t), K2.at(t)]))
-        rows_b.append(Ob1.at(t))
-    return CorrectionProblem(
-        maps=maps, t0=float(t0),
-        stacked_K=np.vstack(rows_K), stacked_Ob1=np.concatenate(rows_b),
-        z_i_t0=np.asarray(z_i_t0, dtype=float),
-    )
+def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0,
+                             z_i_t0) -> CorrectionProblem:
+    """The stacked system of Ob1 at DEFAULT_SAMPLES equispaced nodes in
+    (0, t0], on the grid maps and Ob1 share (GridMismatchError otherwise),
+    with z_i_t0, the agent's own predicted mean field at t0, from which
+    recover_errors reconstructs z_A(t0)."""
+    ks = _sample_nodes(require_same_grid(maps, Ob1), t0)
+    K = np.concatenate([Kj.values[ks] for Kj in k_matrices(maps)], axis=2)   # [K1 | K2]
+    return CorrectionProblem(maps=maps, t0=float(t0), stacked_K=K.reshape(-1, K.shape[2]),
+                             stacked_Ob1=Ob1.values[ks].ravel(),
+                             z_i_t0=np.asarray(z_i_t0, dtype=float))
 
 
 def identifiability(problem: CorrectionProblem):
-    """Numerical rank of the stacked coefficient matrix."""
-    sv = np.linalg.svd(problem.stacked_K, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > SV_TOL * sv[0]))
-    return {"rank": rank, "identifiable": rank == 2 * problem.n}
+    """Numerical rank of the stacked coefficient matrix (0 for a zero
+    matrix), identifiable at full column rank 2n."""
+    K = problem.stacked_K
+    sv = np.linalg.svd(K, compute_uv=False)
+    rank = int(np.sum(sv > SV_TOL * sv[0]))
+    return {"rank": rank, "identifiable": rank == K.shape[1]}
 
 
 @dataclass
@@ -156,15 +139,13 @@ def recover_errors(problem: CorrectionProblem) -> CorrectionResult:
     z_A(t0) = z_i(t0) + Mz(t0) Ebar - Phi1(t0) E_i.
     """
     ident = identifiability(problem)
+    K, b = problem.stacked_K, problem.stacked_Ob1
     if not ident["identifiable"]:
-        raise IdentifiabilityError(
-            f"stacked system has rank {ident['rank']} < {2 * problem.n}; "
-            "errors are not recoverable from these samples"
-        )
-    n = problem.n
-    sol, *_ = np.linalg.lstsq(problem.stacked_K, problem.stacked_Ob1, rcond=None)
-    E_bar, E_i = sol[:n], sol[n:]
-    residual = float(np.linalg.norm(problem.stacked_K @ sol - problem.stacked_Ob1))
+        raise IdentifiabilityError(f"stacked system has rank {ident['rank']} < {K.shape[1]}; "
+                                   "errors are not recoverable from these samples")
+    sol, *_ = np.linalg.lstsq(K, b, rcond=None)
+    E_bar, E_i = np.split(sol, 2)
+    residual = float(np.linalg.norm(K @ sol - b))
     maps, t0 = problem.maps, problem.t0
     return CorrectionResult(
         E_bar=E_bar, E_i=E_i,

@@ -35,7 +35,7 @@ class ParamsMismatchError(ValueError, MfgError):
 
 
 class PopulationError(ValueError, MfgError):
-    """A population does not fit the parameter set or the law it plays."""
+    """A population, its sampling inputs, noise or mean field does not fit."""
 
 
 class EstimatorPolicyError(ValueError, MfgError):

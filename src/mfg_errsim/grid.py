@@ -146,10 +146,6 @@ class VectorPath(_Path):
     def __post_init__(self):
         self.values = _check_values(self.grid, self.values, 2)
 
-    @property
-    def dim(self):
-        return self.values.shape[1]
-
 
 def require_same_grid(*paths):
     """Raise GridMismatchError unless all paths share one grid; returns it.

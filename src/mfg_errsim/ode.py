@@ -226,14 +226,11 @@ class StepMaps:
     a solve only scans its forcing columns, and the transition is the
     unforced solve from I.  Backward maps (forward False) step with
     negative dt from the grid's end; every returned path is forward-indexed.
-    With forcing False the step is taken on [I] alone and W0, W1 are None,
-    for unforced solves (rk4_affine with f None) at a third of the width.
     """
 
-    def __init__(self, H, grid, forward=True, forcing=True):
+    def __init__(self, H, grid, forward=True):
         H = np.asarray(H, dtype=float)
         n, K = H.shape[1], grid.steps
-        w = 3 * n if forcing else n
         self.H, self.grid, self.forward = H, grid, forward
         self.h = grid.dt if forward else -grid.dt
         Hh = half_nodes(H)
@@ -247,20 +244,18 @@ class StepMaps:
 
         def rhs(i, v):
             dv = Hs[i] @ v
-            if forcing and i < 2:
+            if i < 2:
                 dv[:, :, (i + 1) * n:(i + 2) * n] += eye
             return dv
 
         with np.errstate(over="ignore", invalid="ignore"):
-            TW = _rk4_step(rhs, 0, np.broadcast_to(np.eye(n, w), (K, n, w)), self.h, 1)
-            parts = [np.ascontiguousarray(TW[:, :, j:j + n]) for j in range(0, w, n)]
-            self.T = parts[0]
-            self.W0, self.W1 = parts[1:] if forcing else (None, None)
+            TW = _rk4_step(rhs, 0, np.broadcast_to(np.eye(n, 3 * n), (K, n, 3 * n)), self.h, 1)
+            self.T, self.W0, self.W1 = (np.ascontiguousarray(TW[:, :, j:j + n])
+                                        for j in range(0, 3 * n, n))
             self.levels = _up_sweep(self.T)
         # every solve shares these, so none may write them
         for a in self.levels + [self.W0, self.W1]:
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
 
     def solve(self, f, v0, k0=0):
         """Node values of the run over nodes k0..K of the grid, from v0 at
@@ -282,8 +277,6 @@ class StepMaps:
         K = self.grid.steps
         if not 0 <= k0 < K:
             raise ValueError(f"a run starts at a node in 0..{K - 1}, got {k0}")
-        if f is not None and self.W0 is None:
-            raise ValueError("step maps built with forcing=False take no forcing")
         v0 = np.asarray(v0, dtype=float)
         V0 = v0[:, None] if v0.ndim == 1 else v0
         n, m = V0.shape
@@ -331,8 +324,7 @@ class StepMaps:
 
 def rk4_affine(H, f, v0, grid, forward=True):
     """RK4 for dv/dt = H(t) v + f(t) with H, f given as node arrays (f may
-    be None): StepMaps(H, grid, forward).solve(f, v0), the maps built
-    without forcing weights when f is None.
+    be None): StepMaps(H, grid, forward).solve(f, v0).
 
     v0 is the value at t_start (forward) or t_end (backward), a vector (n,)
     or a matrix (n, m).  f has the state's shape at every node, or is a
@@ -341,7 +333,7 @@ def rk4_affine(H, f, v0, grid, forward=True):
     IntegrationBlowupError at the first non-finite node.  A generator that
     several solves share keeps its StepMaps instead (see riccati.RiccatiBundle).
     """
-    return StepMaps(H, grid, forward, forcing=f is not None).solve(f, v0)
+    return StepMaps(H, grid, forward).solve(f, v0)
 
 
 def cumulative_trapezoid(a, dt):

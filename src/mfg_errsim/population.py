@@ -123,11 +123,13 @@ def _agent_rngs(seed: int, ids, purpose: int) -> list:
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in state]
 
 
-def _cov_factor(cov, name):
-    """Matrix L with L L' = cov; tolerates PSD-singular covariances."""
+def _cov_factor(cov, name, n):
+    """Matrix L with L L' = cov for a finite symmetric PSD (n, n) cov
+    (PopulationError otherwise); tolerates PSD-singular covariances."""
     cov = np.asarray(cov, dtype=float)
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
+    if cov.shape != (n, n) or not (np.isfinite(cov).all() and np.allclose(cov, cov.T, atol=1e-12)):
+        raise PopulationError(f"{name} of shape {cov.shape} is not a finite symmetric "
+                              f"({n}, {n}) matrix")
     if np.allclose(cov, 0.0):
         return np.zeros_like(cov)
     try:
@@ -135,7 +137,7 @@ def _cov_factor(cov, name):
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(cov)
         if np.min(w) < -1e-12:
-            raise ValueError(f"{name} must be positive semidefinite") from None
+            raise PopulationError(f"{name} must be positive semidefinite") from None
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -179,7 +181,6 @@ class AgentTrace:
     """
 
     agent_id: int
-    E_i: np.ndarray
     x: VectorPath
     u: VectorPath
     result: PopulationResult = field(repr=False)
@@ -224,7 +225,7 @@ class PopulationResult:
     def _rerun(self, a, b, law=None, coupling=None):
         """Paths (xs, us) of the agents a..b-1 from their x0, with the run's
         seed and D, under law and coupling, the run's own unless given."""
-        return _step_agents(self.params, law or self.law, self.x0[a:b], range(a, b),
+        return _step_agents(law or self.law, self.x0[a:b], range(a, b),
                             coupling or self.coupling, self.seed, self.D, paths=True)[-1]
 
     @cached_property
@@ -259,8 +260,8 @@ class PopulationResult:
         else:
             xs, us = self._rerun(i, i + 1)
             x, u = xs[:, 0], us[:, 0]
-        return AgentTrace(agent_id=i, E_i=self.errors[i], x=VectorPath(self.grid, x),
-                          u=VectorPath(self.grid, u), result=self)
+        return AgentTrace(agent_id=i, x=VectorPath(self.grid, x), u=VectorPath(self.grid, u),
+                          result=self)
 
     def replay(self, i: int, law, z_path: VectorPath, ubar_path: VectorPath):
         """Agent i's paths (x, u) under law against prescribed mean-field
@@ -302,14 +303,18 @@ class _Traces(Sequence):
 def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
     """Draw (x0, E_i) pairs for N agents from per-agent RNG streams: agent
     i's x0 = init_mean + L_init z and E_i = error_mean + L_err z' take the
-    first and the last n of 2n normals of its stream, L L' the covariance."""
+    first and the last n of 2n normals of its stream, L L' the covariance
+    (PopulationError for N < 1 and for means or covariances that do not fit)."""
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise PopulationError(f"N must be >= 1, got {N}")
     init_mean = np.atleast_1d(np.asarray(init_mean, dtype=float))
     error_mean = np.atleast_1d(np.asarray(error_mean, dtype=float))
     n = init_mean.shape[0]
-    L_init = _cov_factor(init_cov, "init_cov")
-    L_err = _cov_factor(error_cov, "error_cov")
+    if init_mean.ndim != 1 or error_mean.shape != init_mean.shape:
+        raise PopulationError(f"means of shapes {init_mean.shape} and {error_mean.shape} "
+                              "are not two n-vectors")
+    L_init = _cov_factor(init_cov, "init_cov", n)
+    L_err = _cov_factor(error_cov, "error_cov", n)
     z = np.empty((N, 2 * n))
     for row, rng in zip(z, _agent_rngs(seed, range(N), _SAMPLING)):
         rng.standard_normal(out=row)
@@ -374,9 +379,17 @@ def _mean_overflow(grid, k, what="states"):
 
 
 def _noise_matrix(params, D):
-    """The noise matrix params.D, or D, a scalar standing for D times I."""
-    D = params.D if D is None else D
-    return np.eye(params.n) * D if np.ndim(D) == 0 else np.asarray(D, dtype=float)
+    """The noise matrix params.D, or D: a finite scalar, standing for D
+    times I, or a finite (n, n) matrix (PopulationError otherwise)."""
+    n = params.n
+    try:
+        M = params.D if D is None else np.asarray(D, dtype=float)
+    except (TypeError, ValueError):   # not numbers, or rows of different lengths
+        M = None
+    if M is None or M.shape not in ((), (n, n)) or not np.isfinite(M).all():
+        shape = "" if M is None else f" of shape {M.shape}"
+        raise PopulationError(f"D{shape} is not a finite scalar or ({n}, {n}) matrix, on n = {n}")
+    return np.eye(n) * M if M.ndim == 0 else M
 
 
 def _noise_blocks(seed, ids, K, n):
@@ -413,15 +426,16 @@ def _last_terms(levels, c):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
+def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
     """Euler-Maruyama run of the agents ids from the rows of x0 (N, n)
-    under the affine law (see the module docstring).  Returns the node sums
-    (K+1, n) and (K+1, d) of the states and controls, the coupling
-    (mf_x, mf_u) the run stepped with (the prescribed node arrays coupling
-    or, for coupling None, the population means) and, for paths True, the
-    paths xs (K+1, N, n) and us (K+1, N, d), else None.  Without paths the
-    run forms each agent's state at the blocks' last nodes only, so it holds
-    O(N) memory beyond its node arrays.  D is as in _noise_matrix.
+    under the affine law and its parameters (see the module docstring).
+    Returns the node sums (K+1, n) and (K+1, d) of the states and controls,
+    the coupling (mf_x, mf_u) the run stepped with (the prescribed node
+    arrays coupling or, for coupling None, the population means) and, for
+    paths True, the paths xs (K+1, N, n) and us (K+1, N, d), else None.
+    Without paths the run forms each agent's state at the blocks' last
+    nodes only, so it holds O(N) memory beyond its node arrays.  D is as in
+    _noise_matrix.
 
     Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n_ik,
     with T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k +
@@ -472,7 +486,7 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
         # one-row operand by other BLAS kernels (gemv), whose bits differ
         x0, ids = np.repeat(x0, 2, axis=0), [ids[0]] * 2
     N, n = x0.shape
-    grid = law.grid
+    params, grid = law.params, law.grid
     K, dt = grid.steps, grid.dt
     d = params.d
     B, C, F = params.B, params.C, params.F
@@ -601,6 +615,25 @@ def _step_agents(params, law, x0, ids, coupling, seed, D, paths=False):
     return x_sum, u_sum, (mf_x, mf_u), (xs, us)
 
 
+def _prescribed(params, mf_coupling):
+    """The prescribed mean-field paths of simulate's mf_coupling: () for
+    "empirical", else a pair (z_path, ubar_path) of VectorPaths of widths
+    n and d.  Anything else is a PopulationError naming its type and its
+    items' types and shapes (a string's repr)."""
+    if isinstance(mf_coupling, str) and mf_coupling == "empirical":
+        return ()
+    items = list(mf_coupling) if isinstance(mf_coupling, (tuple, list)) else [mf_coupling]
+    if len(items) == 2 and all(isinstance(p, VectorPath) and p.values.shape[1] == w
+                               for p, w in zip(items, (params.n, params.d))):
+        return tuple(items)
+    got = ", ".join(repr(p) if isinstance(p, str) else
+                    f"{type(p).__name__} {getattr(getattr(p, 'values', p), 'shape', '')}"
+                    for p in items)
+    raise PopulationError(f'mf_coupling must be "empirical" or a pair (z_path, ubar_path) of '
+                          f"VectorPaths of widths n = {params.n} and d = {params.d}, got "
+                          f"{type(mf_coupling).__name__} [{got}]")
+
+
 def simulate(
     params: SystemParams,
     population,
@@ -617,21 +650,21 @@ def simulate(
     carries its grid, on which the run takes place (grid, if given, must be
     the same).  mf_coupling is "empirical" (start-of-step population
     averages) or a (z_path, ubar_path) pair of prescribed mean-field paths
-    on that grid.  D overrides the noise matrix (see _noise_matrix).  The
-    agents are stepped a block of nodes at a time by prefix scans (see
-    _step_agents), and the result keeps the node arrays, building the paths
-    when they are read.  params must be the law's parameter set
-    (ParamsMismatchError otherwise).  A non-finite state, or a node mean of
-    finite states or controls that overflows, raises IntegrationBlowupError
-    naming the node.
+    on that grid (PopulationError otherwise).  D overrides the noise matrix
+    (see _noise_matrix).  The agents are stepped a block of nodes at a time
+    by prefix scans (see _step_agents), and the result keeps the node
+    arrays, building the paths when they are read.  params must be the
+    law's parameter set (ParamsMismatchError otherwise).  A non-finite
+    state, or a node mean of finite states or controls that overflows,
+    raises IntegrationBlowupError naming the node.
     """
     require_same_params(params, law, "law")
-    paths = () if mf_coupling == "empirical" else tuple(mf_coupling)
+    paths = _prescribed(params, mf_coupling)
     grid = require_same_grid(law if grid is None else grid, law, *paths)
     x0, errors = _agent_rows(params, population, law)
     N = len(x0)
     x_sum, u_sum, coupling, _ = _step_agents(
-        params, law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
+        law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
     # _step_agents raised on a non-finite state (and so on a non-finite
     # control before node K): a non-finite node sum here is an overflow
     finite = np.isfinite(x_sum).all(axis=1)

@@ -265,7 +265,8 @@ def realtime_simulate(
     anchor itself: u_i(t_k) = -R^-1 B'(P1 x_i + g_c + Mig(t_k;t_k) E_i(t_k)
     + M0g(t_k;t_k) Ebar_i(t_k)), with the estimate errors of all agents
     supplied by one policy call per node (see the protocol above); output
-    that does not broadcast to (N, n) raises EstimatorPolicyError.  Agents
+    that does not broadcast to (N, n), or whose mean over the agents is not
+    finite at some node, raises EstimatorPolicyError naming the node.  Agents
     step node by node, with their noise streams and D as in simulate.  The
     run takes place on the bundle's grid; a grid or kernels on another grid
     raise GridMismatchError, params other than the bundle's or the kernels'
@@ -326,14 +327,23 @@ def realtime_simulate(
             x_next += dW
         x = x_next
         x_sum = agent_sum(x)
-        # a finite node sum means every state is finite; only a non-finite
-        # one, a blow-up or an overflow of finite states, scans the agents
+        # a finite node sum means every state is finite; a non-finite one
+        # ends the run early, to be told apart below
         if not np.isfinite(x_sum).all():
-            bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-            if len(bad):
-                raise IntegrationBlowupError(f"agent {bad[0]} state non-finite at node {k + 1}",
-                                             node=k + 1, time=times[k + 1])
-            raise _mean_overflow(grid, k + 1)
+            break
+    # non-finite policy errors show in their node means (and in the states
+    # of the next node), so the policy is blamed first, at its first such node
+    bad = np.flatnonzero(~np.isfinite(np.hstack([Ebar_real, Ebar1_real])[:k + 1]).all(axis=1))
+    if len(bad):
+        raise EstimatorPolicyError(f"estimator policy at node {bad[0]} (t={times[bad[0]]:.6g}) "
+                                   "returned errors whose agent mean is not finite",
+                                   node=int(bad[0]))
+    if k < K:   # a blow-up, or a node sum of finite states that overflows
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        if len(bad):
+            raise IntegrationBlowupError(f"agent {bad[0]} state non-finite at node {k + 1}",
+                                         node=k + 1, time=times[k + 1])
+        raise _mean_overflow(grid, k + 1)
     Ebar_path, Ebar1_path = VectorPath(grid, Ebar_real), VectorPath(grid, Ebar1_real)
     predicted = deviation_quadrature(kernels, Ebar_path, Ebar1_path)
     realized = z_A - mf_c.z.values

@@ -396,9 +396,10 @@ def _solved(params: SystemParams, grid) -> _Solved:
     return entry
 
 
-def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
-    """Execute the configured pipeline and write all outputs."""
-    out = output_dir or config.output_dir
+def run_scenario(config: ScenarioConfig) -> RunManifest:
+    """Execute the configured pipeline and write all outputs into
+    config.output_dir."""
+    out = config.output_dir
     os.makedirs(out, exist_ok=True)
     grid = config.grid()
     solved = _solved(config.params, grid)
@@ -456,7 +457,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None) -> RunManifest:
         # the deterministic pipeline knows the drift exactly; the
         # finite-difference estimator is exercised in the test suite
         Ob = run.observable()
-        Ob1 = residual_path(Ob, run.mf_i.z, run.g_i, config.params, bundle.P1)
+        Ob1 = residual_path(Ob, run.mf_i.z, run.g_i, bundle)
         problem = build_correction_problem(
             maps, Ob1, config.t0, z_i_t0=run.mf_i.z.at(config.t0))
         # recover_errors raises unless the stacked system has full rank

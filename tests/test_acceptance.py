@@ -191,7 +191,7 @@ def test_acceptance_5_one_time_correction(params, grid, bundle, maps, z0):
     E_bar = np.array([0.4, -0.4])
     E_i = np.array([0.2, 0.1])
     run = solve_limiting(bundle, z0, E_i, E_bar)
-    ob1 = residual_path(run.observable(), run.mf_i.z, run.g_i, params, bundle.P1)
+    ob1 = residual_path(run.observable(), run.mf_i.z, run.g_i, bundle)
     problem = build_correction_problem(maps, ob1, t0, z_i_t0=run.mf_i.z.at(t0))
     assert identifiability(problem)["identifiable"]
     result = recover_errors(problem)
@@ -206,8 +206,7 @@ def test_acceptance_5_one_time_correction(params, grid, bundle, maps, z0):
     for k in (1.0, 2.0, 3.0, 4.0):
         Ek = k * P6_EBAR_BASE
         run_k = solve_limiting(bundle, z0, Ek, Ek)
-        ob1_k = residual_path(run_k.observable(), run_k.mf_i.z, run_k.g_i,
-                              params, bundle.P1)
+        ob1_k = residual_path(run_k.observable(), run_k.mf_i.z, run_k.g_i, bundle)
         res_k = recover_errors(build_correction_problem(
             maps, ob1_k, t0, z_i_t0=run_k.mf_i.z.at(t0)))
         mod = modified_game(bundle, res_k.z_A_t0, t0)

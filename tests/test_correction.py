@@ -1,13 +1,16 @@
 """One-time recovery of information errors from a single agent's trajectory."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from mfg_errsim.correction import (
+    DEFAULT_SAMPLES,
+    _sample_nodes,
     build_correction_problem,
     corrected_mf_deviation,
-    default_sample_times,
     identifiability,
     k_matrices,
     modified_game,
@@ -34,9 +37,8 @@ def run(bundle, z0):
 
 
 @pytest.fixture(scope="module")
-def ob1(run, bundle, params):
-    ob = run.observable()
-    return residual_path(ob, run.mf_i.z, run.g_i, params, bundle.P1)
+def ob1(run, bundle):
+    return residual_path(run.observable(), run.mf_i.z, run.g_i, bundle)
 
 
 def test_finite_difference_drift_close_to_exact(run, params, grid):
@@ -63,11 +65,14 @@ def _other_horizon(path):
 @pytest.mark.parametrize("other", [_other_horizon, lambda path: path.slice(0, 1000)],
                          ids=["other_T", "other_steps"])
 def test_paths_on_another_grid_are_a_grid_mismatch(run, params, bundle, maps, ob1, other):
-    Ob, z_i, g_i, P1 = run.observable(), run.mf_i.z, run.g_i, bundle.P1
-    for args in ((other(Ob), z_i, g_i, P1), (Ob, other(z_i), g_i, P1),
-                 (Ob, z_i, other(g_i), P1), (Ob, z_i, g_i, other(P1))):
+    Ob, z_i, g_i = run.observable(), run.mf_i.z, run.g_i
+    # a bundle whose P1, and so its grid, is the other one
+    P1 = other(bundle.P1)
+    moved = dataclasses.replace(bundle, grid=P1.grid, P1=P1)
+    for args in ((other(Ob), z_i, g_i, bundle), (Ob, other(z_i), g_i, bundle),
+                 (Ob, z_i, other(g_i), bundle), (Ob, z_i, g_i, moved)):
         with pytest.raises(GridMismatchError):
-            residual_path(*args[:3], params, args[3])
+            residual_path(*args)
     with pytest.raises(GridMismatchError):
         build_correction_problem(maps, other(ob1), T0, run.mf_i.z.at(T0))
     with pytest.raises(GridMismatchError):
@@ -84,27 +89,25 @@ def test_residual_is_linear_in_the_errors(ob1, maps):
 
 
 def test_default_sample_times_lie_in_window(grid):
-    ts = default_sample_times(grid, T0)
-    assert len(ts) == 8
-    assert 0.0 < ts[0] and ts[-1] == pytest.approx(T0)
-    with pytest.raises(ValueError):
-        default_sample_times(grid, grid.dt * 2)
+    ks = _sample_nodes(grid, T0)
+    assert len(ks) == DEFAULT_SAMPLES == 8
+    assert 0 < ks[0] and ks[-1] == grid.index_of(T0) and (np.diff(ks) > 0).all()
+    with pytest.raises(ValueError, match="fewer than 8 nodes"):
+        _sample_nodes(grid, grid.dt * 2)
 
 
-def test_problem_is_identifiable_with_default_samples(maps, ob1, run):
+def test_problem_is_identifiable_with_default_samples(maps, ob1, run, grid):
     problem = build_correction_problem(maps, ob1, T0, run.mf_i.z.at(T0))
     ident = identifiability(problem)
     assert ident["identifiable"] is True
     assert ident["rank"] == 4
     assert problem.stacked_K.shape == (16, 4)
-
-
-def test_sample_time_validation(maps, ob1, run):
-    z_i_t0 = run.mf_i.z.at(T0)
-    with pytest.raises(ValueError):
-        build_correction_problem(maps, ob1, T0, z_i_t0, sample_times=[0.25, 0.75])
-    with pytest.raises(ValueError):
-        build_correction_problem(maps, ob1, T0, z_i_t0, sample_times=[])
+    # the gathered rows are the paths' values at the sample times
+    K1, K2 = k_matrices(maps)
+    ts = grid.times[_sample_nodes(grid, T0)]
+    npt.assert_array_equal(problem.stacked_K,
+                           np.vstack([np.hstack([K1.at(t), K2.at(t)]) for t in ts]))
+    npt.assert_array_equal(problem.stacked_Ob1, np.concatenate([ob1.at(t) for t in ts]))
 
 
 def test_error_recovery_round_trip(maps, ob1, run):
@@ -124,7 +127,7 @@ def test_unidentifiable_problem_raises(params, z0):
     bundle = RiccatiBundle.solve(decoupled, grid)
     maps = build_maps(bundle)
     run = solve_limiting(bundle, z0, E_I, E_BAR)
-    ob1 = residual_path(run.observable(), run.mf_i.z, run.g_i, decoupled, bundle.P1)
+    ob1 = residual_path(run.observable(), run.mf_i.z, run.g_i, bundle)
     problem = build_correction_problem(maps, ob1, T0, run.mf_i.z.at(T0))
     assert identifiability(problem)["rank"] == 0
     with pytest.raises(IdentifiabilityError):

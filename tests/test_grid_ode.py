@@ -408,7 +408,7 @@ def test_a_late_run_scans_only_its_sub_tree(monkeypatch, forward, k0):
     # with zero columns outside the run
     K = 2000
     grid = TimeGrid(0.0, 2.0, K)
-    steps = ode.StepMaps(_varying_generator(grid.times), grid, forward, forcing=False)
+    steps = ode.StepMaps(_varying_generator(grid.times), grid, forward)
     v0 = np.arange(6.0).reshape(3, 2) - 2.5
     scan, columns = ode._scan, []
 
@@ -426,15 +426,12 @@ def test_a_late_run_scans_only_its_sub_tree(monkeypatch, forward, k0):
     npt.assert_array_equal(got[1:] if forward else got[-2::-1], whole)
 
 
-def test_step_maps_reject_a_run_off_the_grid_and_an_unbuilt_forcing():
+def test_step_maps_reject_a_run_off_the_grid():
     grid = TimeGrid(0.0, 1.0, 10)
-    H = _varying_generator(grid.times)
-    steps = ode.StepMaps(H, grid)
+    steps = ode.StepMaps(_varying_generator(grid.times), grid)
     for k0 in (-1, 10, 11):
         with pytest.raises(ValueError, match="starts at a node"):
             steps.solve(None, np.ones(3), k0)
-    with pytest.raises(ValueError, match="forcing=False"):
-        ode.StepMaps(H, grid, forcing=False).solve(np.ones((11, 3)), np.ones(3))
 
 
 def test_fundamental_solution_constant_coefficients():

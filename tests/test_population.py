@@ -351,7 +351,7 @@ def test_finite_states_whose_node_sum_overflows_do_not_raise():
     x0[[1, 4], 0] = 1e308
     coupling = (np.zeros((61, 3)), np.zeros((61, 2)))
     # simulate's node means, and so its result, would be infinite
-    x_sum, _, _, (xs, _) = population._step_agents(zero, law, x0, range(7), coupling,
+    x_sum, _, _, (xs, _) = population._step_agents(law, x0, range(7), coupling,
                                                    seed=0, D=0.0, paths=True)
     assert np.isinf(x_sum[:, 0]).all()
     npt.assert_array_equal(xs, np.broadcast_to(x0, xs.shape))
@@ -668,9 +668,9 @@ def test_a_noiseless_run_forms_no_block_of_states(params):
 def _spy_step_agents(monkeypatch):
     step_agents, calls = population._step_agents, []
 
-    def spy(params, law, x0, *args, **kwargs):
+    def spy(law, x0, *args, **kwargs):
         calls.append((len(x0), kwargs.get("paths", False)))
-        return step_agents(params, law, x0, *args, **kwargs)
+        return step_agents(law, x0, *args, **kwargs)
 
     monkeypatch.setattr(population, "_step_agents", spy)
     return calls
@@ -771,6 +771,58 @@ def test_a_population_that_does_not_fit_fails_loudly(params, law_c, mf_c, maps, 
         _assert_population_error(r"x0 of agent 3 is not finite",
                                  lambda: realtime_simulate(params, bundle, nan,
                                                            truth_policy()))
+
+
+@pytest.mark.parametrize("D, match", [
+    (np.ones(2), r"D of shape \(2,\) is not a finite scalar or \(2, 2\) matrix, on n = 2"),
+    (np.eye(3), r"D of shape \(3, 3\) is not a finite scalar or \(2, 2\) matrix"),
+    (np.nan, r"D of shape \(\) is not a finite scalar"),
+], ids=["vector", "3x3", "nan"])
+def test_a_noise_override_that_does_not_fit_is_a_population_error(params, bundle, law_c,
+                                                                  D, match):
+    # before, the 3x3 D died in a numpy matmul and the NaN blamed agent 0's
+    # state at node 1
+    pop = _pop(5)
+    _assert_population_error(match, lambda: simulate(params, pop, law_c, D=D))
+    _assert_population_error(match, lambda: realtime_simulate(params, bundle, pop,
+                                                              truth_policy(), D=D))
+    # a negative scalar is -D times I, the same noise law as D
+    assert np.isfinite(simulate(params, pop, law_c, D=-0.05).x_N.values).all()
+
+
+@pytest.mark.parametrize("coupling", ["name", "one_path", "arrays", "wide"])
+def test_a_coupling_other_than_empirical_or_a_pair_of_paths_is_a_population_error(
+        params, law_c, mf_c, coupling):
+    z, ubar = mf_c.z, mf_c.ubar
+    wide = VectorPath(z.grid, np.hstack([z.values, z.values]))
+    given, got = {
+        "name": ("prescribed", r"str \['prescribed'\]"),
+        "one_path": ((z,), r"tuple \[VectorPath \(2001, 2\)\]"),
+        "arrays": ([z.values, ubar.values],
+                   r"list \[ndarray \(2001, 2\), ndarray \(2001, 2\)\]"),
+        "wide": ((wide, ubar), r"tuple \[VectorPath \(2001, 4\), VectorPath \(2001, 2\)\]"),
+    }[coupling]
+    _assert_population_error(
+        r'mf_coupling must be "empirical" or a pair \(z_path, ubar_path\) of VectorPaths '
+        r"of widths n = 2 and d = 2, got " + got + "$",
+        lambda: simulate(params, _pop(5), law_c, mf_coupling=given))
+
+
+def test_sampling_inputs_that_do_not_fit_are_a_population_error():
+    asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+    for match, args in [
+        (r"N must be >= 1, got 0", (0, P6_Z0, P6_INIT_COV, np.zeros(2), P6_ERROR_COV)),
+        (r"init_cov of shape \(2, 2\) is not a finite symmetric \(2, 2\) matrix",
+         (2, P6_Z0, asym, np.zeros(2), P6_ERROR_COV)),
+        (r"error_cov must be positive semidefinite",
+         (2, P6_Z0, P6_INIT_COV, np.zeros(2), -np.eye(2))),
+        # before, a numpy matmul error
+        (r"init_cov of shape \(3, 3\) is not a finite symmetric \(2, 2\) matrix",
+         (2, P6_Z0, np.eye(3), np.zeros(2), P6_ERROR_COV)),
+        (r"means of shapes \(2,\) and \(3,\) are not two n-vectors",
+         (2, P6_Z0, P6_INIT_COV, np.zeros(3), P6_ERROR_COV)),
+    ]:
+        _assert_population_error(match, lambda: sample_population(*args, seed=0))
 
 
 def test_a_params_argument_other_than_the_law_or_bundle_fails_loudly():

@@ -94,7 +94,7 @@ def test_correction_round_trip_recovers_the_errors(n, d, seed):
     E_i = 0.2 * rng.standard_normal(n)
     E_bar = 0.2 * rng.standard_normal(n)
     run = solve_limiting(bundle, z0, E_i, E_bar)
-    ob1 = residual_path(run.observable(), run.mf_i.z, run.g_i, params, bundle.P1)
+    ob1 = residual_path(run.observable(), run.mf_i.z, run.g_i, bundle)
     problem = build_correction_problem(build_maps(bundle), ob1, 0.5)
     assume(identifiability(problem)["identifiable"])
     result = recover_errors(problem)

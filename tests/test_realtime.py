@@ -186,15 +186,35 @@ def test_policy_output_that_does_not_broadcast_is_a_package_error(
     assert shape in str(ei.value) and ei.value.node == 3
 
 
-@pytest.mark.filterwarnings("ignore:invalid value")
-def test_non_finite_state_is_a_blowup_error(params, bundle, grid, kernels):
-    def inf_at_3(ids, k, t):
-        return (np.inf if k == 3 else 0.0), 0.0
+@pytest.mark.parametrize("at, own, avg", [(50, np.nan, 0.0), (10, 0.0, np.nan),
+                                          (None, np.inf, 0.0)],
+                         ids=["own-nan-50", "avg-nan-10", "own-inf-K"])
+def test_non_finite_policy_errors_are_a_policy_error_naming_the_node(
+        params, bundle, grid, kernels, at, own, avg):
+    # at node K the errors step no state; at an earlier node they reach the
+    # states at the next one, which the policy is blamed for
+    k = grid.steps if at is None else at
 
-    with pytest.raises(IntegrationBlowupError) as ei:
-        realtime_simulate(params, bundle, _pop(5), inf_at_3, grid=grid, seed=0,
+    def bad(ids, j, t):
+        return (own, avg) if j == k else (0.0, 0.0)
+
+    with pytest.raises(EstimatorPolicyError, match=f"node {k} ") as ei:
+        realtime_simulate(params, bundle, _pop(5), bad, grid=grid, seed=0,
                           D=0.0, kernels=kernels)
-    assert ei.value.node == 4 and ei.value.time == grid.times[4]
+    assert ei.value.node == k and "not finite" in str(ei.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_non_finite_state_is_a_blowup_error(params, bundle, grid, kernels):
+    # agents 0 and 1 start at +-1.7e308, whose mean is finite, and their
+    # first drift, about -+2.1e308, overflows
+    pop = _pop(5)
+    for i, x in ((0, 1.7e308), (1, -1.7e308)):
+        pop[i] = (np.array([x, 0.0]), pop[i][1])
+    with pytest.raises(IntegrationBlowupError, match="agent 0 state non-finite") as ei:
+        realtime_simulate(params, bundle, pop, truth_policy(), grid=grid, seed=0,
+                          D=0.0, kernels=kernels)
+    assert ei.value.node == 1 and ei.value.time == grid.times[1]
 
 
 def test_simulation_rejects_a_grid_other_than_the_bundles(params, bundle,

@@ -340,7 +340,7 @@ def test_bundle_solve_collects_consistent_paths(bundle, grid):
     for path in (bundle.P0, bundle.P1, bundle.P2):
         assert path.shape == (2, 2)
     for path in (bundle.G, bundle.G1):
-        assert path.dim == 2
+        assert path.values.shape[1] == 2
 
 
 def test_P0_independent_of_P1():

@@ -545,6 +545,19 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     assert doc["grid_steps"] == 200 and doc["seed"] == 7
 
 
+def test_cli_out_replaces_the_configs_output_dir_before_validation(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, {"mode": "predict", "grid_steps": 200,
+                             "output_dir": "from_config"})
+    assert main(["run", path, "--out", "from_cli"]) == 0
+    assert (tmp_path / "from_cli" / "manifest.json").exists()
+    # an empty --out is an empty output_dir, not a fall-back to the config's
+    assert main(["run", path, "--out", ""]) == 1
+    assert "config error: output_dir: must be a nonempty string" in capsys.readouterr().err
+    assert not (tmp_path / "from_config").exists()
+
+
 @pytest.mark.parametrize("doc, overrides, field", [
     ({"mode": "correct"}, ["--steps", "7"], "t0"),
     ({"mode": "predict"}, ["--steps", "0"], "grid_steps"),

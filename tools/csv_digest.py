@@ -25,7 +25,8 @@ reordered product changes its bytes.  On the same two sets, at the same
 grid, it also takes the arrays of direct calls: the Riccati bundle, the
 deviation maps, one limiting run, evolve mode's five-pair
 ``solve_limiting_batch``, ``equilibrium_mf`` started at node K // 4 and
-at node K - 10 (a run whose scan starts inside the grid), the
+at node K - 10 (a run whose scan starts inside the grid), correct mode's
+stacked system (``stacked_K``, ``stacked_Ob1``) at t0 = 0.5, the
 post-correction offset map, the realtime kernels and the realtime maps
 anchored at t0 = 0.5; ``sample_population`` with non-diagonal covariances
 and a seed past 2**32; ``simulate`` with the shared and the per-agent
@@ -34,9 +35,11 @@ with agent 3's trace read before the paths; ``PopulationResult.replay``
 of agent 3; ``epsilon_nash_gap``; and ``realtime_simulate`` with each of
 the four estimator policies at default and zero noise.  The realtime
 kernels are PhiZ_inv, Mig_diag and M0g_diag.  ``--against`` runs the script
-against an older checkout that has these calls and kernel fields; for one
-that has not (one with ``replay_agent``, or kernels that keep Phi1_inv and
-V), run each tree's own script and compare the two digest listings.
+against an older checkout that has these calls and kernel fields (it forms
+the residual path with either form of ``residual_path``, given the bundle
+or params and P1); for one that has not (one with ``replay_agent``, or
+kernels that keep Phi1_inv and V), run each tree's own script and compare
+the two digest listings.
 
 Each mode also runs a second time in the same process, into another
 directory, and a last line per fixture and mode reads ``rerun same`` when
@@ -98,7 +101,7 @@ def array_outputs(fixture, fdoc):
     """(name, arrays) of the direct library calls on one parameter set."""
     from mfg_errsim import realtime
     from mfg_errsim.core import epsilon_nash_gap, equilibrium_law, equilibrium_mf
-    from mfg_errsim.correction import modified_offset_map
+    from mfg_errsim.correction import build_correction_problem, modified_offset_map, residual_path
     from mfg_errsim.deviations import build_maps
     from mfg_errsim.limiting import solve_limiting, solve_limiting_batch
     from mfg_errsim.params import P6_ERROR_COV, P6_INIT_COV
@@ -143,6 +146,15 @@ def array_outputs(fixture, fdoc):
     mf_late = equilibrium_mf(bundle, cfg.z0, GRID_STEPS - 10)
     out.append((f"{fixture}/equilibrium_mf_late/z,ubar",
                 [mf_late.z.values, mf_late.ubar.values]))
+    t0 = MODES["correct"]["t0"]
+    Ob = run.observable()
+    try:
+        Ob1 = residual_path(Ob, run.mf_i.z, run.g_i, bundle)
+    except TypeError:   # a tree whose residual_path takes params and P1
+        Ob1 = residual_path(Ob, run.mf_i.z, run.g_i, params, bundle.P1)
+    problem = build_correction_problem(maps, Ob1, t0, run.mf_i.z.at(t0))
+    out += [(f"{fixture}/correction/{name}", [getattr(problem, name)])
+            for name in ("stacked_K", "stacked_Ob1")]
     out.append((f"{fixture}/correction/modified_offset_map",
                 [modified_offset_map(maps, 0.5).values]))
     for lname, law in laws.items():
