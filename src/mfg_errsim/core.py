@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import PopulationError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
 from .ode import cumulative_trapezoid, expm, matrix_powers
 from .params import SystemParams
@@ -64,8 +65,13 @@ def equilibrium_mf(bundle: RiccatiBundle, z0, k0: int = 0) -> MeanField:
     """Solve the equilibrium mean-field forward ODE from z(t_k0) = z0,
     under the bundle's step maps of mf_generator(P0).
 
-    The paths live on the grid nodes k0..K (the whole grid for k0 = 0).
+    The paths live on the grid nodes k0..K (the whole grid for k0 = 0).  A
+    z0 that is not a finite n-vector is a PopulationError.
     """
+    n, z0 = bundle.params.n, np.asarray(z0, dtype=float)
+    if z0.shape != (n,) or not np.isfinite(z0).all():
+        raise PopulationError(f"z0 must be a finite vector of length n = {n}, "
+                              f"got shape {z0.shape}: {z0.tolist()}")
     P0, G = bundle.P0.slice(k0), bundle.G.slice(k0)
     zv = mean_field_path(bundle.params, bundle.mf0_steps, G.values, z0, k0)
     ub = control(bundle.params, P0.values, zv, G.values)

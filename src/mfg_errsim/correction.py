@@ -9,8 +9,10 @@ prediction leaves an affine function of the unknown errors,
 
     Ob1(t) = K1(t) Ebar + K2(t) E_i,
 
-with K1 = (C - F R^-1 B' P1) Mz - F R^-1 B' Mg and
-K2 = -(C - F R^-1 B' P1) Phi1 + F R^-1 B' Mg.  Sampling Ob1 at the
+with the error maps K1 and K2 of the parameter set
+(deviations.DeviationMaps): the mean-field drift C z + F ubar
+(riccati.mf_drift) of the realized deviation and minus that of the
+agent's predicted one.  Sampling Ob1 at the
 DEFAULT_SAMPLES equispaced nodes in (0, t0] and stacking gives a linear
 system; if its rank is 2n the errors are uniquely recoverable, the true
 mean field at t0 follows from the agent's own prediction z_i(t0), and the
@@ -30,7 +32,7 @@ from .deviations import DeviationMaps
 from .errors import IdentifiabilityError
 from .grid import MatrixPath, VectorPath, require_same_grid
 from .params import SystemParams
-from .riccati import RiccatiBundle
+from .riccati import RiccatiBundle, control, mf_drift
 
 # relative singular-value cutoff of the identifiability rank, and the
 # number of nodes build_correction_problem samples Ob1 at
@@ -57,28 +59,14 @@ def observable_path(x: VectorPath, u: VectorPath, params: SystemParams) -> Vecto
 
 def residual_path(Ob: VectorPath, z_i: VectorPath, g_i: VectorPath,
                   bundle: RiccatiBundle) -> VectorPath:
-    """Ob1(t) = Ob(t) - (C - F R^-1 B' P1) z_i(t) + F R^-1 B' g_i(t), with
-    the bundle's parameters and P1, on the grid the three paths and the
-    bundle share (GridMismatchError otherwise)."""
+    """Ob1(t) = Ob(t) minus the mean-field drift C z_i + F ubar_i the agent
+    predicts, ubar_i its control of z_i under g_i, with the bundle's
+    parameters and P1, on the grid the three paths and the bundle share
+    (GridMismatchError otherwise)."""
     grid = require_same_grid(Ob, z_i, g_i, bundle)
-    params, FRB = bundle.params, bundle.params.FRB
-    pred = (
-        z_i.values @ params.C.T
-        - np.einsum("kij,kj->ki", FRB @ bundle.P1.values, z_i.values)
-        - g_i.values @ FRB.T
-    )
+    params, z = bundle.params, z_i.values
+    pred = mf_drift(params, z, control(params, bundle.P1.values, z, g_i.values))
     return VectorPath(grid, Ob.values - pred)
-
-
-def k_matrices(maps: DeviationMaps) -> tuple[MatrixPath, MatrixPath]:
-    """The coefficient paths of Ob1 = K1 Ebar + K2 E_i."""
-    FRB = maps.params.FRB
-    P1v = maps.bundle.P1.values
-    CFP = maps.params.C - FRB @ P1v
-    FMg = FRB @ maps.Mg.values
-    K1 = CFP @ maps.Mz.values - FMg
-    K2 = FMg - CFP @ maps.Phi1.values
-    return MatrixPath(maps.grid, K1), MatrixPath(maps.grid, K2)
 
 
 def _sample_nodes(grid, t0):
@@ -109,7 +97,7 @@ def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0,
     with z_i_t0, the agent's own predicted mean field at t0, from which
     recover_errors reconstructs z_A(t0)."""
     ks = _sample_nodes(require_same_grid(maps, Ob1), t0)
-    K = np.concatenate([Kj.values[ks] for Kj in k_matrices(maps)], axis=2)   # [K1 | K2]
+    K = np.concatenate([maps.K1.values[ks], maps.K2.values[ks]], axis=2)
     return CorrectionProblem(maps=maps, t0=float(t0), stacked_K=K.reshape(-1, K.shape[2]),
                              stacked_Ob1=Ob1.values[ks].ravel(),
                              z_i_t0=np.asarray(z_i_t0, dtype=float))
@@ -173,14 +161,9 @@ def corrected_mf_deviation(maps: DeviationMaps, t0, E_bar) -> VectorPath:
     through the correct-information equilibrium dynamics:
     dz_new(t) = Phi1(t) Phi1(t0)^{-1} Mz(t0) Ebar.
     """
-    grid = maps.grid
-    k0 = grid.index_of(t0)
-    E_bar = np.asarray(E_bar, dtype=float)
-    seed_vec = maps.Mz[k0] @ E_bar
-    w = np.linalg.solve(maps.Phi1[k0], seed_vec)
-    vals = np.einsum("kij,j->ki", maps.Phi1.values[k0:], w)
-    sub = grid.subgrid(k0)
-    return VectorPath(sub, vals)
+    k0, seed = _restart_map(maps, t0)
+    w = seed @ np.asarray(E_bar, dtype=float)
+    return VectorPath(maps.grid.subgrid(k0), np.einsum("kij,j->ki", maps.Phi1.values[k0:], w))
 
 
 def modified_offset_map(maps: DeviationMaps, t0) -> MatrixPath:
@@ -192,6 +175,13 @@ def modified_offset_map(maps: DeviationMaps, t0) -> MatrixPath:
     Phi1(t) Phi1(t0)^{-1} Mz(t0) Ebar (corrected_mf_deviation), and
     (P0 - P1) Phi1 is Mg (deviations.build_maps).
     """
-    k0 = maps.grid.index_of(t0)
-    seed = np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])
+    k0, seed = _restart_map(maps, t0)
     return MatrixPath(maps.grid.subgrid(k0), maps.Mg.values[k0:] @ seed)
+
+
+def _restart_map(maps: DeviationMaps, t0):
+    """(k0, Phi1(t0)^-1 Mz(t0)) at the node k0 of t0: the map from Ebar to
+    the predicted-equilibrium coordinates of the offset z_A(t0) - z_c(t0)
+    the corrected game restarts from."""
+    k0 = maps.grid.index_of(t0)
+    return k0, np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])

@@ -6,16 +6,19 @@ z_i(0) = z0 + E_i, every resulting deviation is linear in the errors:
 * predicted mean field:   dz_i(t)   = Phi1(t) E_i,
 * control offset:         dg_i(t)   = Mg(t) E_i,
 * actual mean field:      dz^A(t)   = Mz(t) Ebar,
-* expected own trajectory dx_i(t)   = Mx1(t) E_i + Mx2(t) Ebar.
+* expected own trajectory dx_i(t)   = Mx1(t) E_i + Mx2(t) Ebar,
+* observed drift residual Ob1(t)    = K1(t) Ebar + K2(t) E_i.
 
 The maps are built once per parameter set on the Riccati bundle's grid.
 An agent's offset in its predicted equilibrium is (P0 - P1) z + G (the
 representation identity P2 = P0 - P1), so Mg = (P0 - P1) Phi1 is a
-product of the bundle's paths; Mz is the forward scan that Mg drives
-under the bundle's step maps of mf_generator(P1).  The transitions Phi1
-and PhiZ are the bundle's, which solves each on its first read.  The
-single-agent transition PhiX and the own-trajectory maps Mx1, Mx2 come
-from one more scan, run on their first read.
+product of the bundle's paths; Mz is the realized mean field's solve
+(riccati.mean_field_path) that Mg drives.  The residual is a mean-field
+drift C z + F ubar (riccati.mf_drift): K1 that of Mz, K2 minus that of
+Phi1, each under the control Mg drives.  The transitions Phi1 and PhiZ
+are the bundle's.  The single-agent transition PhiX and the
+own-trajectory maps Mx1, Mx2 come from one more scan, forced by K1 for
+Mx2; K1, K2 and that scan run on their first read.
 """
 
 from __future__ import annotations
@@ -27,15 +30,15 @@ import numpy as np
 
 from .grid import MatrixPath, VectorPath
 from .ode import rk4_affine
-from .riccati import RiccatiBundle, agent_generator, control
+from .riccati import RiccatiBundle, agent_generator, control, mean_field_path, mf_drift
 
 
 @dataclass
 class DeviationMaps:
     """Fundamental solutions and error-to-deviation maps on one grid.
 
-    Phi1 and PhiZ are the bundle's; PhiX, Mx1 and Mx2 are built on first
-    read (see _agent_paths)."""
+    Phi1 and PhiZ are the bundle's; K1, K2, PhiX, Mx1 and Mx2 are built
+    on first read (see _agent_paths)."""
 
     bundle: RiccatiBundle
     Mg: MatrixPath
@@ -59,6 +62,21 @@ class DeviationMaps:
         """Transition of the actual-mean-field system."""
         return self.bundle.PhiZ
 
+    def _drift(self, Z):
+        """Mean-field drift of the deviation Z under the control Mg drives."""
+        return mf_drift(self.params, Z, control(self.params, self.bundle.P1.values, Z,
+                                                self.Mg.values))
+
+    @cached_property
+    def K1(self) -> MatrixPath:
+        """Ebar -> drift-residual deviation, the drift of Mz."""
+        return MatrixPath(self.grid, self._drift(self.Mz.values))
+
+    @cached_property
+    def K2(self) -> MatrixPath:
+        """E_i -> drift-residual deviation, minus the drift of Phi1."""
+        return MatrixPath(self.grid, -self._drift(self.Phi1.values))
+
     @property
     def PhiX(self) -> MatrixPath:
         """Transition of the single-agent closed loop."""
@@ -77,17 +95,15 @@ class DeviationMaps:
         """(PhiX, Mx1, Mx2): the single-agent closed loop carries its
         transition PhiX from I and the own-trajectory deviations Mx1, Mx2
         from 0, one scan of the columns [PhiX | Mx1 | Mx2] from [I | 0 | 0]
-        under [0 | fx1 | L2].  Built on first read and shared by every later
-        reader."""
+        under [0 | -B R^-1 B' Mg | K1].  Built on first read and shared by
+        every later reader."""
         params, grid = self.params, self.grid
         n = params.n
-        P1v, Mg_v, Mz_v = self.bundle.P1.values, self.Mg.values, self.Mz.values
-        FRB = params.FRB
         f = np.zeros((grid.steps + 1, n, 3 * n))
-        f[:, :, n:2 * n] = -(params.BRB @ Mg_v)
-        f[:, :, 2 * n:] = params.C @ Mz_v - FRB @ (P1v @ Mz_v) - FRB @ Mg_v
-        X = rk4_affine(agent_generator(params, P1v), f, np.eye(n, 3 * n), grid,
-                       forward=True)
+        f[:, :, n:2 * n] = -(params.BRB @ self.Mg.values)
+        f[:, :, 2 * n:] = self.K1.values
+        X = rk4_affine(agent_generator(params, self.bundle.P1.values), f, np.eye(n, 3 * n),
+                       grid, forward=True)
         return tuple(MatrixPath(grid, X[:, :, j * n:(j + 1) * n]) for j in range(3))
 
 
@@ -96,9 +112,9 @@ def build_maps(bundle: RiccatiBundle) -> DeviationMaps:
     params = bundle.params
     # offset deviation: dg = (P0 - P1) dz with dz = Phi1 E
     Mg_v = (bundle.P0.values - bundle.P1.values) @ bundle.Phi1.values
-    # actual mean-field deviation: forward under the bundle's step maps of
-    # mf_generator(P1), zero initial state
-    Mz_v = bundle.mf1_steps.solve(-(params.BFRB @ Mg_v), np.zeros((params.n, params.n)))
+    # actual mean-field deviation: the realized mean field's forward solve
+    # driven by Mg, from zero
+    Mz_v = mean_field_path(params, bundle.mf1_steps, Mg_v, np.zeros((params.n, params.n)))
     return DeviationMaps(bundle=bundle, Mg=MatrixPath(bundle.grid, Mg_v),
                          Mz=MatrixPath(bundle.grid, Mz_v))
 

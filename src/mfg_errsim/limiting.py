@@ -34,6 +34,7 @@ from .riccati import (
     agent_generator,
     control,
     mean_field_path,
+    mf_drift,
     solve_tracking_offset,
 )
 
@@ -78,7 +79,8 @@ class LimitingRun:
         params, grid = self.bundle.params, self.grid
         P1v = self.bundle.P1.values
         g, z, u = (p.values[..., None] for p in (self.g_i, self.z_A, self.ubar_A))
-        f = -(params.BRB @ g) + params.C @ z + params.F @ u
+        f = mf_drift(params, z, u)
+        f -= params.BRB @ g
         xv = rk4_affine(agent_generator(params, P1v), f, self.x0[:, None], grid,
                         forward=True)
         uv = control(params, P1v, xv, g)
@@ -86,11 +88,8 @@ class LimitingRun:
 
     def observable(self) -> VectorPath:
         """Exact drift residual Ob = C z_A + F ubar_A seen by any agent."""
-        params = self.bundle.params
-        vals = (
-            self.z_A.values @ params.C.T + self.ubar_A.values @ params.F.T
-        )
-        return VectorPath(self.grid, vals)
+        return VectorPath(self.grid, mf_drift(self.bundle.params, self.z_A.values,
+                                              self.ubar_A.values))
 
 
 def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[LimitingRun]:

@@ -3,7 +3,8 @@
 SystemParams collects every model matrix/vector of the game: state dynamics
 (A, B, C, F, D), running and terminal cost weights (Q_I, Q, Qbar_I, Qbar, R),
 tracking couplings (Gamma, Gammabar) and targets (eta, etabar, s, sbar), and
-the horizon T.
+the horizon T, with the read-only compounds of R^-1 that the solvers and
+the simulation read at every node.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def _check_spd(M, name):
 
 @dataclass(frozen=True)
 class SystemParams:
+    """The game's matrices and horizon, with the compounds, computed once
+    and read-only: Rinv = R^-1, RinvBt = R^-1 B', RinvBtT its contiguous
+    transpose (the right operand of the feedback control), BRB = B R^-1 B',
+    BFRB = (B + F) R^-1 B' and FRB = F R^-1 B'."""
+
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
@@ -88,20 +94,21 @@ class SystemParams:
         # simulation, so they are computed once here; every caller shares
         # them, so they are read-only.  Finite entries can still overflow
         # here, which is reported as a ValueError naming the compound.
+        # Rinv stays a property, whose reads perfbench/tracing.py counts.
         with np.errstate(over="ignore", invalid="ignore"):
             Rinv = np.linalg.inv(self.R)
             RinvBt = Rinv @ self.B.T
             compounds = (
                 ("_Rinv", Rinv),
-                ("_RinvBt", RinvBt),
-                ("_RinvBtT", np.ascontiguousarray(RinvBt.T)),
-                ("_BRB", self.B @ RinvBt),
-                ("_BFRB", (self.B + self.F) @ RinvBt),
-                ("_FRB", self.F @ RinvBt),
+                ("RinvBt", RinvBt),
+                ("RinvBtT", np.ascontiguousarray(RinvBt.T)),
+                ("BRB", self.B @ RinvBt),
+                ("BFRB", (self.B + self.F) @ RinvBt),
+                ("FRB", self.F @ RinvBt),
             )
         for name, value in compounds:
             if not np.isfinite(value).all():
-                raise ValueError(f"{name[1:]} overflows")
+                raise ValueError(f"{name.lstrip('_')} overflows")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -113,36 +120,9 @@ class SystemParams:
     def d(self) -> int:
         return self.R.shape[0]
 
-    # frequently used compounds, computed in __post_init__
     @property
     def Rinv(self) -> np.ndarray:
         return self._Rinv
-
-    @property
-    def RinvBt(self) -> np.ndarray:
-        """R^{-1} B^T."""
-        return self._RinvBt
-
-    @property
-    def RinvBtT(self) -> np.ndarray:
-        """(R^{-1} B^T)^T as a contiguous array, the right operand of the
-        feedback control."""
-        return self._RinvBtT
-
-    @property
-    def BRB(self) -> np.ndarray:
-        """B R^{-1} B^T."""
-        return self._BRB
-
-    @property
-    def BFRB(self) -> np.ndarray:
-        """(B + F) R^{-1} B^T."""
-        return self._BFRB
-
-    @property
-    def FRB(self) -> np.ndarray:
-        """F R^{-1} B^T."""
-        return self._FRB
 
     @property
     def Qcal(self) -> np.ndarray:

@@ -18,11 +18,13 @@ an agent whose two estimates agree plays the predicted equilibrium, whose
 offset is (P0 - P1) z + G.  So Miz and M0z = Phi1 Phi1(t0)^-1 - Miz are
 products of the bundle's transitions, Mig = V PhiZ(t0)^-1 with V one
 backward scan driven by PhiZ, and M0g = (P0 - P1) Phi1 Phi1(t0)^-1 - Mig.
-The kernels, computed once per parameter set, are PhiZ^-1 and the diagonal
-maps t -> M(t; t) read when agents re-anchor at every instant; an anchor's
-Mig is Mig(t; t) Miz(t).  They hold the Riccati bundle and read its
+The kernels, computed once per parameter set, are the diagonal maps
+t -> M(t; t) read when agents re-anchor at every instant; an anchor's Mig
+is Mig(t; t) Miz(t).  They hold the Riccati bundle and read its
 transitions Phi1 and PhiZ from it.  realtime_simulate steps the agents by
-Euler-Maruyama, node by node, as one policy call gives each node's errors.
+Euler-Maruyama, node by node, as one policy call gives each node's errors;
+the linear theory's prediction of the realized deviation is the realized
+mean field's forward solve driven by the offsets the errors give.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .core import MeanField, equilibrium_law, equilibrium_mf
 from .deviations import DeviationMaps
 from .errors import EstimatorPolicyError, GridMismatchError, IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import StepMaps, cumulative_trapezoid, invert_path
+from .ode import StepMaps, invert_path
 from .params import SystemParams, require_same_params
 from .population import (
     _agent_rows,
@@ -71,7 +73,6 @@ class RealtimeKernels:
     transitions, all realtime maps follow.  Every array is read-only."""
 
     bundle: RiccatiBundle        # its transitions Phi1 and PhiZ are read here
-    PhiZ_inv: np.ndarray         # (K+1, n, n)
     Mig_diag: np.ndarray         # t -> Mig(t; t)
     M0g_diag: np.ndarray         # t -> M0g(t; t)
 
@@ -93,26 +94,24 @@ def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> R
     if maps is not None and maps.bundle is not bundle:
         raise GridMismatchError("deviation maps were built from another Riccati bundle")
     params, PhiZ = bundle.params, bundle.PhiZ
-    PhiZ_inv = invert_path(PhiZ)
 
     # V runs backward under offset_generator(P1, BRB), whose step maps the
     # bundle keeps, driven by S PhiZ from -Qbar Gammabar PhiZ(T)
     SPhiZ = coupling_weight(params, bundle.P1) @ PhiZ.values
     V = bundle.tracking_steps.solve(-SPhiZ, -params.Qbar @ params.Gammabar @ PhiZ.terminal)
 
-    Mig_diag = V @ PhiZ_inv
+    Mig_diag = V @ invert_path(PhiZ)
     M0g_diag = (bundle.P0.values - bundle.P1.values) - Mig_diag
-    for a in (PhiZ_inv, Mig_diag, M0g_diag):
+    for a in (Mig_diag, M0g_diag):
         a.flags.writeable = False
-    return RealtimeKernels(bundle=bundle, PhiZ_inv=PhiZ_inv,
-                           Mig_diag=Mig_diag, M0g_diag=M0g_diag)
+    return RealtimeKernels(bundle=bundle, Mig_diag=Mig_diag, M0g_diag=M0g_diag)
 
 
 def build_realtime_maps(kernels: RealtimeKernels, t0) -> RealtimeDeviationMaps:
     """Deviation maps for a fixed anchor t0, on the full grid."""
     bundle, grid = kernels.bundle, kernels.grid
     k0 = grid.index_of(t0)
-    Miz = bundle.PhiZ.values @ kernels.PhiZ_inv[k0]
+    Miz = bundle.PhiZ.values @ np.linalg.inv(bundle.PhiZ[k0])
     Phi1_t0 = bundle.Phi1.values @ np.linalg.inv(bundle.Phi1[k0])
     Mig = kernels.Mig_diag @ Miz
     M0g = (bundle.P0.values - bundle.P1.values) @ Phi1_t0 - Mig
@@ -164,21 +163,20 @@ def deviation_quadrature(kernels: RealtimeKernels, Ebar_path, Ebar1_path) -> Vec
 
     Ebar_path(t) is the population-average own-estimate error, Ebar1_path(t)
     the average of the agents' average-estimate errors, both on the
-    kernels' grid (GridMismatchError otherwise).  Evaluates
+    kernels' grid (GridMismatchError otherwise).  dz_A is the realized mean
+    field's forward solve from 0 (riccati.mean_field_path under the
+    bundle's step maps of mf_generator(P1)) driven by the average offset
+    deviation dg(t) = Mig(t; t) Ebar(t) + M0g(t; t) Ebar1(t):
 
-        dz_A(t) = -PhiZ(t) int_0^t PhiZ^-1 (B+F) R^-1 B'
-                  [Mig(s; s) Ebar(s) + M0g(s; s) Ebar1(s)] ds.
+        dz_A(t) = -PhiZ(t) int_0^t PhiZ(s)^-1 (B+F) R^-1 B' dg(s) ds.
     """
     grid = require_same_grid(kernels, Ebar_path, Ebar1_path)
-    params = kernels.params
+    params, bundle = kernels.params, kernels.bundle
     dg = (
         np.einsum("kij,kj->ki", kernels.Mig_diag, Ebar_path.values)
         + np.einsum("kij,kj->ki", kernels.M0g_diag, Ebar1_path.values)
     )
-    w = -np.einsum("kij,jl,kl->ki", kernels.PhiZ_inv, params.BFRB, dg)
-    vals = np.einsum("kij,kj->ki", kernels.bundle.PhiZ.values,
-                     cumulative_trapezoid(w, grid.dt))
-    return VectorPath(grid, vals)
+    return VectorPath(grid, mean_field_path(params, bundle.mf1_steps, dg, np.zeros(params.n)))
 
 
 # ---------------------------------------------------------------------------

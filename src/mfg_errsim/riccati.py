@@ -22,8 +22,9 @@ Hamiltonian varies with P1, so it is one rk4_affine scan.  The nodes are
 taken in blocks re-anchored at [I; P] so that X never grows past 1e8, and
 a finite escape shows as a singular X.
 
-The closed-loop generators, the feedback control and the forward
-mean-field solve that every downstream module runs are defined here once.
+The closed-loop generators, the feedback control, the mean-field drift
+C z + F ubar and the forward mean-field solve that every downstream module
+runs are defined here once.
 RiccatiBundle solves P1, P0 and G with the bundle and the rest on first
 read: P2 and G1, which only the "p2" prediction route and the identity
 checks read (every other path uses P0 - P1 and G); the RK4 step maps
@@ -51,7 +52,8 @@ from .params import SystemParams
 
 
 # ---------------------------------------------------------------------------
-# closed-loop generators and the feedback control, on node arrays
+# closed-loop generators, the feedback control and the mean-field drift,
+# on node arrays
 #
 # A node array of states is (K+1, n), or (K+1, n, m) with one column per
 # run on a trailing axis; a (K+1, n) array next to column states is one
@@ -96,6 +98,15 @@ def control(params: SystemParams, P, x, g=None) -> np.ndarray:
     if g is not None:
         Px += g
     return np.negative(Px, out=Px) @ params.RinvBtT
+
+
+def mf_drift(params: SystemParams, z, ubar) -> np.ndarray:
+    """Mean-field drift C z + F ubar of an agent's dynamics, the drift
+    residual Ob an agent observes: node arrays of vectors z (K+1, n) with
+    ubar (K+1, d), or of columns (K+1, n, m) with (K+1, d, m)."""
+    if z.ndim == 3:
+        return params.C @ z + params.F @ ubar
+    return z @ params.C.T + ubar @ params.F.T
 
 
 def mean_field_path(params: SystemParams, steps: StepMaps, G, z0, k0=0) -> np.ndarray:
@@ -393,8 +404,8 @@ class RiccatiBundle:
 
     @cached_property
     def mf1_steps(self) -> StepMaps:
-        """Forward step maps of mf_generator(P1): PhiZ, the deviation map Mz
-        and the realized mean fields."""
+        """Forward step maps of mf_generator(P1): PhiZ, the deviation map Mz,
+        the realized mean fields and realtime's predicted deviation."""
         return StepMaps(mf_generator(self.params, self.P1.values), self.grid)
 
     @cached_property

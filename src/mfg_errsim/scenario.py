@@ -47,12 +47,7 @@ from .deviations import (
 from .errors import ConfigError, MfgError
 from .limiting import solve_limiting, solve_limiting_batch
 from .params import P6_EBAR_BASE, P6_Z0, SystemParams, p6_params
-from .realtime import (
-    build_kernels,
-    constant_error_policy,
-    realtime_simulate,
-    truth_policy,
-)
+from .realtime import build_kernels, constant_error_policy, realtime_simulate
 from .riccati import RiccatiBundle
 
 _MODES = ("predict", "evolve", "correct", "realtime")
@@ -483,11 +478,9 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
         kernels = solved.kernels
         # every agent starts at z0; the policy carries the errors
         pop = [(config.z0, np.zeros(n))] * config.N
-        policy = (constant_error_policy(config.E_bar)
-                  if np.any(config.E_bar) else truth_policy())
         res = realtime_simulate(
-            config.params, bundle, pop, policy, grid=grid, seed=config.seed,
-            z0=config.z0, D=config.D, kernels=kernels)
+            config.params, bundle, pop, constant_error_policy(config.E_bar), grid=grid,
+            seed=config.seed, z0=config.z0, D=config.D, kernels=kernels)
         zc, za = res["z_c"].values, res["z_A"].values
         _write_series(out, files, "mf_actual.csv", grid,
                       [("z_c", zc), ("z_actual", za)])

@@ -1,5 +1,7 @@
 """Equilibrium mean field, feedback law, cost functional, and diagnostics."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,8 +12,11 @@ from mfg_errsim.core import (
     equilibrium_mf,
     existence_check,
 )
+from mfg_errsim.errors import PopulationError
 from mfg_errsim.grid import TimeGrid, VectorPath
 from mfg_errsim.params import P6_Z0, p6_params, s1_params
+from mfg_errsim.realtime import realtime_simulate, truth_policy
+from mfg_errsim.riccati import RiccatiBundle
 
 # Frozen reference for the sufficient-uniqueness bound on the canonical
 # fixture, computed once from the same closed-form ingredients evaluated
@@ -24,6 +29,20 @@ def test_equilibrium_mf_starts_at_z0(bundle, z0):
     mf = equilibrium_mf(bundle, z0)
     npt.assert_array_equal(mf.z.initial, z0)
     assert mf.z.grid.steps == bundle.grid.steps
+
+
+@pytest.mark.parametrize("z0", [[0.3, 0.5, 0.1], [np.nan, 0.0], [[0.3], [0.5]]],
+                         ids=["width_3", "nan", "column"])
+@pytest.mark.parametrize("call", ["equilibrium_mf", "realtime_simulate"])
+def test_a_z0_that_is_not_a_finite_n_vector_is_a_population_error(params, z0, call):
+    bundle = RiccatiBundle.solve(params, params.default_grid(200))
+    pop = [(np.asarray(P6_Z0), np.zeros(2))] * 3
+    run = {"equilibrium_mf": lambda: equilibrium_mf(bundle, z0),
+           "realtime_simulate": lambda: realtime_simulate(params, bundle, pop, truth_policy(),
+                                                          z0=z0, D=0.0)}[call]
+    # a PopulationError is an MfgError and a ValueError
+    with pytest.raises(PopulationError, match=rf"z0 .*n = 2.*{re.escape(str(np.shape(z0)))}"):
+        run()
 
 
 def test_equilibrium_control_is_consistent_with_representation(bundle, mf_c, law_c):

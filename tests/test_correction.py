@@ -12,7 +12,6 @@ from mfg_errsim.correction import (
     build_correction_problem,
     corrected_mf_deviation,
     identifiability,
-    k_matrices,
     modified_game,
     modified_offset_map,
     observable_path,
@@ -80,7 +79,7 @@ def test_paths_on_another_grid_are_a_grid_mismatch(run, params, bundle, maps, ob
 
 
 def test_residual_is_linear_in_the_errors(ob1, maps):
-    K1, K2 = k_matrices(maps)
+    K1, K2 = maps.K1, maps.K2
     predicted = (
         np.einsum("kij,j->ki", K1.values, E_BAR)
         + np.einsum("kij,j->ki", K2.values, E_I)
@@ -103,7 +102,7 @@ def test_problem_is_identifiable_with_default_samples(maps, ob1, run, grid):
     assert ident["rank"] == 4
     assert problem.stacked_K.shape == (16, 4)
     # the gathered rows are the paths' values at the sample times
-    K1, K2 = k_matrices(maps)
+    K1, K2 = maps.K1, maps.K2
     ts = grid.times[_sample_nodes(grid, T0)]
     npt.assert_array_equal(problem.stacked_K,
                            np.vstack([np.hstack([K1.at(t), K2.at(t)]) for t in ts]))

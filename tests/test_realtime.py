@@ -248,6 +248,26 @@ def test_quadrature_rejects_error_paths_on_another_grid(params):
                 deviation_quadrature(kernels, *paths)
 
 
+def _held_quadrature(params, steps):
+    """The predicted deviation of held errors, E_OWN own and E_AVG average,
+    with its kernels on a grid of the given steps."""
+    kernels = build_kernels(RiccatiBundle.solve(params, params.default_grid(steps)))
+    ones = np.ones((steps + 1, 1))
+    return deviation_quadrature(kernels, VectorPath(kernels.grid, ones * E_OWN),
+                                VectorPath(kernels.grid, ones * E_AVG)).values
+
+
+# the errors measured at 200 steps, 6.54e-7 (P6) and 6.77e-7 (mixed), plus 10 %
+@pytest.mark.parametrize("fixture, bound", [("maps", 7.2e-7), ("mixed_maps", 7.45e-7)])
+def test_quadrature_converges_at_second_order_to_a_fine_solve(request, fixture, bound):
+    params = request.getfixturevalue(fixture).params
+    fine = _held_quadrature(params, 16000)
+    errs = np.array([np.max(np.abs(_held_quadrature(params, K) - fine[::16000 // K]))
+                     for K in (200, 400, 800)])
+    assert errs[0] < bound
+    assert (np.log2(errs[:-1] / errs[1:]) >= 1.9).all(), errs
+
+
 # ------------------------------------------------------- two-path kernels
 
 

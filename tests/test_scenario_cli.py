@@ -497,7 +497,7 @@ def test_kept_paths_are_read_only():
     arrays = [getattr(bundle, name).values for name in ("P0", "P1", "P2", "G", "G1",
                                                         "Phi1", "PhiZ")]
     arrays += [getattr(maps, name).values for name in ("Mg", "Mz", "PhiX", "Mx1", "Mx2")]
-    arrays += [getattr(kernels, name) for name in ("PhiZ_inv", "Mig_diag", "M0g_diag")]
+    arrays += [getattr(kernels, name) for name in ("Mig_diag", "M0g_diag")]
     arrays += list(bundle.tracking_drive)
     for steps in (bundle.mf0_steps, bundle.mf1_steps, bundle.tracking_steps):
         arrays += steps.levels + [steps.W0, steps.W1, steps.transition]

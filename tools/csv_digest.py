@@ -34,10 +34,10 @@ offset law, empirical and prescribed coupling, default and zero noise,
 with agent 3's trace read before the paths; ``PopulationResult.replay``
 of agent 3; ``epsilon_nash_gap``; and ``realtime_simulate`` with each of
 the four estimator policies at default and zero noise.  The realtime
-kernels are PhiZ_inv, Mig_diag and M0g_diag.  ``--against`` runs the script
-against an older checkout that has these calls and kernel fields (it forms
-the residual path with either form of ``residual_path``, given the bundle
-or params and P1); for one that has not (one with ``replay_agent``, or
+kernels are Mig_diag and M0g_diag.  ``--against`` runs the script against
+an older checkout that has these calls and kernel fields (it forms the
+residual path with either form of ``residual_path``, given the bundle or
+params and P1); for one that has not (one with ``replay_agent``, or
 kernels that keep Phi1_inv and V), run each tree's own script and compare
 the two digest listings.
 
@@ -179,7 +179,7 @@ def array_outputs(fixture, fdoc):
 
     kernels = realtime.build_kernels(bundle)
     out += [(f"{fixture}/kernels/{name}", [np.asarray(getattr(kernels, name))])
-            for name in ("PhiZ_inv", "Mig_diag", "M0g_diag")]
+            for name in ("Mig_diag", "M0g_diag")]
     rt = realtime.build_realtime_maps(kernels, 0.5)
     out += [(f"{fixture}/realtime_maps/{name}", [getattr(rt, name).values])
             for name in ("Miz", "M0z", "Mig", "M0g")]
