@@ -9,8 +9,8 @@ prediction leaves an affine function of the unknown errors,
 
     Ob1(t) = K1(t) Ebar + K2(t) E_i,
 
-with the error maps K1 and K2 of the parameter set
-(deviations.DeviationMaps): the mean-field drift C z + F ubar
+with the error maps K1 and K2 of the parameter set, which its Riccati
+bundle keeps (see deviations): the mean-field drift C z + F ubar
 (riccati.mf_drift) of the realized deviation and minus that of the
 agent's predicted one.  Sampling Ob1 at the
 DEFAULT_SAMPLES equispaced nodes in (0, t0] and stacking gives a linear
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import equilibrium_law, equilibrium_mf
-from .deviations import DeviationMaps
 from .errors import IdentifiabilityError
 from .grid import MatrixPath, VectorPath, require_same_grid
 from .params import SystemParams
@@ -83,22 +82,22 @@ class CorrectionProblem:
     """Stacked linear system for recovering (Ebar, E_i) at time t0, with
     the agent's own predicted mean field z_i(t0) there."""
 
-    maps: DeviationMaps
+    bundle: RiccatiBundle
     t0: float
     stacked_K: np.ndarray
     stacked_Ob1: np.ndarray
     z_i_t0: np.ndarray
 
 
-def build_correction_problem(maps: DeviationMaps, Ob1: VectorPath, t0,
+def build_correction_problem(bundle: RiccatiBundle, Ob1: VectorPath, t0,
                              z_i_t0) -> CorrectionProblem:
     """The stacked system of Ob1 at DEFAULT_SAMPLES equispaced nodes in
-    (0, t0], on the grid maps and Ob1 share (GridMismatchError otherwise),
-    with z_i_t0, the agent's own predicted mean field at t0, from which
-    recover_errors reconstructs z_A(t0)."""
-    ks = _sample_nodes(require_same_grid(maps, Ob1), t0)
-    K = np.concatenate([maps.K1.values[ks], maps.K2.values[ks]], axis=2)
-    return CorrectionProblem(maps=maps, t0=float(t0), stacked_K=K.reshape(-1, K.shape[2]),
+    (0, t0], on the grid the bundle and Ob1 share (GridMismatchError
+    otherwise), with z_i_t0, the agent's own predicted mean field at t0,
+    from which recover_errors reconstructs z_A(t0)."""
+    ks = _sample_nodes(require_same_grid(bundle, Ob1), t0)
+    K = np.concatenate([bundle.K1.values[ks], bundle.K2.values[ks]], axis=2)
+    return CorrectionProblem(bundle=bundle, t0=float(t0), stacked_K=K.reshape(-1, K.shape[2]),
                              stacked_Ob1=Ob1.values[ks].ravel(),
                              z_i_t0=np.asarray(z_i_t0, dtype=float))
 
@@ -134,10 +133,10 @@ def recover_errors(problem: CorrectionProblem) -> CorrectionResult:
     sol, *_ = np.linalg.lstsq(K, b, rcond=None)
     E_bar, E_i = np.split(sol, 2)
     residual = float(np.linalg.norm(K @ sol - b))
-    maps, t0 = problem.maps, problem.t0
+    bundle, t0 = problem.bundle, problem.t0
     return CorrectionResult(
         E_bar=E_bar, E_i=E_i,
-        z_A_t0=problem.z_i_t0 + maps.Mz.at(t0) @ E_bar - maps.Phi1.at(t0) @ E_i,
+        z_A_t0=problem.z_i_t0 + bundle.Mz.at(t0) @ E_bar - bundle.Phi1.at(t0) @ E_i,
         rank=ident["rank"], residual=residual,
     )
 
@@ -153,7 +152,7 @@ def modified_game(bundle: RiccatiBundle, z_A_t0, t0):
     return {"z_new": mf.z, "ubar_new": mf.ubar, "g_new": law.g, "law": law}
 
 
-def corrected_mf_deviation(maps: DeviationMaps, t0, E_bar) -> VectorPath:
+def corrected_mf_deviation(bundle: RiccatiBundle, t0, E_bar) -> VectorPath:
     """Post-correction mean-field deviation on [t0, T].
 
     After every agent corrects at t0, the only remaining discrepancy is the
@@ -161,27 +160,27 @@ def corrected_mf_deviation(maps: DeviationMaps, t0, E_bar) -> VectorPath:
     through the correct-information equilibrium dynamics:
     dz_new(t) = Phi1(t) Phi1(t0)^{-1} Mz(t0) Ebar.
     """
-    k0, seed = _restart_map(maps, t0)
+    k0, seed = _restart_map(bundle, t0)
     w = seed @ np.asarray(E_bar, dtype=float)
-    return VectorPath(maps.grid.subgrid(k0), np.einsum("kij,j->ki", maps.Phi1.values[k0:], w))
+    return VectorPath(bundle.grid.subgrid(k0), np.einsum("kij,j->ki", bundle.Phi1.values[k0:], w))
 
 
-def modified_offset_map(maps: DeviationMaps, t0) -> MatrixPath:
+def modified_offset_map(bundle: RiccatiBundle, t0) -> MatrixPath:
     """Map Ebar -> deviation of the post-correction offset g_new on [t0, T]:
     Mg(t) Phi1(t0)^{-1} Mz(t0).
 
     The restarted equilibrium's offset is (P0 - P1) z_new + G, so its
     deviation is (P0 - P1) times the mean-field deviation
     Phi1(t) Phi1(t0)^{-1} Mz(t0) Ebar (corrected_mf_deviation), and
-    (P0 - P1) Phi1 is Mg (deviations.build_maps).
+    (P0 - P1) Phi1 is Mg (RiccatiBundle.Mg).
     """
-    k0, seed = _restart_map(maps, t0)
-    return MatrixPath(maps.grid.subgrid(k0), maps.Mg.values[k0:] @ seed)
+    k0, seed = _restart_map(bundle, t0)
+    return MatrixPath(bundle.grid.subgrid(k0), bundle.Mg.values[k0:] @ seed)
 
 
-def _restart_map(maps: DeviationMaps, t0):
+def _restart_map(bundle: RiccatiBundle, t0):
     """(k0, Phi1(t0)^-1 Mz(t0)) at the node k0 of t0: the map from Ebar to
     the predicted-equilibrium coordinates of the offset z_A(t0) - z_c(t0)
     the corrected game restarts from."""
-    k0 = maps.grid.index_of(t0)
-    return k0, np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])
+    k0 = bundle.grid.index_of(t0)
+    return k0, np.linalg.solve(bundle.Phi1[k0], bundle.Mz[k0])

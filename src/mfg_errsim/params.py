@@ -9,7 +9,7 @@ the simulation read at every node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,13 +38,16 @@ def _finite(a, name):
     return a
 
 
-def _check_spd(M, name):
+def _check_weight(M, name, definite):
+    """Raise unless M is symmetric and positive definite (definite) or
+    semidefinite, up to rounding at M's scale."""
     if not np.allclose(M, M.T, atol=1e-12):
         raise ValueError(f"{name} must be symmetric")
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{name} must be positive definite (Cholesky failed)") from None
+    low = np.linalg.eigvalsh(M)[0]
+    if definite and not low > 0.0:
+        raise ValueError(f"{name} must be positive definite")
+    if low < -1e-12 * np.abs(M).max():
+        raise ValueError(f"{name} must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,6 @@ class SystemParams:
     s: np.ndarray
     sbar: np.ndarray
     T: float
-    # test-only escape hatch for semidefinite cost fixtures
-    relaxed: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.atleast_2d(np.asarray(self.A)).shape[0]
@@ -87,9 +88,9 @@ class SystemParams:
             object.__setattr__(self, name, _vec(getattr(self, name), n, name))
         if not 0 < self.T < np.inf:
             raise ValueError(f"T must be positive and finite, got {self.T}")
-        if not self.relaxed:
-            for name in ("Q_I", "Q", "Qbar_I", "Qbar", "R"):
-                _check_spd(getattr(self, name), name)
+        # the LQ problem needs R > 0 and the state weights >= 0
+        for name in ("Q_I", "Q", "Qbar_I", "Qbar", "R"):
+            _check_weight(getattr(self, name), name, definite=name == "R")
         # the compounds below are read at every node of the solvers and the
         # simulation, so they are computed once here; every caller shares
         # them, so they are read-only.  Finite entries can still overflow

@@ -18,10 +18,11 @@ an agent whose two estimates agree plays the predicted equilibrium, whose
 offset is (P0 - P1) z + G.  So Miz and M0z = Phi1 Phi1(t0)^-1 - Miz are
 products of the bundle's transitions, Mig = V PhiZ(t0)^-1 with V one
 backward scan driven by PhiZ, and M0g = (P0 - P1) Phi1 Phi1(t0)^-1 - Mig.
-The kernels, computed once per parameter set, are the diagonal maps
-t -> M(t; t) read when agents re-anchor at every instant; an anchor's Mig
-is Mig(t; t) Miz(t).  They hold the Riccati bundle and read its
-transitions Phi1 and PhiZ from it.  realtime_simulate steps the agents by
+The kernels Mig_diag and M0g_diag are the diagonal maps t -> M(t; t)
+read when agents re-anchor at every instant; an anchor's Mig is
+Mig(t; t) Miz(t).  They live on the Riccati bundle, built once per
+parameter set on first read, beside the transitions Phi1 and PhiZ they
+are products of.  realtime_simulate steps the agents by
 Euler-Maruyama, node by node, as one policy call gives each node's errors;
 the linear theory's prediction of the realized deviation is the realized
 mean field's forward solve driven by the offsets the errors give.
@@ -34,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MeanField, equilibrium_law, equilibrium_mf
-from .deviations import DeviationMaps
 from .errors import EstimatorPolicyError, GridMismatchError, IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import StepMaps, invert_path
+from .ode import StepMaps
 from .params import SystemParams, require_same_params
 from .population import (
     _agent_rows,
@@ -47,13 +47,7 @@ from .population import (
     _noise_matrix,
     agent_sum,
 )
-from .riccati import (
-    RiccatiBundle,
-    control,
-    coupling_weight,
-    mean_field_path,
-    mf_generator,
-)
+from .riccati import RiccatiBundle, control, mean_field_path, mf_generator
 
 
 @dataclass
@@ -67,53 +61,23 @@ class RealtimeDeviationMaps:
     M0g: MatrixPath
 
 
-@dataclass
-class RealtimeKernels:
-    """Anchor-independent kernels from which, with the bundle's P0, P1 and
-    transitions, all realtime maps follow.  Every array is read-only."""
-
-    bundle: RiccatiBundle        # its transitions Phi1 and PhiZ are read here
-    Mig_diag: np.ndarray         # t -> Mig(t; t)
-    M0g_diag: np.ndarray         # t -> M0g(t; t)
-
-    @property
-    def grid(self):
-        return self.bundle.grid
-
-    @property
-    def params(self):
-        return self.bundle.params
+def build_kernels(bundle: RiccatiBundle, maps: RiccatiBundle | None = None) -> RiccatiBundle:
+    """Build the realtime kernels Mig_diag and M0g_diag on the bundle and
+    return the bundle.  maps is optional; when given it must be that bundle
+    (GridMismatchError otherwise)."""
+    if maps is not None and maps is not bundle:
+        raise GridMismatchError("maps are another Riccati bundle's")
+    bundle.M0g_diag  # builds both kernels on first read
+    return bundle
 
 
-def build_kernels(bundle: RiccatiBundle, maps: DeviationMaps | None = None) -> RealtimeKernels:
-    """Realtime kernels from the bundle's transitions Phi1 and PhiZ.
-
-    maps is optional; when given it must have been built from this bundle,
-    whose transitions it shares.
-    """
-    if maps is not None and maps.bundle is not bundle:
-        raise GridMismatchError("deviation maps were built from another Riccati bundle")
-    params, PhiZ = bundle.params, bundle.PhiZ
-
-    # V runs backward under offset_generator(P1, BRB), whose step maps the
-    # bundle keeps, driven by S PhiZ from -Qbar Gammabar PhiZ(T)
-    SPhiZ = coupling_weight(params, bundle.P1) @ PhiZ.values
-    V = bundle.tracking_steps.solve(-SPhiZ, -params.Qbar @ params.Gammabar @ PhiZ.terminal)
-
-    Mig_diag = V @ invert_path(PhiZ)
-    M0g_diag = (bundle.P0.values - bundle.P1.values) - Mig_diag
-    for a in (Mig_diag, M0g_diag):
-        a.flags.writeable = False
-    return RealtimeKernels(bundle=bundle, Mig_diag=Mig_diag, M0g_diag=M0g_diag)
-
-
-def build_realtime_maps(kernels: RealtimeKernels, t0) -> RealtimeDeviationMaps:
+def build_realtime_maps(bundle: RiccatiBundle, t0) -> RealtimeDeviationMaps:
     """Deviation maps for a fixed anchor t0, on the full grid."""
-    bundle, grid = kernels.bundle, kernels.grid
+    grid = bundle.grid
     k0 = grid.index_of(t0)
     Miz = bundle.PhiZ.values @ np.linalg.inv(bundle.PhiZ[k0])
     Phi1_t0 = bundle.Phi1.values @ np.linalg.inv(bundle.Phi1[k0])
-    Mig = kernels.Mig_diag @ Miz
+    Mig = bundle.Mig_diag @ Miz
     M0g = (bundle.P0.values - bundle.P1.values) @ Phi1_t0 - Mig
     return RealtimeDeviationMaps(
         t0=float(t0),
@@ -158,23 +122,23 @@ def restricted_prediction(bundle: RiccatiBundle, zbar_hat, z_hat, t0, route="p2"
             "g_i": law.g, "law": law}
 
 
-def deviation_quadrature(kernels: RealtimeKernels, Ebar_path, Ebar1_path) -> VectorPath:
+def deviation_quadrature(bundle: RiccatiBundle, Ebar_path, Ebar1_path) -> VectorPath:
     """Predicted actual-mean-field deviation from realized estimate errors.
 
     Ebar_path(t) is the population-average own-estimate error, Ebar1_path(t)
     the average of the agents' average-estimate errors, both on the
-    kernels' grid (GridMismatchError otherwise).  dz_A is the realized mean
+    bundle's grid (GridMismatchError otherwise).  dz_A is the realized mean
     field's forward solve from 0 (riccati.mean_field_path under the
     bundle's step maps of mf_generator(P1)) driven by the average offset
     deviation dg(t) = Mig(t; t) Ebar(t) + M0g(t; t) Ebar1(t):
 
         dz_A(t) = -PhiZ(t) int_0^t PhiZ(s)^-1 (B+F) R^-1 B' dg(s) ds.
     """
-    grid = require_same_grid(kernels, Ebar_path, Ebar1_path)
-    params, bundle = kernels.params, kernels.bundle
+    grid = require_same_grid(bundle, Ebar_path, Ebar1_path)
+    params = bundle.params
     dg = (
-        np.einsum("kij,kj->ki", kernels.Mig_diag, Ebar_path.values)
-        + np.einsum("kij,kj->ki", kernels.M0g_diag, Ebar1_path.values)
+        np.einsum("kij,kj->ki", bundle.Mig_diag, Ebar_path.values)
+        + np.einsum("kij,kj->ki", bundle.M0g_diag, Ebar1_path.values)
     )
     return VectorPath(grid, mean_field_path(params, bundle.mf1_steps, dg, np.zeros(params.n)))
 
@@ -255,7 +219,7 @@ def realtime_simulate(
     seed: int = 0,
     z0=None,
     D=None,
-    kernels: RealtimeKernels | None = None,
+    kernels: RiccatiBundle | None = None,
 ):
     """Simulate N agents who re-anchor their strategy at every grid node.
 
@@ -266,18 +230,18 @@ def realtime_simulate(
     that does not broadcast to (N, n), or whose mean over the agents is not
     finite at some node, raises EstimatorPolicyError naming the node.  Agents
     step node by node, with their noise streams and D as in simulate.  The
-    run takes place on the bundle's grid; a grid or kernels on another grid
-    raise GridMismatchError, params other than the bundle's or the kernels'
-    ParamsMismatchError, a population that does not fit params
-    PopulationError, a non-finite state or a node mean of finite states
-    that overflows IntegrationBlowupError.
+    run takes place on the bundle's grid and reads the kernels of the bundle
+    (built on its first read) or of kernels, a bundle of the same parameter
+    set; a grid or kernels on another grid raise GridMismatchError, params
+    other than the bundle's or the kernels' ParamsMismatchError, a
+    population that does not fit params PopulationError, a non-finite state
+    or a node mean of finite states that overflows IntegrationBlowupError.
     Returns the realized mean field, the correct-information reference,
     realized error paths, and a report comparing the realized deviation
     with the linear-theory quadrature.
     """
     require_same_params(params, bundle, "bundle")
-    if kernels is None:
-        kernels = build_kernels(bundle)
+    kernels = bundle if kernels is None else kernels
     require_same_params(params, kernels, "kernels")
     grid = require_same_grid(bundle if grid is None else grid, bundle, kernels)
     x0, _ = _agent_rows(params, population)

@@ -25,17 +25,19 @@ a finite escape shows as a singular X.
 The closed-loop generators, the feedback control, the mean-field drift
 C z + F ubar and the forward mean-field solve that every downstream module
 runs are defined here once.
-RiccatiBundle solves P1, P0 and G with the bundle and the rest on first
-read: P2 and G1, which only the "p2" prediction route and the identity
-checks read (every other path uses P0 - P1 and G); the RK4 step maps
-(ode.StepMaps) of the three generators that several solves share,
-mf_generator(P0), mf_generator(P1) and the tracking offset's
-offset_generator(P1, BRB), so each of those solves only scans its
-forcing; and the two forward transitions Phi1 and PhiZ, the prefix
-products of the first two (the deviation maps read Phi1, the realtime
-kernels both).  Every path is read-only, so a bundle can be shared.  Past
-P1 and P0, every solve takes its grid from the paths or the bundle it is
-given, so no solve can pair a path with another grid.
+RiccatiBundle is the one solved object of a parameter set and grid.  It
+solves P1, P0 and G with the bundle and the rest on first read: P2 and
+G1, which only the "p2" prediction route and the identity checks read
+(every other path uses P0 - P1 and G); the RK4 step maps (ode.StepMaps)
+of the three generators that several solves share, mf_generator(P0),
+mf_generator(P1) and the tracking offset's offset_generator(P1, BRB), so
+each of those solves only scans its forcing; the two forward transitions
+Phi1 and PhiZ, the prefix products of the first two; the error-to-deviation
+maps Mg, Mz, K1, K2, PhiX, Mx1 and Mx2 (see deviations); and the realtime
+kernels Mig_diag and M0g_diag (see realtime).  Every path and array is
+read-only, so a bundle can be shared.  Past P1 and P0, every solve takes
+its grid from the paths or the bundle it is given, so no solve can pair a
+path with another grid.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import FiniteEscapeError, GridMismatchError, IntegrationBlowupError
 from .grid import MatrixPath, TimeGrid, VectorPath, require_same_grid
-from .ode import _RCOND_MIN, StepMaps, expm, matrix_powers, rk4_affine
+from .ode import _RCOND_MIN, StepMaps, expm, invert_path, matrix_powers, rk4_affine
 from .params import SystemParams
 
 
@@ -362,8 +364,9 @@ class RiccatiBundle:
     """All Riccati/offset solutions on one grid, plus the generating params.
 
     P1, P0 and G are solved with the bundle; P2, G1, the step maps of the
-    shared generators and the transitions Phi1, PhiZ are built on first
-    read, so a caller pays only for what it reads, and once."""
+    shared generators, the transitions Phi1, PhiZ, the deviation maps and
+    the realtime kernels are built on first read, so a caller pays only
+    for what it reads, and once."""
 
     params: SystemParams
     grid: TimeGrid
@@ -435,6 +438,76 @@ class RiccatiBundle:
     def PhiZ(self) -> MatrixPath:
         """Actual-mean-field transition: generator mf_generator(P1), I at t_start."""
         return MatrixPath(self.grid, self.mf1_steps.transition)
+
+    # the error-to-deviation maps (see deviations)
+
+    @cached_property
+    def Mg(self) -> MatrixPath:
+        """E_i -> control-offset deviation: an agent's offset in its
+        predicted equilibrium is (P0 - P1) z + G, so Mg = (P0 - P1) Phi1."""
+        return MatrixPath(self.grid, (self.P0.values - self.P1.values) @ self.Phi1.values)
+
+    @cached_property
+    def Mz(self) -> MatrixPath:
+        """Ebar -> actual mean-field deviation: the realized mean field's
+        forward solve driven by Mg, from zero."""
+        n = self.params.n
+        return MatrixPath(self.grid, mean_field_path(self.params, self.mf1_steps,
+                                                     self.Mg.values, np.zeros((n, n))))
+
+    def _mg_drift(self, Z):
+        """Mean-field drift of the deviation Z under the control Mg drives."""
+        return mf_drift(self.params, Z, control(self.params, self.P1.values, Z, self.Mg.values))
+
+    @cached_property
+    def K1(self) -> MatrixPath:
+        """Ebar -> drift-residual deviation, the drift of Mz."""
+        return MatrixPath(self.grid, self._mg_drift(self.Mz.values))
+
+    @cached_property
+    def K2(self) -> MatrixPath:
+        """E_i -> drift-residual deviation, minus the drift of Phi1."""
+        return MatrixPath(self.grid, -self._mg_drift(self.Phi1.values))
+
+    # the transition PhiX of the single-agent closed loop, and the maps Mx1
+    # (of E_i) and Mx2 (of Ebar) to the expected deviation of an agent's
+    # own trajectory
+    PhiX = property(lambda self: self._agent_paths[0])
+    Mx1 = property(lambda self: self._agent_paths[1])
+    Mx2 = property(lambda self: self._agent_paths[2])
+
+    @cached_property
+    def _agent_paths(self):
+        """(PhiX, Mx1, Mx2): the single-agent closed loop carries its
+        transition PhiX from I and the own-trajectory deviations Mx1, Mx2
+        from 0, one scan of the columns [PhiX | Mx1 | Mx2] from [I | 0 | 0]
+        under [0 | -B R^-1 B' Mg | K1]."""
+        params, grid = self.params, self.grid
+        n = params.n
+        f = np.zeros((grid.steps + 1, n, 3 * n))
+        f[:, :, n:2 * n] = -(params.BRB @ self.Mg.values)
+        f[:, :, 2 * n:] = self.K1.values
+        X = rk4_affine(agent_generator(params, self.P1.values), f, np.eye(n, 3 * n),
+                       grid, forward=True)
+        return tuple(MatrixPath(grid, X[:, :, j * n:(j + 1) * n]) for j in range(3))
+
+    # the realtime kernels (see realtime): t -> Mig(t; t) = V(t) PhiZ(t)^-1
+    # and t -> M0g(t; t) = (P0 - P1)(t) - Mig(t; t)
+    Mig_diag = property(lambda self: self._kernels[0])
+    M0g_diag = property(lambda self: self._kernels[1])
+
+    @cached_property
+    def _kernels(self):
+        """(Mig_diag, M0g_diag): V runs backward under tracking_steps,
+        driven by S PhiZ from -Qbar Gammabar PhiZ(T), S the coupling weight."""
+        params, PhiZ = self.params, self.PhiZ
+        SPhiZ = coupling_weight(params, self.P1) @ PhiZ.values
+        V = self.tracking_steps.solve(-SPhiZ, -params.Qbar @ params.Gammabar @ PhiZ.terminal)
+        Mig_diag = V @ invert_path(PhiZ)
+        M0g_diag = (self.P0.values - self.P1.values) - Mig_diag
+        for a in (Mig_diag, M0g_diag):
+            a.flags.writeable = False
+        return Mig_diag, M0g_diag
 
     def start_node(self, grid: TimeGrid) -> int:
         """The node k0 at which grid, the bundle's grid or its tail

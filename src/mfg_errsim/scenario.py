@@ -12,16 +12,16 @@ generic gnuplot script referencing only the CSVs, and a manifest listing
 every output with its column schema.
 
 The solves that depend only on the parameter set and the grid are kept
-across runs: the Riccati bundle, and the deviation maps and realtime
-kernels built from it on the first run of a mode that reads them (evolve
-reads neither, realtime only the kernels).  An entry's key is the grid, T
-and the bytes of every parameter array.  At most _SOLVED_MAX = 2 entries
-are kept; a new entry evicts the one with the fewest hits, the oldest on a
-tie, so a stream of one-off parameter sets never evicts a set that
-repeats.  A solve that raises is not kept.  Paths and kernel arrays are
-read-only by construction, so an entry is shared safely, and no output of
-a run refers to one.  An entry holding all three takes about 0.7 MB at
-n = 2 and 2000 steps.
+across runs in the Riccati bundle, with the deviation maps and realtime
+kernels it builds on the first run of a mode that reads them (evolve
+reads neither, realtime only the kernels).  A kept bundle's key is the
+grid, T and the bytes of every parameter array.  At most _SOLVED_MAX = 2
+bundles are kept; a new one evicts the one with the fewest hits, the
+oldest on a tie, so a stream of one-off parameter sets never evicts a set
+that repeats.  A solve that raises is not kept.  Paths and kernel arrays
+are read-only by construction, so a bundle is shared safely, and no output
+of a run refers to one.  A bundle holding its maps and kernels takes
+about 0.7 MB at n = 2 and 2000 steps.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -56,8 +55,8 @@ _FMT = "%.17g"
 _EVOLVE_PROBES = (0.25, 1.0, 1.75)
 
 # the array fields of SystemParams, which a config's "params" object may set
-# beside T; the test-only "relaxed" flag is not a config key
-_PARAM_ARRAYS = tuple(f.name for f in fields(SystemParams) if f.name not in ("T", "relaxed"))
+# beside T
+_PARAM_ARRAYS = tuple(f.name for f in fields(SystemParams) if f.name != "T")
 
 
 @dataclass
@@ -138,9 +137,8 @@ def validate_config(raw) -> ScenarioConfig:
                     else:
                         kwargs["T"] = float(value)
                 elif name in _PARAM_ARRAYS:
-                    try:
-                        kwargs[name] = np.asarray(value, dtype=float)
-                    except (TypeError, ValueError):
+                    kwargs[name] = _number_array(value)
+                    if kwargs[name] is None:
                         problems.append((f"params.{name}", "must be a numeric array"))
                 else:
                     problems.append((f"params.{name}", "unknown parameter"))
@@ -197,12 +195,10 @@ def validate_config(raw) -> ScenarioConfig:
     n = params.n if params is not None else None
     for key in ("z0", "E_bar", "E_i"):
         if key in raw and raw[key] is not None:
-            try:
-                v = np.asarray(raw[key], dtype=float)
-            except (TypeError, ValueError):
+            v = _number_array(raw[key])
+            if v is None:
                 problems.append((key, "must be a numeric vector"))
-                continue
-            if n is not None and v.shape != (n,):
+            elif n is not None and v.shape != (n,):
                 problems.append((key, f"must have length {n}"))
             elif not np.isfinite(v).all():
                 problems.append((key, "must be finite"))
@@ -247,6 +243,21 @@ def _finite_number(v) -> bool:
         return math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _number_array(v):
+    """v as a float array if it is a JSON number or a (nested) list of
+    numbers of one shape, else None: a string, a bool or a null entry, a
+    ragged list or an integer past the float range is not one."""
+    def numbers(v):
+        if isinstance(v, list):
+            return all(numbers(x) for x in v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    try:
+        return np.asarray(v, dtype=float) if numbers(v) else None
+    except (ValueError, OverflowError):
+        return None
 
 
 def _probe_times(params: SystemParams) -> list:
@@ -354,41 +365,25 @@ def _fit_line(k_values, y_values):
     return float(a), float(b), r2
 
 
-# the solves kept across runs (see the module docstring), oldest first
+# the bundles kept across runs (see the module docstring), oldest first:
+# key -> [bundle, hits]
 _SOLVED_MAX = 2
 _solved_cache: dict = {}
 
 
-class _Solved:
-    """The Riccati bundle of one parameter set and grid, with the deviation
-    maps and realtime kernels built on first read."""
-
-    def __init__(self, params: SystemParams, grid):
-        self.bundle = RiccatiBundle.solve(params, grid)
-        self.hits = 0
-
-    @cached_property
-    def maps(self):
-        return build_maps(self.bundle)
-
-    @cached_property
-    def kernels(self):
-        return build_kernels(self.bundle)
-
-
-def _solved(params: SystemParams, grid) -> _Solved:
-    """The kept solves of (params, grid), solving them on a miss."""
+def _solved(params: SystemParams, grid) -> RiccatiBundle:
+    """The kept bundle of (params, grid), solving it on a miss."""
     key = (grid,) + params.key
     entry = _solved_cache.get(key)
     if entry is not None:
-        entry.hits += 1
-        return entry
-    entry = _Solved(params, grid)
+        entry[1] += 1
+        return entry[0]
+    bundle = RiccatiBundle.solve(params, grid)
     if len(_solved_cache) >= _SOLVED_MAX:
         # min keeps the first of equal counts, and the dict is oldest first
-        del _solved_cache[min(_solved_cache, key=lambda k: _solved_cache[k].hits)]
-    _solved_cache[key] = entry
-    return entry
+        del _solved_cache[min(_solved_cache, key=lambda k: _solved_cache[k][1])]
+    _solved_cache[key] = [bundle, 0]
+    return bundle
 
 
 def run_scenario(config: ScenarioConfig) -> RunManifest:
@@ -397,14 +392,13 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     grid = config.grid()
-    solved = _solved(config.params, grid)
-    bundle = solved.bundle
+    bundle = _solved(config.params, grid)
     files = {}
     n = config.params.n
     E_i = config.E_i if config.E_i is not None else config.E_bar
 
     if config.mode == "predict":
-        maps = solved.maps
+        build_maps(bundle)   # a no-op on a kept bundle that has them
         run = solve_limiting(bundle, config.z0, E_i, config.E_bar)
         zc = run.z_c.z.values
         _write_series(out, files, "mf_predicted.csv", grid,
@@ -412,9 +406,9 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
         _write_series(out, files, "mf_actual.csv", grid,
                       [("z_c", zc), ("z_actual", run.z_A.values)])
         _write_series(out, files, "deviations.csv", grid, [
-            ("dz_pred", predicted_mf_deviation(maps, E_i)["dz"].values),
-            ("dz_actual", actual_mf_deviation(maps, config.E_bar)["dz"].values),
-            ("dx_exp", expected_trajectory_deviation(maps, E_i, config.E_bar).values),
+            ("dz_pred", predicted_mf_deviation(bundle, E_i)["dz"].values),
+            ("dz_actual", actual_mf_deviation(bundle, config.E_bar)["dz"].values),
+            ("dx_exp", expected_trajectory_deviation(bundle, E_i, config.E_bar).values),
         ])
 
     elif config.mode == "evolve":
@@ -447,14 +441,14 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
             for k, r in zip(_k_labels(config.k_sweep), runs)])
 
     elif config.mode == "correct":
-        maps = solved.maps
+        build_maps(bundle)   # a no-op on a kept bundle that has them
         run = solve_limiting(bundle, config.z0, E_i, config.E_bar)
         # the deterministic pipeline knows the drift exactly; the
         # finite-difference estimator is exercised in the test suite
         Ob = run.observable()
         Ob1 = residual_path(Ob, run.mf_i.z, run.g_i, bundle)
         problem = build_correction_problem(
-            maps, Ob1, config.t0, z_i_t0=run.mf_i.z.at(config.t0))
+            bundle, Ob1, config.t0, z_i_t0=run.mf_i.z.at(config.t0))
         # recover_errors raises unless the stacked system has full rank
         result = recover_errors(problem)
         # the restarted mean field of correction.modified_game, without the
@@ -475,12 +469,12 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
                       [("dz_uncorrected", za - zc), ("dz_corrected", z_corr - zc)])
 
     elif config.mode == "realtime":
-        kernels = solved.kernels
         # every agent starts at z0; the policy carries the errors
         pop = [(config.z0, np.zeros(n))] * config.N
         res = realtime_simulate(
             config.params, bundle, pop, constant_error_policy(config.E_bar), grid=grid,
-            seed=config.seed, z0=config.z0, D=config.D, kernels=kernels)
+            seed=config.seed, z0=config.z0, D=config.D,
+            kernels=build_kernels(bundle))
         zc, za = res["z_c"].values, res["z_A"].values
         _write_series(out, files, "mf_actual.csv", grid,
                       [("z_c", zc), ("z_actual", za)])

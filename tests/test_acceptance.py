@@ -73,7 +73,7 @@ def test_acceptance_1_riccati_correctness(bundle):
 
     # scalar closed form P(t) = tanh(T - t)
     one = np.eye(1)
-    pt = s1_params().with_(Qbar_I=0 * one, Qbar=0 * one, relaxed=True)
+    pt = s1_params().with_(Qbar_I=0 * one, Qbar=0 * one)
     gridt = pt.default_grid(2000)
     Pt = solve_P1(pt, gridt)
     err_tanh = _sup(Pt.values[:, 0, 0] - np.tanh(pt.T - gridt.times))

@@ -73,7 +73,7 @@ def test_perturbed_mf_shifts_initial_state(bundle, z0):
 def test_cost_on_constant_paths_matches_hand_computation():
     one = np.eye(1)
     p = s1_params().with_(
-        Q_I=one, Q=0 * one, Qbar_I=2 * one, Qbar=0 * one, T=1.0, relaxed=True,
+        Q_I=one, Q=0 * one, Qbar_I=2 * one, Qbar=0 * one, T=1.0,
     )
     g = TimeGrid(0.0, 1.0, 10)
     x = VectorPath(g, np.ones((11, 1)))
@@ -109,7 +109,7 @@ def test_existence_bound_satisfied_for_weak_coupling(params, grid):
 def test_existence_check_rejects_degenerate_split(params, grid):
     # Q_I = Q = 0 leaves the running split Qp = Q_I + Q singular
     zero = np.zeros((2, 2))
-    degenerate = params.with_(Q_I=zero, Q=zero, relaxed=True)
+    degenerate = params.with_(Q_I=zero, Q=zero)
     with pytest.raises(ValueError, match="Qp must be positive definite"):
         existence_check(degenerate, grid)
 

@@ -164,16 +164,15 @@ def test_post_correction_offset_map(maps, params, bundle, run, law_c, grid):
     assert np.max(np.abs(predicted - direct)) < 1e-6
 
 
-def _offset_map_by_ode(maps, t0):
+def _offset_map_by_ode(bundle, t0):
     """The post-correction offset map as the backward ODE of Mg driven by
     the post-correction mean-field deviation Phi1(t) Phi1(t0)^-1 Mz(t0)."""
-    bundle, params = maps.bundle, maps.params
-    k0 = maps.grid.index_of(t0)
-    dPhi = maps.Phi1.values[k0:] @ np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])
+    params, k0 = bundle.params, bundle.grid.index_of(t0)
+    dPhi = bundle.Phi1.values[k0:] @ np.linalg.solve(bundle.Phi1[k0], bundle.Mz[k0])
     S = coupling_weight(params, bundle.P1)[k0:]
     Hg = offset_generator(params, bundle.P1.values[k0:], params.BFRB)
     MT = -params.Qbar @ params.Gammabar @ dPhi[-1]
-    return rk4_affine(Hg, -(S @ dPhi), MT, maps.grid.subgrid(k0), forward=False)
+    return rk4_affine(Hg, -(S @ dPhi), MT, bundle.grid.subgrid(k0), forward=False)
 
 
 @pytest.mark.parametrize("fixture", ["maps", "mixed_maps"])
@@ -183,9 +182,9 @@ def test_modified_offset_map_is_the_backward_ode_solution(request, fixture, t0):
     # gap to the backward ODE's RK4 solve is truncation error that falls
     # with the grid
     maps = request.getfixturevalue(fixture)
-    bundle, k0 = maps.bundle, maps.grid.index_of(t0)
+    k0 = maps.grid.index_of(t0)
     M = modified_offset_map(maps, t0)
-    P2Phi1 = (bundle.P0.values - bundle.P1.values) @ maps.Phi1.values
+    P2Phi1 = (maps.P0.values - maps.P1.values) @ maps.Phi1.values
     want = P2Phi1[k0:] @ np.linalg.solve(maps.Phi1[k0], maps.Mz[k0])
     assert M.grid.t_start == t0 and M.values.shape == want.shape
     assert np.max(np.abs(M.values - want)) <= 1e-13 * np.max(np.abs(want))

@@ -12,7 +12,7 @@ from mfg_errsim.deviations import (
     expected_trajectory_deviation,
     predicted_mf_deviation,
 )
-from mfg_errsim import deviations, limiting, ode
+from mfg_errsim import limiting, ode, riccati
 from mfg_errsim.limiting import solve_limiting, solve_limiting_batch
 from mfg_errsim.ode import rk4_affine
 from mfg_errsim.params import P6_Z0
@@ -42,7 +42,7 @@ def test_map_boundary_values(maps, params):
 def test_offset_map_is_the_representation_identity(request, fixture):
     # an agent's offset in its predicted equilibrium is (P0 - P1) z + G
     maps = request.getfixturevalue(fixture)
-    want = (maps.bundle.P0.values - maps.bundle.P1.values) @ maps.Phi1.values
+    want = (maps.P0.values - maps.P1.values) @ maps.Phi1.values
     assert np.max(np.abs(maps.Mg.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -75,7 +75,7 @@ def test_build_maps_solves_no_one_off_ode(params, monkeypatch):
         calls.append(args)
         return rk4_affine(*args, **kwargs)
 
-    for module in (ode, deviations):
+    for module in (ode, riccati):
         monkeypatch.setattr(module, "rk4_affine", spy)
     build_maps(bundle)
     assert calls == []

@@ -48,14 +48,17 @@ def test_F_is_n_by_d():
 
 
 def test_cost_weights_must_be_positive_definite():
+    # R must be positive definite, the state weights positive semidefinite
     p = p6_params()
-    with pytest.raises(ValueError, match="positive definite"):
-        p.with_(Q=-np.eye(2))
+    for name in ("Q_I", "Q", "Qbar_I", "Qbar"):
+        with pytest.raises(ValueError, match=f"{name} must be positive semidefinite"):
+            p.with_(**{name: np.diag([1.0, -1e-3])})
+        npt.assert_array_equal(getattr(p.with_(**{name: np.zeros((2, 2))}), name), 0.0)
+    for R in (np.diag([1.0, 0.0]), -np.eye(2)):
+        with pytest.raises(ValueError, match="R must be positive definite"):
+            p.with_(R=R)
     with pytest.raises(ValueError, match="symmetric"):
         p.with_(R=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    # the relaxed escape hatch admits semidefinite fixtures
-    q = p.with_(Q=np.zeros((2, 2)), relaxed=True)
-    npt.assert_array_equal(q.Q, np.zeros((2, 2)))
 
 
 def test_with_creates_modified_copy():

@@ -1,12 +1,10 @@
 """Per-node re-estimation: kernels, anchored maps, and simulation."""
 
-import dataclasses
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mfg_errsim import deviations, riccati, scenario
+from mfg_errsim import deviations, ode, riccati, scenario
 from mfg_errsim.core import equilibrium_mf
 from mfg_errsim.deviations import build_maps
 from mfg_errsim.errors import (
@@ -272,15 +270,46 @@ def test_quadrature_converges_at_second_order_to_a_fine_solve(request, fixture, 
 
 
 def test_kernels_from_the_bundle_equal_kernels_from_maps(bundle, maps, kernels):
-    assert maps.PhiZ is bundle.PhiZ and maps.Phi1 is bundle.Phi1
-    own = build_kernels(bundle)
-    for f in dataclasses.fields(own):
-        a, b = getattr(own, f.name), getattr(kernels, f.name)
-        if f.name == "bundle":
-            assert a is b
-        else:
-            npt.assert_array_equal(np.asarray(getattr(a, "values", a)),
-                                   np.asarray(getattr(b, "values", b)))
+    # the maps and the kernels are the bundle's own, built once
+    assert maps is bundle and kernels is bundle
+    Mig, M0g = kernels.Mig_diag, kernels.M0g_diag
+    assert build_kernels(bundle) is bundle and build_kernels(bundle, maps) is bundle
+    assert bundle.Mig_diag is Mig and bundle.M0g_diag is M0g
+
+
+def test_a_bundle_builds_its_maps_and_kernels_once(params, monkeypatch):
+    bundle = RiccatiBundle.solve(params, params.default_grid(200))
+    assert build_maps(bundle) is bundle and build_kernels(bundle) is bundle
+    names = ("Phi1", "PhiZ", "Mg", "Mz", "K1", "K2", "PhiX", "Mx1", "Mx2", "Mig_diag",
+             "M0g_diag")
+    first = [getattr(bundle, name) for name in names]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built again on a second read")
+
+    monkeypatch.setattr(ode.StepMaps, "__init__", refuse)
+    for module in (ode, riccati):
+        monkeypatch.setattr(module, "invert_path", refuse)
+        monkeypatch.setattr(module, "rk4_affine", refuse)
+    assert build_maps(bundle) is bundle and build_kernels(bundle) is bundle
+    assert all(getattr(bundle, name) is a for name, a in zip(names, first))
+
+
+def test_a_second_simulation_reads_the_bundles_kernels(params, monkeypatch):
+    bundle = RiccatiBundle.solve(params, params.default_grid(100))
+    policy = constant_error_policy(E_AVG)
+    first = realtime_simulate(params, bundle, _pop(5), policy, seed=0)
+    scans, solve = [], bundle.tracking_steps.solve
+
+    def spy(*args):
+        scans.append(args)
+        return solve(*args)
+
+    # the kernel V is the one solve under the tracking step maps
+    monkeypatch.setattr(bundle.tracking_steps, "solve", spy)
+    again = realtime_simulate(params, bundle, _pop(5), policy, seed=0)
+    assert scans == []
+    npt.assert_array_equal(again["z_A"].values, first["z_A"].values)
 
 
 def test_kernels_reject_maps_of_another_bundle(params, bundle, maps):

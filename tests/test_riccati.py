@@ -15,6 +15,7 @@ from mfg_errsim.deviations import build_maps
 from mfg_errsim.limiting import solve_limiting
 from mfg_errsim.riccati import (
     RiccatiBundle,
+    _hamiltonian_riccati,
     coupling_weight,
     mf_generator,
     offset_generator,
@@ -61,7 +62,7 @@ def _rk4_P2(p, P1, grid):
 def _tanh_fixture():
     """Scalar problem with closed-form solution P(t) = tanh(T - t)."""
     one = np.eye(1)
-    return s1_params().with_(Qbar_I=0 * one, Qbar=0 * one, relaxed=True)
+    return s1_params().with_(Qbar_I=0 * one, Qbar=0 * one)
 
 
 def test_stationary_scalar_fixture_is_a_fixed_point():
@@ -140,16 +141,16 @@ def test_riccati_is_exact_under_grid_refinement():
 
 
 def test_finite_escape_is_reported_with_location():
-    # negative running weight turns the backward flow into dP/dt = 1 + P^2
-    # from P(T) = 0, which escapes at t = T - pi/2
-    one = np.eye(1)
-    p = s1_params().with_(
-        Q_I=-1.0 * one, Q=0 * one, Qbar_I=0 * one, Qbar=0 * one, relaxed=True,
-    )
+    # a negative running weight, which no valid game has, turns the
+    # backward flow of the Hamiltonian [[A, -B R^-1 B'], [-Q, -A']] with
+    # A = 0, B = R = 1 and Q = -1 into dP/dt = 1 + P^2 from P(T) = 0, which
+    # escapes at t = T - pi/2
+    grid = TimeGrid(0.0, 2.0, 4000)
+    Ham = np.array([[0.0, -1.0], [1.0, 0.0]])
     with warnings.catch_warnings(), pytest.raises(FiniteEscapeError) as ei:
         warnings.simplefilter("error")
-        solve_P1(p, p.default_grid(4000))
-    assert abs(ei.value.time - (p.T - np.pi / 2.0)) < 0.05
+        _hamiltonian_riccati(Ham, np.zeros((1, 1)), grid, "P1")
+    assert abs(ei.value.time - (grid.t_end - np.pi / 2.0)) < 0.05
 
 
 def test_bundle_reports_the_path_that_escapes():

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfg_errsim import correction, deviations, limiting, ode, riccati, scenario
+from mfg_errsim import correction, limiting, ode, riccati, scenario
 from mfg_errsim.cli import main
 from mfg_errsim.errors import ConfigError, FiniteEscapeError, IntegrationBlowupError
 from mfg_errsim.limiting import solve_limiting
@@ -66,11 +66,26 @@ def test_negative_horizon_rejected():
     assert any(f == "params.T" for f, _ in ei.value.problems)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"z0": ["0.3", "0.5"]}, "z0"),
+    ({"E_bar": [True, False]}, "E_bar"),
+    ({"z0": [10 ** 400, 0.5]}, "z0"),
+    ({"params": {"A": [["-1", "0"], ["0", "-1"]]}}, "params.A"),
+    ({"params": {"A": [[-1, 0], [False, -1]]}}, "params.A"),
+    ({"params": {"D": "0.1"}}, "params.D"),
+], ids=["string_vector", "bool_vector", "int_past_float", "string_matrix",
+        "bool_in_int_matrix", "string_scalar"])
+def test_an_array_entry_that_is_not_a_json_number_is_rejected(doc, key):
+    with pytest.raises(ConfigError) as ei:
+        validate_config(dict(doc, mode="predict"))
+    assert [f for f, _ in ei.value.problems] == [key]
+
+
 def test_indefinite_cost_weight_rejected():
     with pytest.raises(ConfigError) as ei:
         validate_config({"mode": "predict",
                          "params": {"Q": [[-1.0, 0.0], [0.0, -1.0]]}})
-    assert any("positive definite" in r for _, r in ei.value.problems)
+    assert any("positive semidefinite" in r for _, r in ei.value.problems)
 
 
 def test_vector_dimension_checks():
@@ -374,14 +389,23 @@ def _refuse(*args, **kwargs):
     raise AssertionError("solved again on a rerun")
 
 
+def _kept(build, names):
+    """build, refusing a bundle on which any of names is not built yet."""
+    def spy(bundle, *args):
+        missing = [name for name in names if name not in vars(bundle)]
+        assert not missing, f"{missing} built again on a rerun"
+        return build(bundle, *args)
+    return spy
+
+
 @pytest.mark.parametrize("mode", ["predict", "evolve", "correct", "realtime"])
 def test_a_rerun_reads_the_kept_solves_and_writes_the_same_bytes(tmp_path, monkeypatch,
                                                                   mode):
     doc = {"mode": mode, "grid_steps": 200, "N": 20}
     run_scenario(validate_config(dict(doc, output_dir=str(tmp_path / "a"))))
     monkeypatch.setattr(RiccatiBundle, "solve", classmethod(_refuse))
-    monkeypatch.setattr(scenario, "build_maps", _refuse)
-    monkeypatch.setattr(scenario, "build_kernels", _refuse)
+    monkeypatch.setattr(scenario, "build_maps", _kept(scenario.build_maps, ("Mg", "Mz")))
+    monkeypatch.setattr(scenario, "build_kernels", _kept(scenario.build_kernels, ("_kernels",)))
     run_scenario(validate_config(dict(doc, output_dir=str(tmp_path / "b"))))
     names = sorted(os.listdir(tmp_path / "a"))
     assert names == sorted(os.listdir(tmp_path / "b"))
@@ -398,7 +422,7 @@ def test_changing_one_entry_of_A_is_a_miss():
     assert scenario._solved(params.with_(), grid) is kept
     other = scenario._solved(params.with_(A=A), grid)
     assert other is not kept
-    assert np.array_equal(other.bundle.params.A, A)
+    assert np.array_equal(other.params.A, A)
     assert scenario._solved(params, params.default_grid(60)) is not kept
 
 
@@ -410,7 +434,7 @@ def test_one_off_sets_do_not_evict_a_set_with_hits():
     for eps in (0.01, 0.02, 0.03):
         last = scenario._solved(params.with_(A=params.A + eps), grid)
     # each one-off evicted the one before it, the oldest of no hits
-    assert list(scenario._solved_cache.values()) == [kept, last]
+    assert [bundle for bundle, _ in scenario._solved_cache.values()] == [kept, last]
     assert scenario._solved(params, grid) is kept
 
 
@@ -452,7 +476,7 @@ def test_deviation_modes_solve_only_the_Phi1_transition(tmp_path, monkeypatch, m
     monkeypatch.setattr(ode.StepMaps, "transition", property(spy))
     cfg = validate_config({"mode": mode, "grid_steps": 200, "output_dir": str(tmp_path)})
     run_scenario(cfg)
-    bundle = scenario._solved(cfg.params, cfg.grid()).bundle
+    bundle = scenario._solved(cfg.params, cfg.grid())
     assert len(generators) == 1
     np.testing.assert_array_equal(
         generators[0], riccati.mf_generator(cfg.params, bundle.P0.values))
@@ -460,7 +484,7 @@ def test_deviation_modes_solve_only_the_Phi1_transition(tmp_path, monkeypatch, m
 
 @pytest.mark.parametrize("mode", ["predict", "evolve", "correct"])
 def test_a_repeated_parameter_set_builds_no_step_maps(tmp_path, monkeypatch, mode):
-    # the second request reads the kept bundle and maps, whose step maps
+    # the second request reads the kept bundle and its maps, whose step maps
     # serve every solve of the request
     cfg = validate_config({"mode": mode, "grid_steps": 200, "output_dir": str(tmp_path)})
     run_scenario(cfg)
@@ -474,7 +498,7 @@ def test_a_repeated_parameter_set_builds_no_step_maps(tmp_path, monkeypatch, mod
         raise AssertionError(f"{mode} mode solved with rk4_affine on a repeated parameter set")
 
     monkeypatch.setattr(ode.StepMaps, "__init__", spy_init)
-    for module in (ode, riccati, deviations, limiting):
+    for module in (ode, riccati, limiting):
         monkeypatch.setattr(module, "rk4_affine", no_rk4_affine)
     run_scenario(cfg)
     assert built == []
@@ -492,12 +516,11 @@ def test_correct_mode_solves_no_post_correction_offset(tmp_path, monkeypatch):
 
 def test_kept_paths_are_read_only():
     params = p6_params()
-    entry = scenario._solved(params, params.default_grid(50))
-    bundle, maps, kernels = entry.bundle, entry.maps, entry.kernels
-    arrays = [getattr(bundle, name).values for name in ("P0", "P1", "P2", "G", "G1",
-                                                        "Phi1", "PhiZ")]
-    arrays += [getattr(maps, name).values for name in ("Mg", "Mz", "PhiX", "Mx1", "Mx2")]
-    arrays += [getattr(kernels, name) for name in ("Mig_diag", "M0g_diag")]
+    bundle = scenario._solved(params, params.default_grid(50))
+    arrays = [getattr(bundle, name).values for name in ("P0", "P1", "P2", "G", "G1", "Phi1",
+                                                        "PhiZ", "Mg", "Mz", "K1", "K2",
+                                                        "PhiX", "Mx1", "Mx2")]
+    arrays += [bundle.Mig_diag, bundle.M0g_diag]
     arrays += list(bundle.tracking_drive)
     for steps in (bundle.mf0_steps, bundle.mf1_steps, bundle.tracking_steps):
         arrays += steps.levels + [steps.W0, steps.W1, steps.transition]

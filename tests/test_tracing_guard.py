@@ -1,10 +1,12 @@
-"""The benchmark's tracing shim wraps library functions by name.
+"""The benchmark's tracing shim and workloads call the library by name.
 
 perfbench/tracing.py names the functions it spans (SPANNED) and the
-estimator-policy factories it counts (POLICY_FACTORIES).  A library change
-that renames or deletes one of them breaks the traced benchmark run, so
-this test reads the shim, without importing it as a module or writing
-anything beside it, and checks every name against the package.
+estimator-policy factories it counts (POLICY_FACTORIES), and
+perfbench/workloads.py calls the library in the call forms of its
+requests.  A library change that renames or deletes one of them breaks the
+benchmark, so these tests read both files, without importing them as
+modules or writing anything beside them, check every name the shim wraps
+against the package, and run the first cycle of every workload.
 """
 
 import importlib
@@ -19,16 +21,22 @@ from mfg_errsim.grid import MatrixPath, VectorPath
 from mfg_errsim.params import SystemParams
 from mfg_errsim.riccati import RiccatiBundle
 
-TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _load(name):
+    """perfbench/<name>.py run as a fresh module, leaving no bytecode."""
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    mod = types.ModuleType(f"perfbench_{name}")
+    mod.__file__ = path
+    with open(path) as fh:
+        exec(compile(fh.read(), path, "exec"), mod.__dict__)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    mod = types.ModuleType("perfbench_tracing")
-    mod.__file__ = TRACING
-    with open(TRACING) as fh:
-        exec(compile(fh.read(), TRACING, "exec"), mod.__dict__)
-    return mod
+    return _load("tracing")
 
 
 def test_every_spanned_name_resolves(tracing):
@@ -68,3 +76,11 @@ def test_install_and_uninstall_round_trip(tracing):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+@pytest.mark.parametrize("name", ["deterministic", "montecarlo", "realtime"])
+def test_every_request_of_a_workloads_first_cycle_passes_its_check(tmp_path, name):
+    workload = _load("workloads").WORKLOADS[name](seed=7, outdir=str(tmp_path))
+    workload.setup()
+    for req in workload.cycle(0):
+        workload.check(req, workload.execute(req))
