@@ -1,7 +1,8 @@
 """Deterministic continuum-limit trajectories under erroneous information.
 
-For noiseless validation and for the correction pipeline we need the exact
-(N -> infinity, D = 0) trajectories rather than Monte Carlo estimates:
+For noiseless validation and for the correction pipeline we need the
+(N -> infinity, D = 0) trajectories, free of sampling error and second
+order in the step (see ode), rather than Monte Carlo estimates:
 
 * z_c     -- correct-information equilibrium mean field,
 * z_i     -- tagged agent's (erroneous) predicted mean field,

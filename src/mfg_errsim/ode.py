@@ -1,11 +1,13 @@
 """Fixed-step integration of time-varying linear/matrix ODEs, and exact
 step maps of constant ones.
 
-The workhorse is classical 4th-order Runge-Kutta on a uniform grid, with
-one RK4 step (_rk4_step) behind every solver.  Stage values of
-time-varying coefficients at half-steps come from linear interpolation of
-node values (half_nodes), so every coefficient can live on the same grid as
-the solution.  Nonlinear problems step in a Python loop (rk4_steps).  Affine
+The workhorse is the Runge-Kutta 4 step on a uniform grid, one RK4 step
+(_rk4_step) behind every solver.  Stage values of time-varying
+coefficients at half-steps come from linear interpolation of node values
+(half_nodes), so every coefficient can live on the same grid as the
+solution, and that average, off the midpoint value by O(h^2), makes every
+RK4 solve second order in the step, not fourth (the riccati module's P1
+and P0 are exact, from the exact step maps below).  Nonlinear problems step in a Python loop (rk4_steps).  Affine
 problems do not.  One RK4 step of dv/dt = H v + f is affine in v and in f,
 v_(k+1) = T_k v_k + c_k, and StepMaps takes the step once for all K steps,
 on strided views of the stage coefficients, to get every step map T_k and

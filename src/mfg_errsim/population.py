@@ -29,10 +29,11 @@ module's _noise_matrix, _noise_blocks, _drift and agent_sum.
 
 A run keeps node arrays, not paths.  The step being affine, a block's node
 sums follow from the sum of the agents' rows [x | 1 | E_i] at its first
-node and the agents' summed noise, and each agent's state is formed at the
-block's last node only, so simulate holds O(N) memory beyond its (K+1, .)
-node arrays and forms no agent's interior state unless a norm bound cannot
-show it finite.  Its result builds the paths when they are read (see
+node, itself the last node sum, and the agents' summed noise, so simulate
+forms no agent's state and holds O(N) memory beyond its (K+1, .) node
+arrays; a run whose norm bound, one scalar, cannot show the states finite
+is redone once with paths (O(N K) memory, for states near the largest
+double).  Its result builds the paths when they are read (see
 PopulationResult).
 """
 
@@ -60,7 +61,7 @@ _DYNAMICS = 1
 _NOISE_BLOCK = 128
 # column chunks of the agents' noise per block scan (see _step_agents)
 _NOISE_CHUNKS = 4
-# a block's states are written out unless a norm bound keeps them below this
+# a run without paths is redone with paths where its states' norm bound passes this
 _STATE_BOUND = np.finfo(float).max / 2
 
 
@@ -202,8 +203,8 @@ class PopulationResult:
     that is the population's mean state and control as the run's mean scan
     gives them under empirical coupling, else the prescribed (z, ubar)
     arrays, kept by reference.  Its agents' paths take O(N K) memory, so the
-    first read of xs or us writes out every block of the run again under the
-    recorded coupling, with the run's law, x0, seed and D, and caches both:
+    first read of xs or us reruns the run with paths under the recorded
+    coupling, with the run's law, x0, seed and D, and caches both:
     that gives the paths bit for bit whenever they are built, and before
     that trace(i) steps agent i alone the same way, as replay(i, ...) does
     under another law and coupling.  The first read of drifts derives every
@@ -407,24 +408,6 @@ def _noise_blocks(seed, ids, K, n):
         yield noise[:, :m]
 
 
-def _last_terms(levels, c):
-    """The terms T_(K-1) ... T_(j+1) c_j of the last entry of ode._scan(levels,
-    c), side by side: an (n, K m) array for the columns c (K, n, m), given
-    the up-sweep levels of the T_j.  The pairs fold as in _scan, into
-    [T_(2i+1) c_2i | c_(2i+1)] against the pair's product, recursively; for
-    odd K, T_(K-1) takes the first K - 1 columns' terms on and c_(K-1) joins
-    them.  O(K n m) memory, where scanning impulse columns takes O(K^2 n m),
-    over ceil(log2 K) levels of batched calls."""
-    K = len(c)
-    if K == 1:
-        return c[0]
-    T = levels[0]
-    terms = _last_terms(levels[1:], np.concatenate((T[1::2] @ c[:K - 1:2], c[1::2]), axis=2))
-    if K % 2:
-        terms = np.concatenate((T[K - 1] @ terms, c[K - 1]), axis=1)
-    return terms
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
     """Euler-Maruyama run of the agents ids from the rows of x0 (N, n)
@@ -432,10 +415,9 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
     Returns the node sums (K+1, n) and (K+1, d) of the states and controls,
     the coupling (mf_x, mf_u) the run stepped with (the prescribed node
     arrays coupling or, for coupling None, the population means) and, for
-    paths True, the paths xs (K+1, N, n) and us (K+1, N, d), else None.
-    Without paths the run forms each agent's state at the blocks' last
-    nodes only, so it holds O(N) memory beyond its node arrays.  D is as in
-    _noise_matrix.
+    paths True, the paths xs (K+1, N, n) and us (K+1, N, d), else None; or
+    None alone where a run without paths cannot show its states finite.  D
+    is as in _noise_matrix.
 
     Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n_ik,
     with T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k +
@@ -459,26 +441,26 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
       gain';
     - the step is affine, so the block's node sums are (sum_i z_i)
       [P_j | c_j | CE_j]' and (sum_i z_i) U_j, plus, under noise, the scan
-      of the one column sqrt(dt) D sum_i n_ik and its product with gain';
-    - the noise part of agent i's state at the block's last node is
-      sum_j R_j sqrt(dt) D n_ij, R_j = T_(m-1) ... T_(j+1): _last_terms
-      gives the R_j sqrt(dt) D side by side, and one (N, m n) x (m n, n)
-      product with the block's noise buffer takes every agent's part.
-      These states start the next block.
+      of the one column sqrt(dt) D sum_i n_ik and its product with gain'.
 
-    With paths, and for a block whose states a norm bound cannot show
-    finite, the block's states and controls are written out node by node:
-    the states of all agents, or of a chunk, at once, their noise part the
-    scan of the chunk's noise columns sqrt(dt) D n_k.  The paths start each
-    block from their own last node.  No step map is inverted, and no
-    product of a written block mixes two agents' rows or columns, so under
-    prescribed coupling an agent's bits do not depend on the others, and a
-    run with paths True against the coupling of an earlier run gives that
-    run's paths bit for bit.  A non-finite state raises
-    IntegrationBlowupError naming the first such node and its first agent.
-    Under empirical coupling a mean of x0 that overflows raises it at node
-    0; otherwise a node sum that overflows on finite states is returned as
-    it is.
+    Without paths the next block starts from the summed row [x_sum_k1 | N |
+    sum_i E_i] (a lone agent from its own row), and no agent's state is
+    formed.  With |z_i| <= zmax, a block's states are at most bound = zmax
+    max_j |[P_j | c_j | CE_j]| plus a bound on their noise part, the run
+    returns None once bound reaches _STATE_BOUND, and else the next block
+    takes zmax = max(zmax, bound).
+
+    With paths, each block's states and controls are written out node by
+    node, for all agents or a chunk at once, their noise part the scan of
+    the chunk's noise columns sqrt(dt) D n_k; the next block starts from
+    the rows of the last node.  No step map is inverted, and no product of
+    a written block mixes two agents' rows or columns, so under prescribed
+    coupling an agent's bits do not depend on the others, and a run with
+    paths True against an earlier run's coupling gives its paths bit for
+    bit.  A non-finite state raises IntegrationBlowupError naming the first
+    such node and its first agent.  Under empirical coupling a mean of x0
+    that overflows raises it at node 0; otherwise a node sum that overflows
+    on finite states is returned as it is.
     """
     lone = len(x0) == 1
     if lone:
@@ -487,25 +469,22 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
         x0, ids = np.repeat(x0, 2, axis=0), [ids[0]] * 2
     N, n = x0.shape
     params, grid = law.params, law.grid
-    K, dt = grid.steps, grid.dt
-    d = params.d
+    K, dt, d = grid.steps, grid.dt, params.d
     B, C, F = params.B, params.C, params.F
     D = _noise_matrix(params, D)
     noisy = not np.allclose(D, 0.0)
     if noisy:
         blocks = _noise_blocks(seed, ids, K, n)
         sqdtD = np.sqrt(dt) * D
-    # a noisy block scans the agents' noise in _NOISE_CHUNKS chunks of
-    # near-equal width, so that a chunk's scan transients (a few times its
-    # columns) stay near the noise buffer's size, each at least two agents
-    # wide (see above)
+    # a noisy block's paths scan the agents' noise in _NOISE_CHUNKS near-equal
+    # chunks of two agents or more, whose scan transients stay near the buffer's size
     chunks = min(_NOISE_CHUNKS, N // 2) if noisy else 1
     edges = [N * j // chunks for j in range(chunks + 1)]
     gain, offset, W = law.gain, law.offset, law.error_gain
     e = 0 if W is None else n
     P1 = law.P1.values
     eye = np.eye(n)
-    # the rows [x | 1 | E_i] of the agents, updated to each block's x_k0
+    # the rows [x | 1 | E_i] of the agents, updated to each block's x_k0 with paths
     Z = np.empty((N, n + 1 + e))
     Z[:, :n] = x0
     Z[:, n] = 1.0
@@ -526,6 +505,7 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
         xs[0] = x0
     x_sum, u_sum = np.empty((K + 1, n)), np.empty((K + 1, d))
     x_sum[0] = node_sums(x0)
+    z_sum, zmax = node_sums(Z), np.abs(Z).max()
     for k0 in range(0, K, _NOISE_BLOCK):
         k1 = min(k0 + _NOISE_BLOCK, K)
         m = k1 - k0
@@ -559,60 +539,51 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
         U[:, n] += offset[k0:hi]
         if W is not None:
             U[:, n + 1:] += np.swapaxes(W[k0:hi], 1, 2)
-        z_sum = node_sums(Z)
         x_sum[k0 + 1:k1 + 1] = z_sum @ PT
         u_sum[k0:hi] = z_sum @ U
         if noisy:
             dx = _scan(levels, ((noise[0] if lone else noise_sum) @ sqdtD.T)[..., None])[..., 0]
             x_sum[k0 + 1:k1 + 1] += dx
             u_sum[k0 + 1:hi] += (dx[:hi - k0 - 1, None] @ gainT)[:, 0]
-        if paths:
-            xb, ub = xs[k0 + 1:k1 + 1], us[k0:hi]
-        else:
-            # the block is written out unless a norm bound keeps its states,
-            # z_i [P_j | c_j | CE_j]' and a noise part of at most
-            # m |T|^(m-1) |sqrt(dt) D| max |n| (infinity norms, |T| >= 1 the
-            # block's largest), below _STATE_BOUND
-            bound = np.abs(Z).max() * np.abs(PT).sum(axis=1).max()
-            x_end = Z @ PT[m - 1]
+        if not paths:
+            # the noise part is at most m |T|^(m-1) |sqrt(dt) D| max |n|
+            # (infinity norms, |T| >= 1 the block's largest)
+            bound = zmax * np.abs(PT).sum(axis=1).max()
             if noisy:
                 tau = np.maximum(1.0, np.abs(levels[0]).sum(axis=2).max())
                 bound += (m * tau ** (m - 1) * np.abs(sqdtD).sum(axis=1).max()
                           * max(noise.max(), -noise.min()))
-                terms = _last_terms(levels, np.broadcast_to(sqdtD, (m, n, n)))
-                x_end += noise.reshape(N, m * n) @ terms.T
-            xb = ub = None
             if not bound < _STATE_BOUND:
-                xb, ub = np.empty((m, N, n)), np.empty((hi - k0, N, d))
-        if xb is not None:
-            for a, b in zip(edges, edges[1:]):
-                x, u = xb[:, a:b], ub[:, a:b]
-                np.matmul(Z[a:b], PT, out=x)
-                np.matmul(Z[a:b], U, out=u)
-                if noisy:
-                    cols = sqdtD @ noise[a:b].transpose(1, 2, 0)
-                    # a product with I moves the agents from columns to rows:
-                    # exact, and faster than numpy's strided copy
-                    dx = np.swapaxes(_scan(levels, cols), 1, 2) @ eye
-                    x += dx
-                    u[1:] += dx[:hi - k0 - 1] @ gainT
-                    del dx   # before the next chunk's scan
-            # a non-finite state makes its node's sum non-finite; a sum can
-            # also overflow on finite states, which the node's rows tell apart
-            for j in np.flatnonzero(~np.isfinite(agent_sum(xb)).all(axis=1)):
-                bad = np.flatnonzero(~np.isfinite(xb[j]).all(axis=1))
-                if len(bad):
-                    k = k0 + 1 + int(j)
-                    raise IntegrationBlowupError(
-                        f"agent {ids[bad[0]]} state non-finite at node {k}",
-                        node=k, time=grid.times[k],
-                    )
-        Z[:, :n] = xb[m - 1] if paths else x_end
-    if not paths:
-        return x_sum, u_sum, (mf_x, mf_u), None
-    if lone:
+                return None
+            zmax = max(zmax, bound)
+            z_sum[:n] = x_sum[k1]
+            continue
+        xb, ub = xs[k0 + 1:k1 + 1], us[k0:hi]
+        for a, b in zip(edges, edges[1:]):
+            x, u = xb[:, a:b], ub[:, a:b]
+            np.matmul(Z[a:b], PT, out=x)
+            np.matmul(Z[a:b], U, out=u)
+            if noisy:
+                cols = sqdtD @ noise[a:b].transpose(1, 2, 0)
+                # a product with I moves the agents from columns to rows:
+                # exact, and faster than numpy's strided copy
+                dx = np.swapaxes(_scan(levels, cols), 1, 2) @ eye
+                x += dx
+                u[1:] += dx[:hi - k0 - 1] @ gainT
+                del dx   # before the next chunk's scan
+        # a non-finite state makes its node's sum non-finite; a sum can also
+        # overflow on finite states, which the node's rows tell apart
+        for j in np.flatnonzero(~np.isfinite(agent_sum(xb)).all(axis=1)):
+            bad = np.flatnonzero(~np.isfinite(xb[j]).all(axis=1))
+            if len(bad):
+                k = k0 + 1 + int(j)
+                raise IntegrationBlowupError(f"agent {ids[bad[0]]} state non-finite at node {k}",
+                                             node=k, time=grid.times[k])
+        Z[:, :n] = xb[m - 1]
+        z_sum = node_sums(Z)
+    if paths and lone:
         xs, us = xs[:, :1].copy(), us[:, :1].copy()
-    return x_sum, u_sum, (mf_x, mf_u), (xs, us)
+    return x_sum, u_sum, (mf_x, mf_u), (xs, us) if paths else None
 
 
 def _prescribed(params, mf_coupling):
@@ -653,18 +624,20 @@ def simulate(
     on that grid (PopulationError otherwise).  D overrides the noise matrix
     (see _noise_matrix).  The agents are stepped a block of nodes at a time
     by prefix scans (see _step_agents), and the result keeps the node
-    arrays, building the paths when they are read.  params must be the
-    law's parameter set (ParamsMismatchError otherwise).  A non-finite
-    state, or a node mean of finite states or controls that overflows,
-    raises IntegrationBlowupError naming the node.
+    arrays, building the paths when they are read.  A run whose norm bound
+    cannot show its states finite is redone once with paths, whose node
+    sums it keeps.  params must be the law's parameter set
+    (ParamsMismatchError otherwise).  A non-finite state, or a node mean of
+    finite states or controls that overflows, raises IntegrationBlowupError
+    naming the node.
     """
     require_same_params(params, law, "law")
     paths = _prescribed(params, mf_coupling)
     grid = require_same_grid(law if grid is None else grid, law, *paths)
     x0, errors = _agent_rows(params, population, law)
     N = len(x0)
-    x_sum, u_sum, coupling, _ = _step_agents(
-        law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
+    args = (law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
+    x_sum, u_sum, coupling, _ = _step_agents(*args) or _step_agents(*args, paths=True)
     # _step_agents raised on a non-finite state (and so on a non-finite
     # control before node K): a non-finite node sum here is an overflow
     finite = np.isfinite(x_sum).all(axis=1)

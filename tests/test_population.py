@@ -413,6 +413,32 @@ def test_a_blowup_whose_node_sums_cancel_names_its_node_and_agent(D):
         assert ei.value.node == 135
 
 
+@pytest.mark.parametrize("D", [None, 0.0])
+def test_a_run_whose_bound_fails_on_finite_states_is_redone_with_paths(monkeypatch, D):
+    # two agents at x0 = (+-7e307, 0) under A = 0.3 I: each state grows to
+    # about 1.3e308, finite but past what the norm bound can show finite,
+    # while their node sum stays near zero
+    p, bundle, _, pop = _overflowing_p6_run()
+    flat = p.with_(A=0.3 * np.eye(2), C=np.zeros((2, 2)), F=np.zeros((2, 2)))
+    grid = bundle.grid
+    law = FeedbackLaw(params=flat, P1=MatrixPath(grid, np.zeros((201, 2, 2))),
+                      g=VectorPath(grid, np.zeros((201, 2))))
+    for i, x in ((1, 7e307), (4, -7e307)):
+        pop[i] = (np.array([x, 0.0]), np.zeros(2))
+    x0 = np.array([x for x, _ in pop])
+    zero = (VectorPath(grid, np.zeros((201, 2))), VectorPath(grid, np.zeros((201, 2))))
+    step_agents = population._step_agents
+    calls = _spy_step_agents(monkeypatch)
+    for coupling, arrays in ((zero, tuple(p.values for p in zero)), ("empirical", None)):
+        calls.clear()
+        res = simulate(flat, pop, law, mf_coupling=coupling, D=D)
+        assert calls == [(7, False), (7, True)]
+        x_sum, u_sum, _, (xs, _) = step_agents(law, x0, range(7), arrays, 0, D, paths=True)
+        assert np.isfinite(xs).all() and np.abs(xs).max() > population._STATE_BOUND
+        npt.assert_array_equal(res.x_N.values, x_sum / 7)
+        npt.assert_array_equal(res.u_N.values, u_sum / 7)
+
+
 def test_a_realtime_mean_that_overflows_names_its_node():
     p, bundle, _, pop = _overflowing_p6_run()
     _assert_mean_overflow(0, lambda: realtime_simulate(p, bundle, pop, truth_policy(), D=0.0))
@@ -649,9 +675,10 @@ def test_a_noisy_runs_memory_does_not_grow_with_K(params):
 
 
 def test_a_noiseless_run_forms_no_block_of_states(params):
-    # the node sums come from the agents' summed rows and each agent's state
-    # is formed at the blocks' last nodes only: the run's peak stays below
-    # one block of states, (_NOISE_BLOCK + 1, N, n)
+    # the node sums come from the agents' summed rows, chained from block to
+    # block, and no agent's state is formed: the run's peak is a few (N, n)
+    # rows and (K+1, n) node arrays (4.9 of each at N = K = 2000, measured),
+    # far below one block of states, (_NOISE_BLOCK + 1, N, n)
     pop = _pop(2000)
     bundle = RiccatiBundle.solve(params, params.default_grid())
     law = equilibrium_law(bundle, equilibrium_mf(bundle, P6_Z0))
@@ -662,7 +689,7 @@ def test_a_noiseless_run_forms_no_block_of_states(params):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (_NOISE_BLOCK + 1) * len(pop) * params.n * 8
+    assert peak < 6 * (len(pop) + bundle.grid.steps + 1) * params.n * 8
 
 
 def _spy_step_agents(monkeypatch):
