@@ -115,7 +115,7 @@ def _opnorm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def existence_check(params: SystemParams, grid: TimeGrid | None = None):
+def existence_check(params: SystemParams, grid: TimeGrid):
     """Sufficient condition for a unique mean-field equilibrium.
 
     Splits the composite running weight Q_I + Q - Q*Gamma as Qp + S with
@@ -128,8 +128,6 @@ def existence_check(params: SystemParams, grid: TimeGrid | None = None):
     {"satisfied": lhs < 2, "lhs": lhs}.  The sup in ||phi||_T runs over grid
     nodes; the inner integral uses the trapezoid rule.
     """
-    if grid is None:
-        grid = params.default_grid()
     QG, QGbar = params.Q @ params.Gamma, params.Qbar @ params.Gammabar
     Qp, S = params.Q_I + params.Q, -0.5 * (QG + QG.T)
     Qp_bar, S_bar = params.Qbar_I + params.Qbar, -0.5 * (QGbar + QGbar.T)
@@ -168,16 +166,17 @@ def epsilon_nash_gap(
     params: SystemParams,
     N: int,
     seed: int,
-    grid: TimeGrid | None = None,
-    z0=None,
+    grid: TimeGrid,
+    z0,
     init_cov=None,
     D=None,
 ) -> float:
     """Empirical unilateral-deviation gap of the equilibrium feedback.
 
-    Simulates N agents under the equilibrium law, computes player 1's cost
-    against the empirical averages, then recomputes player 1's best response
-    to the frozen empirical mean-field paths (same noise) and returns
+    Simulates N agents on grid under the equilibrium law, their initial
+    states drawn around z0 with init_cov (zero if None), computes player 1's
+    cost against the empirical averages, then recomputes player 1's best
+    response to the frozen empirical mean-field paths (same noise) and returns
     J_1(equilibrium) - J_1(best response).  For D = 0 the best response is
     exactly optimal pathwise, so the gap is nonnegative up to roundoff; with
     noise, optimality holds in expectation only and single-seed gaps
@@ -187,10 +186,6 @@ def epsilon_nash_gap(
 
     if N < 2 and not np.allclose(params.C, 0):
         raise ValueError("N must be >= 2 for a coupled game")
-    if grid is None:
-        grid = params.default_grid()
-    if z0 is None:
-        z0 = params.s
     if init_cov is None:
         init_cov = np.zeros((params.n, params.n))
     bundle = RiccatiBundle.solve(params, grid)

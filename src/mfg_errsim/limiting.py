@@ -48,8 +48,6 @@ class LimitingRun:
     its first read (see _agent)."""
 
     bundle: RiccatiBundle
-    E_i: np.ndarray
-    E_bar: np.ndarray
     x0: np.ndarray       # the tagged agent's true initial state
     z_c: MeanField       # correct-information equilibrium
     mf_i: MeanField      # tagged agent's prediction
@@ -113,8 +111,6 @@ def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[Limi
     params, grid = bundle.params, bundle.grid
     P0v, P1v, Gv = bundle.P0.values, bundle.P1.values, bundle.G.values
     z0 = np.asarray(z0, dtype=float)
-    pairs = [(np.asarray(E_i, dtype=float), np.asarray(E_bar, dtype=float))
-             for E_i, E_bar in pairs]
     x0 = z0 if x0 is None else np.asarray(x0, dtype=float)
     S = len(pairs)
 
@@ -135,12 +131,12 @@ def solve_limiting_batch(bundle: RiccatiBundle, z0, pairs, x0=None) -> list[Limi
     z_c = MeanField(z=path(zv, 2 * S), ubar=path(uv, 2 * S))
     return [
         LimitingRun(
-            bundle=bundle, E_i=E_i, E_bar=E_bar, x0=x0, z_c=z_c,
+            bundle=bundle, x0=x0, z_c=z_c,
             mf_i=MeanField(z=path(zv, 2 * r), ubar=path(uv, 2 * r)), g_i=path(gv, 2 * r),
             zbar=MeanField(z=path(zv, 2 * r + 1), ubar=path(uv, 2 * r + 1)),
             g_bar=path(gv, 2 * r + 1), z_A=path(za, r), ubar_A=path(ua, r),
         )
-        for r, (E_i, E_bar) in enumerate(pairs)
+        for r in range(S)
     ]
 
 

@@ -26,8 +26,9 @@ Carlo blocks sweep their Euler step maps up and scan columns against them
 too.
 
 A constant linear ODE needs no RK4: its exact step map is the matrix
-exponential (expm, Pade scaling and squaring), and matrix_powers gives all
-the map's powers up to a step count with log-depth batched doubling.
+exponential (expm, degree-13 Pade scaling and squaring), and matrix_powers
+gives all the map's powers up to a step count with log-depth batched
+doubling.
 """
 
 from __future__ import annotations
@@ -43,54 +44,35 @@ _RCOND_MIN = 1e-12
 
 
 # Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005):
-# the numerator coefficients b of the degree-m approximants, and the largest
-# 1-norm theta_m at which degree m meets double-precision backward error
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+# the numerator coefficients b of the degree-13 approximant, and the largest
+# 1-norm theta at which it meets double-precision backward error
+_PADE = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA = 5.371920351148152e0
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def expm(A):
     """Matrix exponential of one square matrix by Pade scaling and squaring.
 
-    The lowest Pade degree m in (3, 5, 7, 9) whose theta_m bounds the 1-norm
-    is used unscaled; otherwise A is scaled by 2^-s into degree 13's range
-    and the result squared s times.  IntegrationBlowupError is raised for a
-    non-finite 1-norm, one too large to scale (4^s must stay finite), and a
-    non-finite result; an overflow on the way is not warned about, it shows
-    as that result.
+    A is scaled by 2^-s into the degree-13 approximant's range, s = 0 for a
+    1-norm up to theta (a zero matrix included), and the result squared s
+    times.  IntegrationBlowupError is raised for a non-finite 1-norm, one
+    past theta 2^511, and a non-finite result; an overflow on the way is
+    not warned about, it shows as that result.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    eye = np.eye(n)
     norm = np.linalg.norm(A, 1)
-    if not norm <= _THETA[13] * 2.0**511:
+    if not norm <= _THETA * 2.0**511:
         raise IntegrationBlowupError(f"matrix exponential of a matrix with 1-norm {norm:.6g}")
+    s = 0 if norm <= _THETA else int(np.ceil(np.log2(norm / _THETA)))
+    A = A / 2.0**s
+    eye = np.eye(A.shape[0])
     A2 = A @ A
-    for m in (3, 5, 7, 9):
-        if norm <= _THETA[m]:
-            b = _PADE[m]
-            Ak, U, V = eye, b[1] * eye, b[0] * eye
-            for j in range(2, m + 1, 2):
-                Ak = Ak @ A2
-                U, V = U + b[j + 1] * Ak, V + b[j] * Ak
-            U = A @ U
-            return np.linalg.solve(V - U, V + U)
-    s = max(0, int(np.ceil(np.log2(norm / _THETA[13]))))
-    A, A2 = A / 2.0**s, A2 / 4.0**s
     A4 = A2 @ A2
     A6 = A4 @ A2
-    b = _PADE[13]
+    b = _PADE
     U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)

@@ -204,12 +204,13 @@ class PopulationResult:
     gives them under empirical coupling, else the prescribed (z, ubar)
     arrays, kept by reference.  Its agents' paths take O(N K) memory, so the
     first read of xs or us reruns the run with paths under the recorded
-    coupling, with the run's law, x0, seed and D, and caches both:
-    that gives the paths bit for bit whenever they are built, and before
-    that trace(i) steps agent i alone the same way, as replay(i, ...) does
-    under another law and coupling.  The first read of drifts derives every
-    node's drift A x + B u + C mf_x + F mf_u from xs[k], us[k] and the
-    coupling, and caches it.
+    coupling, with the run's law, x0, seed and D, and caches both (a run
+    simulate redid with paths keeps that run's): that gives the paths bit
+    for bit whenever they are built, and before that trace(i) steps agent i
+    alone the same way, as replay(i, ...) does under another law and
+    coupling.  The first read of drifts derives every node's drift
+    A x + B u + C mf_x + F mf_u from xs[k], us[k] and the coupling, and
+    caches it.
     """
 
     params: SystemParams
@@ -626,7 +627,7 @@ def simulate(
     by prefix scans (see _step_agents), and the result keeps the node
     arrays, building the paths when they are read.  A run whose norm bound
     cannot show its states finite is redone once with paths, whose node
-    sums it keeps.  params must be the law's parameter set
+    sums and paths it keeps.  params must be the law's parameter set
     (ParamsMismatchError otherwise).  A non-finite state, or a node mean of
     finite states or controls that overflows, raises IntegrationBlowupError
     naming the node.
@@ -637,14 +638,17 @@ def simulate(
     x0, errors = _agent_rows(params, population, law)
     N = len(x0)
     args = (law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
-    x_sum, u_sum, coupling, _ = _step_agents(*args) or _step_agents(*args, paths=True)
+    x_sum, u_sum, coupling, built = _step_agents(*args) or _step_agents(*args, paths=True)
     # _step_agents raised on a non-finite state (and so on a non-finite
     # control before node K): a non-finite node sum here is an overflow
     finite = np.isfinite(x_sum).all(axis=1)
     bad = np.flatnonzero(~(finite & np.isfinite(u_sum).all(axis=1)))
     if len(bad):
         raise _mean_overflow(grid, bad[0], "states" if not finite[bad[0]] else "controls")
-    return PopulationResult(params=params, grid=grid, errors=errors,
-                            x_N=VectorPath(grid, x_sum / N), u_N=VectorPath(grid, u_sum / N),
-                            coupling=coupling, law=law, x0=x0, seed=seed, D=D)
+    res = PopulationResult(params=params, grid=grid, errors=errors,
+                           x_N=VectorPath(grid, x_sum / N), u_N=VectorPath(grid, u_sum / N),
+                           coupling=coupling, law=law, x0=x0, seed=seed, D=D)
+    if built is not None:
+        res._paths = built   # the fallback run's, the rerun's bit for bit
+    return res
 

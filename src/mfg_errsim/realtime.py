@@ -54,7 +54,6 @@ from .riccati import RiccatiBundle, control, mean_field_path, mf_generator
 class RealtimeDeviationMaps:
     """Estimate-error-to-deviation maps for one anchor time t0."""
 
-    t0: float
     Miz: MatrixPath
     M0z: MatrixPath
     Mig: MatrixPath
@@ -80,7 +79,6 @@ def build_realtime_maps(bundle: RiccatiBundle, t0) -> RealtimeDeviationMaps:
     Mig = bundle.Mig_diag @ Miz
     M0g = (bundle.P0.values - bundle.P1.values) @ Phi1_t0 - Mig
     return RealtimeDeviationMaps(
-        t0=float(t0),
         Miz=MatrixPath(grid, Miz), M0z=MatrixPath(grid, Phi1_t0 - Miz),
         Mig=MatrixPath(grid, Mig), M0g=MatrixPath(grid, M0g),
     )

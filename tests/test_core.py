@@ -106,6 +106,12 @@ def test_existence_bound_satisfied_for_weak_coupling(params, grid):
     assert out["satisfied"] is True
 
 
+def test_existence_check_runs_where_A_is_zero():
+    # S1 has A = 0, so the step map expm(A dt) is that of a zero matrix
+    p = s1_params()
+    assert np.isfinite(existence_check(p, p.default_grid(100))["lhs"])
+
+
 def test_existence_check_rejects_degenerate_split(params, grid):
     # Q_I = Q = 0 leaves the running split Qp = Q_I + Q singular
     zero = np.zeros((2, 2))

@@ -9,9 +9,10 @@ this file as a script:
     PYTHONPATH=src python3 tests/test_gates.py
 
 The order table solves the Riccati bundle and everything built on it at
-K = 100, 200 and 400 steps and checks each object's error against
-K = 3200 steps: P1 and P0 are exact, and every RK4 object is second order
-in the step, since half_nodes averages node values for the midpoints.
+K = 100, 200 and 400 steps, on the digest's two parameter sets and on an
+n = 4, d = 3 set, and checks each object's error against K = 3200 steps:
+P1 and P0 are exact, and every RK4 object is second order in the step,
+since half_nodes averages node values for the midpoints.
 """
 
 import difflib
@@ -24,6 +25,7 @@ import sys
 import numpy as np
 import pytest
 
+from mfg_errsim.params import SystemParams
 from mfg_errsim.riccati import RiccatiBundle
 from mfg_errsim.scenario import validate_config
 
@@ -70,12 +72,31 @@ ORDERS = {"P1": None, "P0": None, **dict.fromkeys(
 STEPS, REF_STEPS = (100, 200, 400), 3200
 
 
-@pytest.mark.parametrize("fixture", ["p6", "mixed"])
+def _n4_params():
+    """A non-commuting set with n = 4 and d = 3, kept out of the digest's
+    fixtures so the digest does not grow."""
+    rng = np.random.default_rng(0)
+    A = -np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    B = 0.5 * rng.standard_normal((4, 3))
+    C = 0.3 * rng.standard_normal((4, 4))
+    F = 0.2 * rng.standard_normal((4, 3))
+    M = rng.standard_normal((3, 3))
+    Gamma = 0.4 * rng.standard_normal((4, 4))
+    I, s, zero = np.eye(4), np.full(4, 0.3), np.zeros(4)
+    return SystemParams(A=A, B=B, C=C, F=F, D=0.05 * I, Q_I=I, Q=I, Qbar_I=I, Qbar=I,
+                        R=M @ M.T + 3.0 * np.eye(3), Gamma=Gamma, Gammabar=Gamma,
+                        eta=zero, etabar=zero, s=s, sbar=s, T=2.0)
+
+
+@pytest.mark.parametrize("fixture", ["p6", "mixed", "n4"])
 def test_every_solved_object_has_its_claimed_order(fixture):
-    doc = runpy.run_path(TOOL)["FIXTURES"][fixture]
+    if fixture == "n4":
+        params = _n4_params()
+    else:
+        doc = runpy.run_path(TOOL)["FIXTURES"][fixture]
+        params = validate_config(dict(doc, mode="predict")).params
     solved = {}
     for K in STEPS + (REF_STEPS,):
-        params = validate_config(dict(doc, mode="predict", grid_steps=K)).params
         bundle = RiccatiBundle.solve(params, params.default_grid(K))
         solved[K] = {name: np.asarray(getattr(getattr(bundle, name), "values",
                                               getattr(bundle, name)))

@@ -475,8 +475,12 @@ def _random_matrices(seed, norms):
 
 
 def test_expm_matches_scipy():
-    # up to 1-norm 2 every Pade degree runs unscaled; there scipy's own
-    # error is below 1e-15
+    # up to 1-norm 2 the approximant runs unscaled; there scipy's own error
+    # is below 1e-15.  A zero matrix, of 1-norm 0, runs unscaled too, with
+    # no log2(0) warning, and gives I to one rounding of LAPACK's solve
+    for n in (1, 2, 4):
+        npt.assert_allclose(ode_expm(np.zeros((n, n))), np.eye(n), rtol=0,
+                            atol=np.finfo(float).eps)
     for A, _ in _random_matrices(4, np.logspace(-4, np.log10(2.0), 40)):
         ref = expm(A)
         assert np.linalg.norm(ode_expm(A) - ref) <= 1e-14 * np.linalg.norm(ref)

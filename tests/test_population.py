@@ -437,6 +437,9 @@ def test_a_run_whose_bound_fails_on_finite_states_is_redone_with_paths(monkeypat
         assert np.isfinite(xs).all() and np.abs(xs).max() > population._STATE_BOUND
         npt.assert_array_equal(res.x_N.values, x_sum / 7)
         npt.assert_array_equal(res.u_N.values, u_sum / 7)
+        # the result keeps the paths run's paths: reading them steps no agent
+        npt.assert_array_equal(res.xs, xs)
+        assert calls == [(7, False), (7, True)]
 
 
 def test_a_realtime_mean_that_overflows_names_its_node():

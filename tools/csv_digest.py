@@ -35,11 +35,10 @@ with agent 3's trace read before the paths; ``PopulationResult.replay``
 of agent 3; ``epsilon_nash_gap``; and ``realtime_simulate`` with each of
 the four estimator policies at default and zero noise.  The realtime
 kernels are Mig_diag and M0g_diag.  ``--against`` runs the script against
-an older checkout that has these calls and kernel fields (it forms the
-residual path with either form of ``residual_path``, given the bundle or
-params and P1); for one that has not (one with ``replay_agent``, or
-kernels that keep Phi1_inv and V), run each tree's own script and compare
-the two digest listings.
+an older checkout that has these calls and kernel fields; for one that has
+not (one with ``replay_agent``, kernels that keep Phi1_inv and V, or a
+``residual_path`` that takes params and P1), run each tree's own script
+and compare the two digest listings.
 
 Each mode also runs a second time in the same process, into another
 directory, and a last line per fixture and mode reads ``rerun same`` when
@@ -148,10 +147,7 @@ def array_outputs(fixture, fdoc):
                 [mf_late.z.values, mf_late.ubar.values]))
     t0 = MODES["correct"]["t0"]
     Ob = run.observable()
-    try:
-        Ob1 = residual_path(Ob, run.mf_i.z, run.g_i, bundle)
-    except TypeError:   # a tree whose residual_path takes params and P1
-        Ob1 = residual_path(Ob, run.mf_i.z, run.g_i, params, bundle.P1)
+    Ob1 = residual_path(Ob, run.mf_i.z, run.g_i, bundle)
     problem = build_correction_problem(maps, Ob1, t0, run.mf_i.z.at(t0))
     out += [(f"{fixture}/correction/{name}", [getattr(problem, name)])
             for name in ("stacked_K", "stacked_Ob1")]
