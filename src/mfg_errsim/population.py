@@ -1,40 +1,37 @@
 """Finite-N agent population simulation (Euler-Maruyama).
 
-Each agent owns two dedicated RNG streams derived from (seed, agent_id): one
-for initial sampling and one for dynamics noise.  This makes every result
-independent of iteration order and thread count, and lets a single agent's
-trajectory be replayed bit-for-bit against different mean-field inputs.
-Agent i's stream of a purpose is the PCG64 stream of
-SeedSequence(entropy=seed, spawn_key=(purpose, i)), but _agent_rngs seeds
-the streams of many agents in one pass: the agents share the SeedSequence
-pool of (seed, purpose), and only the mixing-in of the agent id and the
-output hash of generate_state, a few uint32 multiplies and shifts, run over
-the agent axis, so each PCG64 receives the same four words as from its own
-SeedSequence, for a fraction of the cost.
+Each agent owns two RNG streams derived from (seed, agent_id), one for
+initial sampling and one for dynamics noise, and a run one derived from
+seed, so every result is independent of iteration order and thread count,
+and an agent's trajectory replays bit for bit against other mean-field
+inputs.  Agent i's stream of a purpose is the PCG64 stream of
+SeedSequence(entropy=seed, spawn_key=(purpose, i)), which _agent_rngs
+seeds for many agents in one pass.
 
 A law is affine in the state: agent i's control at node k is
 
     u = gain[k] x + offset[k] + error_gain[k] E_i
 
-with node arrays gain (K+1, d, n) = -R^-1 B' P1 and offset (K+1, d), and
-error_gain (K+1, d, n) or None for a law every agent plays alike.  A law
-carries them with P1, its errors (N, n) when it has an error gain, and its
-grid, on which the run takes place.  An Euler-Maruyama step is then an
-affine map of each agent's state whose matrix I + dt agent_generator(P1) all
-agents share, so _step_agents, the one stepping routine here, sweeps each
-noise block's step maps up once and prefix-scans shared columns against
-them instead of stepping node by node.  realtime_simulate, whose controls
-come from an estimator policy at each node, steps node by node with this
-module's _noise_matrix, _noise_blocks, _drift and agent_sum.
+with node arrays gain (K+1, d, n) = -R^-1 B' P1, offset (K+1, d) and
+error_gain (K+1, d, n), or None for a law every agent plays alike; a law
+carries them with P1, its errors (N, n) and its grid, on which the run
+takes place.  Every agent's step then has the matrix I + dt
+agent_generator(P1), so _step_agents, the one stepping routine here, sweeps
+each block's step maps up once and prefix-scans shared columns against
+them.  realtime_simulate, whose controls come from an estimator policy at
+each node, steps node by node with _noise_matrix, _noise_blocks, _drift and
+agent_sum.
 
-A run keeps node arrays, not paths.  The step being affine, a block's node
-sums follow from the sum of the agents' rows [x | 1 | E_i] at its first
-node, itself the last node sum, and the agents' summed noise, so simulate
-forms no agent's state and holds O(N) memory beyond its (K+1, .) node
-arrays; a run whose norm bound, one scalar, cannot show the states finite
-is redone once with paths (O(N K) memory, for states near the largest
-double).  Its result builds the paths when they are read (see
-PopulationResult).
+A run keeps node arrays, not paths: the step being affine, a block's node
+sums follow from the agents' summed rows [x | 1 | E_i] at its first node
+and their summed noise S_k, so simulate forms no agent's state and holds
+O(N) memory beyond its (K+1, .) node arrays (a run whose norm bound cannot
+show the states finite is redone once with paths).  The run draws S_k =
+sqrt(N) g_k, K n normals of its own stream, and agent i steps with n_ik -
+nbar_k + S_k / N, its own stream's draw less the agents' mean plus the
+run's share: the mean of iid Gaussians is independent of the deviations
+from it, so these are N iid standard normals per node (S_k itself at
+N = 1), and agent streams are drawn only for paths (see PopulationResult).
 """
 
 from __future__ import annotations
@@ -56,13 +53,16 @@ from .riccati import agent_generator, mf_generator
 
 _SAMPLING = 0
 _DYNAMICS = 1
-# nodes of dynamics noise drawn per refill of the noise buffer, and nodes per
-# block of simulate's scans
+_RUN = 2   # the run's stream of its agents' noise sums, spawn key (_RUN,)
+# nodes per block of simulate's scans and per refill of a noise buffer
 _NOISE_BLOCK = 128
 # column chunks of the agents' noise per block scan (see _step_agents)
 _NOISE_CHUNKS = 4
 # a run without paths is redone with paths where its states' norm bound passes this
 _STATE_BOUND = np.finfo(float).max / 2
+# |standard_normal| < 13.71: numpy's ziggurat tail is r - log1p(-u) / r with
+# r = 3.6541528853610088 and u <= 1 - 2**-53, at most r + 53 ln 2 / r = 13.7076
+_NORMAL_MAX = 13.71
 
 
 # numpy's SeedSequence constants: the hash multipliers of its pool mixing
@@ -91,14 +91,13 @@ def _xshift(v):
 
 def _agent_rngs(seed: int, ids, purpose: int) -> list:
     """The generators Generator(PCG64(SeedSequence(entropy=seed,
-    spawn_key=(purpose, i)))) of the agents i in ids, seeded in one pass.
-
-    The spawn key's words (purpose, i) come last in a SeedSequence's
-    entropy, so the pool of SeedSequence(entropy=seed, spawn_key=(purpose,))
-    is every agent's pool before i is mixed in: i is hashed into each of the
-    four pool words (the hash multiplier advanced past the 4 + 12 + 4 (w -
-    3) hashes of the w >= 4 seed words and the purpose), and generate_state
-    hashes the pool out to eight uint32 words, both over the agent axis.
+    spawn_key=(purpose, i)))) of the agents i in ids, seeded in one pass:
+    the spawn key's words come last in the entropy, so the pool of
+    SeedSequence(entropy=seed, spawn_key=(purpose,)) is every agent's before
+    i is hashed into its four words (the hash multiplier advanced past the
+    4 + 12 + 4 (w - 3) hashes of the w >= 4 seed words and the purpose), and
+    generate_state hashes it out to eight uint32 words, over the agent axis,
+    a few uint32 multiplies and shifts in place of a SeedSequence per agent.
     numpy validates seed, a non-negative integer of any width; every id is
     below 2**32, one entropy word.
     """
@@ -144,10 +143,9 @@ def _cov_factor(cov, name, n):
 
 def _agent_rows(params, population, law=None):
     """The initial states x0 and errors E_i of population, a sequence of
-    (x0, E_i) pairs, as two (N, n) arrays.  Raises PopulationError unless
-    the population has an agent, every x0 and E_i is n = params.n finite
-    numbers and law, if it has an error gain, holds the (N, n) errors of
-    the population's N agents."""
+    (x0, E_i) pairs, as two (N, n) arrays; PopulationError unless it has an
+    agent, every x0 and E_i is n = params.n finite numbers and law, if it
+    has an error gain, holds the population's (N, n) errors."""
     N, n = len(population), params.n
     if N < 1:
         raise PopulationError("a population needs at least one agent, got 0")
@@ -175,11 +173,8 @@ def _agent_rows(params, population, law=None):
 
 @dataclass
 class AgentTrace:
-    """Realized path of one agent of a PopulationResult.
-
-    The drift, kept for validation, is read from the result's drifts, which
-    are derived from the states and controls on first read.
-    """
+    """Realized path of one agent of a PopulationResult; its drift is a
+    view of the result's drifts, derived on first read."""
 
     agent_id: int
     x: VectorPath
@@ -196,21 +191,19 @@ class PopulationResult:
     """Realized paths of N agents; entry [k, i] of xs, us and drifts is
     agent i at node k.
 
-    The run keeps node arrays only: the node means x_N and u_N, formed by
-    linearity from the agents' summed rows and noise (see _step_agents), so
-    numpy's mean of xs and us to rounding, and coupling, the pair of
-    (K+1, n) and (K+1, d) node arrays (mf_x, mf_u) the run stepped with,
-    that is the population's mean state and control as the run's mean scan
-    gives them under empirical coupling, else the prescribed (z, ubar)
-    arrays, kept by reference.  Its agents' paths take O(N K) memory, so the
-    first read of xs or us reruns the run with paths under the recorded
-    coupling, with the run's law, x0, seed and D, and caches both (a run
-    simulate redid with paths keeps that run's): that gives the paths bit
-    for bit whenever they are built, and before that trace(i) steps agent i
-    alone the same way, as replay(i, ...) does under another law and
-    coupling.  The first read of drifts derives every node's drift
-    A x + B u + C mf_x + F mf_u from xs[k], us[k] and the coupling, and
-    caches it.
+    The run keeps node arrays only: the node means x_N and u_N, numpy's mean
+    of xs and us to rounding (see _step_agents), and coupling, the (K+1, n)
+    and (K+1, d) node arrays (mf_x, mf_u) it stepped with, the population's
+    mean state and control under empirical coupling, else the prescribed
+    (z, ubar) arrays, kept by reference.  The first read of xs or us reruns
+    the run with paths (O(N K) memory) under the recorded coupling, with the
+    run's law, x0, seed and D, and caches both (a run simulate redid with
+    paths keeps that run's), the same bits whenever they are built.  Before
+    that trace(i) steps agent i alone the same way, as replay(i, ...) does
+    under another law and coupling, with the agents' mean noise that the
+    first such read caches, (K, n), from one pass over their streams.  The
+    first read of drifts derives A x + B u + C mf_x + F mf_u at every node
+    from xs, us and the coupling, and caches it.
     """
 
     params: SystemParams
@@ -224,15 +217,26 @@ class PopulationResult:
     seed: int
     D: object
 
-    def _rerun(self, a, b, law=None, coupling=None):
-        """Paths (xs, us) of the agents a..b-1 from their x0, with the run's
-        seed and D, under law and coupling, the run's own unless given."""
-        return _step_agents(law or self.law, self.x0[a:b], range(a, b),
-                            coupling or self.coupling, self.seed, self.D, paths=True)[-1]
+    def _rerun(self, i=None, law=None, coupling=None):
+        """Paths (xs, us) of every agent, or (x, u) of agent i alone, from x0
+        with the run's noise, under law and coupling, the run's own unless given."""
+        N = len(self.x0)
+        rows = range(N) if i is None else range(i, i + 1)
+        xs, us = _step_agents(law or self.law, self.x0[rows], rows, coupling or self.coupling,
+                              self.seed, self.D, paths=True,
+                              population=None if i is None else (N, self._nbar))[-1]
+        return (xs, us) if i is None else (xs[:, 0], us[:, 0])
+
+    @cached_property
+    def _nbar(self):
+        """The agents' mean noise (K, n) as a run with paths takes it, or None."""
+        if not np.allclose(_noise_matrix(self.params, self.D), 0.0):
+            blocks = _noise_blocks(self.seed, range(len(self.x0)), self.grid.steps, self.params.n)
+            return np.concatenate([_noise_mean(noise) for noise in blocks])
 
     @cached_property
     def _paths(self):
-        return self._rerun(0, len(self.x0))
+        return self._rerun()
 
     @property
     def xs(self) -> np.ndarray:
@@ -257,18 +261,14 @@ class PopulationResult:
     def trace(self, i: int) -> AgentTrace:
         """Agent i's paths: views of xs and us once built, else a lone run."""
         i = range(len(self.errors))[i]
-        if "_paths" in vars(self):
-            x, u = self.xs[:, i], self.us[:, i]
-        else:
-            xs, us = self._rerun(i, i + 1)
-            x, u = xs[:, 0], us[:, 0]
+        x, u = (self.xs[:, i], self.us[:, i]) if "_paths" in vars(self) else self._rerun(i)
         return AgentTrace(agent_id=i, x=VectorPath(self.grid, x), u=VectorPath(self.grid, u),
                           result=self)
 
     def replay(self, i: int, law, z_path: VectorPath, ubar_path: VectorPath):
         """Agent i's paths (x, u) under law against prescribed mean-field
-        paths, from its x0 with its own dynamics noise stream (under the
-        run's law and coupling, its trace bit for bit).  law must be of the
+        paths, from its x0 with its noise in the run (under the run's law
+        and coupling, its trace bit for bit).  law must be of the
         run's parameter set (ParamsMismatchError) and grid (GridMismatchError),
         and hold the errors of the run's agents if it has an error gain
         (PopulationError, see _agent_rows)."""
@@ -276,8 +276,8 @@ class PopulationResult:
         grid = require_same_grid(self, law, z_path, ubar_path)
         i = range(len(self.x0))[i]
         _agent_rows(self.params, list(zip(self.x0, self.errors)), law)
-        xs, us = self._rerun(i, i + 1, law, (z_path.values, ubar_path.values))
-        return VectorPath(grid, xs[:, 0]), VectorPath(grid, us[:, 0])
+        x, u = self._rerun(i, law, (z_path.values, ubar_path.values))
+        return VectorPath(grid, x), VectorPath(grid, u)
 
     @property
     def traces(self) -> Sequence:
@@ -330,11 +330,8 @@ def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
 @dataclass
 class OffsetFamilyLaw(FeedbackLaw):
     """Affine laws sharing P1 but with per-agent offsets g_i = g + Mg E_i,
-    so agent i's control adds error_gain E_i, error_gain = -R^-1 B' Mg.
-
-    errors holds the E_i of the agents in order; simulate steps every agent
-    in one pass, which keeps heterogeneous-error simulations linear in N.
-    """
+    so agent i's control adds error_gain E_i, error_gain = -R^-1 B' Mg;
+    errors holds the E_i of the agents in order."""
 
     Mg: MatrixPath
     errors: np.ndarray
@@ -349,13 +346,10 @@ class OffsetFamilyLaw(FeedbackLaw):
 
 
 def agent_sum(a):
-    """Sum over the agent axis of a (..., N, n) array, bitwise a.sum(axis=-2).
-
-    For n > 1 numpy's sum adds the agents one after the other, and einsum
-    gives the same bits about four times faster (at N = 2000, numpy 2.4,
-    2-vCPU x86-64).  For n = 1 the agent axis is contiguous and numpy sums
-    it pairwise, which einsum does not, so that case keeps numpy's sum.
-    """
+    """Sum over the agent axis of a (..., N, n) array, bitwise a.sum(axis=-2):
+    for n > 1 numpy adds the agents one after the other, as einsum does about
+    four times faster (N = 2000, numpy 2.4, 2-vCPU x86-64); for n = 1 numpy
+    sums the contiguous agent axis pairwise, which einsum does not."""
     if a.shape[-1] == 1:
         return a.sum(axis=-2)
     return np.einsum("...ij->...j", a)
@@ -397,9 +391,8 @@ def _noise_matrix(params, D):
 def _noise_blocks(seed, ids, K, n):
     """Dynamics noise of the agents ids for steps 0..K-1: per block of
     m <= _NOISE_BLOCK steps, an (N, m, n) view of one agent-major buffer
-    whose row i agent ids[i]'s stream, kept for the run, fills with its
-    next m n normals, the numbers of one (K, n) draw.  (A node-major buffer
-    reads contiguously, but filling it scatters each stream's draws.)"""
+    whose row i agent ids[i]'s stream fills with its next m n normals, the
+    numbers of one (K, n) draw (filling a node-major one scatters them)."""
     rngs = _agent_rngs(seed, ids, _DYNAMICS)
     noise = np.empty((len(rngs), min(_NOISE_BLOCK, K), n))
     for k0 in range(0, K, _NOISE_BLOCK):
@@ -409,60 +402,61 @@ def _noise_blocks(seed, ids, K, n):
         yield noise[:, :m]
 
 
+def _noise_mean(noise):
+    """The agents' mean (m, n) of a block (N, m, n) of _noise_blocks."""
+    return noise.sum(axis=0) / len(noise)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
+def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
     """Euler-Maruyama run of the agents ids from the rows of x0 (N, n)
-    under the affine law and its parameters (see the module docstring).
-    Returns the node sums (K+1, n) and (K+1, d) of the states and controls,
-    the coupling (mf_x, mf_u) the run stepped with (the prescribed node
-    arrays coupling or, for coupling None, the population means) and, for
-    paths True, the paths xs (K+1, N, n) and us (K+1, N, d), else None; or
-    None alone where a run without paths cannot show its states finite.  D
-    is as in _noise_matrix.
+    under the affine law, D as in _noise_matrix.  Returns the node sums
+    (K+1, n) and (K+1, d) of the states and controls, the coupling (mf_x,
+    mf_u) it stepped with (coupling, or for None the population means) and
+    for paths True the paths xs (K+1, N, n) and us (K+1, N, d), else None;
+    or None alone where a run without paths cannot show its states finite.
+    population = (N_pop, nbar) steps, with paths, the one agent ids[0] of
+    N_pop agents of mean noise nbar (K, n) (None without noise), and its
+    node sums are its own path.
 
-    Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n_ik,
-    with T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k +
-    C mf_x_k + F mf_u_k) the same for every agent, W the error gain and
-    n_ik the agent's noise (_noise_blocks).  Per block of _NOISE_BLOCK
-    steps from node k0, ode._up_sweep takes the block's T_k up once, and
-    every scan of the block is an ode._scan of columns against those levels:
+    Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n'_ik,
+    T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k + C mf_x_k
+    + F mf_u_k) the same for every agent, W the error gain and n'_ik =
+    n_ik - nbar_k + S_k / N_pop.  Per block of _NOISE_BLOCK steps from node
+    k0, ode._up_sweep takes the T_k up once, and each ode._scan of the block
+    scans columns against those levels:
 
-    - under empirical coupling the mean state steps by
-      m -> M_k m + dt (B+F) vbar_k + sqrt(dt) D nbar_k, M_k = I + dt
-      mf_generator(P1)_k swept up once too, vbar and nbar the agents' mean
-      offset and noise: the scan of the columns [M_k0 | b_k] (the first n
-      columns zero after the first step) gives [P_j | C_j], the block's
-      mf_x is P_j m_k0 + C_j, and mf_u = gain mf_x + vbar, before any
-      agent is stepped;
-    - the scan of the columns [T_k0 | f_k | dt B W_k] (likewise) gives
-      [P_j | c_j | CE_j], so agent i's state at node k0 + j + 1 is
-      z_i [P_j | c_j | CE_j]' plus its noise part, with z_i = [x_k0 | 1 |
-      E_i], and its control there is z_i U_j, U_j = [P_j | c_j | CE_j]'
-      gain' + [0 | offset | W]' at that node, plus the noise part times
-      gain';
-    - the step is affine, so the block's node sums are (sum_i z_i)
-      [P_j | c_j | CE_j]' and (sum_i z_i) U_j, plus, under noise, the scan
-      of the one column sqrt(dt) D sum_i n_ik and its product with gain'.
+    - under empirical coupling, those of the mean's step m -> M_k m + dt
+      (B+F) vbar_k + sqrt(dt) D S_k / N, M_k = I + dt mf_generator(P1)_k
+      swept up too and vbar the mean offset: [M_k0 | b_k] (the first n
+      columns zero after the first step) gives [P_j | C_j], so mf_x = P_j
+      m_k0 + C_j and mf_u = gain mf_x + vbar;
+    - [T_k0 | f_k | dt B W_k] (likewise) gives [P_j | c_j | CE_j]: agent
+      i's state at node k0 + j + 1 is z_i [P_j | c_j | CE_j]', z_i = [x_k0 |
+      1 | E_i], and its control z_i U_j, U_j = [P_j | c_j | CE_j]' gain' +
+      [0 | offset | W]', each plus its noise part;
+    - the block's node sums are (sum_i z_i) times those, plus under noise
+      the scan of sqrt(dt) D S_k and its product with gain'.
 
     Without paths the next block starts from the summed row [x_sum_k1 | N |
-    sum_i E_i] (a lone agent from its own row), and no agent's state is
-    formed.  With |z_i| <= zmax, a block's states are at most bound = zmax
-    max_j |[P_j | c_j | CE_j]| plus a bound on their noise part, the run
-    returns None once bound reaches _STATE_BOUND, and else the next block
-    takes zmax = max(zmax, bound).
+    sum_i E_i] (a lone agent from its own row): no agent's state is formed
+    nor its noise drawn.  With |z_i| <= zmax a block's states are at most
+    bound = zmax max_j |[P_j | c_j | CE_j]| plus the noise part's bound, by
+    |n'_ik| <= 2 _NORMAL_MAX + |S_k| / N; the run returns None once bound
+    reaches _STATE_BOUND, else the next block takes zmax = max(zmax, bound).
 
     With paths, each block's states and controls are written out node by
-    node, for all agents or a chunk at once, their noise part the scan of
-    the chunk's noise columns sqrt(dt) D n_k; the next block starts from
-    the rows of the last node.  No step map is inverted, and no product of
-    a written block mixes two agents' rows or columns, so under prescribed
-    coupling an agent's bits do not depend on the others, and a run with
-    paths True against an earlier run's coupling gives its paths bit for
-    bit.  A non-finite state raises IntegrationBlowupError naming the first
-    such node and its first agent.  Under empirical coupling a mean of x0
-    that overflows raises it at node 0; otherwise a node sum that overflows
-    on finite states is returned as it is.
+    node, for all agents or a chunk at once, the noise part the scan of the
+    chunk's columns sqrt(dt) D n'_k, and the next block starts from the last
+    node's rows.  No step map is inverted, and no product of a written block
+    mixes two agents, so under prescribed coupling an agent's bits are fixed
+    by its row, its stream, nbar and S, and a run with paths against an
+    earlier run's coupling gives its paths bit for bit.  A non-finite state
+    raises IntegrationBlowupError naming its first node and agent, as under
+    empirical coupling does a mean of x0 that overflows, at node 0; a node
+    sum that overflows on finite states is returned as it is.
     """
+    N_pop, nbar = (len(x0), None) if population is None else population
     lone = len(x0) == 1
     if lone:
         # a lone agent steps beside a copy of itself: numpy multiplies a
@@ -475,7 +469,9 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
     D = _noise_matrix(params, D)
     noisy = not np.allclose(D, 0.0)
     if noisy:
-        blocks = _noise_blocks(seed, ids, K, n)
+        # the node sums' g, block by block the numbers of one (K, n) draw
+        run = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_RUN,)))
+        blocks = _noise_blocks(seed, ids, K, n) if paths else None
         sqdtD = np.sqrt(dt) * D
     # a noisy block's paths scan the agents' noise in _NOISE_CHUNKS near-equal
     # chunks of two agents or more, whose scan transients stay near the buffer's size
@@ -513,15 +509,18 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
         hi = k1 + 1 if k1 == K else k1   # nodes k0..hi-1 take their controls here
         levels = _up_sweep(eye + dt * agent_generator(params, P1[k0:k1]))
         if noisy:
-            noise = next(blocks)
-            noise_sum = noise.sum(axis=0)
+            S = np.sqrt(N_pop) * run.standard_normal((m, n))
+            if paths:
+                noise = next(blocks)
+                noise -= _noise_mean(noise) if population is None else nbar[k0:k1]
+                noise += S / N_pop
         if coupling is None:
             mean_levels = _up_sweep(eye + dt * mf_generator(params, P1[k0:k1]))
             cols = np.zeros((m, n, n + 1))
             cols[0, :, :n] = mean_levels[0][0]
             cols[:, :, n] = dt * (vbar[k0:k1] @ (B + F).T)
             if noisy:
-                cols[:, :, n] += (noise_sum / N) @ sqdtD.T
+                cols[:, :, n] += (S / N_pop) @ sqdtD.T
             PC = _scan(mean_levels, cols)
             mf_x[k0 + 1:k1 + 1] = PC[:, :, :n] @ mf_x[k0] + PC[:, :, n]
             mf_u[k0:hi] = (gain[k0:hi] @ mf_x[k0:hi, :, None])[..., 0] + vbar[k0:hi]
@@ -543,17 +542,18 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False):
         x_sum[k0 + 1:k1 + 1] = z_sum @ PT
         u_sum[k0:hi] = z_sum @ U
         if noisy:
-            dx = _scan(levels, ((noise[0] if lone else noise_sum) @ sqdtD.T)[..., None])[..., 0]
+            own = S if population is None else noise[0]
+            dx = _scan(levels, (own @ sqdtD.T)[..., None])[..., 0]
             x_sum[k0 + 1:k1 + 1] += dx
             u_sum[k0 + 1:hi] += (dx[:hi - k0 - 1, None] @ gainT)[:, 0]
         if not paths:
-            # the noise part is at most m |T|^(m-1) |sqrt(dt) D| max |n|
+            # the noise part is at most m |T|^(m-1) |sqrt(dt) D| max |n'|
             # (infinity norms, |T| >= 1 the block's largest)
             bound = zmax * np.abs(PT).sum(axis=1).max()
             if noisy:
                 tau = np.maximum(1.0, np.abs(levels[0]).sum(axis=2).max())
                 bound += (m * tau ** (m - 1) * np.abs(sqdtD).sum(axis=1).max()
-                          * max(noise.max(), -noise.min()))
+                          * (2 * _NORMAL_MAX + np.abs(S).max() / N_pop))
             if not bound < _STATE_BOUND:
                 return None
             zmax = max(zmax, bound)
@@ -618,19 +618,16 @@ def simulate(
     """Euler-Maruyama integration of N agents who all play law.
 
     population is a sequence of N >= 1 pairs (x0, E_i) of width n (see
-    _agent_rows).  law is an affine law (see the module docstring) and
-    carries its grid, on which the run takes place (grid, if given, must be
-    the same).  mf_coupling is "empirical" (start-of-step population
-    averages) or a (z_path, ubar_path) pair of prescribed mean-field paths
-    on that grid (PopulationError otherwise).  D overrides the noise matrix
-    (see _noise_matrix).  The agents are stepped a block of nodes at a time
-    by prefix scans (see _step_agents), and the result keeps the node
-    arrays, building the paths when they are read.  A run whose norm bound
-    cannot show its states finite is redone once with paths, whose node
-    sums and paths it keeps.  params must be the law's parameter set
-    (ParamsMismatchError otherwise).  A non-finite state, or a node mean of
-    finite states or controls that overflows, raises IntegrationBlowupError
-    naming the node.
+    _agent_rows); law, an affine law of the parameter set params
+    (ParamsMismatchError otherwise), carries its grid, on which the run
+    takes place (grid, if given, must be the same).  mf_coupling is
+    "empirical" (start-of-step population averages) or a (z_path, ubar_path)
+    pair of prescribed mean-field paths on that grid (PopulationError
+    otherwise); D overrides the noise matrix (see _noise_matrix).  The result
+    keeps the node arrays (see _step_agents, PopulationResult), or those and
+    the paths of a run redone with paths where the norm bound cannot show
+    the states finite.  A non-finite state, or a node mean of finite states or controls
+    that overflows, raises IntegrationBlowupError naming the node.
     """
     require_same_params(params, law, "law")
     paths = _prescribed(params, mf_coupling)
@@ -645,8 +642,10 @@ def simulate(
     bad = np.flatnonzero(~(finite & np.isfinite(u_sum).all(axis=1)))
     if len(bad):
         raise _mean_overflow(grid, bad[0], "states" if not finite[bad[0]] else "controls")
+    # the node means in place of the sums, which the run holds no copy of
     res = PopulationResult(params=params, grid=grid, errors=errors,
-                           x_N=VectorPath(grid, x_sum / N), u_N=VectorPath(grid, u_sum / N),
+                           x_N=VectorPath(grid, np.divide(x_sum, N, out=x_sum)),
+                           u_N=VectorPath(grid, np.divide(u_sum, N, out=u_sum)),
                            coupling=coupling, law=law, x0=x0, seed=seed, D=D)
     if built is not None:
         res._paths = built   # the fallback run's, the rerun's bit for bit

@@ -32,7 +32,7 @@ from mfg_errsim.realtime import (
     realtime_simulate,
     truth_policy,
 )
-from mfg_errsim.riccati import RiccatiBundle, agent_generator, control
+from mfg_errsim.riccati import RiccatiBundle, agent_generator, control, mf_generator
 from mfg_errsim import population
 from mfg_errsim.population import (
     _DYNAMICS,
@@ -62,6 +62,13 @@ def _stream(seed, i, purpose=_DYNAMICS):
     """Agent i's stream of a purpose from its own SeedSequence: the oracle
     for population._agent_rngs, which seeds many agents in one pass."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, i))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def _run_stream(seed):
+    """The run's stream, whose normals g_k give the node sums sqrt(N) g_k
+    of its agents' noise."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(2,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -475,9 +482,20 @@ def test_a_non_finite_control_names_the_agent_and_the_next_node():
     assert ei.value.node == 6 and ei.value.time == law.grid.times[6]
 
 
-def _one_draw_run(p, pop, law, coupling, seed, D=None):
-    """Reference Euler-Maruyama loop: every agent's whole dynamics noise
-    stream drawn at once into an (N, K, n) array, the drift stored at every
+def _one_draw_noise(seed, N, K, n):
+    """Every agent's noise n_ik - nbar_k + S_k / N, (N, K, n): its whole
+    dynamics stream and the run's sum stream S = sqrt(N) g each drawn at
+    once, nbar the agents' mean."""
+    noise = np.empty((N, K, n))
+    for i in range(N):
+        _stream(seed, i).standard_normal(out=noise[i])
+    S = np.sqrt(N) * _run_stream(seed).standard_normal((K, n))
+    return noise - noise.mean(axis=0) + S / N
+
+
+def _one_draw_run(p, pop, law, coupling, seed, D=None, noise=None):
+    """Reference Euler-Maruyama loop: every agent's noise (N, K, n) drawn
+    at once (_one_draw_noise, unless given), the drift stored at every
     node.  Returns (xs, us, drifts)."""
     x = np.array([x0 for x0, _ in pop])
     N, n = x.shape
@@ -485,9 +503,8 @@ def _one_draw_run(p, pop, law, coupling, seed, D=None):
     K, dt = grid.steps, grid.dt
     D = p.D if D is None else np.eye(n) * D
     At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (p.A, p.B, D))
-    noise = np.empty((N, K, n))
-    for i in range(N):
-        _stream(seed, i).standard_normal(out=noise[i])
+    if noise is None:
+        noise = _one_draw_noise(seed, N, K, n)
     control_at = _control_at(law)
     xs, us, drifts = [], [], []
     for k in range(K + 1):
@@ -565,18 +582,101 @@ def test_a_stiff_run_at_the_euler_edge_matches_the_one_draw_loop():
 
 
 @pytest.mark.parametrize("D", [None, 0.0])
-def test_an_agent_of_a_prescribed_run_does_not_depend_on_the_others(D):
-    # a lone agent, and agents in other chunks and chunk positions
+def test_an_agent_of_a_prescribed_run_is_fixed_by_its_stream_and_the_noise_sums(D):
+    # under prescribed coupling agent i's bits depend on the others only
+    # through the mean nbar of their noise streams and the run's sums S: not
+    # on their states, in other chunks and chunk positions; without noise
+    # not on them at all
     p, law, fam, pop = _family(3, 2, 300, 2 * _NOISE_BLOCK + 3)
     _, paths = _couplings(law, 3, 2)[1]
+    moved = [(x0 + 1.0, E) for x0, E in pop]
     for many in (law, fam):
         r300 = simulate(p, pop, many, mf_coupling=paths, seed=5, D=D)
+        for i in (0, 8, 150, 299):
+            other = moved[:i] + [pop[i]] + moved[i + 1:]
+            res = simulate(p, other, many, mf_coupling=paths, seed=5, D=D)
+            npt.assert_array_equal(res.xs[:, i], r300.xs[:, i])
+            npt.assert_array_equal(res.us[:, i], r300.us[:, i])
         for N in (1, 9, 151):
             few = many if many is law else OffsetFamilyLaw(
                 p, fam.P1, fam.g, fam.Mg, fam.errors[:N])
             res = simulate(p, pop[:N], few, mf_coupling=paths, seed=5, D=D)
-            npt.assert_array_equal(res.xs, r300.xs[:, :N])
-            npt.assert_array_equal(res.us, r300.us[:, :N])
+            # other populations, other nbar and S: the same paths only without noise
+            assert np.array_equal(res.xs, r300.xs[:, :N]) == (D == 0.0)
+            assert np.array_equal(res.us, r300.us[:, :N]) == (D == 0.0)
+
+
+def test_a_noisy_run_of_one_agent_steps_with_the_runs_noise_sums():
+    # N = 1: the agent's noise n - nbar + S is S, the run's stream alone
+    K = 2 * _NOISE_BLOCK + 3
+    p, law, fam, pop = _family(3, 2, 1, K)
+    noise = _run_stream(5).standard_normal((1, K, 3))
+    npt.assert_array_equal(_one_draw_noise(5, 1, K, 3), noise)
+    for lw in (law, fam):
+        for coupling, paths in _couplings(law, 3, 2):
+            res = simulate(p, pop, lw, mf_coupling=paths, seed=5)
+            xs, us, _ = _one_draw_run(p, pop, lw, coupling, seed=5, noise=noise)
+            _assert_matches_the_loop(res, xs, us)
+            npt.assert_allclose(res.x_N.values, xs[:, 0], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [1, 9, 300])
+def test_a_trace_or_replay_read_before_the_paths_is_the_paths_bit_for_bit(N):
+    # a lone agent takes nbar from one pass over every agent's stream, the
+    # reduction the run with paths takes over the same blocks
+    p, law, fam, pop = _family(3, 2, N, 2 * _NOISE_BLOCK + 3)
+    for lw in (law, fam):
+        for _, paths in _couplings(law, 3, 2):
+            res = simulate(p, pop, lw, mf_coupling=paths, seed=5)
+            z, ubar = (VectorPath(res.grid, a) for a in res.coupling)
+            ids = sorted({0, N // 2, N - 1})
+            traces = [res.trace(i) for i in ids]
+            replays = [res.replay(i, lw, z, ubar) for i in ids]
+            assert "_paths" not in vars(res)
+            for i, tr, (x, u) in zip(ids, traces, replays):
+                for got in ((tr.x, tr.u), (x, u)):
+                    npt.assert_array_equal(got[0].values, res.xs[:, i])
+                    npt.assert_array_equal(got[1].values, res.us[:, i])
+
+
+def _exact_terminal_moments(p, law, pop, coupling):
+    """Mean and covariance of the terminal node mean of a noisy run, by a
+    plain loop over the Euler mean map: the mean steps under the mean
+    control, and Cov <- M Cov M' + dt D D' / N, with M = I + dt
+    mf_generator(P1) under empirical coupling and I + dt agent_generator(P1)
+    under prescribed coupling."""
+    x0 = np.array([x for x, _ in pop])
+    N, n = x0.shape
+    grid = law.grid
+    dt = grid.dt
+    control_at = _control_at(law)
+    m, cov = x0.mean(axis=0), np.zeros((n, n))
+    for k in range(grid.steps):
+        ubar = control_at(np.broadcast_to(m, (N, n)), k).mean(axis=0)
+        if coupling is None:
+            mf_x, mf_u, generator = m, ubar, mf_generator
+        else:
+            mf_x, mf_u, generator = coupling[0][k], coupling[1][k], agent_generator
+        M = np.eye(n) + dt * generator(p, law.P1[k])
+        m = m + dt * (p.A @ m + p.B @ ubar + p.C @ mf_x + p.F @ mf_u)
+        cov = M @ cov @ M.T + dt * p.D @ p.D.T / N
+    return m, cov
+
+
+def test_the_terminal_mean_has_the_exact_gaussian_moments():
+    # x_N is an affine map of (sum x0, sum E_i, g), so over seeds its
+    # terminal value is Gaussian with the Euler mean map's moments: the mean
+    # of e' Cov^-1 e over 300 seeds is within 4 sigma of n, sigma =
+    # sqrt(2 n / 300); noise sums S = g without sqrt(N) read about n / N
+    n, seeds = 3, 300
+    p, law, fam, pop = _family(n, 2, 50, 200)
+    for lw in (law, fam):
+        for coupling, paths in _couplings(law, n, 2):
+            mean, cov = _exact_terminal_moments(p, lw, pop, coupling)
+            e = np.array([simulate(p, pop, lw, mf_coupling=paths, seed=seed).x_N.terminal
+                          for seed in range(seeds)]) - mean
+            q = np.einsum("si,ij,sj->s", e, np.linalg.inv(cov), e)
+            assert abs(q.mean() - n) < 4 * np.sqrt(2 * n / seeds), q.mean()
 
 
 @pytest.mark.parametrize("n, d", [(3, 2), (1, 1)])
