@@ -1,12 +1,12 @@
 """Finite-N agent population simulation (Euler-Maruyama).
 
-Each agent owns two RNG streams derived from (seed, agent_id), one for
-initial sampling and one for dynamics noise, and a run one derived from
-seed, so every result is independent of iteration order and thread count,
-and an agent's trajectory replays bit for bit against other mean-field
-inputs.  Agent i's stream of a purpose is the PCG64 stream of
-SeedSequence(entropy=seed, spawn_key=(purpose, i)), which _agent_rngs
-seeds for many agents in one pass.
+A seed gives one numpy stream per purpose, _stream(seed, purpose): the
+PCG64 stream of SeedSequence(entropy=seed, spawn_key=(purpose,)) for
+sampling, for the agents' dynamics noise and for a run's noise sums.
+sample_population takes one (N, 2n) draw, whose row i is agent i's for
+every N > i, and the dynamics noise is one node-major (K, N, n) draw,
+filled block by block (_noise_blocks), so every result is fixed by its
+seed, whatever the iteration order and thread count.
 
 A law is affine in the state: agent i's control at node k is
 
@@ -28,21 +28,20 @@ and their summed noise S_k, so simulate forms no agent's state and holds
 O(N) memory beyond its (K+1, .) node arrays (a run whose norm bound cannot
 show the states finite is redone once with paths).  The run draws S_k =
 sqrt(N) g_k, K n normals of its own stream, and agent i steps with n_ik -
-nbar_k + S_k / N, its own stream's draw less the agents' mean plus the
-run's share: the mean of iid Gaussians is independent of the deviations
-from it, so these are N iid standard normals per node (S_k itself at
-N = 1), and agent streams are drawn only for paths (see PopulationResult).
+nbar_k + S_k / N, its entry of the dynamics draw less the agents' mean plus
+the run's share: the mean of iid Gaussians is independent of the
+deviations from it, so these are N iid standard normals per node (S_k
+itself at N = 1), and the dynamics stream is drawn only for paths (see
+PopulationResult).
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .core import FeedbackLaw
 from .errors import IntegrationBlowupError, PopulationError
@@ -51,9 +50,8 @@ from .ode import _scan, _up_sweep
 from .params import SystemParams, require_same_params
 from .riccati import agent_generator, mf_generator
 
-_SAMPLING = 0
-_DYNAMICS = 1
-_RUN = 2   # the run's stream of its agents' noise sums, spawn key (_RUN,)
+# the purposes of a seed's streams, their spawn keys (see _stream)
+_SAMPLING, _DYNAMICS, _RUN = 0, 1, 2
 # nodes per block of simulate's scans and per refill of a noise buffer
 _NOISE_BLOCK = 128
 # column chunks of the agents' noise per block scan (see _step_agents)
@@ -65,62 +63,16 @@ _STATE_BOUND = np.finfo(float).max / 2
 _NORMAL_MAX = 13.71
 
 
-# numpy's SeedSequence constants: the hash multipliers of its pool mixing
-# (A) and of generate_state (B), and the multipliers of its mix function
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+def _check_seed(seed):
+    """PopulationError unless seed is a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PopulationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-class _StateWords(ISeedSequence):
-    """Seed material that hands a bit generator words computed beforehand,
-    the generate_state(4, uint64) of a SeedSequence, which PCG64 reads."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _xshift(v):
-    v ^= v >> 16
-    return v
-
-
-def _agent_rngs(seed: int, ids, purpose: int) -> list:
-    """The generators Generator(PCG64(SeedSequence(entropy=seed,
-    spawn_key=(purpose, i)))) of the agents i in ids, seeded in one pass:
-    the spawn key's words come last in the entropy, so the pool of
-    SeedSequence(entropy=seed, spawn_key=(purpose,)) is every agent's before
-    i is hashed into its four words (the hash multiplier advanced past the
-    4 + 12 + 4 (w - 3) hashes of the w >= 4 seed words and the purpose), and
-    generate_state hashes it out to eight uint32 words, over the agent axis,
-    a few uint32 multiplies and shifts in place of a SeedSequence per agent.
-    numpy validates seed, a non-negative integer of any width; every id is
-    below 2**32, one entropy word.
-    """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose,))
-    words = max(4, -(-operator.index(ss.entropy).bit_length() // 32))
-    h = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 3), 1 << 32) & _MASK32
-    ids = np.asarray(ids, dtype=np.uint32)
-    pool = np.empty((4, len(ids)), dtype=np.uint32)
-    for j, word in enumerate(ss.pool):
-        v = ids ^ np.uint32(h)
-        h = h * _MULT_A & _MASK32
-        v *= np.uint32(h)
-        pool[j] = _xshift(np.uint32(_MIX_L * int(word) & _MASK32) - _xshift(v) * np.uint32(_MIX_R))
-    state = np.empty((len(ids), 8), dtype=np.uint32)
-    h = _INIT_B
-    for j in range(8):
-        v = pool[j % 4] ^ np.uint32(h)
-        h = h * _MULT_B & _MASK32
-        v *= np.uint32(h)
-        state[:, j] = _xshift(v)
-    # little-endian word pairs, as generate_state forms its uint64 words
-    state = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in state]
+def _stream(seed, purpose):
+    """The generator of seed's stream of a purpose (_SAMPLING, _DYNAMICS or
+    _RUN), the one place a seed becomes numbers."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)))
 
 
 def _cov_factor(cov, name, n):
@@ -130,8 +82,6 @@ def _cov_factor(cov, name, n):
     if cov.shape != (n, n) or not (np.isfinite(cov).all() and np.allclose(cov, cov.T, atol=1e-12)):
         raise PopulationError(f"{name} of shape {cov.shape} is not a finite symmetric "
                               f"({n}, {n}) matrix")
-    if np.allclose(cov, 0.0):
-        return np.zeros_like(cov)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -200,9 +150,8 @@ class PopulationResult:
     run's law, x0, seed and D, and caches both (a run simulate redid with
     paths keeps that run's), the same bits whenever they are built.  Before
     that trace(i) steps agent i alone the same way, as replay(i, ...) does
-    under another law and coupling, with the agents' mean noise that the
-    first such read caches, (K, n), from one pass over their streams.  The
-    first read of drifts derives A x + B u + C mf_x + F mf_u at every node
+    under another law and coupling: it draws the same noise blocks as the
+    paths and takes its column.  The first read of drifts derives A x + B u + C mf_x + F mf_u at every node
     from xs, us and the coupling, and caches it.
     """
 
@@ -224,15 +173,8 @@ class PopulationResult:
         rows = range(N) if i is None else range(i, i + 1)
         xs, us = _step_agents(law or self.law, self.x0[rows], rows, coupling or self.coupling,
                               self.seed, self.D, paths=True,
-                              population=None if i is None else (N, self._nbar))[-1]
+                              population=None if i is None else N)[-1]
         return (xs, us) if i is None else (xs[:, 0], us[:, 0])
-
-    @cached_property
-    def _nbar(self):
-        """The agents' mean noise (K, n) as a run with paths takes it, or None."""
-        if not np.allclose(_noise_matrix(self.params, self.D), 0.0):
-            blocks = _noise_blocks(self.seed, range(len(self.x0)), self.grid.steps, self.params.n)
-            return np.concatenate([_noise_mean(noise) for noise in blocks])
 
     @cached_property
     def _paths(self):
@@ -303,12 +245,14 @@ class _Traces(Sequence):
 
 
 def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
-    """Draw (x0, E_i) pairs for N agents from per-agent RNG streams: agent
-    i's x0 = init_mean + L_init z and E_i = error_mean + L_err z' take the
-    first and the last n of 2n normals of its stream, L L' the covariance
-    (PopulationError for N < 1 and for means or covariances that do not fit)."""
+    """Draw (x0, E_i) pairs for N agents from one (N, 2n) draw of the seed's
+    sampling stream, whose row i is agent i's for every N > i: x0 =
+    init_mean + L_init z and E_i = error_mean + L_err z' take its first and
+    last n, L L' the covariance (PopulationError for N < 1, a seed that is
+    not a non-negative integer and means or covariances that do not fit)."""
     if N < 1:
         raise PopulationError(f"N must be >= 1, got {N}")
+    _check_seed(seed)
     init_mean = np.atleast_1d(np.asarray(init_mean, dtype=float))
     error_mean = np.atleast_1d(np.asarray(error_mean, dtype=float))
     n = init_mean.shape[0]
@@ -317,9 +261,7 @@ def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
                               "are not two n-vectors")
     L_init = _cov_factor(init_cov, "init_cov", n)
     L_err = _cov_factor(error_cov, "error_cov", n)
-    z = np.empty((N, 2 * n))
-    for row, rng in zip(z, _agent_rngs(seed, range(N), _SAMPLING)):
-        rng.standard_normal(out=row)
+    z = _stream(seed, _SAMPLING).standard_normal((N, 2 * n))
     # the stacked products give each agent the bits of L @ its own draws,
     # which z @ L.T does not
     x0 = init_mean + (L_init @ z[:, :n, None])[..., 0]
@@ -388,23 +330,17 @@ def _noise_matrix(params, D):
     return np.eye(n) * M if M.ndim == 0 else M
 
 
-def _noise_blocks(seed, ids, K, n):
-    """Dynamics noise of the agents ids for steps 0..K-1: per block of
-    m <= _NOISE_BLOCK steps, an (N, m, n) view of one agent-major buffer
-    whose row i agent ids[i]'s stream fills with its next m n normals, the
-    numbers of one (K, n) draw (filling a node-major one scatters them)."""
-    rngs = _agent_rngs(seed, ids, _DYNAMICS)
-    noise = np.empty((len(rngs), min(_NOISE_BLOCK, K), n))
+def _noise_blocks(seed, N, K, n):
+    """Dynamics noise of N agents for steps 0..K-1, the numbers of one
+    node-major (K, N, n) draw of the seed's dynamics stream: per block of
+    m <= _NOISE_BLOCK steps, an (m, N, n) view of one buffer, which one
+    standard_normal call fills."""
+    rng = _stream(seed, _DYNAMICS)
+    noise = np.empty((min(_NOISE_BLOCK, K), N, n))
     for k0 in range(0, K, _NOISE_BLOCK):
         m = min(_NOISE_BLOCK, K - k0)
-        for row, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[row, :m])
-        yield noise[:, :m]
-
-
-def _noise_mean(noise):
-    """The agents' mean (m, n) of a block (N, m, n) of _noise_blocks."""
-    return noise.sum(axis=0) / len(noise)
+        rng.standard_normal(out=noise[:m])
+        yield noise[:m]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -415,9 +351,9 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
     mf_u) it stepped with (coupling, or for None the population means) and
     for paths True the paths xs (K+1, N, n) and us (K+1, N, d), else None;
     or None alone where a run without paths cannot show its states finite.
-    population = (N_pop, nbar) steps, with paths, the one agent ids[0] of
-    N_pop agents of mean noise nbar (K, n) (None without noise), and its
-    node sums are its own path.
+    population = N_pop steps, with paths, the one agent ids[0] of N_pop
+    agents: it draws the population's noise blocks and takes its column, and
+    its node sums are its own path.
 
     Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n'_ik,
     T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k + C mf_x_k
@@ -447,16 +383,17 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
 
     With paths, each block's states and controls are written out node by
     node, for all agents or a chunk at once, the noise part the scan of the
-    chunk's columns sqrt(dt) D n'_k, and the next block starts from the last
+    chunk's columns sqrt(dt) D n_ik plus the agents' shared shift sqrt(dt) D
+    (S_k / N_pop - nbar_k), and the next block starts from the last
     node's rows.  No step map is inverted, and no product of a written block
     mixes two agents, so under prescribed coupling an agent's bits are fixed
-    by its row, its stream, nbar and S, and a run with paths against an
+    by its row, its entries of the dynamics draw, nbar and S, and a run with paths against an
     earlier run's coupling gives its paths bit for bit.  A non-finite state
     raises IntegrationBlowupError naming its first node and agent, as under
     empirical coupling does a mean of x0 that overflows, at node 0; a node
     sum that overflows on finite states is returned as it is.
     """
-    N_pop, nbar = (len(x0), None) if population is None else population
+    N_pop = len(x0) if population is None else population
     lone = len(x0) == 1
     if lone:
         # a lone agent steps beside a copy of itself: numpy multiplies a
@@ -470,8 +407,8 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
     noisy = not np.allclose(D, 0.0)
     if noisy:
         # the node sums' g, block by block the numbers of one (K, n) draw
-        run = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_RUN,)))
-        blocks = _noise_blocks(seed, ids, K, n) if paths else None
+        run = _stream(seed, _RUN)
+        blocks = _noise_blocks(seed, N_pop, K, n) if paths else None
         sqdtD = np.sqrt(dt) * D
     # a noisy block's paths scan the agents' noise in _NOISE_CHUNKS near-equal
     # chunks of two agents or more, whose scan transients stay near the buffer's size
@@ -511,9 +448,12 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
         if noisy:
             S = np.sqrt(N_pop) * run.standard_normal((m, n))
             if paths:
+                # the noise part's columns sqrt(dt) D n_ik and the shift
+                # sqrt(dt) D (S_k / N_pop - nbar_k) that all agents share
                 noise = next(blocks)
-                noise -= _noise_mean(noise) if population is None else nbar[k0:k1]
-                noise += S / N_pop
+                shift = ((S - agent_sum(noise)) / N_pop) @ sqdtD.T
+                if lone:
+                    noise = noise[:, ids]
         if coupling is None:
             mean_levels = _up_sweep(eye + dt * mf_generator(params, P1[k0:k1]))
             cols = np.zeros((m, n, n + 1))
@@ -542,8 +482,8 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
         x_sum[k0 + 1:k1 + 1] = z_sum @ PT
         u_sum[k0:hi] = z_sum @ U
         if noisy:
-            own = S if population is None else noise[0]
-            dx = _scan(levels, (own @ sqdtD.T)[..., None])[..., 0]
+            own = S @ sqdtD.T if population is None else noise[:, 0] @ sqdtD.T + shift
+            dx = _scan(levels, own[..., None])[..., 0]
             x_sum[k0 + 1:k1 + 1] += dx
             u_sum[k0 + 1:hi] += (dx[:hi - k0 - 1, None] @ gainT)[:, 0]
         if not paths:
@@ -565,7 +505,8 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
             np.matmul(Z[a:b], PT, out=x)
             np.matmul(Z[a:b], U, out=u)
             if noisy:
-                cols = sqdtD @ noise[a:b].transpose(1, 2, 0)
+                cols = sqdtD @ noise[:, a:b].transpose(0, 2, 1)
+                cols += shift[..., None]
                 # a product with I moves the agents from columns to rows:
                 # exact, and faster than numpy's strided copy
                 dx = np.swapaxes(_scan(levels, cols), 1, 2) @ eye
@@ -623,7 +564,9 @@ def simulate(
     takes place (grid, if given, must be the same).  mf_coupling is
     "empirical" (start-of-step population averages) or a (z_path, ubar_path)
     pair of prescribed mean-field paths on that grid (PopulationError
-    otherwise); D overrides the noise matrix (see _noise_matrix).  The result
+    otherwise); D overrides the noise matrix (see _noise_matrix), and seed,
+    a non-negative integer (PopulationError otherwise), fixes the noise
+    (see the module docstring).  The result
     keeps the node arrays (see _step_agents, PopulationResult), or those and
     the paths of a run redone with paths where the norm bound cannot show
     the states finite.  A non-finite state, or a node mean of finite states or controls
@@ -633,6 +576,7 @@ def simulate(
     paths = _prescribed(params, mf_coupling)
     grid = require_same_grid(law if grid is None else grid, law, *paths)
     x0, errors = _agent_rows(params, population, law)
+    _check_seed(seed)
     N = len(x0)
     args = (law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
     x_sum, u_sum, coupling, built = _step_agents(*args) or _step_agents(*args, paths=True)

@@ -41,6 +41,7 @@ from .ode import StepMaps
 from .params import SystemParams, require_same_params
 from .population import (
     _agent_rows,
+    _check_seed,
     _drift,
     _mean_overflow,
     _noise_blocks,
@@ -227,12 +228,14 @@ def realtime_simulate(
     supplied by one policy call per node (see the protocol above); output
     that does not broadcast to (N, n), or whose mean over the agents is not
     finite at some node, raises EstimatorPolicyError naming the node.  Agents
-    step node by node, with their noise streams and D as in simulate.  The
+    step node by node, with D as in simulate and node k's (N, n) rows of the
+    seed's dynamics draw as their noise (see population._noise_blocks).  The
     run takes place on the bundle's grid and reads the kernels of the bundle
     (built on its first read) or of kernels, a bundle of the same parameter
     set; a grid or kernels on another grid raise GridMismatchError, params
     other than the bundle's or the kernels' ParamsMismatchError, a
-    population that does not fit params PopulationError, a non-finite state
+    population that does not fit params or a seed that is not a non-negative
+    integer PopulationError, a non-finite state
     or a node mean of finite states that overflows IntegrationBlowupError.
     Returns the realized mean field, the correct-information reference,
     realized error paths, and a report comparing the realized deviation
@@ -243,6 +246,7 @@ def realtime_simulate(
     require_same_params(params, kernels, "kernels")
     grid = require_same_grid(bundle if grid is None else grid, bundle, kernels)
     x0, _ = _agent_rows(params, population)
+    _check_seed(seed)
     N, n = x0.shape
     x, x_sum = x0, agent_sum(x0)
     if not np.isfinite(x_sum).all():
@@ -261,7 +265,7 @@ def realtime_simulate(
     z_A, Ebar_real, Ebar1_real = (np.empty((K + 1, n)) for _ in range(3))
     D = _noise_matrix(params, D)
     noise = None if np.allclose(D, 0.0) else (
-        block[:, j] for block in _noise_blocks(seed, ids, K, n) for j in range(block.shape[1]))
+        block[j] for block in _noise_blocks(seed, N, K, n) for j in range(len(block)))
     # the right operands of the (N, n) products are contiguous copies: the
     # bits of transposed views for N > 1, multiplied about 2.5 times faster
     At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (params.A, params.B, D))

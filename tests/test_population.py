@@ -1,6 +1,7 @@
 """Finite-population sampling, simulation, and replay."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -37,9 +38,9 @@ from mfg_errsim import population
 from mfg_errsim.population import (
     _DYNAMICS,
     _NOISE_BLOCK,
+    _RUN,
     _SAMPLING,
     OffsetFamilyLaw,
-    _agent_rngs,
     agent_sum,
     sample_population,
     simulate,
@@ -58,17 +59,11 @@ def _control_at(law):
     return control_at
 
 
-def _stream(seed, i, purpose=_DYNAMICS):
-    """Agent i's stream of a purpose from its own SeedSequence: the oracle
-    for population._agent_rngs, which seeds many agents in one pass."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, i))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def _run_stream(seed):
-    """The run's stream, whose normals g_k give the node sums sqrt(N) g_k
-    of its agents' noise."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(2,))
+def _stream(seed, purpose):
+    """The seed's stream of a purpose from its own SeedSequence, spawn key
+    (purpose,): the oracle for population._stream.  The _RUN stream's
+    normals g_k give the node sums sqrt(N) g_k of a run's agents' noise."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -82,7 +77,7 @@ def _pop(N, seed=0):
 def test_sampling_is_reproducible_and_order_independent():
     a = _pop(50)
     b = _pop(800)
-    # per-agent streams: agent i's draws do not depend on the population size
+    # rows of one draw: agent i's draws do not depend on the population size
     for i in range(50):
         npt.assert_array_equal(a[i][0], b[i][0])
         npt.assert_array_equal(a[i][1], b[i][1])
@@ -100,22 +95,21 @@ def test_sampling_validates_inputs():
         sample_population(2, P6_Z0, -np.eye(2), np.zeros(2), P6_ERROR_COV, 0)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 9, 2**200 + 1])
-def test_batch_seeding_gives_each_agent_its_own_seed_sequence_stream(seed):
-    ids = np.arange(0, 5001, 3)
-    for purpose in (_SAMPLING, _DYNAMICS):
-        for i, rng in zip(ids, _agent_rngs(seed, ids, purpose)):
-            npt.assert_array_equal(rng.standard_normal(300),
-                                   _stream(seed, int(i), purpose).standard_normal(300))
-
-
-@pytest.mark.parametrize("seed", [-1, 1.5])
-def test_batch_seeding_rejects_what_a_seed_sequence_rejects(seed):
-    with pytest.raises((ValueError, TypeError)):
-        _stream(seed, 0)
-    with pytest.raises((ValueError, TypeError)):
-        _agent_rngs(seed, [0, 1], _DYNAMICS)
-    with pytest.raises((ValueError, TypeError)):
+@pytest.mark.parametrize("seed", [-1, 1.5, [1, 2]], ids=["negative", "float", "list"])
+def test_a_seed_that_is_not_a_non_negative_int_is_a_population_error(
+        params, bundle, law_c, seed):
+    # before, a noiseless run took any seed, and a noisy one raised numpy's
+    # ValueError or TypeError from its SeedSequence
+    match = rf"seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    pop = _pop(5)
+    _assert_population_error(match, lambda: sample_population(
+        2, P6_Z0, P6_INIT_COV, np.zeros(2), P6_ERROR_COV, seed))
+    for D in (None, 0.0):
+        _assert_population_error(match, lambda: simulate(params, pop, law_c, seed=seed, D=D))
+        _assert_population_error(match, lambda: realtime_simulate(
+            params, bundle, pop, truth_policy(), seed=seed, D=D))
+    # numpy integers and seeds wider than one entropy word are seeds
+    for seed in (np.int64(3), 2**200 + 1):
         sample_population(2, P6_Z0, P6_INIT_COV, np.zeros(2), P6_ERROR_COV, seed)
 
 
@@ -132,10 +126,18 @@ def test_sampling_is_the_per_agent_draw_bit_for_bit(n, N):
     seed = 2**32 + 3
     pop = sample_population(N, init_mean, init_cov, error_mean, error_cov, seed)
     assert len(pop) == N
-    for i, (x0, E) in enumerate(pop):
-        draws = _stream(seed, i, _SAMPLING)
-        npt.assert_array_equal(x0, init_mean + L_init @ draws.standard_normal(n))
-        npt.assert_array_equal(E, error_mean + L_err @ draws.standard_normal(n))
+    draws = _stream(seed, _SAMPLING).standard_normal((N, 2 * n))
+    for (x0, E), z in zip(pop, draws):
+        npt.assert_array_equal(x0, init_mean + L_init @ z[:n])
+        npt.assert_array_equal(E, error_mean + L_err @ z[n:])
+
+
+def test_a_tiny_covariance_keeps_its_spread():
+    # before, any covariance within 1e-8 of zero sampled as exactly zero
+    x0, E = np.array(sample_population(2000, np.zeros(2), 1e-10 * np.eye(2), np.ones(2),
+                                       1e-10 * np.eye(2), seed=4)).transpose(1, 0, 2)
+    npt.assert_allclose(x0.std(axis=0), 1e-5, rtol=0.1)
+    npt.assert_allclose((E - 1.0).std(axis=0), 1e-5, rtol=0.1)
 
 
 def test_zero_covariance_sampling_is_deterministic():
@@ -284,16 +286,14 @@ def test_simulated_means_are_the_means_of_the_paths_to_rounding(n, d, N):
 
 def _realtime_loop(p, bundle, pop, policy, seed, D=None):
     """Reference realtime node loop in plain numpy terms: node means by
-    sum / N, transposed views, every agent's whole dynamics noise stream
-    drawn at once.  Returns (z_A, Ebar, Ebar1)."""
+    sum / N, transposed views, the agents' dynamics noise (K, N, n) drawn at
+    once.  Returns (z_A, Ebar, Ebar1)."""
     x = np.array([x0 for x0, _ in pop])
     N, n = x.shape
     grid = bundle.grid
     K, dt = grid.steps, grid.dt
     D = p.D if D is None else np.eye(n) * D
-    noise = np.empty((N, K, n))
-    for i in range(N):
-        _stream(seed, i).standard_normal(out=noise[i])
+    noise = _stream(seed, _DYNAMICS).standard_normal((K, N, n))
     kernels = build_kernels(bundle)
     z_c = equilibrium_mf(bundle, x.sum(axis=0) / N).z.values
     g_c = np.einsum("kij,kj->ki", bundle.P0.values - bundle.P1.values, z_c) + bundle.G.values
@@ -308,7 +308,7 @@ def _realtime_loop(p, bundle, pop, policy, seed, D=None):
             drift = x @ p.A.T + u @ p.B.T + out[0, k] @ p.C.T + (u.sum(axis=0) / N) @ p.F.T
             x = x + drift * dt
             if not np.allclose(D, 0.0):
-                x = x + (noise[:, k] @ D.T) * np.sqrt(dt)
+                x = x + (noise[k] @ D.T) * np.sqrt(dt)
     return out
 
 
@@ -340,8 +340,8 @@ def test_empirical_coupling_is_the_plain_node_mean(n, d, N):
 @pytest.mark.parametrize("N", [9, 300])
 @pytest.mark.parametrize("n, d", [(3, 2), (1, 1)])
 def test_noisy_realtime_run_is_the_plain_node_loop_bit_for_bit(n, d, N):
-    # the noise buffer refills twice mid-run, and its blocks continue each
-    # agent's one-draw stream
+    # the noise buffer refills twice mid-run, and its blocks continue the
+    # one (K, N, n) draw
     _assert_realtime_is_the_loop(*_realtime_set(n, d, N, 2 * _NOISE_BLOCK + 3), D=None)
 
 
@@ -483,18 +483,16 @@ def test_a_non_finite_control_names_the_agent_and_the_next_node():
 
 
 def _one_draw_noise(seed, N, K, n):
-    """Every agent's noise n_ik - nbar_k + S_k / N, (N, K, n): its whole
-    dynamics stream and the run's sum stream S = sqrt(N) g each drawn at
-    once, nbar the agents' mean."""
-    noise = np.empty((N, K, n))
-    for i in range(N):
-        _stream(seed, i).standard_normal(out=noise[i])
-    S = np.sqrt(N) * _run_stream(seed).standard_normal((K, n))
-    return noise - noise.mean(axis=0) + S / N
+    """Every agent's noise n_ik - nbar_k + S_k / N, (K, N, n): the dynamics
+    draw n and the run's sums S = sqrt(N) g each drawn at once, nbar the
+    agents' mean."""
+    noise = _stream(seed, _DYNAMICS).standard_normal((K, N, n))
+    S = np.sqrt(N) * _stream(seed, _RUN).standard_normal((K, n))
+    return noise - noise.mean(axis=1, keepdims=True) + S[:, None] / N
 
 
 def _one_draw_run(p, pop, law, coupling, seed, D=None, noise=None):
-    """Reference Euler-Maruyama loop: every agent's noise (N, K, n) drawn
+    """Reference Euler-Maruyama loop: every agent's noise (K, N, n) drawn
     at once (_one_draw_noise, unless given), the drift stored at every
     node.  Returns (xs, us, drifts)."""
     x = np.array([x0 for x0, _ in pop])
@@ -524,7 +522,7 @@ def _one_draw_run(p, pop, law, coupling, seed, D=None, noise=None):
             x_next = drift * dt
             x_next += x
             if not np.allclose(D, 0.0):
-                dW = noise[:, k] @ Dt
+                dW = noise[k] @ Dt
                 dW *= np.sqrt(dt)
                 x_next += dW
             x = x_next
@@ -610,7 +608,7 @@ def test_a_noisy_run_of_one_agent_steps_with_the_runs_noise_sums():
     # N = 1: the agent's noise n - nbar + S is S, the run's stream alone
     K = 2 * _NOISE_BLOCK + 3
     p, law, fam, pop = _family(3, 2, 1, K)
-    noise = _run_stream(5).standard_normal((1, K, 3))
+    noise = _stream(5, _RUN).standard_normal((K, 1, 3))
     npt.assert_array_equal(_one_draw_noise(5, 1, K, 3), noise)
     for lw in (law, fam):
         for coupling, paths in _couplings(law, 3, 2):
@@ -622,8 +620,8 @@ def test_a_noisy_run_of_one_agent_steps_with_the_runs_noise_sums():
 
 @pytest.mark.parametrize("N", [1, 9, 300])
 def test_a_trace_or_replay_read_before_the_paths_is_the_paths_bit_for_bit(N):
-    # a lone agent takes nbar from one pass over every agent's stream, the
-    # reduction the run with paths takes over the same blocks
+    # a lone agent draws the same noise blocks as the run with paths and
+    # takes its column of them
     p, law, fam, pop = _family(3, 2, N, 2 * _NOISE_BLOCK + 3)
     for lw in (law, fam):
         for _, paths in _couplings(law, 3, 2):

@@ -31,19 +31,22 @@ post-correction offset map, the realtime kernels and the realtime maps
 anchored at t0 = 0.5; ``sample_population`` with non-diagonal covariances
 and a seed past 2**32; ``simulate`` with the shared and the per-agent
 offset law, empirical and prescribed coupling, default and zero noise,
-with agent 3's trace read before the paths (which takes the agents' mean
-noise from one pass over every agent's stream); ``PopulationResult.replay``
+with agent 3's trace read before the paths (which draws the same noise
+blocks as the paths and takes its column); ``PopulationResult.replay``
 of agent 3; ``epsilon_nash_gap``; and ``realtime_simulate`` with each of
 the four estimator policies at default and zero noise.  The realtime
 kernels are Mig_diag and M0g_diag.  ``--against`` runs the script against
 an older checkout that has these calls and kernel fields; for one that has
 not (one with ``replay_agent``, kernels that keep Phi1_inv and V, or a
 ``residual_path`` that takes params and P1), run each tree's own script
-and compare the two digest listings.  Against a checkout whose runs draw
-their noise otherwise (one that sums every agent's stream instead of
-drawing the node sums from the run's own stream), the noisy ``simulate``,
-trace, replay and ``epsilon_nash_gap`` outputs differ by a draw of the
-noise, not by rounding; their zero-noise outputs are comparable.
+and compare the two digest listings.  Against a checkout that draws its
+numbers otherwise, the outputs differ by a draw, not by rounding: one that
+seeds a stream per agent samples other populations, so
+``sample_population`` and every ``simulate`` and ``realtime_simulate``
+output on the sampled population differ, zero noise included; one that sums
+every agent's stream instead of drawing the node sums from the run's own
+stream differs in the noisy ``simulate``, trace, replay and
+``epsilon_nash_gap`` outputs, and its zero-noise outputs are comparable.
 
 Each mode also runs a second time in the same process, into another
 directory, and a last line per fixture and mode reads ``rerun same`` when
