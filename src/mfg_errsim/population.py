@@ -145,14 +145,14 @@ class PopulationResult:
     of xs and us to rounding (see _step_agents), and coupling, the (K+1, n)
     and (K+1, d) node arrays (mf_x, mf_u) it stepped with, the population's
     mean state and control under empirical coupling, else the prescribed
-    (z, ubar) arrays, kept by reference.  The first read of xs or us reruns
-    the run with paths (O(N K) memory) under the recorded coupling, with the
-    run's law, x0, seed and D, and caches both (a run simulate redid with
-    paths keeps that run's), the same bits whenever they are built.  Before
-    that trace(i) steps agent i alone the same way, as replay(i, ...) does
-    under another law and coupling: it draws the same noise blocks as the
-    paths and takes its column.  The first read of drifts derives A x + B u + C mf_x + F mf_u at every node
-    from xs, us and the coupling, and caches it.
+    (z, ubar) arrays, kept by reference.  The first read of xs, us or a
+    trace reruns the run with paths (O(N K) memory) under the recorded
+    coupling, with the run's law, x0, seed and D, and caches both (a run
+    simulate redid with paths keeps that run's), the same bits whenever they
+    are built; trace(i) is views of them.  replay(i, ...) reruns every agent
+    the same way under another law and coupling and keeps copies of agent
+    i's paths.  The first read of drifts derives A x + B u + C mf_x + F mf_u
+    at every node from xs, us and the coupling, and caches it.
     """
 
     params: SystemParams
@@ -166,19 +166,9 @@ class PopulationResult:
     seed: int
     D: object
 
-    def _rerun(self, i=None, law=None, coupling=None):
-        """Paths (xs, us) of every agent, or (x, u) of agent i alone, from x0
-        with the run's noise, under law and coupling, the run's own unless given."""
-        N = len(self.x0)
-        rows = range(N) if i is None else range(i, i + 1)
-        xs, us = _step_agents(law or self.law, self.x0[rows], rows, coupling or self.coupling,
-                              self.seed, self.D, paths=True,
-                              population=None if i is None else N)[-1]
-        return (xs, us) if i is None else (xs[:, 0], us[:, 0])
-
     @cached_property
     def _paths(self):
-        return self._rerun()
+        return _step_agents(self.law, self.x0, self.coupling, self.seed, self.D, paths=True)[-1]
 
     @property
     def xs(self) -> np.ndarray:
@@ -201,16 +191,16 @@ class PopulationResult:
         return drifts
 
     def trace(self, i: int) -> AgentTrace:
-        """Agent i's paths: views of xs and us once built, else a lone run."""
+        """Agent i's paths, views of xs and us."""
         i = range(len(self.errors))[i]
-        x, u = (self.xs[:, i], self.us[:, i]) if "_paths" in vars(self) else self._rerun(i)
-        return AgentTrace(agent_id=i, x=VectorPath(self.grid, x), u=VectorPath(self.grid, u),
-                          result=self)
+        return AgentTrace(agent_id=i, x=VectorPath(self.grid, self.xs[:, i]),
+                          u=VectorPath(self.grid, self.us[:, i]), result=self)
 
     def replay(self, i: int, law, z_path: VectorPath, ubar_path: VectorPath):
         """Agent i's paths (x, u) under law against prescribed mean-field
         paths, from its x0 with its noise in the run (under the run's law
-        and coupling, its trace bit for bit).  law must be of the
+        and coupling, its trace bit for bit): copies of its column of a
+        rerun of every agent, which they do not keep.  law must be of the
         run's parameter set (ParamsMismatchError) and grid (GridMismatchError),
         and hold the errors of the run's agents if it has an error gain
         (PopulationError, see _agent_rows)."""
@@ -218,8 +208,9 @@ class PopulationResult:
         grid = require_same_grid(self, law, z_path, ubar_path)
         i = range(len(self.x0))[i]
         _agent_rows(self.params, list(zip(self.x0, self.errors)), law)
-        x, u = self._rerun(i, law, (z_path.values, ubar_path.values))
-        return VectorPath(grid, x), VectorPath(grid, u)
+        xs, us = _step_agents(law, self.x0, (z_path.values, ubar_path.values), self.seed,
+                              self.D, paths=True)[-1]
+        return VectorPath(grid, xs[:, i].copy()), VectorPath(grid, us[:, i].copy())
 
     @property
     def traces(self) -> Sequence:
@@ -228,7 +219,7 @@ class PopulationResult:
 
 
 class _Traces(Sequence):
-    """A result's traces, each built when indexed; iterating builds xs once."""
+    """A result's traces, each built when indexed."""
 
     def __init__(self, result):
         self._result = result
@@ -238,10 +229,6 @@ class _Traces(Sequence):
 
     def __getitem__(self, i):
         return self._result.trace(i)
-
-    def __iter__(self):
-        self._result.xs
-        return (self._result.trace(i) for i in range(len(self)))
 
 
 def sample_population(N, init_mean, init_cov, error_mean, error_cov, seed):
@@ -318,7 +305,8 @@ def _mean_overflow(grid, k, what="states"):
 
 def _noise_matrix(params, D):
     """The noise matrix params.D, or D: a finite scalar, standing for D
-    times I, or a finite (n, n) matrix (PopulationError otherwise)."""
+    times I, or a finite (n, n) matrix (PopulationError otherwise); None
+    where it is zero, so a run is noiseless for D == 0 exactly."""
     n = params.n
     try:
         M = params.D if D is None else np.asarray(D, dtype=float)
@@ -327,7 +315,8 @@ def _noise_matrix(params, D):
     if M is None or M.shape not in ((), (n, n)) or not np.isfinite(M).all():
         shape = "" if M is None else f" of shape {M.shape}"
         raise PopulationError(f"D{shape} is not a finite scalar or ({n}, {n}) matrix, on n = {n}")
-    return np.eye(n) * M if M.ndim == 0 else M
+    M = np.eye(n) * M if M.ndim == 0 else M
+    return M if M.any() else None
 
 
 def _noise_blocks(seed, N, K, n):
@@ -344,21 +333,18 @@ def _noise_blocks(seed, N, K, n):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
-    """Euler-Maruyama run of the agents ids from the rows of x0 (N, n)
-    under the affine law, D as in _noise_matrix.  Returns the node sums
-    (K+1, n) and (K+1, d) of the states and controls, the coupling (mf_x,
-    mf_u) it stepped with (coupling, or for None the population means) and
-    for paths True the paths xs (K+1, N, n) and us (K+1, N, d), else None;
-    or None alone where a run without paths cannot show its states finite.
-    population = N_pop steps, with paths, the one agent ids[0] of N_pop
-    agents: it draws the population's noise blocks and takes its column, and
-    its node sums are its own path.
+def _step_agents(law, x0, coupling, seed, D, paths=False):
+    """Euler-Maruyama run of N agents from the rows of x0 (N, n) under the
+    affine law, D as in _noise_matrix.  Returns the node sums (K+1, n) and
+    (K+1, d) of the states and controls, the coupling (mf_x, mf_u) it
+    stepped with (coupling, or for None the population means) and for paths
+    True the paths xs (K+1, N, n) and us (K+1, N, d), else None; or None
+    alone where a run without paths cannot show its states finite.
 
     Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n'_ik,
     T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k + C mf_x_k
     + F mf_u_k) the same for every agent, W the error gain and n'_ik =
-    n_ik - nbar_k + S_k / N_pop.  Per block of _NOISE_BLOCK steps from node
+    n_ik - nbar_k + S_k / N.  Per block of _NOISE_BLOCK steps from node
     k0, ode._up_sweep takes the T_k up once, and each ode._scan of the block
     scans columns against those levels:
 
@@ -384,7 +370,7 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
     With paths, each block's states and controls are written out node by
     node, for all agents or a chunk at once, the noise part the scan of the
     chunk's columns sqrt(dt) D n_ik plus the agents' shared shift sqrt(dt) D
-    (S_k / N_pop - nbar_k), and the next block starts from the last
+    (S_k / N - nbar_k), and the next block starts from the last
     node's rows.  No step map is inverted, and no product of a written block
     mixes two agents, so under prescribed coupling an agent's bits are fixed
     by its row, its entries of the dynamics draw, nbar and S, and a run with paths against an
@@ -393,18 +379,18 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
     empirical coupling does a mean of x0 that overflows, at node 0; a node
     sum that overflows on finite states is returned as it is.
     """
-    N_pop = len(x0) if population is None else population
-    lone = len(x0) == 1
+    N_pop = len(x0)
+    lone = N_pop == 1
     if lone:
         # a lone agent steps beside a copy of itself: numpy multiplies a
         # one-row operand by other BLAS kernels (gemv), whose bits differ
-        x0, ids = np.repeat(x0, 2, axis=0), [ids[0]] * 2
+        x0 = np.repeat(x0, 2, axis=0)
     N, n = x0.shape
     params, grid = law.params, law.grid
     K, dt, d = grid.steps, grid.dt, params.d
     B, C, F = params.B, params.C, params.F
     D = _noise_matrix(params, D)
-    noisy = not np.allclose(D, 0.0)
+    noisy = D is not None
     if noisy:
         # the node sums' g, block by block the numbers of one (K, n) draw
         run = _stream(seed, _RUN)
@@ -423,7 +409,7 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
     Z[:, :n] = x0
     Z[:, n] = 1.0
     if W is not None:
-        Z[:, n + 1:] = E = law.errors[np.asarray(ids)]
+        Z[:, n + 1:] = E = law.errors[np.arange(N) % N_pop]   # the lone agent's twice
     if coupling is None:
         vbar = offset if W is None else offset + (agent_sum(E) / N) @ np.swapaxes(W, 1, 2)
         mf_x, mf_u = np.empty((K + 1, n)), np.empty((K + 1, d))
@@ -453,7 +439,7 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
                 noise = next(blocks)
                 shift = ((S - agent_sum(noise)) / N_pop) @ sqdtD.T
                 if lone:
-                    noise = noise[:, ids]
+                    noise = noise[:, [0, 0]]
         if coupling is None:
             mean_levels = _up_sweep(eye + dt * mf_generator(params, P1[k0:k1]))
             cols = np.zeros((m, n, n + 1))
@@ -482,8 +468,7 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
         x_sum[k0 + 1:k1 + 1] = z_sum @ PT
         u_sum[k0:hi] = z_sum @ U
         if noisy:
-            own = S @ sqdtD.T if population is None else noise[:, 0] @ sqdtD.T + shift
-            dx = _scan(levels, own[..., None])[..., 0]
+            dx = _scan(levels, (S @ sqdtD.T)[..., None])[..., 0]
             x_sum[k0 + 1:k1 + 1] += dx
             u_sum[k0 + 1:hi] += (dx[:hi - k0 - 1, None] @ gainT)[:, 0]
         if not paths:
@@ -519,7 +504,7 @@ def _step_agents(law, x0, ids, coupling, seed, D, paths=False, population=None):
             bad = np.flatnonzero(~np.isfinite(xb[j]).all(axis=1))
             if len(bad):
                 k = k0 + 1 + int(j)
-                raise IntegrationBlowupError(f"agent {ids[bad[0]]} state non-finite at node {k}",
+                raise IntegrationBlowupError(f"agent {bad[0]} state non-finite at node {k}",
                                              node=k, time=grid.times[k])
         Z[:, :n] = xb[m - 1]
         z_sum = node_sums(Z)
@@ -578,7 +563,7 @@ def simulate(
     x0, errors = _agent_rows(params, population, law)
     _check_seed(seed)
     N = len(x0)
-    args = (law, x0, range(N), tuple(p.values for p in paths) or None, seed, D)
+    args = (law, x0, tuple(p.values for p in paths) or None, seed, D)
     x_sum, u_sum, coupling, built = _step_agents(*args) or _step_agents(*args, paths=True)
     # _step_agents raised on a non-finite state (and so on a non-finite
     # control before node K): a non-finite node sum here is an overflow

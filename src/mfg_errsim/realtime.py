@@ -264,11 +264,12 @@ def realtime_simulate(
     sqdt = np.sqrt(dt)
     z_A, Ebar_real, Ebar1_real = (np.empty((K + 1, n)) for _ in range(3))
     D = _noise_matrix(params, D)
-    noise = None if np.allclose(D, 0.0) else (
+    noise = None if D is None else (
         block[j] for block in _noise_blocks(seed, N, K, n) for j in range(len(block)))
     # the right operands of the (N, n) products are contiguous copies: the
     # bits of transposed views for N > 1, multiplied about 2.5 times faster
-    At, Bt, Dt = (np.ascontiguousarray(M.T) for M in (params.A, params.B, D))
+    At, Bt = (np.ascontiguousarray(M.T) for M in (params.A, params.B))
+    Dt = None if D is None else np.ascontiguousarray(D.T)
     MigT, M0gT = (np.ascontiguousarray(np.swapaxes(M, 1, 2))
                   for M in (kernels.Mig_diag, kernels.M0g_diag))
     for k in range(K + 1):

@@ -358,8 +358,8 @@ def test_finite_states_whose_node_sum_overflows_do_not_raise():
     x0[[1, 4], 0] = 1e308
     coupling = (np.zeros((61, 3)), np.zeros((61, 2)))
     # simulate's node means, and so its result, would be infinite
-    x_sum, _, _, (xs, _) = population._step_agents(law, x0, range(7), coupling,
-                                                   seed=0, D=0.0, paths=True)
+    x_sum, _, _, (xs, _) = population._step_agents(law, x0, coupling, seed=0, D=0.0,
+                                                   paths=True)
     assert np.isinf(x_sum[:, 0]).all()
     npt.assert_array_equal(xs, np.broadcast_to(x0, xs.shape))
 
@@ -440,7 +440,7 @@ def test_a_run_whose_bound_fails_on_finite_states_is_redone_with_paths(monkeypat
         calls.clear()
         res = simulate(flat, pop, law, mf_coupling=coupling, D=D)
         assert calls == [(7, False), (7, True)]
-        x_sum, u_sum, _, (xs, _) = step_agents(law, x0, range(7), arrays, 0, D, paths=True)
+        x_sum, u_sum, _, (xs, _) = step_agents(law, x0, arrays, 0, D, paths=True)
         assert np.isfinite(xs).all() and np.abs(xs).max() > population._STATE_BOUND
         npt.assert_array_equal(res.x_N.values, x_sum / 7)
         npt.assert_array_equal(res.u_N.values, u_sum / 7)
@@ -620,8 +620,8 @@ def test_a_noisy_run_of_one_agent_steps_with_the_runs_noise_sums():
 
 @pytest.mark.parametrize("N", [1, 9, 300])
 def test_a_trace_or_replay_read_before_the_paths_is_the_paths_bit_for_bit(N):
-    # a lone agent draws the same noise blocks as the run with paths and
-    # takes its column of them
+    # a trace read before the paths builds them, and a replay under the
+    # run's law and recorded coupling reruns every agent the same way
     p, law, fam, pop = _family(3, 2, N, 2 * _NOISE_BLOCK + 3)
     for lw in (law, fam):
         for _, paths in _couplings(law, 3, 2):
@@ -630,7 +630,6 @@ def test_a_trace_or_replay_read_before_the_paths_is_the_paths_bit_for_bit(N):
             ids = sorted({0, N // 2, N - 1})
             traces = [res.trace(i) for i in ids]
             replays = [res.replay(i, lw, z, ubar) for i in ids]
-            assert "_paths" not in vars(res)
             for i, tr, (x, u) in zip(ids, traces, replays):
                 for got in ((tr.x, tr.u), (x, u)):
                     npt.assert_array_equal(got[0].values, res.xs[:, i])
@@ -819,7 +818,7 @@ def test_a_run_builds_its_paths_only_when_they_are_read(monkeypatch):
 
 
 @pytest.mark.parametrize("D", [None, 0.0])
-def test_a_trace_read_before_the_paths_steps_only_its_agent(monkeypatch, D):
+def test_a_trace_read_before_the_paths_builds_them_once(monkeypatch, D):
     p, law, fam, pop = _family(3, 2, 9, 2 * _NOISE_BLOCK + 3)
     _, paths = _couplings(law, 3, 2)[1]
     calls = _spy_step_agents(monkeypatch)
@@ -828,12 +827,33 @@ def test_a_trace_read_before_the_paths_steps_only_its_agent(monkeypatch, D):
             calls.clear()
             res = simulate(p, pop, lw, mf_coupling=coupling, seed=5, D=D)
             traces = [res.trace(3), res.traces[-1], res.trace(0)]
-            assert calls == [(9, False), (1, True), (1, True), (1, True)]
-            assert "_paths" not in vars(res)
+            assert calls == [(9, False), (9, True)]
             for i, tr in zip((3, 8, 0), traces):
                 assert tr.agent_id == i
+                assert np.shares_memory(tr.x.values, res.xs)
+                assert np.shares_memory(tr.u.values, res.us)
                 npt.assert_array_equal(tr.x.values, res.xs[:, i])
                 npt.assert_array_equal(tr.u.values, res.us[:, i])
+
+
+def test_a_replays_paths_keep_no_path_of_every_agent():
+    # replay reruns every agent and copies agent i's column: what it hands
+    # back holds (K+1, .) arrays, not the rerun's (K+1, N, .) paths
+    K, N = 2 * _NOISE_BLOCK + 3, 300
+    p, law, fam, pop = _family(3, 2, N, K)
+    res = simulate(p, pop, fam, seed=5)
+    z, ubar = (VectorPath(res.grid, a) for a in res.coupling)
+    fam.gain, fam.offset, fam.error_gain   # the law's node arrays, before the replay
+    tracemalloc.start()
+    try:
+        x, u = res.replay(4, fam, z, ubar)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    paths = (K + 1) * N * 3 * 8
+    assert peak > paths and kept < paths / 10
+    npt.assert_array_equal(x.values, res.xs[:, 4])
+    npt.assert_array_equal(u.values, res.us[:, 4])
 
 
 def test_iterating_the_traces_builds_the_paths_once(monkeypatch):
@@ -899,6 +919,19 @@ def test_a_population_that_does_not_fit_fails_loudly(params, law_c, mf_c, maps, 
         _assert_population_error(r"x0 of agent 3 is not finite",
                                  lambda: realtime_simulate(params, bundle, nan,
                                                            truth_policy()))
+
+
+@pytest.mark.parametrize("D", [1e-9, 1e-9 * np.eye(2)], ids=["scalar", "matrix"])
+def test_a_tiny_noise_matrix_moves_the_run_with_the_seed(params, bundle, law_c, D):
+    # a run is noiseless for D == 0 exactly: before, D within np.allclose's
+    # atol of 1e-8 of zero ran without noise, and its seed moved no bit
+    pop = _pop(5)
+    x_N = [simulate(params, pop, law_c, seed=s, D=D).x_N.values for s in (0, 1)]
+    z_A = [realtime_simulate(params, bundle, pop, truth_policy(), seed=s, D=D)["z_A"].values
+           for s in (0, 1)]
+    for a, b in (x_N, z_A):
+        assert not np.array_equal(a, b)
+        npt.assert_allclose(a, b, rtol=0, atol=1e-7)
 
 
 @pytest.mark.parametrize("D, match", [

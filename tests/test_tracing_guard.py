@@ -6,7 +6,8 @@ perfbench/workloads.py calls the library in the call forms of its
 requests.  A library change that renames or deletes one of them breaks the
 benchmark, so these tests read both files, without importing them as
 modules or writing anything beside them, check every name the shim wraps
-against the package, and run the first cycle of every workload.
+against the package, and run the first cycle of every workload, its first
+request once more under the installed shim.
 """
 
 import importlib
@@ -84,3 +85,19 @@ def test_every_request_of_a_workloads_first_cycle_passes_its_check(tmp_path, nam
     workload.setup()
     for req in workload.cycle(0):
         workload.check(req, workload.execute(req))
+
+
+@pytest.mark.parametrize("name", ["deterministic", "montecarlo", "realtime"])
+def test_a_workloads_first_request_passes_its_check_under_the_tracer(tmp_path, tracing, name):
+    # the shim's wrappers read what a traced run reads of each result: a
+    # simulate result's traces, each with its drift (_result_nbytes)
+    workload = _load("workloads").WORKLOADS[name](seed=7, outdir=str(tmp_path))
+    workload.setup()
+    req = workload.cycle(0)[0]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workload.check(req, workload.execute(req))
+    finally:
+        tracer.uninstall()
+    assert tracer.spans

@@ -31,9 +31,8 @@ post-correction offset map, the realtime kernels and the realtime maps
 anchored at t0 = 0.5; ``sample_population`` with non-diagonal covariances
 and a seed past 2**32; ``simulate`` with the shared and the per-agent
 offset law, empirical and prescribed coupling, default and zero noise,
-with agent 3's trace read before the paths (which draws the same noise
-blocks as the paths and takes its column); ``PopulationResult.replay``
-of agent 3; ``epsilon_nash_gap``; and ``realtime_simulate`` with each of
+with agent 3's trace read before the paths (which builds them);
+``PopulationResult.replay`` of agent 3; ``epsilon_nash_gap``; and ``realtime_simulate`` with each of
 the four estimator policies at default and zero noise.  The realtime
 kernels are Mig_diag and M0g_diag.  ``--against`` runs the script against
 an older checkout that has these calls and kernel fields; for one that has
