@@ -184,8 +184,8 @@ def epsilon_nash_gap(
     """
     from . import population
 
-    if N < 2 and not np.allclose(params.C, 0):
-        raise ValueError("N must be >= 2 for a coupled game")
+    if N < 2 and (params.C.any() or params.F.any()):
+        raise PopulationError("N must be >= 2 for a game coupled through C or F")
     if init_cov is None:
         init_cov = np.zeros((params.n, params.n))
     bundle = RiccatiBundle.solve(params, grid)

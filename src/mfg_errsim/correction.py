@@ -42,18 +42,13 @@ DEFAULT_SAMPLES = 8
 def observable_path(x: VectorPath, u: VectorPath, params: SystemParams) -> VectorPath:
     """Ob(t) = x_dot - A x - B u from an agent's realized state and control
     paths, with x_dot estimated by second-order finite differences (central
-    inside, one-sided at the ends), which is all a real agent can do."""
+    inside, one-sided at the ends: np.gradient at edge_order 2), which is
+    all a real agent can do."""
     grid = require_same_grid(x, u)
     if grid.steps < 2:
         raise ValueError("need at least three nodes to estimate the drift")
-    xv, uv = x.values, u.values
-    dt = grid.dt
-    xdot = np.empty_like(xv)
-    xdot[1:-1] = (xv[2:] - xv[:-2]) / (2.0 * dt)
-    xdot[0] = (-3.0 * xv[0] + 4.0 * xv[1] - xv[2]) / (2.0 * dt)
-    xdot[-1] = (3.0 * xv[-1] - 4.0 * xv[-2] + xv[-3]) / (2.0 * dt)
-    ob = xdot - xv @ params.A.T - uv @ params.B.T
-    return VectorPath(grid, ob)
+    xdot = np.gradient(x.values, grid.dt, axis=0, edge_order=2)
+    return VectorPath(grid, xdot - x.values @ params.A.T - u.values @ params.B.T)
 
 
 def residual_path(Ob: VectorPath, z_i: VectorPath, g_i: VectorPath,
@@ -103,11 +98,12 @@ def build_correction_problem(bundle: RiccatiBundle, Ob1: VectorPath, t0,
 
 
 def identifiability(problem: CorrectionProblem):
-    """Numerical rank of the stacked coefficient matrix (0 for a zero
-    matrix), identifiable at full column rank 2n."""
+    """Numerical rank of the stacked coefficient matrix, the number of its
+    singular values above SV_TOL times the largest (0 for a zero matrix),
+    identifiable at full column rank 2n.  recover_errors applies the same
+    rule within its own solve."""
     K = problem.stacked_K
-    sv = np.linalg.svd(K, compute_uv=False)
-    rank = int(np.sum(sv > SV_TOL * sv[0]))
+    rank = int(np.linalg.matrix_rank(K, rtol=SV_TOL))
     return {"rank": rank, "identifiable": rank == K.shape[1]}
 
 
@@ -123,21 +119,24 @@ class CorrectionResult:
 def recover_errors(problem: CorrectionProblem) -> CorrectionResult:
     """Least-squares recovery of (Ebar, E_i), plus the true mean field at t0.
 
+    One solve of the stacked system gives both the errors and its rank,
+    counted by identifiability's rule (LAPACK keeps the singular values
+    above SV_TOL times the largest); below full column rank 2n it raises
+    IdentifiabilityError.
+
     z_A(t0) = z_i(t0) + Mz(t0) Ebar - Phi1(t0) E_i.
     """
-    ident = identifiability(problem)
     K, b = problem.stacked_K, problem.stacked_Ob1
-    if not ident["identifiable"]:
-        raise IdentifiabilityError(f"stacked system has rank {ident['rank']} < {K.shape[1]}; "
+    sol, _, rank, _ = np.linalg.lstsq(K, b, rcond=SV_TOL)
+    if rank < K.shape[1]:
+        raise IdentifiabilityError(f"stacked system has rank {rank} < {K.shape[1]}; "
                                    "errors are not recoverable from these samples")
-    sol, *_ = np.linalg.lstsq(K, b, rcond=None)
     E_bar, E_i = np.split(sol, 2)
-    residual = float(np.linalg.norm(K @ sol - b))
     bundle, t0 = problem.bundle, problem.t0
     return CorrectionResult(
         E_bar=E_bar, E_i=E_i,
         z_A_t0=problem.z_i_t0 + bundle.Mz.at(t0) @ E_bar - bundle.Phi1.at(t0) @ E_i,
-        rank=ident["rank"], residual=residual,
+        rank=int(rank), residual=float(np.linalg.norm(K @ sol - b)),
     )
 
 

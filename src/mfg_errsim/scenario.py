@@ -349,22 +349,6 @@ def _plot_script(path, csv_specs):
         fh.write("\n".join(lines) + "\n")
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _fit_line(k_values, y_values):
-    """Least-squares line y = a k + b; returns slope, intercept, R^2.  An
-    overflow is not warned about: it shows as a non-finite figure, which
-    _write_table rejects."""
-    k = np.asarray(k_values, dtype=float)
-    y = np.asarray(y_values, dtype=float)
-    A = np.column_stack([k, np.ones_like(k)])
-    (a, b), *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - (a * k + b)
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(a), float(b), r2
-
-
 # the bundles kept across runs (see the module docstring), oldest first:
 # key -> [bundle, hits]
 _SOLVED_MAX = 2
@@ -418,21 +402,29 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
         *runs, ref = solve_limiting_batch(
             bundle, config.z0,
             [(k * config.E_bar, k * config.E_bar) for k in config.k_sweep + [0.0]])
-        # deviations per k at probe times, then per-component regressions
-        rows = []
-        for kind, extract in (
-            (0.0, lambda r: r.zbar.z.values - r.z_c.z.values),
-            (1.0, lambda r: r.z_A.values - ref.z_A.values),
-        ):
-            devs = [extract(r) for r in runs]
-            for tp in _probe_times(config.params):
-                kk = grid.index_of(tp)
-                for j in range(n):
-                    rows.append((kind, tp, float(j + 1),
-                                 *_fit_line(config.k_sweep, [d[kk, j] for d in devs])))
-        labels = ("kind_actual", "t", "component", "slope", "intercept", "r_squared")
-        _write_table(out, files, "linearity.csv",
-                     zip(labels, np.reshape(rows, (-1, len(labels))).T))
+        # the deviations per k at the probe nodes, one column per (kind,
+        # probe, component) in the CSV's row order, all fitted by one
+        # least-squares call; R^2 sums each line along a contiguous row, in
+        # the order a lone column's sum takes.  An overflow is not warned
+        # about: it shows as a non-finite figure, which _write_table rejects
+        probes = _probe_times(config.params)
+        nodes = [grid.index_of(tp) for tp in probes]
+        devs = np.array([np.concatenate([r.zbar.z.values[nodes] - r.z_c.z.values[nodes],
+                                         r.z_A.values[nodes] - ref.z_A.values[nodes]]).ravel()
+                         for r in runs])
+        k = np.array(config.k_sweep, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            (slope, icpt), *_ = np.linalg.lstsq(np.column_stack([k, np.ones_like(k)]), devs,
+                                                rcond=None)
+            lines = np.ascontiguousarray(devs.T)
+            ss_res = np.sum((lines - (slope[:, None] * k + icpt[:, None])) ** 2, axis=1)
+            ss_tot = np.sum((lines - np.mean(lines, axis=1, keepdims=True)) ** 2, axis=1)
+            r2 = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
+        _write_table(out, files, "linearity.csv", [
+            ("kind_actual", np.repeat([0.0, 1.0], len(probes) * n)),
+            ("t", np.tile(np.repeat(probes, n), 2)),
+            ("component", np.tile(np.arange(1.0, n + 1.0), 2 * len(probes))),
+            ("slope", slope), ("intercept", icpt), ("r_squared", r2)])
         base = runs[0]
         _write_series(out, files, "mf_actual.csv", grid,
                       [("z_c", base.z_c.z.values), ("z_actual", base.z_A.values)])

@@ -128,3 +128,14 @@ def test_epsilon_nash_gap_nonnegative_without_noise():
     )
     assert gap >= -1e-9
     assert gap < 1e-2
+
+
+def test_a_lone_agent_needs_a_game_without_any_coupling():
+    # any nonzero entry of C or F couples the game, however small
+    p = p6_params()
+    grid, zero = p.default_grid(200), np.zeros((2, 2))
+    for coupled in (p.with_(C=1e-9 * np.eye(2)), p.with_(C=zero, F=0.5 * np.eye(2))):
+        with pytest.raises(PopulationError, match="N must be >= 2"):
+            epsilon_nash_gap(coupled, N=1, seed=0, grid=grid, z0=P6_Z0, D=0.0)
+    gap = epsilon_nash_gap(p.with_(C=zero, F=zero), N=1, seed=0, grid=grid, z0=P6_Z0, D=0.0)
+    assert np.isfinite(gap)

@@ -8,6 +8,7 @@ import pytest
 
 from mfg_errsim.correction import (
     DEFAULT_SAMPLES,
+    CorrectionProblem,
     _sample_nodes,
     build_correction_problem,
     corrected_mf_deviation,
@@ -131,6 +132,25 @@ def test_unidentifiable_problem_raises(params, z0):
     assert identifiability(problem)["rank"] == 0
     with pytest.raises(IdentifiabilityError):
         recover_errors(problem)
+
+
+@pytest.mark.parametrize("ratio, rank", [(2e-8, 4), (5e-9, 3)])
+def test_identifiability_and_recovery_count_the_same_rank(bundle, ratio, rank):
+    # a 16 x 4 stack whose smallest singular value is ratio times the
+    # largest, either side of the cutoff SV_TOL = 1e-8
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((16, 4)))
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    K = U * np.array([1.0, 0.5, 0.1, ratio]) @ V.T
+    problem = CorrectionProblem(bundle=bundle, t0=T0, stacked_K=K,
+                                stacked_Ob1=K @ np.array([0.4, -0.4, 0.2, 0.1]),
+                                z_i_t0=np.zeros(2))
+    assert identifiability(problem) == {"rank": rank, "identifiable": rank == 4}
+    if rank == 4:
+        assert recover_errors(problem).rank == 4
+    else:
+        with pytest.raises(IdentifiabilityError, match="rank 3 < 4"):
+            recover_errors(problem)
 
 
 def test_modified_game_restarts_from_reconstructed_state(bundle, run, grid):

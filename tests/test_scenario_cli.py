@@ -16,7 +16,6 @@ from mfg_errsim.params import p6_params
 from mfg_errsim.riccati import RiccatiBundle
 from mfg_errsim.scenario import (
     ScenarioConfig,
-    _fit_line,
     _probe_times,
     load_config,
     run_scenario,
@@ -257,9 +256,25 @@ def _mixed_fixture():
     return module.FIXTURES["mixed"]
 
 
-def test_evolve_outputs_match_a_loop_of_single_limiting_solves(tmp_path):
+def _fit_line(k_values, y_values):
+    """Least-squares line y = a k + b of one probe column; slope,
+    intercept, R^2."""
+    k = np.asarray(k_values, dtype=float)
+    y = np.asarray(y_values, dtype=float)
+    A = np.column_stack([k, np.ones_like(k)])
+    (a, b), *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - (a * k + b)
+    ss_res = float(np.sum(resid ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(a), float(b), r2
+
+
+@pytest.mark.parametrize("sweep", [{}, {"k_sweep": [float(k) for k in np.linspace(-2.0, 3.5, 12)]}],
+                         ids=["fixture_sweep", "twelve_values"])
+def test_evolve_outputs_match_a_loop_of_single_limiting_solves(tmp_path, sweep):
     cfg = validate_config(dict(_mixed_fixture(), mode="evolve", grid_steps=200,
-                               output_dir=str(tmp_path)))
+                               output_dir=str(tmp_path), **sweep))
     run_scenario(cfg)
     bundle = RiccatiBundle.solve(cfg.params, cfg.grid())
     runs = [solve_limiting(bundle, cfg.z0, k * cfg.E_bar, k * cfg.E_bar)
