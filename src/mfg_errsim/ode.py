@@ -22,8 +22,8 @@ so a generator that several solves share keeps one StepMaps
 for the rest.  Backward problems are integrated in reversed time with a
 negative step; returned paths are always forward-indexed.  _up_sweep and
 _scan are the package's one prefix scan: the population module's Monte
-Carlo blocks sweep their Euler step maps up and scan columns against them
-too.
+Carlo chunks and blocks sweep their Euler step maps up and scan columns
+against them too.
 
 A constant linear ODE needs no RK4: its exact step map is the matrix
 exponential (expm, degree-13 Pade scaling and squaring), and matrix_powers

@@ -17,16 +17,18 @@ error_gain (K+1, d, n), or None for a law every agent plays alike; a law
 carries them with P1, its errors (N, n) and its grid, on which the run
 takes place.  Every agent's step then has the matrix I + dt
 agent_generator(P1), so _step_agents, the one stepping routine here, sweeps
-each block's step maps up once and prefix-scans shared columns against
-them.  realtime_simulate, whose controls come from an estimator policy at
+each chunk's (or block's) step maps up once and prefix-scans shared columns
+against them.  realtime_simulate, whose controls come from an estimator policy at
 each node, steps node by node with _noise_matrix, _noise_blocks, _drift and
 agent_sum.
 
-A run keeps node arrays, not paths: the step being affine, a block's node
-sums follow from the agents' summed rows [x | 1 | E_i] at its first node
-and their summed noise S_k, so simulate forms no agent's state and holds
-O(N) memory beyond its (K+1, .) node arrays (a run whose norm bound cannot
-show the states finite is redone once with paths).  The run draws S_k =
+A run keeps node arrays, not paths: the step being affine, the node sum of
+the states steps by the same map as one agent, from the sum of x0, with
+the summed forcing and the agents' summed noise S_k, so simulate scans one
+column per node, a chunk of _SUM_CHUNK nodes at a time, forms no agent's
+state and holds O(N) memory beyond its (K+1, .) node arrays.  An
+elementwise bound on the states, scanned beside it, shows them finite; a
+run where it cannot is redone once with paths.  The run draws S_k =
 sqrt(N) g_k, K n normals of its own stream, and agent i steps with n_ik -
 nbar_k + S_k / N, its entry of the dynamics draw less the agents' mean plus
 the run's share: the mean of iid Gaussians is independent of the
@@ -52,11 +54,13 @@ from .riccati import agent_generator, mf_generator
 
 # the purposes of a seed's streams, their spawn keys (see _stream)
 _SAMPLING, _DYNAMICS, _RUN = 0, 1, 2
-# nodes per block of simulate's scans and per refill of a noise buffer
+# nodes per block of a run with paths, and per refill of a noise buffer
 _NOISE_BLOCK = 128
+# nodes per chunk of a run's node-sum scans, a multiple of _NOISE_BLOCK
+_SUM_CHUNK = 512
 # column chunks of the agents' noise per block scan (see _step_agents)
 _NOISE_CHUNKS = 4
-# a run without paths is redone with paths where its states' norm bound passes this
+# a run without paths is redone with paths where its states' bound passes this
 _STATE_BOUND = np.finfo(float).max / 2
 # |standard_normal| < 13.71: numpy's ziggurat tail is r - log1p(-u) / r with
 # r = 3.6541528853610088 and u <= 1 - 2**-53, at most r + 53 ln 2 / r = 13.7076
@@ -344,47 +348,42 @@ def _step_agents(law, x0, coupling, seed, D, paths=False):
     Agent i's step k is x -> T_k x + f_k + dt B W_k E_i + sqrt(dt) D n'_ik,
     T_k = I + dt agent_generator(P1)_k and f_k = dt (B offset_k + C mf_x_k
     + F mf_u_k) the same for every agent, W the error gain and n'_ik =
-    n_ik - nbar_k + S_k / N.  Per block of _NOISE_BLOCK steps from node
-    k0, ode._up_sweep takes the T_k up once, and each ode._scan of the block
-    scans columns against those levels:
+    n_ik - nbar_k + S_k / N.  The run goes in chunks of _SUM_CHUNK steps,
+    and each recurrence below is one ode._scan of one column per node
+    against the ode._up_sweep levels of its chunk's step maps, the first
+    column carrying the value at the chunk's first node k0:
 
-    - under empirical coupling, those of the mean's step m -> M_k m + dt
-      (B+F) vbar_k + sqrt(dt) D S_k / N, M_k = I + dt mf_generator(P1)_k
-      swept up too and vbar the mean offset: [M_k0 | b_k] (the first n
-      columns zero after the first step) gives [P_j | C_j], so mf_x = P_j
-      m_k0 + C_j and mf_u = gain mf_x + vbar;
-    - [T_k0 | f_k | dt B W_k] (likewise) gives [P_j | c_j | CE_j]: agent
-      i's state at node k0 + j + 1 is z_i [P_j | c_j | CE_j]', z_i = [x_k0 |
-      1 | E_i], and its control z_i U_j, U_j = [P_j | c_j | CE_j]' gain' +
-      [0 | offset | W]', each plus its noise part;
-    - the block's node sums are (sum_i z_i) times those, plus under noise
-      the scan of sqrt(dt) D S_k and its product with gain'.
+    - under empirical coupling, the mean m -> M_k m + dt (B+F) vbar_k +
+      sqrt(dt) D S_k / N, M_k = I + dt mf_generator(P1)_k and vbar the mean
+      offset, gives mf_x, and mf_u = gain mf_x + vbar;
+    - without paths, the state sum x_sum -> T_k x_sum + N f_k + dt B W_k
+      sum_i E_i + sqrt(dt) D S_k gives the node sums of the states, and
+      u_sum = gain x_sum + N offset + W sum_i E_i those of the controls: no
+      agent's state is formed nor its noise drawn;
+    - without paths, b -> |T_k| b + |f_k| + |dt B W_k| max_i |E_i| +
+      |sqrt(dt) D| (2 _NORMAL_MAX + |S_k| / N), from b_0 = max_i |x0_i|,
+      bounds the states elementwise, |x_ik| <= b_k, as |T_l ... T_j| <=
+      |T_l| ... |T_j| and |n_ik - nbar_k| <= 2 _NORMAL_MAX: the run returns
+      None once b reaches _STATE_BOUND.
 
-    Without paths the next block starts from the summed row [x_sum_k1 | N |
-    sum_i E_i] (a lone agent from its own row): no agent's state is formed
-    nor its noise drawn.  With |z_i| <= zmax a block's states are at most
-    bound = zmax max_j |[P_j | c_j | CE_j]| plus the noise part's bound, by
-    |n'_ik| <= 2 _NORMAL_MAX + |S_k| / N; the run returns None once bound
-    reaches _STATE_BOUND, else the next block takes zmax = max(zmax, bound).
-
-    With paths, each block's states and controls are written out node by
-    node, for all agents or a chunk at once, the noise part the scan of the
-    chunk's columns sqrt(dt) D n_ik plus the agents' shared shift sqrt(dt) D
-    (S_k / N - nbar_k), and the next block starts from the last
-    node's rows.  No step map is inverted, and no product of a written block
-    mixes two agents, so under prescribed coupling an agent's bits are fixed
-    by its row, its entries of the dynamics draw, nbar and S, and a run with paths against an
+    With paths, each block of _NOISE_BLOCK steps from node k0 scans the
+    columns [T_k0 | f_k | dt B W_k] (the first n zero after the first step)
+    against its own levels for [P_j | c_j | CE_j]: agent i's state at node
+    k0 + j + 1 is z_i [P_j | c_j | CE_j]', z_i = [x_k0 | 1 | E_i], and its
+    control z_i U_j, U_j = [P_j | c_j | CE_j]' gain' + [0 | offset | W]',
+    each plus its noise part, the scan of the columns sqrt(dt) D n_ik plus
+    the agents' shared shift sqrt(dt) D (S_k / N - nbar_k).  The block's
+    states and controls are written out node by node, for all agents or a
+    chunk of them at once, the node sums are the sums of those paths, and
+    the next block starts from the last node's rows.  No step map is
+    inverted, and no product of a written block mixes two agents, so under
+    prescribed coupling an agent's bits are fixed by its row, its entries
+    of the dynamics draw, nbar and S, and a run with paths against an
     earlier run's coupling gives its paths bit for bit.  A non-finite state
     raises IntegrationBlowupError naming its first node and agent, as under
     empirical coupling does a mean of x0 that overflows, at node 0; a node
     sum that overflows on finite states is returned as it is.
     """
-    N_pop = len(x0)
-    lone = N_pop == 1
-    if lone:
-        # a lone agent steps beside a copy of itself: numpy multiplies a
-        # one-row operand by other BLAS kernels (gemv), whose bits differ
-        x0 = np.repeat(x0, 2, axis=0)
     N, n = x0.shape
     params, grid = law.params, law.grid
     K, dt, d = grid.steps, grid.dt, params.d
@@ -392,122 +391,145 @@ def _step_agents(law, x0, coupling, seed, D, paths=False):
     D = _noise_matrix(params, D)
     noisy = D is not None
     if noisy:
-        # the node sums' g, block by block the numbers of one (K, n) draw
+        # the node sums' g, chunk by chunk the numbers of one (K, n) draw
         run = _stream(seed, _RUN)
-        blocks = _noise_blocks(seed, N_pop, K, n) if paths else None
         sqdtD = np.sqrt(dt) * D
-    # a noisy block's paths scan the agents' noise in _NOISE_CHUNKS near-equal
-    # chunks of two agents or more, whose scan transients stay near the buffer's size
-    chunks = min(_NOISE_CHUNKS, N // 2) if noisy else 1
-    edges = [N * j // chunks for j in range(chunks + 1)]
     gain, offset, W = law.gain, law.offset, law.error_gain
-    e = 0 if W is None else n
+    if W is not None:
+        E_sum = agent_sum(law.errors)
     P1 = law.P1.values
     eye = np.eye(n)
-    # the rows [x | 1 | E_i] of the agents, updated to each block's x_k0 with paths
-    Z = np.empty((N, n + 1 + e))
-    Z[:, :n] = x0
-    Z[:, n] = 1.0
-    if W is not None:
-        Z[:, n + 1:] = E = law.errors[np.arange(N) % N_pop]   # the lone agent's twice
+    x_sum, u_sum = np.empty((K + 1, n)), np.empty((K + 1, d))
+    x_sum[0] = agent_sum(x0)
     if coupling is None:
-        vbar = offset if W is None else offset + (agent_sum(E) / N) @ np.swapaxes(W, 1, 2)
         mf_x, mf_u = np.empty((K + 1, n)), np.empty((K + 1, d))
-        mf_x[0] = agent_sum(x0) / N
+        mf_x[0] = x_sum[0] / N
         if not np.isfinite(mf_x[0]).all():
             raise _mean_overflow(grid, 0)
     else:
         mf_x, mf_u = coupling
-    # the lone agent's node sums are its own path
-    node_sums = (lambda a: a[..., 0, :]) if lone else agent_sum
     if paths:
-        xs, us = np.empty((K + 1, N, n)), np.empty((K + 1, N, d))
+        lone = N == 1
+        if lone:
+            # a lone agent steps beside a copy of itself: numpy multiplies a
+            # one-row operand by other BLAS kernels (gemv), whose bits differ
+            x0 = np.repeat(x0, 2, axis=0)
+        rows = len(x0)
+        # the rows [x | 1 | E_i] of the agents, updated to each block's x_k0
+        e = 0 if W is None else n
+        Z = np.empty((rows, n + 1 + e))
+        Z[:, :n] = x0
+        Z[:, n] = 1.0
+        if W is not None:
+            Z[:, n + 1:] = law.errors[np.arange(rows) % N]   # the lone agent's twice
+        xs, us = np.empty((K + 1, rows, n)), np.empty((K + 1, rows, d))
         xs[0] = x0
-    x_sum, u_sum = np.empty((K + 1, n)), np.empty((K + 1, d))
-    x_sum[0] = node_sums(x0)
-    z_sum, zmax = node_sums(Z), np.abs(Z).max()
-    for k0 in range(0, K, _NOISE_BLOCK):
-        k1 = min(k0 + _NOISE_BLOCK, K)
+        # the lone agent's node sums are its own path
+        node_sums = (lambda a: a[..., 0, :]) if lone else agent_sum
+        if noisy:
+            blocks = _noise_blocks(seed, N, K, n)
+        # a noisy block's paths scan the agents' noise in _NOISE_CHUNKS near-equal
+        # chunks of two agents or more, whose scan transients stay near the buffer's size
+        chunks = min(_NOISE_CHUNKS, rows // 2) if noisy else 1
+        edges = [rows * j // chunks for j in range(chunks + 1)]
+    else:
+        bound = np.abs(x0).max(axis=0)
+        if W is not None:
+            E_max = np.abs(law.errors).max(axis=0)
+    for k0 in range(0, K, _SUM_CHUNK):
+        k1 = min(k0 + _SUM_CHUNK, K)
         m = k1 - k0
         hi = k1 + 1 if k1 == K else k1   # nodes k0..hi-1 take their controls here
-        levels = _up_sweep(eye + dt * agent_generator(params, P1[k0:k1]))
+        WE = 0.0 if W is None else W[k0:hi] @ E_sum
         if noisy:
-            S = np.sqrt(N_pop) * run.standard_normal((m, n))
-            if paths:
+            S = np.sqrt(N) * run.standard_normal((m, n))
+        if coupling is None:
+            M = eye + dt * mf_generator(params, P1[k0:k1])
+            vbar = offset[k0:hi] + WE / N
+            col = dt * (vbar[:m] @ (B + F).T)
+            if noisy:
+                col += (S / N) @ sqdtD.T
+            col[0] += M[0] @ mf_x[k0]
+            mf_x[k0 + 1:k1 + 1] = _scan(_up_sweep(M), col[..., None])[..., 0]
+            mf_u[k0:hi] = (gain[k0:hi] @ mf_x[k0:hi, :, None])[..., 0] + vbar
+            del M   # before the agents' maps are formed
+        T = eye + dt * agent_generator(params, P1[k0:k1])
+        f = dt * (offset[k0:k1] @ B.T + mf_x[k0:k1] @ C.T + mf_u[k0:k1] @ F.T)
+        if not paths:
+            col = N * f
+            if W is not None:
+                col += dt * (WE[:m] @ B.T)
+            if noisy:
+                col += S @ sqdtD.T
+            col[0] += T[0] @ x_sum[k0]
+            x_sum[k0 + 1:k1 + 1] = _scan(_up_sweep(T), col[..., None])[..., 0]
+            u_sum[k0:hi] = ((gain[k0:hi] @ x_sum[k0:hi, :, None])[..., 0]
+                            + N * offset[k0:hi] + WE)
+            # the state bound at the chunk's nodes, from its value at k0
+            w = np.abs(f)
+            if W is not None:
+                w += np.abs(dt * (B @ W[k0:k1])) @ E_max
+            if noisy:
+                w += (2 * _NORMAL_MAX + np.abs(S) / N) @ np.abs(sqdtD).T
+            np.abs(T, out=T)
+            w[0] += T[0] @ bound
+            bounds = _scan(_up_sweep(T), w[..., None])[..., 0]
+            if not bounds.max() < _STATE_BOUND:
+                return None
+            bound = bounds[-1]
+            continue
+        for b0 in range(k0, k1, _NOISE_BLOCK):
+            b1 = min(b0 + _NOISE_BLOCK, K)
+            mb, j0, j1 = b1 - b0, b0 - k0, b1 - k0
+            bhi = b1 + 1 if b1 == K else b1   # nodes b0..bhi-1 take their controls here
+            levels = _up_sweep(T[j0:j1])
+            if noisy:
                 # the noise part's columns sqrt(dt) D n_ik and the shift
-                # sqrt(dt) D (S_k / N_pop - nbar_k) that all agents share
+                # sqrt(dt) D (S_k / N - nbar_k) that all agents share
                 noise = next(blocks)
-                shift = ((S - agent_sum(noise)) / N_pop) @ sqdtD.T
+                shift = ((S[j0:j1] - agent_sum(noise)) / N) @ sqdtD.T
                 if lone:
                     noise = noise[:, [0, 0]]
-        if coupling is None:
-            mean_levels = _up_sweep(eye + dt * mf_generator(params, P1[k0:k1]))
-            cols = np.zeros((m, n, n + 1))
-            cols[0, :, :n] = mean_levels[0][0]
-            cols[:, :, n] = dt * (vbar[k0:k1] @ (B + F).T)
-            if noisy:
-                cols[:, :, n] += (S / N_pop) @ sqdtD.T
-            PC = _scan(mean_levels, cols)
-            mf_x[k0 + 1:k1 + 1] = PC[:, :, :n] @ mf_x[k0] + PC[:, :, n]
-            mf_u[k0:hi] = (gain[k0:hi] @ mf_x[k0:hi, :, None])[..., 0] + vbar[k0:hi]
-        # [P_j | c_j | CE_j]' from the block's columns [T_k0 | f_k | dt B W_k]
-        cols = np.zeros((m, n, n + 1 + e))
-        cols[0, :, :n] = levels[0][0]
-        cols[:, :, n] = dt * (offset[k0:k1] @ B.T + mf_x[k0:k1] @ C.T + mf_u[k0:k1] @ F.T)
-        if W is not None:
-            cols[:, :, n + 1:] = dt * (B @ W[k0:k1])
-        PT = np.ascontiguousarray(np.swapaxes(_scan(levels, cols), 1, 2))
-        # [1 | E_i] takes the control terms [offset | W]', and x its gain'
-        gainT = np.ascontiguousarray(np.swapaxes(gain[k0 + 1:hi], 1, 2))
-        U = np.zeros((hi - k0, n + 1 + e, d))
-        U[0, :n] = gain[k0].T
-        U[1:] = PT[:hi - k0 - 1] @ gainT
-        U[:, n] += offset[k0:hi]
-        if W is not None:
-            U[:, n + 1:] += np.swapaxes(W[k0:hi], 1, 2)
-        x_sum[k0 + 1:k1 + 1] = z_sum @ PT
-        u_sum[k0:hi] = z_sum @ U
-        if noisy:
-            dx = _scan(levels, (S @ sqdtD.T)[..., None])[..., 0]
-            x_sum[k0 + 1:k1 + 1] += dx
-            u_sum[k0 + 1:hi] += (dx[:hi - k0 - 1, None] @ gainT)[:, 0]
-        if not paths:
-            # the noise part is at most m |T|^(m-1) |sqrt(dt) D| max |n'|
-            # (infinity norms, |T| >= 1 the block's largest)
-            bound = zmax * np.abs(PT).sum(axis=1).max()
-            if noisy:
-                tau = np.maximum(1.0, np.abs(levels[0]).sum(axis=2).max())
-                bound += (m * tau ** (m - 1) * np.abs(sqdtD).sum(axis=1).max()
-                          * (2 * _NORMAL_MAX + np.abs(S).max() / N_pop))
-            if not bound < _STATE_BOUND:
-                return None
-            zmax = max(zmax, bound)
-            z_sum[:n] = x_sum[k1]
-            continue
-        xb, ub = xs[k0 + 1:k1 + 1], us[k0:hi]
-        for a, b in zip(edges, edges[1:]):
-            x, u = xb[:, a:b], ub[:, a:b]
-            np.matmul(Z[a:b], PT, out=x)
-            np.matmul(Z[a:b], U, out=u)
-            if noisy:
-                cols = sqdtD @ noise[:, a:b].transpose(0, 2, 1)
-                cols += shift[..., None]
-                # a product with I moves the agents from columns to rows:
-                # exact, and faster than numpy's strided copy
-                dx = np.swapaxes(_scan(levels, cols), 1, 2) @ eye
-                x += dx
-                u[1:] += dx[:hi - k0 - 1] @ gainT
-                del dx   # before the next chunk's scan
-        # a non-finite state makes its node's sum non-finite; a sum can also
-        # overflow on finite states, which the node's rows tell apart
-        for j in np.flatnonzero(~np.isfinite(agent_sum(xb)).all(axis=1)):
-            bad = np.flatnonzero(~np.isfinite(xb[j]).all(axis=1))
-            if len(bad):
-                k = k0 + 1 + int(j)
-                raise IntegrationBlowupError(f"agent {bad[0]} state non-finite at node {k}",
-                                             node=k, time=grid.times[k])
-        Z[:, :n] = xb[m - 1]
-        z_sum = node_sums(Z)
+            # [P_j | c_j | CE_j]' from the block's columns [T_b0 | f_k | dt B W_k]
+            cols = np.zeros((mb, n, n + 1 + e))
+            cols[0, :, :n] = levels[0][0]
+            cols[:, :, n] = f[j0:j1]
+            if W is not None:
+                cols[:, :, n + 1:] = dt * (B @ W[b0:b1])
+            PT = np.ascontiguousarray(np.swapaxes(_scan(levels, cols), 1, 2))
+            # [1 | E_i] takes the control terms [offset | W]', and x its gain'
+            gainT = np.ascontiguousarray(np.swapaxes(gain[b0 + 1:bhi], 1, 2))
+            U = np.zeros((bhi - b0, n + 1 + e, d))
+            U[0, :n] = gain[b0].T
+            U[1:] = PT[:bhi - b0 - 1] @ gainT
+            U[:, n] += offset[b0:bhi]
+            if W is not None:
+                U[:, n + 1:] += np.swapaxes(W[b0:bhi], 1, 2)
+            xb, ub = xs[b0 + 1:b1 + 1], us[b0:bhi]
+            for a, b in zip(edges, edges[1:]):
+                x, u = xb[:, a:b], ub[:, a:b]
+                np.matmul(Z[a:b], PT, out=x)
+                np.matmul(Z[a:b], U, out=u)
+                if noisy:
+                    cols = sqdtD @ noise[:, a:b].transpose(0, 2, 1)
+                    cols += shift[..., None]
+                    # a product with I moves the agents from columns to rows:
+                    # exact, and faster than numpy's strided copy
+                    dx = np.swapaxes(_scan(levels, cols), 1, 2) @ eye
+                    x += dx
+                    u[1:] += dx[:bhi - b0 - 1] @ gainT
+                    del dx   # before the next chunk's scan
+            x_sum[b0 + 1:b1 + 1] = node_sums(xb)
+            u_sum[b0:bhi] = node_sums(ub)
+            # a non-finite state makes its node's sum non-finite; a sum can
+            # also overflow on finite states, which the node's rows tell apart
+            for j in np.flatnonzero(~np.isfinite(x_sum[b0 + 1:b1 + 1]).all(axis=1)):
+                bad = np.flatnonzero(~np.isfinite(xb[j]).all(axis=1))
+                if len(bad):
+                    k = b0 + 1 + int(j)
+                    raise IntegrationBlowupError(f"agent {bad[0]} state non-finite at node {k}",
+                                                 node=k, time=grid.times[k])
+            Z[:, :n] = xb[mb - 1]
     if paths and lone:
         xs, us = xs[:, :1].copy(), us[:, :1].copy()
     return x_sum, u_sum, (mf_x, mf_u), (xs, us) if paths else None
@@ -553,7 +575,7 @@ def simulate(
     a non-negative integer (PopulationError otherwise), fixes the noise
     (see the module docstring).  The result
     keeps the node arrays (see _step_agents, PopulationResult), or those and
-    the paths of a run redone with paths where the norm bound cannot show
+    the paths of a run redone with paths where the state bound cannot show
     the states finite.  A non-finite state, or a node mean of finite states or controls
     that overflows, raises IntegrationBlowupError naming the node.
     """

@@ -121,6 +121,9 @@ def test_existence_check_rejects_degenerate_split(params, grid):
 
 
 def test_epsilon_nash_gap_nonnegative_without_noise():
+    # the init_cov spread is what keeps the gap positive: with every agent at
+    # z0 the equilibrium is the best response but for the grid's second-order
+    # error, and the gap is -8.2e-9 here (see the next test)
     p = p6_params()
     gap = epsilon_nash_gap(
         p, N=8, seed=0, grid=p.default_grid(500),
@@ -128,6 +131,21 @@ def test_epsilon_nash_gap_nonnegative_without_noise():
     )
     assert gap >= -1e-9
     assert gap < 1e-2
+
+
+def test_the_noiseless_gap_without_spread_is_a_second_order_grid_error():
+    # a lone agent of an uncoupled P6 starting at z0 is its own mean field:
+    # the equilibrium is its best response but for the error of the Euler
+    # paths and the cost quadrature, so the gap, -4.9e-7 at K = 200,
+    # shrinks about 4x per doubling of K
+    p = p6_params()
+    zero = np.zeros((2, 2))
+    lone = p.with_(C=zero, F=zero)
+    gaps = [epsilon_nash_gap(lone, N=1, seed=0, grid=lone.default_grid(K), z0=P6_Z0, D=0.0)
+            for K in (200, 400, 800)]
+    assert -1e-6 < gaps[0] < -1e-7
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.8 < coarse / fine < 4.2
 
 
 def test_a_lone_agent_needs_a_game_without_any_coupling():

@@ -40,6 +40,7 @@ from mfg_errsim.population import (
     _NOISE_BLOCK,
     _RUN,
     _SAMPLING,
+    _SUM_CHUNK,
     OffsetFamilyLaw,
     agent_sum,
     sample_population,
@@ -272,9 +273,10 @@ def _family(n, d, N, K=60):
 @pytest.mark.parametrize("N", [7, 300])
 @pytest.mark.parametrize("n, d", [(3, 2), (1, 1)])
 def test_simulated_means_are_the_means_of_the_paths_to_rounding(n, d, N):
-    # the node means come from the agents' summed rows by linearity, not from
-    # their paths, so they are numpy's mean of the paths to rounding
-    p, law, fam, pop = _family(n, d, N, 2 * _NOISE_BLOCK + 3)
+    # the node means come from the scanned node sums by linearity, not from
+    # the paths, so they are numpy's mean of the paths to rounding, across
+    # the paths' blocks and the node sums' chunks
+    p, law, fam, pop = _family(n, d, N, 2 * _SUM_CHUNK + 3)
     for lw in (law, fam):
         for _, coupling in _couplings(law, n, d):
             for D in (None, 0.0):
@@ -447,6 +449,26 @@ def test_a_run_whose_bound_fails_on_finite_states_is_redone_with_paths(monkeypat
         # the result keeps the paths run's paths: reading them steps no agent
         npt.assert_array_equal(res.xs, xs)
         assert calls == [(7, False), (7, True)]
+
+
+def test_a_non_normal_contracting_step_runs_without_paths(monkeypatch):
+    # T = I + dt A with A = [[-1, 1e5], [0, -1]] contracts, but |T| has
+    # infinity norm about 101: a bound by norms of products of T grows like
+    # 101^m over m steps and overflows, where the elementwise bound's
+    # products of |T| stay below 4e4, so the run keeps no paths
+    zero = np.zeros((2, 2))
+    p = p6_params().with_(A=np.array([[-1.0, 1e5], [0.0, -1.0]]), C=zero, F=zero)
+    grid = p.default_grid(2000)
+    law = FeedbackLaw(params=p, P1=MatrixPath(grid, np.zeros((2001, 2, 2))),
+                      g=VectorPath(grid, np.zeros((2001, 2))))
+    assert 100 < np.abs(np.eye(2) + grid.dt * p.A).sum(axis=1).max() < 102
+    assert p.D.any()
+    calls = _spy_step_agents(monkeypatch)
+    res = simulate(p, _pop(50), law, seed=3)
+    assert calls == [(50, False)]
+    xs = res.xs
+    npt.assert_allclose(res.x_N.values, np.mean(xs, axis=1), rtol=0,
+                        atol=1e-13 * np.abs(xs).max())
 
 
 def test_a_realtime_mean_that_overflows_names_its_node():
@@ -688,10 +710,14 @@ def test_an_empirical_run_steps_with_the_node_means_of_its_paths(n, d):
 
 @pytest.mark.parametrize("N", [3, 9])
 def test_a_run_sweeps_each_blocks_step_maps_up_once(monkeypatch, N):
-    # the agents' maps once per block, the mean's once more under empirical
-    # coupling, however many chunks the block's noise is scanned in (four
-    # for the noisy run of nine agents, one otherwise)
-    p, law, fam, pop = _family(3, 2, N, 2 * _NOISE_BLOCK + 3)
+    # a run without paths sweeps up each chunk's mean maps M under empirical
+    # coupling, then its agents' maps T and their |T| for the state bound; a
+    # run with paths each chunk's M, then each block's T, however many
+    # chunks of agents the block's noise is scanned in (four for the noisy
+    # run of nine agents, one otherwise)
+    K = 2 * _SUM_CHUNK + 3
+    p, law, fam, pop = _family(3, 2, N, K)
+    x0 = np.array([x for x, _ in pop])
     up_sweep, sweeps = population._up_sweep, []
 
     def counted_up_sweep(T):
@@ -699,13 +725,20 @@ def test_a_run_sweeps_each_blocks_step_maps_up_once(monkeypatch, N):
         return up_sweep(T)
 
     monkeypatch.setattr(population, "_up_sweep", counted_up_sweep)
+    chunks = (_SUM_CHUNK, _SUM_CHUNK, 3)
+
+    def blocks(c):
+        return [min(_NOISE_BLOCK, c - j) for j in range(0, c, _NOISE_BLOCK)]
+
     for coupling, paths in _couplings(law, 3, 2):
+        mean = 1 if coupling is None else 0
         for D in (None, 0.0):
             sweeps.clear()
             simulate(p, pop, fam, mf_coupling=paths, seed=5, D=D)
-            per_block = 1 if coupling is not None else 2
-            assert sweeps == [n for n in (_NOISE_BLOCK, _NOISE_BLOCK, 3)
-                              for _ in range(per_block)]
+            assert sweeps == [c for c in chunks for _ in range(mean + 2)]
+            sweeps.clear()
+            population._step_agents(fam, x0, coupling, 5, D, paths=True)
+            assert sweeps == [m for c in chunks for m in [c] * mean + blocks(c)]
 
 
 def test_replay_reproduces_an_agent_of_a_noisy_run_bit_for_bit():
@@ -775,9 +808,9 @@ def test_a_noisy_runs_memory_does_not_grow_with_K(params):
 
 
 def test_a_noiseless_run_forms_no_block_of_states(params):
-    # the node sums come from the agents' summed rows, chained from block to
-    # block, and no agent's state is formed: the run's peak is a few (N, n)
-    # rows and (K+1, n) node arrays (4.9 of each at N = K = 2000, measured),
+    # the node sums are scanned from the sum of x0, chunk after chunk, and
+    # no agent's state is formed: the run's peak is a few (N, n) rows and
+    # (K+1, n) node arrays (4.8 of each at N = K = 2000, measured),
     # far below one block of states, (_NOISE_BLOCK + 1, N, n)
     pop = _pop(2000)
     bundle = RiccatiBundle.solve(params, params.default_grid())
